@@ -1,9 +1,10 @@
 import json
+from pathlib import Path
 
 import pytest
 
 from ecledger.cli import main
-from ecledger.curve import E1, E2, WeierstrassCurve
+from ecledger.curve import E1, E2, WeierstrassCurve, curve_from_string
 from ecledger.ledger import (
     CITED_DEPENDENCIES,
     VERIFIED,
@@ -15,6 +16,27 @@ from ecledger.ledger import (
 )
 
 FAST = LedgerOptions(prime_bound=500, l_list=(3,), terms=500, precision_bits=96, padic_digits=12)
+
+# Reports saved before the checks moved into one table; every later change
+# must reproduce them byte for byte.  Regenerate deliberately with
+# `PYTHONPATH=src python tests/test_ledger.py` and say why in CHANGES.md.
+GOLDEN_DIR = Path(__file__).parent / "golden"
+GOLDEN = {
+    "15a1-default.json": ("1,1,1,-10,-10", LedgerOptions(), "json-text"),
+    "15a1-fast.json": ("1,1,1,-10,-10", FAST, "json-text"),
+    "15a1-fast.txt": ("1,1,1,-10,-10", FAST, "human-text"),
+    "15a3-default.json": ("1,1,1,-5,2", LedgerOptions(), "json-text"),
+    "15a3-fast.json": ("1,1,1,-5,2", FAST, "json-text"),
+    "11a1-fast.json": ("0,-1,1,-10,-20", FAST, "json-text"),
+    "14a1-fast.json": ("1,0,1,4,-6", FAST, "json-text"),
+    "37a1-fast.json": ("0,0,1,-1,0", FAST, "json-text"),
+    "additive-fast.json": ("0,0,0,0,1", FAST, "json-text"),
+}
+
+
+def _golden_report(name: str) -> str:
+    coeffs, opts, fmt = GOLDEN[name]
+    return emit_report(run_ledger(curve_from_string(coeffs), opts), fmt)
 
 EXPECTED_E1_IDS = [
     "invariants",
@@ -151,3 +173,14 @@ def test_cli_subcommands_run(tmp_path, capsys):
 def test_cli_image_mod8_skips_other_curves(capsys):
     assert main(["image-mod8", "--curve", "1,1,1,-5,2"]) == 1
     assert "skipped" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_report_matches_golden(name):
+    assert _golden_report(name).encode() == (GOLDEN_DIR / name).read_bytes()
+
+
+if __name__ == "__main__":
+    GOLDEN_DIR.mkdir(exist_ok=True)
+    for name in sorted(GOLDEN):
+        (GOLDEN_DIR / name).write_bytes(_golden_report(name).encode())
