@@ -74,41 +74,6 @@ def legendre_symbol(a: int, p: int) -> int:
     return 1 if r == 1 else -1
 
 
-def sqrt_mod(a: int, p: int) -> int | None:
-    """A square root of a modulo the odd prime p, or None if a is a non-residue.
-
-    Tonelli-Shanks; exhaustive fallback would also do at these sizes.
-    """
-    if p == 2 or not is_prime(p):
-        raise DomainError(f"{p} is not an odd prime")
-    a %= p
-    if a == 0:
-        return 0
-    if legendre_symbol(a, p) == -1:
-        return None
-    if p % 4 == 3:
-        return pow(a, (p + 1) // 4, p)
-    # Tonelli-Shanks for p = 1 mod 4.
-    q, s = p - 1, 0
-    while q % 2 == 0:
-        q //= 2
-        s += 1
-    z = 2
-    while legendre_symbol(z, p) != -1:
-        z += 1
-    m, c, t, r = s, pow(z, q, p), pow(a, q, p), pow(a, (q + 1) // 2, p)
-    while t != 1:
-        i, t2 = 0, t
-        while t2 != 1:
-            t2 = t2 * t2 % p
-            i += 1
-        b = pow(c, 1 << (m - i - 1), p)
-        m, c = i, b * b % p
-        t = t * c % p
-        r = r * b % p
-    return r
-
-
 def kronecker_symbol(a: int, n: int) -> int:
     """Kronecker symbol (a|n), the fully extended Jacobi symbol."""
     if n == 0:
@@ -138,15 +103,6 @@ def kronecker_symbol(a: int, n: int) -> int:
     return result if n == 1 else 0
 
 
-def gcd_list(values: list[int]) -> int:
-    import math
-
-    g = 0
-    for v in values:
-        g = math.gcd(g, v)
-    return g
-
-
 def isqrt_exact(n: int) -> int | None:
     """Integer square root if n is a perfect square, else None."""
     if n < 0:
@@ -163,11 +119,14 @@ def iroot_exact(n: int, k: int) -> int | None:
         return None
     if n in (0, 1):
         return n
-    r = round(n ** (1.0 / k))
-    for c in (r - 1, r, r + 1):
-        if c >= 0 and c**k == n:
-            return c
-    return None
+    # Integer Newton iteration from 2^ceil(bits/k) >= n^(1/k); it decreases
+    # monotonically to floor(n^(1/k)).  Floats overflow for large n.
+    r = 1 << -(-n.bit_length() // k)
+    while True:
+        s = ((k - 1) * r + n // r ** (k - 1)) // k
+        if s >= r:
+            return r if r**k == n else None
+        r = s
 
 
 def divisors(n: int) -> list[int]:

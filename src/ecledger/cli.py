@@ -1,7 +1,10 @@
 """Command-line surface of the proof ledger.
 
-Subcommands mirror the modules: `ledger` runs the full report (exit 0 iff the
-verdict is verified-at-desk-scale); the rest expose a single check each.
+`ledger` runs every check and emits the full report.  The single-check
+subcommands are fixed filters over the same check table: each runs only its
+own checks and emits their records in the same report format.  Every one of
+them exits 0 iff some selected computed record passed and none failed.
+`count` lists Frobenius data instead of running a check.
 """
 
 from __future__ import annotations
@@ -10,29 +13,25 @@ import argparse
 import sys
 
 from . import __version__
+from .arith import primes_up_to
 from .counting import frobenius_record
 from .curve import E1, WeierstrassCurve, curve_from_string
-from .galois_image import (
-    RZB_15A1_MOD8,
-    abelian_group_structure,
-    det_condition_subgroup,
-    fixed_submodule,
-    group_closure,
-    surjectivity_certificate,
-)
 from .ledger import VERIFIED, LedgerOptions, emit_report, run_ledger
-from .local_data import (
-    ReductionKind,
-    UnsupportedReductionError,
-    bad_primes,
-    kodaira_and_tamagawa,
-    tamagawa_product,
-)
-from .lvalue import lvalue_ratio
-from .padic import l_invariant
-from .torsion import torsion_subgroup
 
 DEFAULT_CURVE = ",".join(str(a) for a in E1.coefficients())
+
+# subcommand -> (help, names of the ledger checks it runs; None runs them all)
+VIEWS = {
+    "ledger": ("run every check and emit the full verification report", None),
+    "invariants": ("discriminant identity, minimality, c-invariants, j-invariant", ("invariants",)),
+    "local": ("reduction type and Kodaira symbol at each bad prime, conductor, Tamagawa product",
+              ("reduction", "conductor", "tamagawa-product")),
+    "torsion": ("rational torsion subgroup via Nagell-Lutz", ("torsion",)),
+    "image-mod8": ("order, det-condition subgroup, and fixed points of the mod-8 image", ("mod8",)),
+    "image-modl": ("mod-l surjectivity certificates for each l in the list", ("surjectivity",)),
+    "lvalue": ("L(E,1), real period, and the reconstructed rational ratio", ("lvalue-ratio",)),
+    "linv": ("log(q)/ord(q) invariant at each split multiplicative prime", ("linv",)),
+}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -50,18 +49,10 @@ def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="ecledger", description=__doc__)
     parser.add_argument("--version", action="version", version=f"ecledger {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text in (
-        ("ledger", "run every check and emit the full verification report"),
-        ("invariants", "b/c-invariants, discriminant, j-invariant"),
-        ("local", "reduction type, Kodaira symbol, Tamagawa number at each bad prime"),
-        ("torsion", "rational torsion subgroup via Nagell-Lutz"),
-        ("count", "point counts and Frobenius traces for good primes up to the bound"),
-        ("image-mod8", "order, det-condition subgroup, and fixed points of the mod-8 image"),
-        ("image-modl", "mod-l surjectivity certificates for each l in the list"),
-        ("lvalue", "L(E,1), real period, and the reconstructed rational ratio"),
-        ("linv", "log(q)/ord(q) invariant at each split multiplicative prime"),
-    ):
+    for name, (help_text, _) in VIEWS.items():
         sub.add_parser(name, parents=[common], help=help_text)
+    sub.add_parser("count", parents=[common],
+                   help="point counts and Frobenius traces for good primes up to the bound")
     return parser
 
 
@@ -84,52 +75,7 @@ def _emit(args, text: str) -> None:
         sys.stdout.write(text)
 
 
-def _cmd_ledger(C, args, opts) -> int:
-    report = run_ledger(C, opts)
-    fmt = "json-text" if args.format == "json" else "human-text"
-    _emit(args, emit_report(report, fmt))
-    return 0 if report.overall == VERIFIED else 1
-
-
-def _cmd_invariants(C, args, opts) -> int:
-    inv = C.invariants()
-    lines = [
-        f"curve: {','.join(str(a) for a in C.coefficients())}",
-        f"b-invariants: b2={inv.b2} b4={inv.b4} b6={inv.b6} b8={inv.b8}",
-        f"c-invariants: c4={inv.c4} c6={inv.c6}",
-        f"discriminant: {inv.disc}",
-        f"j-invariant: {C.j_invariant()}",
-    ]
-    _emit(args, "\n".join(lines) + "\n")
-    return 0
-
-
-def _cmd_local(C, args, opts) -> int:
-    lines = []
-    for p in bad_primes(C):
-        try:
-            ld = kodaira_and_tamagawa(C, p)
-            lines.append(f"p={p}: {ld.kind.value}, Kodaira {ld.kodaira}, Tamagawa {ld.tamagawa}")
-        except UnsupportedReductionError as err:
-            lines.append(f"p={p}: unsupported ({err})")
-    try:
-        lines.append(f"Tamagawa product: {tamagawa_product(C)}")
-    except UnsupportedReductionError:
-        lines.append("Tamagawa product: unsupported (additive prime present)")
-    _emit(args, "\n".join(lines) + "\n")
-    return 0
-
-
-def _cmd_torsion(C, args, opts) -> int:
-    T = torsion_subgroup(C)
-    pts = ", ".join("O" if P is None else f"({P[0]},{P[1]})" for P in T.points)
-    _emit(args, f"torsion: order {T.order}, structure {T.describe()}\npoints: {pts}\n")
-    return 0
-
-
-def _cmd_count(C, args, opts) -> int:
-    from .arith import primes_up_to
-
+def _count(C: WeierstrassCurve, args, opts: LedgerOptions) -> int:
     disc = C.discriminant()
     lines = [f"{'p':>6} {'#E(F_p)':>9} {'a_p':>5}  class"]
     for p in primes_up_to(opts.prime_bound):
@@ -142,85 +88,15 @@ def _cmd_count(C, args, opts) -> int:
     return 0
 
 
-def _cmd_image_mod8(C, args, opts) -> int:
-    data = RZB_15A1_MOD8
-    if tuple(C.coefficients()) != data["curve"]:
-        _emit(args, "skipped: external image data unavailable for this curve\n")
-        return 1
-    m = data["modulus"]
-    G = group_closure(data["g_generators"], m)
-    H = group_closure(data["h_generators"], m)
-    D = det_condition_subgroup(G)
-    fg, fh = fixed_submodule(G), fixed_submodule(H)
-    lines = [
-        f"|G| = {G.order}, |H| = {H.order}, det(+-1) subgroup == H: {D.elements == H.elements}",
-        f"fixed(G) == fixed(H): {fg == fh}; cardinality {len(fg)}, "
-        f"structure {abelian_group_structure(fg, m)}",
-    ]
-    _emit(args, "\n".join(lines) + "\n")
-    return 0
-
-
-def _cmd_image_modl(C, args, opts) -> int:
-    lines, all_surjective = [], True
-    for l in opts.l_list:
-        cert = surjectivity_certificate(C, l, opts.prime_bound)
-        all_surjective &= cert.verdict == "surjective"
-        lines.append(
-            f"l={l}: {cert.verdict} ({cert.eliminated_subgroups}/{cert.proper_subgroups} "
-            f"classes eliminated, witnesses {list(cert.witness_primes)[:6]}...)"
-        )
-    _emit(args, "\n".join(lines) + "\n")
-    return 0 if all_surjective else 1
-
-
-def _cmd_lvalue(C, args, opts) -> int:
-    L, omega, ratio = lvalue_ratio(C, opts.terms, opts.precision_bits)
-    lines = [
-        f"L(E,1)  = {L.value} (+- {L.error_bound})",
-        f"Omega   = {omega.value} (+- {omega.error_bound})",
-        f"ratio   = {ratio if ratio is not None else 'no small rational within error bounds'}",
-    ]
-    _emit(args, "\n".join(lines) + "\n")
-    return 0
-
-
-def _cmd_linv(C, args, opts) -> int:
-    lines = []
-    for p in bad_primes(C):
-        try:
-            if kodaira_and_tamagawa(C, p).kind is not ReductionKind.MULT_SPLIT:
-                continue
-        except UnsupportedReductionError:
-            continue
-        res = l_invariant(C, p, opts.padic_digits)
-        lines.append(
-            f"p={p}: q_E = {res.tate_q}, L-invariant = {res.value} "
-            f"(in p*Z_p^x: {res.unit_times_p})"
-        )
-    if not lines:
-        lines.append("no split multiplicative primes")
-    _emit(args, "\n".join(lines) + "\n")
-    return 0
-
-
-_COMMANDS = {
-    "ledger": _cmd_ledger,
-    "invariants": _cmd_invariants,
-    "local": _cmd_local,
-    "torsion": _cmd_torsion,
-    "count": _cmd_count,
-    "image-mod8": _cmd_image_mod8,
-    "image-modl": _cmd_image_modl,
-    "lvalue": _cmd_lvalue,
-    "linv": _cmd_linv,
-}
-
-
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     C: WeierstrassCurve = curve_from_string(args.curve)
-    return _COMMANDS[args.command](C, args, _options(args))
+    opts = _options(args)
+    if args.command == "count":
+        return _count(C, args, opts)
+    report = run_ledger(C, opts, VIEWS[args.command][1])
+    _emit(args, emit_report(report, "json-text" if args.format == "json" else "human-text"))
+    return 0 if report.overall == VERIFIED else 1
 
 
 if __name__ == "__main__":

@@ -16,6 +16,8 @@ import numpy as np
 from .arith import DomainError, primes_up_to
 from .curve import BadReductionError, WeierstrassCurve
 
+COUNT_POINTS_MAX_P = 1_100_000_000  # 7 p^2 < 2^63 keeps count_points exact
+
 
 @dataclass(frozen=True)
 class FrobeniusRecord:
@@ -43,22 +45,21 @@ def count_points(C: WeierstrassCurve, p: int) -> int:
         raise DomainError("counting requires an integral model")
     if p == 2:
         return count_points_naive(C, 2)
+    if p > COUNT_POINTS_MAX_P:
+        raise DomainError(f"p = {p} exceeds the exact int64 range of the point count")
     b2, b4, b6, _ = (v % p for v in C.b_invariants())
     x = np.arange(p, dtype=np.int64)
-    f = (((4 * x + b2) * x + 2 * b4) * x + b6) % p
+    sq = x * x % p
+    # Every intermediate stays below 7p^2 < 2^63; Horner's x^3 would not.
+    f = ((4 * x + b2) * sq + 2 * b4 * x + b6) % p
     is_square = np.zeros(p, dtype=bool)
-    is_square[(x * x) % p] = True
+    is_square[sq] = True
     chi = np.where(f == 0, 0, np.where(is_square[f], 1, -1))
     return int(p + 1 + chi.sum())
 
 
 def trace_ap(C: WeierstrassCurve, p: int) -> int:
     return p + 1 - count_points(C, p)
-
-
-def classify_ordinary(C: WeierstrassCurve, p: int) -> str:
-    """'supersingular' iff a_p = 0 mod p, else 'ordinary' (good p)."""
-    return "supersingular" if trace_ap(C, p) % p == 0 else "ordinary"
 
 
 def frobenius_record(C: WeierstrassCurve, p: int) -> FrobeniusRecord:

@@ -350,12 +350,6 @@ def enumerate_subgroups_gl2(l: int) -> tuple[ModMMatrixGroup, ...]:
 
 
 @dataclass(frozen=True)
-class FrobeniusConstraint:
-    l: int
-    pairs: frozenset  # {(a_p mod l, p mod l)} over good primes p != l
-
-
-@dataclass(frozen=True)
 class SurjectivityCertificate:
     l: int
     prime_bound: int
@@ -412,7 +406,8 @@ def _quadratic_character_refuted(C: WeierstrassCurve, l: int, bound: int) -> boo
     return True
 
 
-def frobenius_constraints(C: WeierstrassCurve, l: int, bound: int) -> tuple[FrobeniusConstraint, tuple[int, ...]]:
+def frobenius_constraints(C: WeierstrassCurve, l: int, bound: int) -> tuple[frozenset, tuple[int, ...]]:
+    """{(a_p mod l, p mod l)} and the primes p used: good primes p != l up to bound."""
     disc = C.discriminant()
     pairs = set()
     primes = []
@@ -421,7 +416,7 @@ def frobenius_constraints(C: WeierstrassCurve, l: int, bound: int) -> tuple[Frob
             continue
         pairs.add((trace_ap(C, p) % l, p % l))
         primes.append(p)
-    return FrobeniusConstraint(l, frozenset(pairs)), tuple(primes)
+    return frozenset(pairs), tuple(primes)
 
 
 def subgroup_realizes_pairs(H: ModMMatrixGroup, pairs) -> bool:
@@ -464,7 +459,7 @@ def surjectivity_certificate(C: WeierstrassCurve, l: int, bound: int) -> Surject
     against it.  A verdict of "surjective" is unconditional; "inconclusive"
     only means the prime bound was too small or the image really is proper.
     """
-    constraint, primes = frobenius_constraints(C, l, bound)
+    pairs, primes = frobenius_constraints(C, l, bound)
     subgroups = enumerate_subgroups_gl2(l)
     full_order = max(H.order for H in subgroups)
     proper = [H for H in subgroups if H.order < full_order]
@@ -472,7 +467,7 @@ def surjectivity_certificate(C: WeierstrassCurve, l: int, bound: int) -> Surject
     eliminated = 0
     all_eliminated = True
     for H in proper:
-        if not subgroup_det_surjective(H) or not subgroup_realizes_pairs(H, constraint.pairs):
+        if not subgroup_det_surjective(H) or not subgroup_realizes_pairs(H, pairs):
             eliminated += 1
             continue
         if _trace_zero_coset_possible(H):

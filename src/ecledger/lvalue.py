@@ -13,17 +13,13 @@ from fractions import Fraction
 
 import mpmath as mp
 
-from .arith import DomainError, primes_up_to
+from .arith import primes_up_to
 from .counting import trace_ap
 from .curve import WeierstrassCurve
 from .local_data import ReductionKind, conductor_semistable, reduction_type
 
 DEFAULT_TERMS = 2000
 DEFAULT_PRECISION_BITS = 128
-
-
-class InsufficientTermsError(DomainError):
-    """The requested tolerance cannot be met with the given series length."""
 
 
 def _mpf_to_fraction(v) -> Fraction:
@@ -111,16 +107,11 @@ def l_value_at_1(
     C: WeierstrassCurve,
     terms: int = DEFAULT_TERMS,
     precision_bits: int = DEFAULT_PRECISION_BITS,
-    required_error: float | None = None,
 ) -> RealApprox:
     """L(E, 1) = 2 sum a_n/n exp(-2 pi n / sqrt N), with a rigorous tail bound."""
     series = an_coefficients(C, terms)
     with mp.workprec(precision_bits):
         tail = _tail_bound(series.conductor, terms)
-        if required_error is not None and tail > required_error:
-            raise InsufficientTermsError(
-                f"{terms} terms give tail bound {mp.nstr(tail, 3)} > {required_error}"
-            )
         c = 2 * mp.pi / mp.sqrt(series.conductor)
         u = mp.e ** (-c)
         total = mp.mpf(0)

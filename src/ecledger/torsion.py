@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .arith import DomainError, divisors, isqrt_exact, primes_up_to, square_divisors
+from .arith import DomainError, primes_up_to, square_divisors
 from .counting import count_points
 from .curve import WeierstrassCurve
 

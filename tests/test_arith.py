@@ -5,12 +5,12 @@ from ecledger.arith import (
     DomainError,
     divisors,
     factorize,
+    iroot_exact,
     is_prime,
     kronecker_symbol,
     legendre_symbol,
     primes_up_to,
     rational_valuation,
-    sqrt_mod,
     square_divisors,
     valuation,
 )
@@ -67,16 +67,6 @@ def test_legendre_multiplicative_mod_11(a, b):
     assert legendre_symbol(a * b, 11) == legendre_symbol(a, 11) * legendre_symbol(b, 11)
 
 
-def test_sqrt_mod_roundtrip():
-    for p in (3, 5, 13, 17, 97, 101):
-        for a in range(p):
-            r = sqrt_mod(a, p)
-            if legendre_symbol(a, p) >= 0:
-                assert r is not None and r * r % p == a % p
-            else:
-                assert r is None
-
-
 def test_kronecker_matches_legendre_at_odd_primes():
     for p in (3, 5, 7, 13):
         for a in range(-20, 21):
@@ -106,3 +96,12 @@ def test_divisors_complete(n):
 def test_square_divisors():
     # divisors d with d^2 | n, for n = 720 = 2^4 3^2 5
     assert sorted(square_divisors(720)) == [1, 2, 3, 4, 6, 12]
+
+
+def test_iroot_exact_beyond_float_range():
+    assert iroot_exact(10**408, 12) == 10**34
+    assert iroot_exact(10**408 + 1, 12) is None
+    for n in range(200):
+        for k in (1, 2, 3, 12):
+            r = round(n ** (1 / k))
+            assert iroot_exact(n, k) == next((c for c in (r - 1, r, r + 1) if c >= 0 and c**k == n), None)

@@ -77,3 +77,20 @@ def test_symbolic_hasse_contradiction():
     assert hasse_contradiction_symbolic(8) is True
     # torsion order 1 gives p > p + 1 + 2 sqrt p, never true
     assert hasse_contradiction_symbolic(1) is False
+
+
+def test_count_points_exact_beyond_int64_horner():
+    # Euler-criterion counts in Python integers; at these primes the cubic
+    # x^3 term alone overflows int64.
+    assert count_points(E1, 1_400_017) == 1_397_792
+    assert count_points(E1, 2_000_003) == 2_001_064
+    assert count_points(E2, 2_097_143) == 2_098_904  # the largest prime below 2^21
+
+
+def test_count_points_rejects_primes_beyond_exact_range():
+    from ecledger.arith import DomainError
+    from ecledger.counting import COUNT_POINTS_MAX_P
+
+    with pytest.raises(DomainError):
+        count_points(E1, 1_100_000_009)
+    assert 7 * COUNT_POINTS_MAX_P**2 < 2**63

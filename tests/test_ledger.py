@@ -1,8 +1,10 @@
 import json
+import re
 from pathlib import Path
 
 import pytest
 
+from ecledger import cli, galois_image, ledger, local_data, torsion
 from ecledger.cli import main
 from ecledger.curve import E1, E2, WeierstrassCurve, curve_from_string
 from ecledger.ledger import (
@@ -10,6 +12,7 @@ from ecledger.ledger import (
     VERIFIED,
     CheckRecord,
     LedgerOptions,
+    VerificationReport,
     emit_report,
     report_from_json,
     run_ledger,
@@ -174,6 +177,74 @@ def test_cli_image_mod8_skips_other_curves(capsys):
     assert main(["image-mod8", "--curve", "1,1,1,-5,2"]) == 1
     assert "skipped" in capsys.readouterr().out
 
+
+FAST_ARGS = ["--prime-bound", "500", "--l-list", "3", "--terms", "500", "--precision-bits", "96",
+             "--padic-digits", "12"]
+# The records each single-check subcommand prints for 15a1 and 15a3 at FAST.
+VIEW_IDS = {
+    "invariants": {"invariants"},
+    "local": {"reduction-3", "reduction-5", "conductor", "tamagawa-product"},
+    "torsion": {"torsion"},
+    "image-mod8": {"mod8-order", "mod8-det-subgroup", "mod8-fixed-points"},
+    "image-modl": {"surjectivity-l3", "surjectivity-residual"},
+    "lvalue": {"lvalue-ratio"},
+    "linv": {"linv-5"},
+}
+
+
+@pytest.fixture(scope="module")
+def fast_ledgers():
+    return {C: run_ledger(C, FAST) for C in (E1, E2)}
+
+
+@pytest.mark.parametrize("command", sorted(VIEW_IDS))
+@pytest.mark.parametrize("curve", [E1, E2], ids=["15a1", "15a3"])
+def test_view_prints_the_ledgers_records(command, curve, fast_ledgers, tmp_path):
+    out = tmp_path / "view.json"
+    coeffs = ",".join(map(str, curve.coefficients()))
+    code = main([command, "--curve", coeffs, *FAST_ARGS, "--format", "json", "--out", str(out)])
+    text = out.read_text()
+    assert emit_report(report_from_json(text), "json-text") == text
+    full = fast_ledgers[curve]
+    selected = tuple(r for r in full.records if r.id in VIEW_IDS[command])
+    assert text == emit_report(VerificationReport(full.curve, full.version, selected), "json-text")
+    statuses = {r.status for r in selected}
+    assert code == (0 if "pass" in statuses and "fail" not in statuses else 1)
+    assert code == (1 if (curve, command) == (E2, "image-mod8") else 0)
+
+
+@pytest.mark.parametrize("argv", [["torsion"], ["lvalue", "--terms", "500"]])
+def test_views_skip_subgroup_enumeration(argv, monkeypatch, capsys):
+    def forbidden(l):
+        raise AssertionError(f"enumerated the subgroups of GL2(F_{l})")
+
+    monkeypatch.setattr(galois_image, "enumerate_subgroups_gl2", forbidden)
+    assert main(argv) == 0
+    assert capsys.readouterr().out
+
+
+def test_shared_facts_computed_once_per_ledger(monkeypatch):
+    calls = []
+
+    def counted(name, fn):
+        def wrapper(C, *args):
+            calls.append((name, *args))
+            return fn(C, *args)
+        return wrapper
+
+    for module in (ledger, local_data):
+        monkeypatch.setattr(module, "kodaira_and_tamagawa", counted("local", local_data.kodaira_and_tamagawa))
+    for module in (ledger, torsion):
+        monkeypatch.setattr(module, "torsion_subgroup", counted("torsion", torsion.torsion_subgroup))
+    run_ledger(E1, FAST)
+    assert sorted(calls) == [("local", 3), ("local", 5), ("torsion",)]
+
+
+def test_no_curve_equality_branches():
+    # Paper expectations live in ledger.PAPER_EXPECTATIONS, not in code.
+    for module in (ledger, cli):
+        source = Path(module.__file__).read_text()
+        assert not re.search(r"[!=]=\s*E[12]\b|\bE[12]\s*[!=]=", source), module.__name__
 
 @pytest.mark.parametrize("name", sorted(GOLDEN))
 def test_report_matches_golden(name):
