@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 from ecledger.curve import E1, WeierstrassCurve
@@ -67,6 +69,25 @@ def test_subgroup_class_counts():
     assert len(enumerate_subgroups_gl2(2)) == 4
     assert len(enumerate_subgroups_gl2(3)) == 16
     assert len(enumerate_subgroups_gl2(5)) == 48
+    assert len(enumerate_subgroups_gl2(7)) == 84
+
+
+# sha256 of repr([sorted(H.elements) for H in enumerate_subgroups_gl2(l)]),
+# taken from the enumeration that closed subgroups by multiplying whole
+# element sets; every later enumeration must list the same classes, in the
+# same order, with the same elements.
+CLASS_LIST_DIGESTS = {
+    2: "b93fd5b3cb0b2744313cd29239f9425746687d7c0aa635b674b78ce4ca3c09bd",
+    3: "ae463ad3dc5d2b7be2fcd3fe900c61fa504d1bdba730fe56d2285a26279eaad9",
+    5: "f882f4814e9d76a68c882e10a09ece71b3ec28dd9e9903054a6d1aaa1a8a717f",
+    7: "07e177b820f791c0613d2ff127034299b5eb39511986ca78c31c64727312f5b9",
+}
+
+
+@pytest.mark.parametrize("l", sorted(CLASS_LIST_DIGESTS))
+def test_class_lists_pinned(l):
+    listing = repr([sorted(H.elements) for H in enumerate_subgroups_gl2(l)])
+    assert hashlib.sha256(listing.encode()).hexdigest() == CLASS_LIST_DIGESTS[l]
 
 
 def test_enumerated_subgroups_are_closed_subgroups():
