@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
+from types import MappingProxyType
 
 import numpy as np
 
@@ -62,6 +64,18 @@ def trace_ap(C: WeierstrassCurve, p: int) -> int:
     return p + 1 - count_points(C, p)
 
 
+@lru_cache(maxsize=4)
+def frobenius_table(C: WeierstrassCurve, bound: int) -> MappingProxyType:
+    """{p: a_p} for the good primes p <= bound, ascending, read-only.
+
+    One ledger reads the same table from every certificate, the ordinary
+    criterion and the a_n series, so each trace is counted once per
+    (curve, bound); the cache keeps the few most recent tables only.
+    """
+    disc = C.discriminant()
+    return MappingProxyType({p: trace_ap(C, p) for p in primes_up_to(bound) if disc % p})
+
+
 def frobenius_record(C: WeierstrassCurve, p: int) -> FrobeniusRecord:
     count = count_points(C, p)
     trace = p + 1 - count
@@ -105,13 +119,11 @@ def verify_ordinary_criterion(
     Returns (failing rows, symbolic Hasse inequality verdict).  An empty
     failure list plus a true verdict is the full criterion.
     """
-    disc = C.discriminant()
     failures = []
-    for p in primes_up_to(bound):
-        if p == 2 or disc % p == 0:
+    for p, trace in frobenius_table(C, bound).items():
+        if p == 2:
             continue
-        count = count_points(C, p)
-        trace = p + 1 - count
+        count = p + 1 - trace
         row = OrdinaryCriterionRow(
             p, count, trace, count % torsion_order == 0, trace % p != 1
         )

@@ -20,8 +20,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .arith import DomainError, is_prime, primes_up_to
-from .counting import trace_ap
+from .arith import DomainError, is_prime
+from .counting import frobenius_table, trace_ap  # noqa: F401  (trace_ap stays importable here)
 from .curve import WeierstrassCurve
 
 Mat = tuple[int, int, int, int]
@@ -191,7 +191,8 @@ class _GL2Tables:
         self.index = {mat: i for i, mat in enumerate(mats)}
         n = len(mats)
         self.n = n
-        A = np.array(mats, dtype=np.int64)
+        # every product and code below is under l^4, so int32 suffices
+        A = np.array(mats, dtype=np.int32)
         a, b, c, d = A[:, 0], A[:, 1], A[:, 2], A[:, 3]
         # mul[i, j] = index of mats[i] @ mats[j]
         e = (np.outer(a, a) + np.outer(b, c)) % l
@@ -199,12 +200,14 @@ class _GL2Tables:
         g = (np.outer(c, a) + np.outer(d, c)) % l
         h = (np.outer(c, b) + np.outer(d, d)) % l
         enc = ((e * l + f) * l + g) * l + h
+        del e, f, g, h
         code_to_idx = -np.ones(l**4, dtype=np.int32)
         codes = ((a * l + b) * l + c) * l + d
         code_to_idx[codes] = np.arange(n, dtype=np.int32)
         self.mul = code_to_idx[enc]
+        del enc
         det = (a * d - b * c) % l
-        det_inv = np.array([pow(int(v), -1, l) for v in det], dtype=np.int64)
+        det_inv = np.array([pow(int(v), -1, l) for v in det], dtype=np.int32)
         inv_codes = (
             ((d * det_inv % l) * l + (-b * det_inv) % l) * l + ((-c * det_inv) % l)
         ) * l + (a * det_inv % l)
@@ -249,18 +252,24 @@ class _GL2Tables:
         out.sort(axis=1)
         return out
 
-    def closure(self, seed) -> np.ndarray:
-        """Sorted element indices of the subgroup generated by seed."""
-        elems = {self.identity}
-        frontier = sorted({int(i) for i in seed} - elems)
-        elems.update(frontier)
-        while frontier:
-            base = np.fromiter(elems, dtype=np.int32, count=len(elems))
-            prod = self.mul[np.ix_(np.asarray(frontier, dtype=np.int32), base)]
-            new = set(map(int, np.unique(prod))) - elems
-            elems.update(new)
-            frontier = sorted(new)
-        return np.array(sorted(elems), dtype=np.int32)
+    def closure(self, gens) -> np.ndarray:
+        """Sorted element indices of the subgroup generated by gens.
+
+        Breadth-first search from the identity: each step right-multiplies
+        the frontier by the generators only, and a membership mask over the
+        group drops elements already reached.
+        """
+        gens = np.asarray(gens, dtype=np.int32)
+        member = np.zeros(self.n, dtype=bool)
+        member[self.identity] = True
+        frontier = np.array([self.identity], dtype=np.int32)
+        while frontier.size:
+            prod = self.mul[frontier[:, None], gens].ravel()
+            fresh = np.zeros(self.n, dtype=bool)
+            fresh[prod[~member[prod]]] = True
+            member |= fresh
+            frontier = np.flatnonzero(fresh).astype(np.int32)
+        return np.flatnonzero(member).astype(np.int32)
 
     def decode(self, subgroup) -> frozenset:
         return frozenset(self.mats[int(i)] for i in subgroup)
@@ -313,18 +322,18 @@ def enumerate_subgroups_gl2(l: int) -> tuple[ModMMatrixGroup, ...]:
             is_new = False
         else:
             is_new = True
-            for row in np.unique(conjs, axis=0):
-                seen_exact.add(row.tobytes())
+            seen_exact.update(row.tobytes() for row in conjs)
             classes.append(K)
         normalizer = np.where((conjs == K[None, :]).all(axis=1))[0].astype(np.int32)
         return is_new, normalizer
 
+    # frontier entries: (subgroup, its generators, its normalizer)
     trivial = np.array([t.identity], dtype=np.int32)
     _, norm = register(trivial)
-    frontier = [(trivial, norm)]
+    frontier = [(trivial, [], norm)]
     while frontier:
         nxt = []
-        for H, normalizer in frontier:
+        for H, gens, normalizer in frontier:
             if len(H) == t.n:
                 continue
             in_H = np.zeros(t.n, dtype=bool)
@@ -335,12 +344,12 @@ def enumerate_subgroups_gl2(l: int) -> tuple[ModMMatrixGroup, ...]:
             # one candidate per N(H)-orbit: min of cyc_rep over the orbit
             orbit_min = t.cyc_rep[t.conj[np.ix_(normalizer, outside)]].min(axis=0)
             for g in sorted(set(map(int, orbit_min))):
-                K = t.closure(np.concatenate([H, [g]]))
+                K = t.closure(gens + [g])
                 if K.tobytes() in seen_exact:
                     continue
                 is_new, normK = register(K)
                 if is_new:
-                    nxt.append((K, normK))
+                    nxt.append((K, gens + [g], normK))
         frontier = nxt
     classes.sort(key=lambda s: (len(s), tuple(map(int, s))))
     return tuple(ModMMatrixGroup(l, t.decode(s)) for s in classes)
@@ -390,33 +399,22 @@ def _quadratic_character_refuted(C: WeierstrassCurve, l: int, bound: int) -> boo
     """
     from .arith import factorize, kronecker_symbol
 
-    disc = C.discriminant()
-    support = frozenset({l} | set(factorize(disc)))
+    support = frozenset({l} | set(factorize(C.discriminant())))
     witnesses_needed = _fundamental_discriminants(support)
+    table = frobenius_table(C, bound)
     for d in witnesses_needed:
-        found = False
-        for p in primes_up_to(bound):
-            if p == l or disc % p == 0:
-                continue
-            if kronecker_symbol(d, p) == -1 and trace_ap(C, p) % l != 0:
-                found = True
-                break
-        if not found:
+        if not any(
+            p != l and kronecker_symbol(d, p) == -1 and ap % l != 0 for p, ap in table.items()
+        ):
             return False
     return True
 
 
 def frobenius_constraints(C: WeierstrassCurve, l: int, bound: int) -> tuple[frozenset, tuple[int, ...]]:
     """{(a_p mod l, p mod l)} and the primes p used: good primes p != l up to bound."""
-    disc = C.discriminant()
-    pairs = set()
-    primes = []
-    for p in primes_up_to(bound):
-        if p == l or disc % p == 0:
-            continue
-        pairs.add((trace_ap(C, p) % l, p % l))
-        primes.append(p)
-    return frozenset(pairs), tuple(primes)
+    table = frobenius_table(C, bound)
+    primes = tuple(p for p in table if p != l)
+    return frozenset((table[p] % l, p % l) for p in primes), primes
 
 
 def subgroup_realizes_pairs(H: ModMMatrixGroup, pairs) -> bool:

@@ -37,7 +37,7 @@ from .local_data import (
     conductor_semistable,
     kodaira_and_tamagawa,
 )
-from .lvalue import DEFAULT_PRECISION_BITS, DEFAULT_TERMS, lvalue_ratio
+from .lvalue import DEFAULT_PRECISION_BITS, DEFAULT_TERMS, lvalue_ratio, root_number
 from .padic import DEFAULT_DIGITS, l_invariant
 from .torsion import torsion_subgroup
 
@@ -309,6 +309,8 @@ def _lvalue_records(run: _Run) -> list[CheckRecord]:
     except UnsupportedReductionError as err:
         return [_unsupported(run.C, "lvalue-ratio", claim, inputs, str(err))]
     result = f"L(E,1)={L.value} Omega={omega.value} ratio={ratio}"
+    if root_number(run.C) == -1:
+        result += " root_number=-1"
     return [_computed(run.C, "lvalue-ratio", claim, inputs, result, ratio is not None, ratio)]
 
 

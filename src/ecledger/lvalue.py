@@ -1,5 +1,5 @@
-"""L(E,1) by the exponential a_n series, the real period by AGM, and the
-rational reconstruction of their ratio.
+"""L(E,1) by the exponential a_n series (zero from the root number when it is
+-1), the real period by AGM, and the rational reconstruction of their ratio.
 
 Reals are mpmath fixed-precision floats with an explicit interval-style
 error bound carried alongside; every reported digit survives doubling the
@@ -8,22 +8,25 @@ working precision.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 import mpmath as mp
 
-from .arith import primes_up_to
-from .counting import trace_ap
+from .counting import frobenius_table
 from .curve import WeierstrassCurve
-from .local_data import ReductionKind, conductor_semistable, reduction_type
+from .local_data import ReductionKind, bad_primes, conductor_semistable, reduction_type
 
 DEFAULT_TERMS = 2000
 DEFAULT_PRECISION_BITS = 128
 
 
-def _mpf_to_fraction(v) -> Fraction:
-    sign, man, exp, _ = mp.mpf(v)._mpf_
+def _mpf_to_fraction(v: mp.mpf) -> Fraction:
+    """The exact value of v, read at v's own precision (never rounded)."""
+    if not mp.isfinite(v):
+        raise ValueError(f"{v} has no exact rational value")
+    sign, man, exp, _ = v._mpf_
     fr = Fraction(man) * Fraction(2) ** exp
     return -fr if sign else fr
 
@@ -50,42 +53,47 @@ class AnSeries:
 def an_coefficients(C: WeierstrassCurve, M: int) -> AnSeries:
     """Hecke eigenvalue coefficients a_1..a_M of the curve's L-series."""
     N = conductor_semistable(C)
+    traces = frobenius_table(C, M)
+    # spf[n] = smallest prime factor of n
+    spf = list(range(M + 1))
+    for p in range(2, math.isqrt(M) + 1):
+        if spf[p] == p:
+            for m in range(p * p, M + 1, p):
+                if spf[m] == m:
+                    spf[m] = p
     a = [0] * (M + 1)
-    a[1] = 1
-    for p in primes_up_to(M):
-        if N % p == 0:
-            kind = reduction_type(C, p)
-            ap = 1 if kind is ReductionKind.MULT_SPLIT else -1
-        else:
-            ap = trace_ap(C, p)
-        # prime powers
-        pk = p
-        if pk <= M:
-            a[pk] = ap
-        prev, cur = 1, ap
-        while pk * p <= M:
-            pk *= p
-            if N % p == 0:
-                nxt = ap * cur
-            else:
-                nxt = ap * cur - p * prev
-            a[pk] = nxt
-            prev, cur = cur, nxt
-    # multiplicative fill in ascending order, splitting off one prime power
+    if M >= 1:
+        a[1] = 1
+    # ascending n: a[n] needs only a at proper divisors of n
     for n in range(2, M + 1):
-        if a[n] != 0 or n == 1:
-            continue
-        m = n
-        for p in primes_up_to(int(n**0.5) + 1):
-            if m % p == 0:
-                pk = 1
-                while m % p == 0:
-                    m //= p
-                    pk *= p
-                if m > 1:
-                    a[n] = a[pk] * a[m]
-                break
+        p = spf[n]
+        pk, m = p, n // p
+        while m % p == 0:
+            pk, m = pk * p, m // p
+        if m > 1:
+            a[n] = a[pk] * a[m]
+        elif pk == p:
+            if N % p:
+                a[p] = traces[p]
+            else:
+                a[p] = 1 if reduction_type(C, p) is ReductionKind.MULT_SPLIT else -1
+        else:
+            # a_{p^k} = a_p a_{p^(k-1)} - p a_{p^(k-2)} at good p; a_p^k at bad p
+            a[n] = a[p] * a[n // p] - (p * a[n // (p * p)] if N % p else 0)
     return AnSeries(N, tuple(a))
+
+
+def root_number(C: WeierstrassCurve) -> int:
+    """Global root number of a semistable curve: w = -prod_{p | N} (-a_p).
+
+    At a multiplicative prime a_p is +1 (split) or -1 (non-split), so w is
+    -(-1)^(number of split primes).
+    """
+    w = -1
+    for p in bad_primes(C):
+        if reduction_type(C, p) is ReductionKind.MULT_SPLIT:
+            w = -w
+    return w
 
 
 def _tail_bound(N: int, M: int) -> mp.mpf:
@@ -108,9 +116,15 @@ def l_value_at_1(
     terms: int = DEFAULT_TERMS,
     precision_bits: int = DEFAULT_PRECISION_BITS,
 ) -> RealApprox:
-    """L(E, 1) = 2 sum a_n/n exp(-2 pi n / sqrt N), with a rigorous tail bound."""
-    series = an_coefficients(C, terms)
+    """L(E, 1) = 2 sum a_n/n exp(-2 pi n / sqrt N), with a rigorous tail bound.
+
+    The series is valid when the root number is +1; when it is -1 the
+    functional equation forces L(E, 1) = 0 exactly, and no series is summed.
+    """
     with mp.workprec(precision_bits):
+        if root_number(C) == -1:
+            return RealApprox(mp.mpf(0), mp.mpf(0), precision_bits)
+        series = an_coefficients(C, terms)
         tail = _tail_bound(series.conductor, terms)
         c = 2 * mp.pi / mp.sqrt(series.conductor)
         u = mp.e ** (-c)
@@ -131,10 +145,13 @@ def real_period(
 ) -> RealApprox:
     """Period of the invariant differential over all real components.
 
-    Completed-square cubic 4x^3 + b2 x^2 + 2 b4 x + b6 with real(s) roots;
+    Completed-square cubic 4x^3 + b2 x^2 + 2 b4 x + b6 with real root(s);
     positive discriminant (three real roots e1 > e2 > e3) gives the two-
     component value 2 pi / agm(sqrt(e1-e3), sqrt(e1-e2)); negative
-    discriminant falls back to direct quadrature of the single component.
+    discriminant (one real root e1) gives the one-component value
+    2 pi / agm(2 sqrt(b), sqrt(2b + a)) with a = 3 e1 + b2/4 and
+    b = sqrt(3 e1^2 + (b2/2) e1 + b4/2) (Cremona, Algorithms for Modular
+    Elliptic Curves, 3.7).
     """
     b2, b4, b6, _ = C.b_invariants()
     disc = C.discriminant()
@@ -145,20 +162,12 @@ def real_period(
             omega1 = mp.pi / mp.agm(mp.sqrt(e1 - e3), mp.sqrt(e1 - e2))
             value = 2 * omega1
         else:
-            e1 = max((mp.re(r) for r in roots if abs(mp.im(r)) < mp.mpf(2) ** (-20)))
-
-            def integrand(x):
-                f = ((4 * x + b2) * x + 2 * b4) * x + b6
-                return 1 / mp.sqrt(f)
-
-            value = 2 * mp.quad(integrand, [e1, mp.inf])
-            # rounding below the branch point e1 leaves a negligible imaginary
-            # residue in the quadrature; discard it after checking it is noise
-            if mp.im(value):
-                assert abs(mp.im(value)) < abs(mp.re(value)) * mp.mpf(2) ** (-precision_bits // 2)
-                value = mp.re(value)
+            e1 = mp.re(min(roots, key=lambda r: abs(mp.im(r))))
+            a = 3 * e1 + mp.mpf(b2) / 4
+            b = mp.sqrt(3 * e1**2 + mp.mpf(b2) / 2 * e1 + mp.mpf(b4) / 2)
+            value = 2 * mp.pi / mp.agm(2 * mp.sqrt(b), mp.sqrt(2 * b + a))
         err = abs(value) * mp.mpf(2) ** (-precision_bits + 8)
-        return RealApprox(mp.mpf(value), err, precision_bits)
+        return RealApprox(value, err, precision_bits)
 
 
 def rational_reconstruct(x: RealApprox, max_den: int) -> Fraction | None:
@@ -168,6 +177,8 @@ def rational_reconstruct(x: RealApprox, max_den: int) -> Fraction | None:
     (requires error_bound < 1/(2 max_den^2), the classical uniqueness
     threshold for continued-fraction reconstruction).
     """
+    if not mp.isfinite(x.error_bound):
+        return None
     exact = x.to_fraction()
     bound = _mpf_to_fraction(x.error_bound)
     if bound >= Fraction(1, 2 * max_den * max_den):

@@ -7,6 +7,7 @@ from ecledger.counting import (
     count_points,
     count_points_naive,
     frobenius_record,
+    frobenius_table,
     hasse_contradiction_symbolic,
     hasse_interval,
     trace_ap,
@@ -94,3 +95,29 @@ def test_count_points_rejects_primes_beyond_exact_range():
     with pytest.raises(DomainError):
         count_points(E1, 1_100_000_009)
     assert 7 * COUNT_POINTS_MAX_P**2 < 2**63
+
+
+def test_frobenius_table_lists_every_good_prime_once():
+    C = WeierstrassCurve(0, -1, 1, -10, -20)  # 11a1
+    table = frobenius_table(C, 300)
+    assert list(table) == [p for p in primes_up_to(300) if p != 11]
+    assert all(ap == trace_ap(C, p) for p, ap in table.items())
+    assert frobenius_table(C, 300) is table
+    with pytest.raises(TypeError):
+        table[2] = 0
+
+
+def test_ledger_counts_each_prime_once_per_bound(monkeypatch):
+    import ecledger.counting as counting
+    from ecledger.ledger import LedgerOptions, run_ledger
+
+    frobenius_table.cache_clear()
+    calls = []
+    real = counting.trace_ap
+    monkeypatch.setattr(counting, "trace_ap", lambda C, p: calls.append(p) or real(C, p))
+    opts = LedgerOptions(prime_bound=400, l_list=(3, 5), terms=200, precision_bits=96, padic_digits=12)
+    run_ledger(E1, opts)
+    good = [p for p in primes_up_to(400) if 15 % p]
+    # one sweep to the prime bound (certificates, ordinary criterion) and
+    # one to the term count (a_n series)
+    assert sorted(calls) == sorted(good + [p for p in good if p <= 200])

@@ -6,6 +6,7 @@ from ecledger.curve import E1, WeierstrassCurve
 from ecledger.galois_image import (
     RZB_15A1_MOD8,
     ModMMatrixGroup,
+    _tables,
     abelian_group_structure,
     det_condition_subgroup,
     enumerate_subgroups_gl2,
@@ -131,3 +132,29 @@ def test_certificate_monotone_in_bound():
 def test_subgroup_enum_cap():
     with pytest.raises(Exception):
         enumerate_subgroups_gl2(11)
+
+
+@pytest.mark.parametrize("l", [3, 5])
+def test_gl2_tables_agree_with_matrix_arithmetic(l):
+    t = _tables(l)
+    mats = t.mats
+    assert len(mats) == (l * l - 1) * (l * l - l)
+    for i, x in enumerate(mats):
+        a, b, c, d = x
+        det_inv = pow(mat_det(x, l), -1, l)
+        x_inv = (d * det_inv % l, -b * det_inv % l, -c * det_inv % l, a * det_inv % l)
+        assert mats[t.inv[i]] == x_inv
+        assert mat_mul(x, x_inv, l) == (1, 0, 0, 1)
+        for j, y in enumerate(mats):
+            assert mats[t.mul[i, j]] == mat_mul(x, y, l)
+            assert mats[t.conj[i, j]] == mat_mul(mat_mul(x_inv, y, l), x, l)
+
+
+def test_closure_is_the_generated_subgroup():
+    t = _tables(5)
+    gens = [t.index[(1, 1, 0, 1)], t.index[(2, 0, 0, 1)], t.index[(1, 0, 0, 2)]]  # upper triangular
+    K = t.closure(gens)
+    expected = group_closure([t.mats[g] for g in gens], 5).elements
+    assert t.decode(K) == expected and len(K) == 80
+    assert list(K) == sorted(K)
+    assert list(t.closure([])) == [t.identity]

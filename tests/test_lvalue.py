@@ -6,7 +6,8 @@ from mpmath import mp
 
 from ecledger.arith import factorize, primes_up_to
 from ecledger.counting import trace_ap
-from ecledger.curve import E1, E2
+from ecledger.curve import E1, E2, WeierstrassCurve
+from ecledger.local_data import ReductionKind, reduction_type
 from ecledger.lvalue import (
     RealApprox,
     an_coefficients,
@@ -14,9 +15,16 @@ from ecledger.lvalue import (
     lvalue_ratio,
     rational_reconstruct,
     real_period,
+    root_number,
 )
 
 M = 2000
+
+C11A1 = WeierstrassCurve(0, -1, 1, -10, -20)
+C14A1 = WeierstrassCurve(1, 0, 1, 4, -6)
+C19A1 = WeierstrassCurve(0, 1, 1, -9, -15)
+C37A1 = WeierstrassCurve(0, 0, 1, -1, 0)
+C43A1 = WeierstrassCurve(0, 1, 1, 0, 0)
 
 
 @pytest.fixture(scope="module")
@@ -100,3 +108,67 @@ def test_convergence_in_terms():
     b = l_value_at_1(E1, terms=2000, precision_bits=128)
     with mp.workprec(128):
         assert abs(a.value - b.value) <= a.error_bound + b.error_bound
+
+
+def naive_an(C, N, n):
+    """a_n as the product over a plain factorisation of n of a_{p^k}."""
+    out = 1
+    for p, k in factorize(n).items():
+        if N % p == 0:
+            out *= (1 if reduction_type(C, p) is ReductionKind.MULT_SPLIT else -1) ** k
+            continue
+        ap, prev, cur = trace_ap(C, p), 1, trace_ap(C, p)
+        for _ in range(k - 1):
+            prev, cur = cur, ap * cur - p * prev
+        out *= cur
+    return out
+
+
+@pytest.mark.parametrize("C, N", [(E1, 15), (C11A1, 11)])
+def test_an_matches_naive_factorisation(C, N):
+    series = an_coefficients(C, M)
+    assert series.conductor == N
+    assert [series.a(n) for n in range(1, M + 1)] == [naive_an(C, N, n) for n in range(1, M + 1)]
+
+
+@pytest.mark.parametrize("C", [C11A1, C14A1, C19A1, C43A1])
+def test_period_for_negative_discriminant_within_its_bound(C):
+    assert C.discriminant() < 0
+    omega = real_period(C, precision_bits=128)
+    b2, b4, b6, _ = C.b_invariants()
+    with mp.workprec(300):
+        roots = mp.polyroots([4, b2, 2 * b4, b6], maxsteps=400, extraprec=300)
+        e1 = mp.re(min(roots, key=lambda r: abs(mp.im(r))))
+        reference = 2 * mp.quad(lambda x: 1 / mp.sqrt(((4 * x + b2) * x + 2 * b4) * x + b6), [e1, e1 + 1, mp.inf])
+        assert abs(omega.value - mp.re(reference)) <= omega.error_bound
+
+
+@pytest.mark.parametrize("C, w", [(C37A1, -1), (C43A1, -1), (E1, 1), (C11A1, 1), (C14A1, 1)])
+def test_root_number(C, w):
+    assert root_number(C) == w
+
+
+def test_l_value_is_exactly_zero_when_the_root_number_is_minus_one():
+    L = l_value_at_1(C37A1)
+    assert L.value == 0 and L.error_bound == 0
+
+
+@pytest.mark.parametrize("C, ratio", [
+    (E1, Fraction(1, 8)), (E2, Fraction(1, 16)), (C11A1, Fraction(1, 5)), (C14A1, Fraction(1, 6)), (C37A1, 0),
+])
+def test_ratios_reconstruct(C, ratio):
+    assert lvalue_ratio(C, terms=2000, precision_bits=128)[2] == ratio
+
+
+def test_rational_reconstruct_reads_the_full_precision():
+    with mp.workprec(128):
+        # 1/8 + 2^-100 rounds to 1/8 at 53 bits, but 1/8 lies outside its interval
+        near = RealApprox(mp.mpf(1) / 8 + mp.mpf(2) ** -100, mp.mpf(2) ** -110, 128)
+        # 1/5 at 128 bits is within 2^-120 of 1/5; at 53 bits it is not
+        fifth = RealApprox(mp.mpf(1) / 5, mp.mpf(2) ** -120, 128)
+    assert rational_reconstruct(near, 100) is None
+    assert rational_reconstruct(fifth, 100) == Fraction(1, 5)
+
+
+def test_rational_reconstruct_rejects_an_infinite_bound():
+    assert rational_reconstruct(RealApprox(mp.mpf("0.125"), mp.inf, 64), 100) is None
