@@ -62,8 +62,7 @@ def an_coefficients(C: WeierstrassCurve, M: int) -> AnSeries:
                 if spf[m] == m:
                     spf[m] = p
     a = [0] * (M + 1)
-    if M >= 1:
-        a[1] = 1
+    a[1] = 1
     # ascending n: a[n] needs only a at proper divisors of n
     for n in range(2, M + 1):
         p = spf[n]
