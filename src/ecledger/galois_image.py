@@ -262,13 +262,13 @@ class _GL2Tables:
         gens = np.asarray(gens, dtype=np.int32)
         member = np.zeros(self.n, dtype=bool)
         member[self.identity] = True
-        frontier = np.array([self.identity], dtype=np.int32)
+        frontier = np.array([self.identity])
         while frontier.size:
             prod = self.mul[frontier[:, None], gens].ravel()
             fresh = np.zeros(self.n, dtype=bool)
             fresh[prod[~member[prod]]] = True
             member |= fresh
-            frontier = np.flatnonzero(fresh).astype(np.int32)
+            frontier = np.flatnonzero(fresh)
         return np.flatnonzero(member).astype(np.int32)
 
     def decode(self, subgroup) -> frozenset:
