@@ -34,15 +34,28 @@ VIEWS = {
 }
 
 
+def _positive_int(text: str) -> int:
+    try:
+        n = int(text)
+    except ValueError:
+        n = 0
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return n
+
+
 def _build_parser() -> argparse.ArgumentParser:
+    defaults = LedgerOptions()
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--curve", default=DEFAULT_CURVE, metavar="a1,a2,a3,a4,a6",
                         help=f"Weierstrass coefficients (default {DEFAULT_CURVE})")
-    common.add_argument("--prime-bound", type=int, default=10_000, metavar="N")
-    common.add_argument("--l-list", default="3,5,7", metavar="L1,L2,...")
-    common.add_argument("--terms", type=int, default=2000, metavar="M")
-    common.add_argument("--precision-bits", type=int, default=128, metavar="B")
-    common.add_argument("--padic-digits", type=int, default=20, metavar="D")
+    common.add_argument("--prime-bound", type=_positive_int, default=defaults.prime_bound, metavar="N")
+    common.add_argument("--l-list", default=",".join(map(str, defaults.l_list)), metavar="L1,L2,...")
+    common.add_argument("--terms", type=_positive_int, default=defaults.terms, metavar="M")
+    common.add_argument("--precision-bits", type=_positive_int, default=defaults.precision_bits,
+                        metavar="B")
+    common.add_argument("--padic-digits", type=_positive_int, default=defaults.padic_digits,
+                        metavar="D")
     common.add_argument("--format", choices=("json", "text"), default="text")
     common.add_argument("--out", metavar="PATH", help="write output to PATH instead of stdout")
 

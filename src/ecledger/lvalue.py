@@ -14,6 +14,7 @@ from fractions import Fraction
 
 import mpmath as mp
 
+from .arith import DomainError
 from .counting import frobenius_table
 from .curve import WeierstrassCurve
 from .local_data import ReductionKind, bad_primes, conductor_semistable, reduction_type
@@ -52,6 +53,8 @@ class AnSeries:
 
 def an_coefficients(C: WeierstrassCurve, M: int) -> AnSeries:
     """Hecke eigenvalue coefficients a_1..a_M of the curve's L-series."""
+    if M < 1:
+        raise DomainError(f"need at least one coefficient, got M = {M}")
     N = conductor_semistable(C)
     traces = frobenius_table(C, M)
     # spf[n] = smallest prime factor of n

@@ -4,6 +4,10 @@ parameters of split multiplicative curves, and the log q / ord q invariant.
 A ``PadicNumber`` stores a valuation and a unit part known modulo
 p**prec (prec significant base-p digits).  Additions track the precision
 lost to cancellation; everything else is exact unit arithmetic.
+
+The Tate parameter is the exact rational sum of the integer series
+q = sum b_n t^n in t = 1/j (the reversion of 1/j(q)), cut where its tail
+provably lies beyond the requested digits; no iteration is involved.
 """
 
 from __future__ import annotations
@@ -11,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .arith import DomainError, is_prime, valuation
+from .arith import DomainError, is_prime, rational_valuation, valuation
 from .curve import WeierstrassCurve
 from .local_data import ReductionKind, reduction_type
 
@@ -55,33 +59,10 @@ class PadicNumber:
         unit = num * pow(den % m, -1, m) % m
         return cls(p, v, unit, prec)
 
-    @classmethod
-    def parse(cls, text: str) -> "PadicNumber":
-        """Inverse of str(): "<unit>*<p>^<val> + O(<p>^<k>)" (or "O(<p>^<k>)")."""
-        text = text.replace(" ", "")
-        if text.startswith("O("):
-            inner = text[2:-1]
-            p, k = inner.split("^")
-            return cls(int(p), 0, 0, int(k))
-        head, tail = text.split("+O(")
-        unit_s, pv = head.split("*")
-        p_s, v_s = pv.split("^")
-        p, v = int(p_s), int(v_s)
-        k = int(tail[:-1].split("^")[1])
-        return cls(p, v, int(unit_s), k - v)
-
     def __str__(self) -> str:
         if self.unit == 0:
             return f"O({self.p}^{self.prec})"
         return f"{self.unit}*{self.p}^{self.val} + O({self.p}^{self.val + self.prec})"
-
-    def digits(self) -> tuple[int, ...]:
-        """Base-p digits of the unit part, least significant first."""
-        out, u = [], self.unit
-        for _ in range(self.prec):
-            out.append(u % self.p)
-            u //= self.p
-        return tuple(out)
 
     @property
     def is_zero(self) -> bool:
@@ -184,10 +165,6 @@ class QExpansion:
     def c(self, n: int) -> int:
         return self.coefficients[n + 1]
 
-    @property
-    def top(self) -> int:
-        return len(self.coefficients) - 2
-
 
 def _series_mul(a: list[int], b: list[int], T: int) -> list[int]:
     out = [0] * (T + 1)
@@ -198,19 +175,6 @@ def _series_mul(a: list[int], b: list[int], T: int) -> list[int]:
     return out
 
 
-def _series_inv(a: list[int], T: int) -> list[int]:
-    """Inverse of a power series with a(0) = 1, to order T (integer output)."""
-    assert a[0] == 1
-    inv = [0] * (T + 1)
-    inv[0] = 1
-    for n in range(1, T + 1):
-        s = 0
-        for k in range(1, min(n, len(a) - 1) + 1):
-            s += a[k] * inv[n - k]
-        inv[n] = -s
-    return inv
-
-
 def j_q_expansion(T: int) -> QExpansion:
     """j(q) = E4(q)^3 / Delta(q) as an exact integer Laurent series.
 
@@ -218,81 +182,70 @@ def j_q_expansion(T: int) -> QExpansion:
     """
     if T < 1:
         raise DomainError("need at least one positive power")
-    # sigma3 and E4
     sigma3 = [0] * (T + 2)
     for d in range(1, T + 2):
         for mult in range(d, T + 2, d):
             sigma3[mult] += d**3
     e4 = [1] + [240 * sigma3[n] for n in range(1, T + 2)]
     e4cubed = _series_mul(_series_mul(e4, e4, T + 1), e4, T + 1)
-    # Delta / q = prod (1 - q^n)^24
+    # Delta / q = prod (1 - q^n)^24, one factor (1 - q^n) at a time, in place
     eta24 = [1] + [0] * (T + 1)
     for n in range(1, T + 2):
-        factor = [0] * (T + 2)
-        factor[0] = 1
-        if n <= T + 1:
-            factor[n] = -1
         for _ in range(24):
-            eta24 = _series_mul(eta24, factor, T + 1)
-    j_shifted = _series_mul(e4cubed, _series_inv(eta24, T + 1), T + 1)
-    return QExpansion(tuple(j_shifted[: T + 2]))
+            for k in range(T + 1, n - 1, -1):
+                eta24[k] -= eta24[k - n]
+    # j * q = E4^3 / (Delta / q); the divisor has constant term 1
+    jq = []
+    for k in range(T + 2):
+        jq.append(e4cubed[k] - sum(eta24[i] * jq[k - i] for i in range(1, k + 1)))
+    return QExpansion(tuple(jq))
 
 
 # -- Tate parameter and the log/ord invariant ---------------------------------
 
 
-def _evaluate_correction(exp: QExpansion, q: PadicNumber) -> PadicNumber:
-    """sum_{n >= 0} c_n q^n (the non-principal part of j at q)."""
-    total = PadicNumber.from_fraction(exp.c(0), q.p, q.prec)
-    qn = PadicNumber.from_fraction(1, q.p, q.prec)
-    for n in range(1, exp.top + 1):
-        qn = qn * q
-        c = exp.c(n)
-        if c:
-            total = total + qn * c
-    return total
+def tate_coefficients(N: int) -> tuple[int, ...]:
+    """b_1..b_N of q = sum b_n t^n, the inverse of the series t = 1/j(q).
+
+    With f = q j(q) = 1 + 744 q + ..., t = q / f(q); Lagrange inversion gives
+    b_n = [q^(n-1)] f^n / n, and every b_n is an integer.
+    """
+    f = list(j_q_expansion(N).coefficients)
+    power = [1]
+    out = []
+    for n in range(1, N + 1):
+        power = _series_mul(power, f, N - 1)
+        b, r = divmod(power[n - 1], n)
+        if r:
+            raise AssertionError(f"Lagrange coefficient {n} is not an integer")
+        out.append(b)
+    return tuple(out)
 
 
 def tate_parameter(C: WeierstrassCurve, p: int, prec: int = DEFAULT_DIGITS) -> PadicNumber:
     """The q with j(q) = j(C), val(q) = -val_p(j) > 0, for split multiplicative C.
 
-    Fixed-point iteration q <- 1 / (j - sum_{n>=0} c_n q^n), convergent since
-    |q|_p < 1; each pass gains at least val(q) digits.
+    q = sum_{n>=1} b_n t^n with t = 1/j and integer b_n (``tate_coefficients``).
+    With m = val(t) and N = ceil(prec / m), the sum over n <= N is taken
+    exactly; every dropped term has valuation >= (N + 1) m >= m + prec, so the
+    partial sum equals q mod p^(m + prec): its valuation m and all prec digits
+    of its unit are proved.
     """
     if reduction_type(C, p) is not ReductionKind.MULT_SPLIT:
         raise DomainError(f"reduction at {p} is not split multiplicative")
     j = C.j_invariant()
-    from .arith import rational_valuation
-
     vj = rational_valuation(j, p)
     if vj >= 0:
         raise DomainError(f"j-invariant is p-integral at {p}; no Tate parameter")
     m = -vj
-    work = prec + m + 4
-    T = (prec + 3 * m) // m + 10  # series terms: precision / val(q) + guard
-    exp = j_q_expansion(T)
-    jp = PadicNumber.from_fraction(j, p, work)
-    q = PadicNumber.from_fraction(1, p, work) / jp
-    for _ in range(2 * (prec // m + 2) + 8):
-        q_new = PadicNumber.from_fraction(1, p, work) / (jp - _evaluate_correction(exp, q))
-        if q_new.agrees_with(q):
-            q = q_new
-            break
-        q = q_new
+    t = 1 / j
+    q = Fraction(0)
+    for b in reversed(tate_coefficients(-(-prec // m))):
+        q = (q + b) * t
+    q = PadicNumber.from_fraction(q, p, prec)
     if q.valuation() != m:
         raise AssertionError("Tate parameter valuation mismatch")
-    if q.prec < prec:
-        raise DomainError(f"series precision exhausted: {q.prec} < {prec} digits")
-    return PadicNumber(p, q.val, q.unit % p**prec, prec)
-
-
-def evaluate_j_at(q: PadicNumber, T: int | None = None) -> PadicNumber:
-    """j(q) = 1/q + sum c_n q^n, for checking the defining equation."""
-    if T is None:
-        T = (q.prec + 3 * q.valuation()) // q.valuation() + 10
-    exp = j_q_expansion(T)
-    one = PadicNumber.from_fraction(1, q.p, q.prec)
-    return one / q + _evaluate_correction(exp, q)
+    return q
 
 
 def iwasawa_log(x: PadicNumber) -> PadicNumber:

@@ -178,6 +178,20 @@ def test_cli_image_mod8_skips_other_curves(capsys):
     assert "skipped" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("flag", ["--prime-bound", "--terms", "--precision-bits", "--padic-digits"])
+@pytest.mark.parametrize("value", ["0", "-5", "x"])
+def test_cli_rejects_non_positive_numeric_options(flag, value, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli._build_parser().parse_args(["ledger", flag, value])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage:") and "expected a positive integer" in err
+
+
+def test_cli_defaults_are_the_ledger_defaults():
+    assert cli._options(cli._build_parser().parse_args(["ledger"])) == LedgerOptions()
+
+
 FAST_ARGS = ["--prime-bound", "500", "--l-list", "3", "--terms", "500", "--precision-bits", "96",
              "--padic-digits", "12"]
 # The records each single-check subcommand prints for 15a1 and 15a3 at FAST.

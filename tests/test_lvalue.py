@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 from mpmath import mp
 
-from ecledger.arith import factorize, primes_up_to
+from ecledger.arith import DomainError, factorize, primes_up_to
 from ecledger.counting import trace_ap
 from ecledger.curve import E1, E2, WeierstrassCurve
 from ecledger.local_data import ReductionKind, reduction_type
@@ -129,6 +129,12 @@ def test_an_matches_naive_factorisation(C, N):
     series = an_coefficients(C, M)
     assert series.conductor == N
     assert [series.a(n) for n in range(1, M + 1)] == [naive_an(C, N, n) for n in range(1, M + 1)]
+
+
+@pytest.mark.parametrize("M", [0, -5])
+def test_an_coefficients_needs_a_positive_length(M):
+    with pytest.raises(DomainError):
+        an_coefficients(E1, M)
 
 
 @pytest.mark.parametrize("C", [C11A1, C14A1, C19A1, C43A1])

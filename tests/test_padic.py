@@ -5,12 +5,13 @@ from hypothesis import given, settings, strategies as st
 
 from ecledger.arith import DomainError, rational_valuation
 from ecledger.curve import E1, E2, WeierstrassCurve
+from ecledger.local_data import ReductionKind, bad_primes, reduction_type
 from ecledger.padic import (
     PadicNumber,
-    evaluate_j_at,
     iwasawa_log,
     j_q_expansion,
     l_invariant,
+    tate_coefficients,
     tate_parameter,
 )
 
@@ -19,11 +20,40 @@ nonzero_rational = st.fractions(
 ).filter(lambda x: x != 0)
 
 
+def parse(text: str) -> PadicNumber:
+    """Inverse of str(): "<unit>*<p>^<val> + O(<p>^<k>)" (or "O(<p>^<k>)")."""
+    text = text.replace(" ", "")
+    if text.startswith("O("):
+        p, k = text[2:-1].split("^")
+        return PadicNumber(int(p), 0, 0, int(k))
+    head, tail = text.split("+O(")
+    unit_s, pv = head.split("*")
+    p_s, v_s = pv.split("^")
+    p, v = int(p_s), int(v_s)
+    k = int(tail[:-1].split("^")[1])
+    return PadicNumber(p, v, int(unit_s), k - v)
+
+
+def evaluate_j_at(q: PadicNumber) -> Fraction:
+    """Forward oracle: j(Q) = 1/Q + sum_{n>=0} c_n Q^n, exactly, at Q = p^val * unit.
+
+    Q agrees with q to absolute precision m + prec (m = val), so 1/Q and each
+    c_n Q^n agree with their values at q to absolute precision prec - m; the
+    terms past n = T have valuation >= (T + 1) m > prec - m.  So j(Q) agrees
+    with j(q) to absolute precision prec - m.
+    """
+    m = q.valuation()
+    T = -(-q.prec // m)
+    exp = j_q_expansion(T)
+    Q = Fraction(q.p) ** m * q.unit
+    return 1 / Q + sum(exp.c(n) * Q**n for n in range(T + 1))
+
+
 def test_string_roundtrip():
     x = PadicNumber.from_fraction(Fraction(7, 10), 3, 12)
-    assert PadicNumber.parse(str(x)).agrees_with(x)
+    assert parse(str(x)).agrees_with(x)
     z = PadicNumber.zero(5, 8)
-    assert PadicNumber.parse(str(z)).is_zero
+    assert parse(str(z)).is_zero
 
 
 @given(nonzero_rational, nonzero_rational)
@@ -71,18 +101,67 @@ def test_addition_tracks_cancellation():
 
 
 def test_j_expansion_initial_coefficients():
-    exp = j_q_expansion(3)
-    assert exp.c(-1) == 1
-    assert exp.c(0) == 744
-    assert exp.c(1) == 196884
-    assert exp.c(2) == 21493760
+    exp = j_q_expansion(4)
+    assert exp.coefficients == (1, 744, 196884, 21493760, 864299970, 20245856256)
+    assert exp.c(-1) == 1 and exp.c(4) == 20245856256
+
+
+def test_j_expansion_satisfies_the_delta_identity():
+    # 1728 Delta = E4^3 - E6^2 gives Delta without the product formula
+    T = 30
+
+    def eisenstein(k, c):
+        return [1] + [c * sum(d**k for d in range(1, n + 1) if n % d == 0) for n in range(1, T + 3)]
+
+    def mul(a, b):
+        return [sum(a[i] * b[n - i] for i in range(n + 1)) for n in range(T + 3)]
+
+    e4, e6 = eisenstein(3, 240), eisenstein(5, -504)
+    e4cubed = mul(mul(e4, e4), e4)
+    delta1728 = [x - y for x, y in zip(e4cubed, mul(e6, e6))]
+    assert delta1728[0] == 0
+    jq = list(j_q_expansion(T).coefficients)  # q j(q) to degree T + 1
+    assert mul(jq + [0], delta1728[1:] + [0])[: T + 2] == [1728 * x for x in e4cubed[: T + 2]]
+
+
+def test_tate_coefficients_are_the_reversion_of_1_over_j():
+    assert tate_coefficients(7) == (
+        1, 744, 750420, 872769632, 1102652742882, 1470561136292880, 2037518752496883080
+    )
+    # every Lagrange quotient up to this length divides exactly (else AssertionError)
+    assert tate_coefficients(40)[:7] == tate_coefficients(7)
+
+
+# E1 (m = 4 at 5), E2 (m = 2 at 5), 11a1 (m = 5 at 11), 11a3 (m = 1 at 11),
+# 14a1 (m = 3 at 7), then box curves split at 3 (m = 3), at 5, 7, 17 (m = 1)
+# and at 2, 11, 19 (m = 1, 2, 1); m = -v_p(j).
+TATE_CURVES = [E1, E2, WeierstrassCurve(0, -1, 1, -10, -20), WeierstrassCurve(0, -1, 1, 0, 0),
+               WeierstrassCurve(1, 0, 1, 4, -6), WeierstrassCurve(0, 1, 1, -3, 2),
+               WeierstrassCurve(0, -1, 1, 0, 1), WeierstrassCurve(1, -1, 1, -6, -5)]
+SPLIT_PRIMES = [(C, p) for C in TATE_CURVES for p in bad_primes(C)
+                if reduction_type(C, p) is ReductionKind.MULT_SPLIT]
 
 
 def test_tate_parameter_of_E1_at_5():
+    # every digit of the linv-5 input of the E1 ledger
     q = tate_parameter(E1, 5, prec=20)
-    assert q.valuation() == 4 == -rational_valuation(E1.j_invariant(), 5)
-    jq = evaluate_j_at(q)
-    assert jq.agrees_with(PadicNumber.from_fraction(E1.j_invariant(), 5, q.prec))
+    assert str(q) == "88006722837216*5^4 + O(5^24)"
+    assert rational_valuation(evaluate_j_at(q) - E1.j_invariant(), 5) >= 20 - 4
+
+
+def test_tate_curves_cover_small_valuations():
+    ms = {-rational_valuation(C.j_invariant(), p) for C, p in SPLIT_PRIMES}
+    assert {1, 2, 3, 4, 5} <= ms and 2 in {p for _, p in SPLIT_PRIMES}
+
+
+@pytest.mark.parametrize("prec", [1, 2, 5, 20, 40])
+@pytest.mark.parametrize("C, p", SPLIT_PRIMES, ids=[f"{C.coefficients()}-{p}" for C, p in SPLIT_PRIMES])
+def test_tate_parameter_satisfies_j_of_q(C, p, prec):
+    j = C.j_invariant()
+    m = -rational_valuation(j, p)
+    q = tate_parameter(C, p, prec)
+    assert (q.valuation(), q.prec) == (m, prec)
+    assert rational_valuation(evaluate_j_at(q) - j, p) >= prec - m
 
 
 def test_tate_parameter_requires_split_multiplicative():
