@@ -210,7 +210,7 @@ def tate_coefficients(N: int) -> tuple[int, ...]:
     With f = q j(q) = 1 + 744 q + ..., t = q / f(q); Lagrange inversion gives
     b_n = [q^(n-1)] f^n / n, and every b_n is an integer.
     """
-    f = list(j_q_expansion(N).coefficients)
+    f = j_q_expansion(N).coefficients
     power = [1]
     out = []
     for n in range(1, N + 1):
