@@ -7,6 +7,7 @@ functions for modular arithmetic.  No floating point anywhere.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 
@@ -103,16 +104,6 @@ def kronecker_symbol(a: int, n: int) -> int:
     return result if n == 1 else 0
 
 
-def isqrt_exact(n: int) -> int | None:
-    """Integer square root if n is a perfect square, else None."""
-    if n < 0:
-        return None
-    import math
-
-    r = math.isqrt(n)
-    return r if r * r == n else None
-
-
 def iroot_exact(n: int, k: int) -> int | None:
     """Integer k-th root of n >= 0 if exact, else None."""
     if n < 0:
@@ -127,22 +118,6 @@ def iroot_exact(n: int, k: int) -> int | None:
         if s >= r:
             return r if r**k == n else None
         r = s
-
-
-def divisors(n: int) -> list[int]:
-    """Positive divisors of |n|, ascending, by trial division."""
-    n = abs(n)
-    if n == 0:
-        raise DomainError("divisors of 0")
-    small, large = [], []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            small.append(d)
-            if d != n // d:
-                large.append(n // d)
-        d += 1
-    return small + large[::-1]
 
 
 def divisors_from_factorization(fac: dict[int, int]) -> list[int]:
@@ -179,3 +154,35 @@ def factorize(n: int) -> dict[int, int]:
     if n > 1:
         out[n] = out.get(n, 0) + 1
     return out
+
+
+def integer_cubic_roots(A: int, C: int) -> list[int]:
+    """The integer roots of X^3 + A X + C, ascending, by exact bisection.
+
+    Every root has |X| <= 1 + max(|A|, |C|) (Cauchy's bound).  For A < 0 the
+    cubic is monotone on each side of its critical points +-sqrt(-A/3); with
+    c = floor(sqrt(-A/3)) it is increasing on [.., -c - 1], decreasing on
+    [-c, c] and increasing on [c + 1, ..], so each piece holds at most one
+    root.  For A >= 0 it is increasing throughout.
+    """
+
+    def f(X: int) -> int:
+        return (X * X + A) * X + C
+
+    bound = 1 + max(abs(A), abs(C))
+    if A < 0:
+        c = math.isqrt(-A // 3)
+        pieces = ((-bound, -c - 1, 1), (-c, c, -1), (c + 1, bound, 1))
+    else:
+        pieces = ((-bound, bound, 1),)
+    roots = []
+    for a, b, sign in pieces:
+        while a < b:  # least X in [a, b] with sign * f(X) >= 0
+            mid = (a + b) // 2
+            if sign * f(mid) >= 0:
+                b = mid
+            else:
+                a = mid + 1
+        if f(a) == 0:
+            roots.append(a)
+    return roots

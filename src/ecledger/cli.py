@@ -12,8 +12,8 @@ from __future__ import annotations
 import argparse
 import sys
 
-from . import __version__
-from .arith import primes_up_to
+from . import __version__, galois_image
+from .arith import is_prime, primes_up_to
 from .counting import frobenius_record
 from .curve import E1, WeierstrassCurve, curve_from_string
 from .ledger import VERIFIED, LedgerOptions, emit_report, run_ledger
@@ -44,13 +44,25 @@ def _positive_int(text: str) -> int:
     return n
 
 
+def _prime_list(text: str) -> tuple[int, ...]:
+    cap = galois_image.SUBGROUP_ENUM_CAP
+    try:
+        primes = {int(s) for s in text.split(",") if s.strip()}
+    except ValueError:
+        primes = {0}
+    if not all(is_prime(l) and l <= cap for l in primes):
+        raise argparse.ArgumentTypeError(f"expected a comma list of primes <= {cap}, got {text!r}")
+    return tuple(sorted(primes))
+
+
 def _build_parser() -> argparse.ArgumentParser:
     defaults = LedgerOptions()
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--curve", default=DEFAULT_CURVE, metavar="a1,a2,a3,a4,a6",
                         help=f"Weierstrass coefficients (default {DEFAULT_CURVE})")
     common.add_argument("--prime-bound", type=_positive_int, default=defaults.prime_bound, metavar="N")
-    common.add_argument("--l-list", default=",".join(map(str, defaults.l_list)), metavar="L1,L2,...")
+    common.add_argument("--l-list", type=_prime_list, default=",".join(map(str, defaults.l_list)),
+                        metavar="L1,L2,...")
     common.add_argument("--terms", type=_positive_int, default=defaults.terms, metavar="M")
     common.add_argument("--precision-bits", type=_positive_int, default=defaults.precision_bits,
                         metavar="B")
@@ -70,10 +82,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _options(args) -> LedgerOptions:
-    l_list = tuple(sorted({int(s) for s in args.l_list.split(",") if s.strip()}))
     return LedgerOptions(
         prime_bound=args.prime_bound,
-        l_list=l_list,
+        l_list=args.l_list,
         terms=args.terms,
         precision_bits=args.precision_bits,
         padic_digits=args.padic_digits,

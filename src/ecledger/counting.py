@@ -8,7 +8,6 @@ evaluated with a numpy residue table.  p = 2 is brute force.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import lru_cache
 from types import MappingProxyType
@@ -130,9 +129,3 @@ def verify_ordinary_criterion(
         if not row.passed:
             failures.append(row)
     return failures, hasse_contradiction_symbolic(torsion_order)
-
-
-def hasse_interval(p: int) -> tuple[int, int]:
-    """Closed integer interval containing #E(F_p): |a_p| <= floor(2 sqrt p)."""
-    m = math.isqrt(4 * p)
-    return (p + 1 - m, p + 1 + m)

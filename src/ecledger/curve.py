@@ -8,11 +8,10 @@ values reduced mod p).  Points are ``None`` for the point at infinity or an
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .arith import DomainError, divisors, iroot_exact, is_prime, isqrt_exact, valuation
+from .arith import DomainError, integer_cubic_roots, iroot_exact, is_prime, valuation
 
 Point = tuple  # (x, y); the point at infinity is None
 
@@ -60,8 +59,7 @@ class WeierstrassCurve:
                 object.__setattr__(self, name, int(getattr(self, name)) % self.p)
         else:
             for name in ("a1", "a2", "a3", "a4", "a6"):
-                v = Fraction(getattr(self, name))
-                object.__setattr__(self, name, int(v) if v.denominator == 1 else v)
+                object.__setattr__(self, name, rational(Fraction(getattr(self, name))))
         if self.discriminant() == 0:
             raise SingularCurveError(f"singular model {self.coefficients()}")
 
@@ -205,17 +203,6 @@ class WeierstrassCurve:
             raise BadReductionError(f"bad reduction at {p}")
         return WeierstrassCurve(*(a % p for a in self.coefficients()), p=p)
 
-    def reduce_point(self, pt: Point | None, p: int) -> Point | None:
-        """Reduce a rational point mod p; non p-integral points go to infinity."""
-        if pt is None:
-            return None
-        x, y = Fraction(pt[0]), Fraction(pt[1])
-        if x.denominator % p == 0 or y.denominator % p == 0:
-            return None
-        xr = x.numerator * pow(x.denominator, -1, p) % p
-        yr = y.numerator * pow(y.denominator, -1, p) % p
-        return (xr, yr)
-
     def is_minimal_at(self, p: int) -> bool:
         """Sufficient minimality certificate: v_p(disc) < 12 or v_p(c4) < 4."""
         if not self.is_integral():
@@ -229,48 +216,28 @@ class WeierstrassCurve:
         return c4 != 0 and valuation(c4, p) < 4
 
     def two_torsion_points(self) -> list:
-        """The affine rational points of order 2 (roots of the completed square).
+        """The affine rational points of order 2, sorted by x.
 
-        On the completed-square model Y^2 = 4x^3 + b2 x^2 + 2 b4 x + b6 the
-        2-torsion is Y = 0; rational roots are found exactly.
+        Their x are (X - 3 b2)/36 for the roots X of the integral short-model
+        cubic X^3 - 27 c4 X - 54 c6; a rational root of that monic cubic is
+        an integer, so the exact integer root finder finds them all.
         """
         if self.p is not None:
             raise DomainError("rational 2-torsion requested over a finite field")
-        b2, b4, b6, _ = self.b_invariants()
+        if not self.is_integral():
+            raise DomainError("rational 2-torsion requires an integral model")
+        c4, c6 = self.c_invariants()
+        b2 = self.b_invariants()[0]
         pts = []
-        for x in _rational_cubic_roots(4, b2, 2 * b4, b6):
-            y = Fraction(-(self.a1 * x + self.a3), 2)
-            pts.append((int(x) if x.denominator == 1 else x, int(y) if y.denominator == 1 else y))
-        pts.sort(key=lambda q: Fraction(q[0]))
+        for X in integer_cubic_roots(-27 * c4, -54 * c6):
+            x = Fraction(X - 3 * b2, 36)
+            pts.append((rational(x), rational(Fraction(-(self.a1 * x + self.a3), 2))))
         return pts
 
 
-def _rational_cubic_roots(a, b, c, d) -> list[Fraction]:
-    """Exact rational roots of a*x^3 + b*x^2 + c*x + d (a != 0)."""
-    coeffs = [Fraction(v) for v in (a, b, c, d)]
-    lcm = 1
-    for v in coeffs:
-        lcm = lcm * v.denominator // math.gcd(lcm, v.denominator)
-    A, B, C, D = (int(v * lcm) for v in coeffs)
-    roots = []
-    if D == 0:
-        roots.append(Fraction(0))
-        # remaining quadratic A x^2 + B x + C
-        disc = B * B - 4 * A * C
-        s = isqrt_exact(disc) if disc >= 0 else None
-        if s is not None:
-            for sgn in (1, -1):
-                r = Fraction(-B + sgn * s, 2 * A)
-                if r != 0:
-                    roots.append(r)
-        return sorted(set(roots))
-    for num in divisors(D):
-        for den in divisors(A):
-            for sgn in (1, -1):
-                r = Fraction(sgn * num, den)
-                if ((A * r + B) * r + C) * r + D == 0:
-                    roots.append(r)
-    return sorted(set(roots))
+def rational(v: Fraction) -> int | Fraction:
+    """v as a plain int when it is integral (the form points and models keep)."""
+    return int(v) if v.denominator == 1 else v
 
 
 @dataclass(frozen=True)
@@ -292,15 +259,6 @@ class CurveIsomorphism:
         A4 = (a4 - s * a3 + 2 * r * a2 - (t + r * s) * a1 + 3 * r * r - 2 * s * t) / u**4
         A6 = (a6 + r * a4 + r * r * a2 + r**3 - t * a3 - t * t - r * t * a1) / u**6
         return (A1, A2, A3, A4, A6)
-
-    def map_point(self, pt: Point | None) -> Point | None:
-        if pt is None:
-            return None
-        x, y = Fraction(pt[0]), Fraction(pt[1])
-        u, r, s, t = self.u, self.r, self.s, self.t
-        xp = (x - r) / u**2
-        yp = (y - s * u * u * xp - t) / u**3
-        return (xp, yp)
 
 
 def isomorphism_over_Q(C1: WeierstrassCurve, C2: WeierstrassCurve) -> CurveIsomorphism | None:
@@ -341,21 +299,6 @@ class TwoIsogeny:
     # Velu data for the map itself: x' = x + t/(x - x0), y' = y - ...
     t: Fraction
     w: Fraction
-
-    def map_point(self, pt: Point | None) -> Point | None:
-        if pt is None:
-            return None
-        x, y = Fraction(pt[0]), Fraction(pt[1])
-        x0, y0 = Fraction(self.kernel[0]), Fraction(self.kernel[1])
-        if x == x0:
-            return None  # kernel maps to infinity
-        a1 = self.domain.a1
-        t = Fraction(self.t)
-        # u_Q = (g^y_Q)^2 = 0 for a 2-torsion kernel point, so only the
-        # t_Q terms of Velu's rational maps survive.
-        xm = x + t / (x - x0)
-        ym = y - t * (a1 * (x - x0) + y - y0) / (x - x0) ** 2
-        return (xm, ym)
 
 
 def velu_2_isogeny(C: WeierstrassCurve, K: tuple) -> TwoIsogeny:

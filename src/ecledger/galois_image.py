@@ -60,29 +60,6 @@ class ModMMatrixGroup:
     def order(self) -> int:
         return len(self.elements)
 
-    def is_closed(self) -> bool:
-        """Closure/identity/inverse verification (used by the test suite)."""
-        m = self.modulus
-        if mat_identity() not in self.elements:
-            return False
-        for x in self.elements:
-            for y in self.elements:
-                if mat_mul(x, y, m) not in self.elements:
-                    return False
-        # finiteness + closure under multiplication already gives inverses,
-        # but check explicitly: some power of x is the identity
-        for x in self.elements:
-            y, n = x, 1
-            while y != mat_identity():
-                y = mat_mul(y, x, m)
-                n += 1
-                if n > len(self.elements):
-                    return False
-        return True
-
-    def __contains__(self, x: Mat) -> bool:
-        return tuple(v % self.modulus for v in x) in self.elements
-
 
 def group_closure(gens, m: int) -> ModMMatrixGroup:
     """Smallest subgroup of GL2(Z/m) containing the generators."""

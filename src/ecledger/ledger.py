@@ -377,7 +377,7 @@ def run_ledger(
 
 
 def emit_report(report: VerificationReport, fmt: str = "json-text") -> str:
-    if fmt in ("json-text", "json"):
+    if fmt == "json-text":
         payload = {
             "curve": report.curve,
             "version": report.version,
@@ -385,7 +385,7 @@ def emit_report(report: VerificationReport, fmt: str = "json-text") -> str:
             "records": [asdict(r) for r in report.records],
         }
         return json.dumps(payload, sort_keys=True, indent=2) + "\n"
-    if fmt in ("human-text", "text"):
+    if fmt == "human-text":
         width = max((len(r.id) for r in report.records), default=0)
         lines = [
             f"curve [{report.curve}]  toolkit {report.version}",

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from math import gcd
+from math import gcd, prod
 
 from .arith import DomainError, factorize, legendre_symbol, valuation
 from .curve import WeierstrassCurve
@@ -103,15 +103,8 @@ def bad_primes(C: WeierstrassCurve) -> list[int]:
     return sorted(factorize(C.discriminant()))
 
 
-def local_data_all(C: WeierstrassCurve) -> list[LocalData]:
-    return [kodaira_and_tamagawa(C, p) for p in bad_primes(C)]
-
-
 def tamagawa_product(C: WeierstrassCurve) -> int:
-    prod = 1
-    for ld in local_data_all(C):
-        prod *= ld.tamagawa
-    return prod
+    return prod(kodaira_and_tamagawa(C, p).tamagawa for p in bad_primes(C))
 
 
 def conductor_semistable(C: WeierstrassCurve) -> int:

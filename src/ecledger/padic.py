@@ -142,16 +142,6 @@ class PadicNumber:
             return other
         return PadicNumber.from_fraction(other, self.p, self.prec)
 
-    def agrees_with(self, other: "PadicNumber") -> bool:
-        """Equality to the shared working precision."""
-        other = self._coerce(other)
-        if self.is_zero or other.is_zero:
-            return self.is_zero and other.is_zero
-        if self.val != other.val:
-            return False
-        k = self._binary_prec(other)
-        return (self.unit - other.unit) % self.p**k == 0
-
 
 # -- q-expansion of the modular j-function -----------------------------------
 
@@ -264,7 +254,6 @@ def iwasawa_log(x: PadicNumber) -> PadicNumber:
     if t.is_zero:
         return PadicNumber.zero(p, x.prec)
     total = PadicNumber.zero(p, x.prec)
-    term = PadicNumber.from_fraction(1, p, x.prec + 8)
     tk = t
     k = 1
     # terms have valuation k*val(t) - v_p(k) -> stop once beyond precision

@@ -1,10 +1,12 @@
+import math
+
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from ecledger.arith import (
     DomainError,
-    divisors,
     factorize,
+    integer_cubic_roots,
     iroot_exact,
     is_prime,
     kronecker_symbol,
@@ -87,10 +89,50 @@ def test_factorize_reconstructs(n):
     assert prod == n
 
 
-@given(st.integers(min_value=1, max_value=2000))
-def test_divisors_complete(n):
-    ds = divisors(n)
-    assert ds == sorted(d for d in range(1, n + 1) if n % d == 0)
+def test_integer_cubic_roots_against_brute_force():
+    # |X|^3 = |AX + C| <= 60|X| + 300 forces |X| <= 9, so X in [-20, 20]
+    # finds every integer root of every X^3 + AX + C with |A| <= 60, |C| <= 300.
+    roots = {}
+    for X in range(-20, 21):
+        for A in range(-60, 61):
+            C = -(X**3 + A * X)
+            if abs(C) <= 300:
+                roots.setdefault((A, C), []).append(X)
+    for A in range(-60, 61):
+        for C in range(-300, 301):
+            assert integer_cubic_roots(A, C) == roots.get((A, C), [])
+
+
+def _monic_depressed(roots):
+    r1, r2, r3 = roots
+    assert r1 + r2 + r3 == 0
+    return r1 * r2 + r1 * r3 + r2 * r3, -r1 * r2 * r3
+
+
+@pytest.mark.parametrize("r1, r2", [
+    (0, 0), (1, 1), (-1, -1), (10**17 + 3, 10**17 + 3), (10**18, -10**18), (10**18, 10**18 - 1),
+])
+def test_integer_cubic_roots_at_repeated_and_extreme_roots(r1, r2):
+    A, C = _monic_depressed((r1, r2, -r1 - r2))
+    assert integer_cubic_roots(A, C) == sorted({r1, r2, -r1 - r2})
+
+
+@given(st.integers(-10**18, 10**18), st.integers(-10**18, 10**18))
+def test_integer_cubic_roots_recovers_three_integer_roots(r1, r2):
+    A, C = _monic_depressed((r1, r2, -r1 - r2))
+    assert integer_cubic_roots(A, C) == sorted({r1, r2, -r1 - r2})
+
+
+@given(st.integers(-10**18, 10**18), st.integers(-10**18, 10**18))
+@example(10**17 + 3, 5)  # x^3 + (5 - r^2)x - 5r, a curve's 2-division cubic
+def test_integer_cubic_roots_with_one_integer_root(r, s):
+    # (X - r)(X^2 + rX + s); the quadratic has no integer root unless
+    # r^2 - 4s is a square, in which case its roots are added too.
+    disc = r * r - 4 * s
+    expected = {r}
+    if disc >= 0 and math.isqrt(disc) ** 2 == disc and (r + math.isqrt(disc)) % 2 == 0:
+        expected |= {(-r + math.isqrt(disc)) // 2, (-r - math.isqrt(disc)) // 2}
+    assert integer_cubic_roots(s - r * r, -r * s) == sorted(expected)
 
 
 def test_square_divisors():

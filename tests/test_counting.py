@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -9,13 +10,18 @@ from ecledger.counting import (
     frobenius_record,
     frobenius_table,
     hasse_contradiction_symbolic,
-    hasse_interval,
     trace_ap,
     verify_ordinary_criterion,
 )
 from ecledger.curve import E1, E2, SingularCurveError, WeierstrassCurve
 
 rng = random.Random(2718)
+
+
+def hasse_interval(p: int) -> tuple[int, int]:
+    """Closed integer interval containing #E(F_p): |a_p| <= floor(2 sqrt p)."""
+    m = math.isqrt(4 * p)
+    return (p + 1 - m, p + 1 + m)
 
 
 def test_count_matches_naive_oracle():

@@ -188,6 +188,24 @@ def test_cli_rejects_non_positive_numeric_options(flag, value, capsys):
     assert err.startswith("usage:") and "expected a positive integer" in err
 
 
+@pytest.mark.parametrize("value", ["0", "x", "4", "11"])
+def test_cli_rejects_l_lists_that_are_not_small_primes(value, capsys):
+    # 0, x, 4 and 11 each ended in a traceback from deep inside the ledger
+    with pytest.raises(SystemExit) as exc:
+        main(["image-modl", "--prime-bound", "200", "--l-list", value])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage:") and "expected a comma list of primes <= 7" in err
+
+
+def test_cli_l_list_reads_the_enumeration_cap(monkeypatch):
+    parse = cli._build_parser().parse_args
+    assert parse(["ledger", "--l-list", "7,3,3, 5"]).l_list == (3, 5, 7)
+    monkeypatch.setattr(galois_image, "SUBGROUP_ENUM_CAP", 5)
+    with pytest.raises(SystemExit):
+        parse(["ledger", "--l-list", "3,7"])
+
+
 def test_cli_defaults_are_the_ledger_defaults():
     assert cli._options(cli._build_parser().parse_args(["ledger"])) == LedgerOptions()
 

@@ -10,12 +10,15 @@ from ecledger.local_data import (
     bad_primes,
     conductor_semistable,
     kodaira_and_tamagawa,
-    local_data_all,
     reduction_type,
     tamagawa_product,
 )
 
 rng = random.Random(31415)
+
+
+def local_data_all(C):
+    return [kodaira_and_tamagawa(C, p) for p in bad_primes(C)]
 
 
 def smooth_point_count_oracle(C: WeierstrassCurve, p: int) -> int:

@@ -1,6 +1,12 @@
+import hashlib
+import itertools
 from fractions import Fraction
 
-from ecledger.curve import E1, E2, WeierstrassCurve
+import pytest
+
+from ecledger.arith import primes_up_to
+from ecledger.counting import count_points
+from ecledger.curve import E1, E2, SingularCurveError, WeierstrassCurve
 from ecledger.torsion import point_order, torsion_subgroup
 
 
@@ -43,19 +49,6 @@ def test_E1_two_torsion_includes_non_integral_x():
     assert xs == {-1, 3, Fraction(-13, 4)}
 
 
-def test_generators_generate():
-    T = torsion_subgroup(E2)
-    d1, d2 = T.structure
-    g1, g2 = T.generators
-    assert point_order(E2, g1) == d1 and point_order(E2, g2) == d2
-    spanned = {
-        E2.add(E2.multiply(g1, i), E2.multiply(g2, j))
-        for i in range(d1)
-        for j in range(d2)
-    }
-    assert spanned == set(T.points)
-
-
 def test_known_small_curves():
     # independent fixtures: cubic y^2 = x^3 + 1 has the 6 obvious points
     T = torsion_subgroup(WeierstrassCurve(0, 0, 0, 0, 1))
@@ -74,3 +67,67 @@ def test_known_small_curves():
 def test_point_order_of_infinite_point():
     # (0, 0) on the rank-1 curve above is non-torsion
     assert point_order(WeierstrassCurve(0, 0, 1, -1, 0), (0, 0)) is None
+
+
+# One curve for each of Mazur's 15 groups, with the structure the count-bound
+# and closure search gave for it.
+MAZUR_CURVES = [
+    ((0, 0, 1, -1, 0), (1, 1)),  # 37a1
+    ((1, 1, 1, -110, -880), (1, 2)),
+    ((0, 0, 1, 0, 0), (1, 3)),
+    ((1, 1, 1, -80, 242), (1, 4)),
+    ((0, -1, 1, -10, -20), (1, 5)),  # 11a1
+    ((1, 0, 1, 4, -6), (1, 6)),  # 14a1
+    ((1, -1, 1, -3, 3), (1, 7)),
+    ((1, 1, 1, 35, -28), (1, 8)),
+    ((1, -1, 1, -14, 29), (1, 9)),
+    ((1, 0, 0, -45, 81), (1, 10)),
+    ((1, -1, 1, -122, 1721), (1, 12)),
+    ((0, 0, 0, -1, 0), (2, 2)),
+    ((1, 1, 1, -10, -10), (2, 4)),  # E1
+    ((1, 0, 1, -19, 26), (2, 6)),
+    ((1, 0, 0, -1070, 7812), (2, 8)),
+]
+
+
+@pytest.mark.parametrize("coeffs, structure", MAZUR_CURVES)
+def test_mazur_groups(coeffs, structure):
+    C = WeierstrassCurve(*coeffs)
+    T = torsion_subgroup(C)
+    assert T.structure == structure and T.order == structure[0] * structure[1]
+    assert group_closure_oracle(C, T.points[1:]) == set(T.points)
+    # torsion injects into E(F_p) at good odd primes, so the order divides each count
+    disc = C.discriminant()
+    good = [p for p in primes_up_to(200) if p > 2 and disc % p][:6]
+    assert len(good) == 6
+    assert all(count_points(C, p) % T.order == 0 for p in good)
+
+
+@pytest.mark.parametrize("n", [3**36, 7**20])
+def test_full_two_torsion_of_congruent_number_curves(n):
+    # y^2 = x^3 - n^2 x = x(x - n)(x + n) has torsion Z/2 x Z/2 for every n;
+    # at these n the short-model roots 36n are beyond float precision.
+    C = WeierstrassCurve(0, 0, 0, -n * n, 0)
+    T = torsion_subgroup(C)
+    assert (T.order, T.structure) == (4, (2, 2))
+    assert C.two_torsion_points() == [(-n, 0), (0, 0), (n, 0)]
+    assert T.points == (None, (-n, 0), (0, 0), (n, 0))
+
+
+def _small_models():
+    for coeffs in itertools.product((0, 1), (-1, 0, 1), (0, 1), range(-2, 3), range(-2, 3)):
+        try:
+            yield WeierstrassCurve(*coeffs)
+        except SingularCurveError:
+            pass
+
+
+def test_small_model_grid_pinned():
+    rows = []
+    for C in _small_models():
+        T = torsion_subgroup(C)
+        rows.append((C.coefficients(), T.order, T.structure, T.points, tuple(C.two_torsion_points())))
+    assert len(rows) == 290
+    # sha256 of the same rows from the count-bound and closure search
+    digest = hashlib.sha256(repr(rows).encode()).hexdigest()
+    assert digest == "cd67d2e7bb793eaaf52882b7c1640929145477e030d0328a2318cac1bd68a9f4"
