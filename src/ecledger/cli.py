@@ -45,7 +45,7 @@ def _positive_int(text: str) -> int:
 
 
 def _prime_list(text: str) -> tuple[int, ...]:
-    cap = galois_image.SUBGROUP_ENUM_CAP
+    cap = galois_image.CERTIFICATE_L_CAP
     try:
         primes = {int(s) for s in text.split(",") if s.strip()}
     except ValueError:

@@ -8,8 +8,8 @@ evaluated with a numpy residue table.  p = 2 is brute force.
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from dataclasses import dataclass
-from functools import lru_cache
 from types import MappingProxyType
 
 import numpy as np
@@ -63,16 +63,37 @@ def trace_ap(C: WeierstrassCurve, p: int) -> int:
     return p + 1 - count_points(C, p)
 
 
-@lru_cache(maxsize=4)
+FROBENIUS_CACHE_CURVES = 4  # curves whose sweeps stay cached
+FROBENIUS_CACHE_TABLES = 4  # tables kept per cached curve
+_sweeps: OrderedDict = OrderedDict()  # curve -> ({p: a_p} ascending, {bound: table})
+
+
 def frobenius_table(C: WeierstrassCurve, bound: int) -> MappingProxyType:
     """{p: a_p} for the good primes p <= bound, ascending, read-only.
 
-    One ledger reads the same table from every certificate, the ordinary
-    criterion and the a_n series, so each trace is counted once per
-    (curve, bound); the cache keeps the few most recent tables only.
+    Each curve has one sweep.  A bound above the largest prime swept so far
+    extends it by the primes in between; a smaller bound reads its ascending
+    prefix.  So the certificates, the ordinary criterion and the a_n series
+    of a ledger count each good prime once, whatever their bounds.  A
+    repeated (curve, bound) gets the same table back; the cache keeps the
+    sweeps of the few most recently used curves and a few tables of each.
     """
-    disc = C.discriminant()
-    return MappingProxyType({p: trace_ap(C, p) for p in primes_up_to(bound) if disc % p})
+    traces, tables = _sweeps.pop(C, None) or ({}, {})
+    _sweeps[C] = traces, tables
+    if len(_sweeps) > FROBENIUS_CACHE_CURVES:
+        _sweeps.popitem(last=False)
+    if bound not in tables:
+        swept = next(reversed(traces), 1)
+        if bound > swept:
+            disc = C.discriminant()
+            traces.update((p, trace_ap(C, p)) for p in primes_up_to(bound) if p > swept and disc % p)
+        tables[bound] = MappingProxyType({p: ap for p, ap in traces.items() if p <= bound})
+        if len(tables) > FROBENIUS_CACHE_TABLES:
+            del tables[next(iter(tables))]
+    return tables[bound]
+
+
+frobenius_table.cache_clear = _sweeps.clear
 
 
 def frobenius_record(C: WeierstrassCurve, p: int) -> FrobeniusRecord:

@@ -145,6 +145,10 @@ class WeierstrassCurve:
     def add(self, P: Point | None, Q: Point | None) -> Point | None:
         self._require_on_curve(P)
         self._require_on_curve(Q)
+        return self._add(P, Q)
+
+    def _add(self, P: Point | None, Q: Point | None) -> Point | None:
+        """P + Q for points already known to lie on the curve."""
         if P is None:
             return Q
         if Q is None:

@@ -1,13 +1,16 @@
 """Finite matrix groups over Z/m and mod-l surjectivity certificates.
 
-Two engines:
+Three parts:
 
 * generic 2x2 matrix groups over Z/m: worklist closure, the det^2 = 1
   subgroup, fixed submodules -- enough to reproduce the mod-8 image
   computation for conductor-15 curves;
-* complete subgroup enumeration of GL2(F_l) up to conjugacy (l <= 7) and
-  Frobenius-data elimination yielding a sound "surjective / inconclusive"
-  certificate.
+* surjectivity certificates: Frobenius char polys mod l eliminate each of
+  Dickson's maximal subgroups of GL2(F_l) with surjective determinant, a
+  sound "surjective / inconclusive" verdict for any prime l;
+* complete subgroup enumeration of GL2(F_l) up to conjugacy (l <= 7) on
+  dense tables.  The certificates do not use it; the tests check them
+  against it.
 
 Matrices are 4-tuples (a, b, c, d) read row-wise.
 """
@@ -20,7 +23,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .arith import DomainError, is_prime
+from .arith import DomainError, is_prime, legendre_symbol
 from .counting import frobenius_table, trace_ap  # noqa: F401  (trace_ap stays importable here)
 from .curve import WeierstrassCurve
 
@@ -332,7 +335,39 @@ def enumerate_subgroups_gl2(l: int) -> tuple[ModMMatrixGroup, ...]:
     return tuple(ModMMatrixGroup(l, t.decode(s)) for s in classes)
 
 
-# -- surjectivity certificates ------------------------------------------------
+# -- surjectivity certificates from Dickson's classification ------------------
+
+# Dickson's maximal proper subgroups of GL2(F_l) with surjective determinant,
+# by the names the certificates report.
+BOREL = "borel"
+SPLIT_NORMALISER = "split-cartan-normaliser"
+NONSPLIT_NORMALISER = "nonsplit-cartan-normaliser"
+NONSPLIT_CARTAN = "nonsplit-cartan"  # l = 2 only
+EXCEPTIONAL_S4 = "exceptional-s4"
+
+CERTIFICATE_L_CAP = 47  # the primes l the CLI certifies; the certificate itself takes any prime
+
+
+def maximal_subgroups(l: int) -> tuple[str, ...]:
+    """Maximal proper subgroups of GL2(F_l) with surjective det, up to conjugacy.
+
+    By Dickson's classification (Serre 1972, section 2; Zywina,
+    arXiv:1508.07660) a proper subgroup with surjective determinant lies in
+    a Borel subgroup, in the normaliser of a split or a non-split Cartan
+    subgroup, or has projective image A4, S4 or A5.  A4 and A5 have no
+    quotient of order 2, so they lie in PSL2(F_l) and their determinants are
+    squares; S4 leaves PSL2(F_l) exactly when l = +-3 mod 8.  The split
+    normaliser lies in the S4 class at l = 5 and in the non-split normaliser
+    at l = 3, where PGL2(F_3) is S4 itself.  GL2(F_2) is S3: its maximal
+    subgroups are the Borel and the non-split Cartan A3.
+    """
+    if l == 2:
+        return (BOREL, NONSPLIT_CARTAN)
+    if l == 3:
+        return (BOREL, NONSPLIT_NORMALISER)
+    split = () if l == 5 else (SPLIT_NORMALISER,)
+    s4 = (EXCEPTIONAL_S4,) if l % 8 in (3, 5) else ()
+    return (BOREL, *split, NONSPLIT_NORMALISER, *s4)
 
 
 @dataclass(frozen=True)
@@ -340,9 +375,12 @@ class SurjectivityCertificate:
     l: int
     prime_bound: int
     witness_primes: tuple[int, ...]
-    eliminated_subgroups: int
-    proper_subgroups: int
-    verdict: str  # "surjective" | "inconclusive"
+    maximal_subgroups: tuple[str, ...]  # maximal_subgroups(l)
+    surviving: tuple[str, ...]  # those the Frobenius data did not eliminate
+
+    @property
+    def verdict(self) -> str:
+        return "inconclusive" if self.surviving else "surjective"
 
 
 def _fundamental_discriminants(support: frozenset) -> list[int]:
@@ -394,69 +432,57 @@ def frobenius_constraints(C: WeierstrassCurve, l: int, bound: int) -> tuple[froz
     return frozenset((table[p] % l, p % l) for p in primes), primes
 
 
-def subgroup_realizes_pairs(H: ModMMatrixGroup, pairs) -> bool:
-    """Does H contain, for every pair (t, d), an element with that char poly?"""
-    seen = {(mat_trace(x, H.modulus), mat_det(x, H.modulus)) for x in H.elements}
-    return all(pair in seen for pair in pairs)
-
-
-def subgroup_det_surjective(H: ModMMatrixGroup) -> bool:
-    l = H.modulus
-    dets = {mat_det(x, l) for x in H.elements}
-    return len(dets) == l - 1
-
-
-def _trace_zero_coset_possible(H: ModMMatrixGroup) -> bool:
-    """True iff the non-zero-trace elements of H generate a proper subgroup.
-
-    In that case an image inside H would determine a quadratic character with
-    a_p = 0 mod l on its -1 fibre (the trace-zero coset); see
-    _quadratic_character_refuted.  (The normalizers of Cartan subgroups are
-    the interesting case: their full char-poly sets can coincide with
-    GL2(F_l)'s, e.g. for l = 3.)
-    """
-    m = H.modulus
-    gens = [x for x in H.elements if mat_trace(x, m) != 0]
-    if not gens:
-        return True
-    return group_closure(gens, m).order < H.order
-
-
 def surjectivity_certificate(C: WeierstrassCurve, l: int, bound: int) -> SurjectivityCertificate:
     """Sound certificate that the mod-l Galois image is all of GL2(F_l).
 
-    Every proper subgroup (up to conjugacy; trace/det data is conjugation
-    invariant) must be eliminated by one of three unconditional tests:
-    it fails to realize some observed Frobenius char poly, its determinant
-    map is not onto (the determinant of the image is the full cyclotomic
-    character over Q), or its non-zero-trace elements span an index->=2
-    subgroup and every compatible quadratic character has a witness prime
-    against it.  A verdict of "surjective" is unconditional; "inconclusive"
-    only means the prime bound was too small or the image really is proper.
+    The image G has surjective determinant (the cyclotomic character) and
+    holds, for each good p != l, an element with char poly
+    x^2 - a_p x + p mod l.  So G is everything once each of Dickson's
+    maximal subgroups M (see maximal_subgroups) is eliminated:
+
+    * Borel: every element has a split char poly, so an irreducible one
+      (t^2 - 4d a non-square) rules M out;
+    * Cartan normalisers, l odd: every element outside the Cartan has
+      trace 0.  A split normaliser holds no irreducible char poly of
+      non-zero trace, a non-split one no split char poly t^2 - 4d a non-zero
+      square of non-zero trace.  Failing that, G inside M but outside the
+      Cartan would give a quadratic character that
+      _quadratic_character_refuted refutes; G inside the split Cartan lies
+      in a Borel, and the non-split Cartan holds no split char poly;
+    * S4 class: projective orders are 1, 2, 3 and 4, that is
+      u = t^2/d in {4, 0, 1, 2}, so any other u rules it out;
+    * l = 2: x^2 + x + 1 rules out the Borel; the Cartan A3 realises both
+      char polys x^2 + 1 and x^2 + x + 1, so the verdict stays
+      "inconclusive".
+
+    A verdict of "surjective" is unconditional; "inconclusive" only means
+    the prime bound was too small or the image really is proper.
     """
+    if not is_prime(l):
+        raise DomainError(f"{l} is not prime")
     pairs, primes = frobenius_constraints(C, l, bound)
-    subgroups = enumerate_subgroups_gl2(l)
-    full_order = max(H.order for H in subgroups)
-    proper = [H for H in subgroups if H.order < full_order]
-    quad_refuted: bool | None = None  # computed lazily, shared by all subgroups
-    eliminated = 0
-    all_eliminated = True
-    for H in proper:
-        if not subgroup_det_surjective(H) or not subgroup_realizes_pairs(H, pairs):
-            eliminated += 1
-            continue
-        if _trace_zero_coset_possible(H):
-            if quad_refuted is None:
-                quad_refuted = _quadratic_character_refuted(C, l, bound)
-            if quad_refuted:
-                eliminated += 1
-                continue
-        all_eliminated = False
+    maximal = maximal_subgroups(l)
     return SurjectivityCertificate(
         l=l,
         prime_bound=bound,
         witness_primes=primes,
-        eliminated_subgroups=eliminated,
-        proper_subgroups=len(proper),
-        verdict="surjective" if all_eliminated else "inconclusive",
+        maximal_subgroups=maximal,
+        surviving=tuple(M for M in maximal if not _eliminated(M, C, l, bound, pairs)),
     )
+
+
+def _eliminated(M: str, C: WeierstrassCurve, l: int, bound: int, pairs: frozenset) -> bool:
+    """Do the Frobenius pairs (t, d) rule out an image inside M?"""
+    if M == NONSPLIT_CARTAN:
+        return False
+    if l == 2:  # the Borel
+        return any(t for t, _ in pairs)
+    if M == EXCEPTIONAL_S4:
+        return any(t * t * pow(d, -1, l) % l not in (0, 1, 2, 4) for t, d in pairs)
+    # traces of the pairs the Cartan side of M cannot realise: irreducible
+    # ones for the Borel and the split Cartan, split ones for the non-split
+    kind = 1 if M == NONSPLIT_NORMALISER else -1
+    missing = [t for t, d in pairs if legendre_symbol(t * t - 4 * d, l) == kind]
+    if M == BOREL:
+        return bool(missing)
+    return any(missing) or bool(missing) and _quadratic_character_refuted(C, l, bound)

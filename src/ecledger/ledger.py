@@ -96,6 +96,8 @@ CITED_DEPENDENCIES = (
     ("cited-greenberg-prop-3-8", "Greenberg: Proposition 3.8 (it is enough to show that Sel_p(E) = Sha(E)[p] is trivial)"),
     ("cited-greenberg-2adic-lambda", "Greenberg: the 2-adic lambda-invariant of E is trivial"),
     ("cited-rzb-2adic-image", "Rouse-Zureick-Brown: derivation of the 2-adic image generators"),
+    ("cited-dickson-classification",
+     "Dickson: the maximal subgroups of GL2(F_l) with surjective determinant (Serre 1972, section 2)"),
 )
 
 # What the paper states about 15a1 (E1) and 15a3 (E2), keyed by coefficients:
@@ -211,7 +213,8 @@ def _tamagawa_records(run: _Run) -> list[CheckRecord]:
 
 def _torsion_records(run: _Run) -> list[CheckRecord]:
     T = run.torsion
-    two_x = sorted(str(P[0]) for P in run.C.two_torsion_points())
+    a1, a3 = run.C.a1, run.C.a3
+    two_x = sorted(str(P[0]) for P in T.points if P is not None and 2 * P[1] + a1 * P[0] + a3 == 0)
     result = f"order={T.order} structure={T.describe()} order-2 x-coordinates={two_x}"
     return [_computed(run.C, "torsion", "torsion subgroup structure (Nagell-Lutz)",
                       "Nagell-Lutz on scaled short model", result, True, (T.order, T.structure))]
@@ -270,10 +273,13 @@ def _surjectivity_records(run: _Run) -> list[CheckRecord]:
     for l in sorted(run.opts.l_list):
         claim = f"surjective for all primes l >= 3 (certified at l = {l})"
         cert = surjectivity_certificate(run.C, l, bound)
+        n = len(cert.maximal_subgroups)
         result = (
-            f"verdict={cert.verdict} eliminated {cert.eliminated_subgroups}/{cert.proper_subgroups} "
-            f"classes, witnesses up to {bound}"
+            f"verdict={cert.verdict} eliminated {n - len(cert.surviving)}/{n} "
+            f"maximal subgroups, witnesses up to {bound}"
         )
+        if cert.surviving:
+            result += f"; left: {', '.join(cert.surviving)}"
         out.append(_computed(run.C, f"surjectivity-l{l}", claim, f"l={l} prime_bound={bound}",
                              result, cert.verdict == "surjective"))
     out.append(

@@ -43,7 +43,7 @@ def point_order(C: WeierstrassCurve, P, cap: int = MAZUR_ORDER_CAP) -> int | Non
     for n in range(1, cap + 1):
         if Q is None:
             return n if n > 1 or P is None else 1
-        Q = C.add(Q, P)
+        Q = C._add(Q, P)  # P is on the curve, hence so is every multiple
     return None
 
 

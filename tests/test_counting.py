@@ -113,17 +113,36 @@ def test_frobenius_table_lists_every_good_prime_once():
         table[2] = 0
 
 
-def test_ledger_counts_each_prime_once_per_bound(monkeypatch):
+def test_frobenius_table_extends_one_sweep_per_curve(monkeypatch):
     import ecledger.counting as counting
-    from ecledger.ledger import LedgerOptions, run_ledger
 
+    C = WeierstrassCurve(0, -1, 1, -10, -20)  # 11a1
     frobenius_table.cache_clear()
     calls = []
     real = counting.trace_ap
     monkeypatch.setattr(counting, "trace_ap", lambda C, p: calls.append(p) or real(C, p))
-    opts = LedgerOptions(prime_bound=400, l_list=(3, 5), terms=200, precision_bits=96, padic_digits=12)
-    run_ledger(E1, opts)
-    good = [p for p in primes_up_to(400) if 15 % p]
-    # one sweep to the prime bound (certificates, ordinary criterion) and
-    # one to the term count (a_n series)
-    assert sorted(calls) == sorted(good + [p for p in good if p <= 200])
+    small = frobenius_table(C, 100)
+    large = frobenius_table(C, 300)
+    prefix = frobenius_table(C, 50)
+    assert calls == [p for p in primes_up_to(300) if p != 11]
+    assert list(small.items()) == [(p, ap) for p, ap in large.items() if p <= 100]
+    assert list(prefix.items()) == [(p, ap) for p, ap in large.items() if p <= 50]
+    assert frobenius_table(C, 100) is small and frobenius_table(C, 50) is prefix
+    assert len(calls) == len(large)
+
+
+def test_ledger_counts_each_prime_once_per_bound(monkeypatch):
+    import ecledger.counting as counting
+    from ecledger.ledger import LedgerOptions, run_ledger
+
+    calls = []
+    real = counting.trace_ap
+    monkeypatch.setattr(counting, "trace_ap", lambda C, p: calls.append(p) or real(C, p))
+    # the series reads a prefix of the certificates' sweep, or extends it
+    for prime_bound, terms in ((400, 200), (200, 400)):
+        frobenius_table.cache_clear()
+        calls.clear()
+        opts = LedgerOptions(prime_bound=prime_bound, l_list=(3, 5), terms=terms, precision_bits=96,
+                             padic_digits=12)
+        run_ledger(E1, opts)
+        assert calls == [p for p in primes_up_to(max(prime_bound, terms)) if 15 % p]

@@ -1,23 +1,63 @@
 import hashlib
+import random
 
+import numpy as np
 import pytest
 
-from ecledger.curve import E1, WeierstrassCurve
+from ecledger.arith import DomainError, kronecker_symbol, primes_up_to
+from ecledger.curve import E1, E2, WeierstrassCurve
 from ecledger.galois_image import (
+    BOREL,
+    CERTIFICATE_L_CAP,
+    EXCEPTIONAL_S4,
+    NONSPLIT_CARTAN,
+    NONSPLIT_NORMALISER,
     RZB_15A1_MOD8,
+    SPLIT_NORMALISER,
+    SUBGROUP_ENUM_CAP,
     ModMMatrixGroup,
+    _quadratic_character_refuted,
     _tables,
     abelian_group_structure,
     det_condition_subgroup,
     enumerate_subgroups_gl2,
     fixed_submodule,
+    frobenius_constraints,
     group_closure,
     mat_det,
     mat_mul,
+    mat_trace,
+    maximal_subgroups,
     surjectivity_certificate,
 )
 
 CONTROL_11A1 = WeierstrassCurve(0, -1, 1, -10, -20)  # conductor 11, 5-isogeny
+CM_121B1 = WeierstrassCurve(0, -1, 1, -7, 10)  # CM by Q(sqrt(-11))
+
+# Cremona labels: 2-, 3-, 5- and 7-isogenies, rank 0 and 1, and six CM curves
+NAMED_CURVES = {
+    "11a1": (0, -1, 1, -10, -20), "11a2": (0, -1, 1, -7820, -263580), "11a3": (0, -1, 1, 0, 0),
+    "14a1": (1, 0, 1, 4, -6), "15a1": (1, 1, 1, -10, -10), "15a3": (1, 1, 1, -5, 2),
+    "17a1": (1, -1, 1, -1, -14), "19a1": (0, 1, 1, -9, -15), "20a1": (0, 1, 0, 4, 4),
+    "26a1": (1, 0, 1, -5, -8), "26b1": (1, -1, 1, -3, 3), "37a1": (0, 0, 1, -1, 0),
+    "37b1": (0, 1, 1, -23, -50), "38b1": (1, 1, 1, 0, 1), "27a1": (0, 0, 1, 0, -7),
+    "32a1": (0, 0, 0, 4, 0), "36a1": (0, 0, 0, 0, 1), "49a1": (1, -1, 0, -2, -1),
+    "64a1": (0, 0, 0, -4, 0), "121b1": (0, -1, 1, -7, 10),
+}
+
+
+def gl2_order(l):
+    return (l * l - 1) * (l * l - l)
+
+
+# orders of the subgroups maximal_subgroups names
+SUBGROUP_ORDER = {
+    BOREL: lambda l: l * (l - 1) ** 2,
+    SPLIT_NORMALISER: lambda l: 2 * (l - 1) ** 2,
+    NONSPLIT_NORMALISER: lambda l: 2 * (l * l - 1),
+    NONSPLIT_CARTAN: lambda l: l * l - 1,
+    EXCEPTIONAL_S4: lambda l: 24 * (l - 1),
+}
 
 
 def is_closed(G):
@@ -103,16 +143,16 @@ def test_enumerated_subgroups_are_closed_subgroups():
 
 
 def test_full_group_never_eliminated():
-    # soundness: the certificate counts only proper subgroups
-    for l in (3, 5):
+    # soundness: the certificate lists proper subgroups only, and a
+    # survivor is one of them
+    for l in (2, 3, 5, 7):
         cert = surjectivity_certificate(E1, l, 200)
-        full_order = len(enumerate_subgroups_gl2(l)) and max(
-            H.order for H in enumerate_subgroups_gl2(l)
-        )
-        assert cert.proper_subgroups == len(enumerate_subgroups_gl2(l)) - 1
-        assert cert.eliminated_subgroups <= cert.proper_subgroups
-        # the full group itself is realized
-        assert full_order == (l * l - 1) * (l * l - l)
+        assert cert.maximal_subgroups == maximal_subgroups(l)
+        assert set(cert.surviving) <= set(cert.maximal_subgroups)
+        assert all(SUBGROUP_ORDER[M](l) < gl2_order(l) for M in cert.maximal_subgroups)
+    # GL2(F_2) = S3: the Cartan A3 realises every char poly, so l = 2 is
+    # never "surjective", even for 11a1, whose mod-2 image is all of S3
+    assert surjectivity_certificate(CONTROL_11A1, 2, 200).surviving == (NONSPLIT_CARTAN,)
 
 
 def test_certificates_for_E1():
@@ -125,13 +165,33 @@ def test_control_curve_inconclusive_at_5():
     # 11a1 admits a rational 5-isogeny, so its mod-5 image is genuinely proper
     cert = surjectivity_certificate(CONTROL_11A1, 5, 1000)
     assert cert.verdict == "inconclusive"
+    assert BOREL in cert.surviving
 
 
 def test_certificate_monotone_in_bound():
     small = surjectivity_certificate(E1, 3, 100)
     large = surjectivity_certificate(E1, 3, 1000)
-    assert small.eliminated_subgroups <= large.eliminated_subgroups
+    assert set(large.surviving) <= set(small.surviving)
     assert set(small.witness_primes) <= set(large.witness_primes)
+
+
+def test_certificate_rejects_composite_l():
+    with pytest.raises(DomainError):
+        surjectivity_certificate(E1, 9, 100)
+
+
+def test_certificates_past_the_enumeration_cap():
+    # E1, E2 and 37a1 have surjective mod-l images for every l >= 3
+    primes = [l for l in primes_up_to(CERTIFICATE_L_CAP) if l > SUBGROUP_ENUM_CAP]
+    for C in (E1, E2, WeierstrassCurve(0, 0, 1, -1, 0)):
+        assert all(surjectivity_certificate(C, l, 10_000).verdict == "surjective" for l in primes)
+    # 121b1 has CM by Q(sqrt(-11)): its image lies in the normaliser of the
+    # Cartan subgroup that is split at l exactly when l splits in that field
+    for l in primes:
+        if l == 11:  # ramified in Q(sqrt(-11)): nothing is eliminated
+            continue
+        cert = surjectivity_certificate(CM_121B1, l, 10_000)
+        assert cert.surviving == ((SPLIT_NORMALISER,) if kronecker_symbol(-11, l) == 1 else (NONSPLIT_NORMALISER,))
 
 
 def test_subgroup_enum_cap():
@@ -163,3 +223,131 @@ def test_closure_is_the_generated_subgroup():
     assert t.decode(K) == expected and len(K) == 80
     assert list(K) == sorted(K)
     assert list(t.closure([])) == [t.identity]
+
+
+# -- reference: the certificate that walked every subgroup class --------------
+
+
+def subgroup_realizes_pairs(H: ModMMatrixGroup, pairs) -> bool:
+    """Does H contain, for every pair (t, d), an element with that char poly?"""
+    seen = {(mat_trace(x, H.modulus), mat_det(x, H.modulus)) for x in H.elements}
+    return all(pair in seen for pair in pairs)
+
+
+def subgroup_det_surjective(H: ModMMatrixGroup) -> bool:
+    l = H.modulus
+    dets = {mat_det(x, l) for x in H.elements}
+    return len(dets) == l - 1
+
+
+def _trace_zero_coset_possible(H: ModMMatrixGroup) -> bool:
+    """True iff the non-zero-trace elements of H generate a proper subgroup.
+
+    In that case an image inside H would determine a quadratic character with
+    a_p = 0 mod l on its -1 fibre (the trace-zero coset); see
+    _quadratic_character_refuted.  (The normalizers of Cartan subgroups are
+    the interesting case: their full char-poly sets can coincide with
+    GL2(F_l)'s, e.g. for l = 3.)
+    """
+    m = H.modulus
+    gens = [x for x in H.elements if mat_trace(x, m) != 0]
+    if not gens:
+        return True
+    return group_closure(gens, m).order < H.order
+
+
+def enumeration_verdict(C, l, bound) -> str:
+    """Verdict of eliminating every proper subgroup class of GL2(F_l).
+
+    A class falls when its determinant is not onto, when it misses an
+    observed Frobenius char poly, or when its non-zero-trace elements span a
+    proper subgroup and every compatible quadratic character is refuted.
+    """
+    pairs, _ = frobenius_constraints(C, l, bound)
+    for H in enumerate_subgroups_gl2(l)[:-1]:  # the last class is GL2(F_l)
+        if not subgroup_det_surjective(H) or not subgroup_realizes_pairs(H, pairs):
+            continue
+        if _trace_zero_coset_possible(H) and _quadratic_character_refuted(C, l, bound):
+            continue
+        return "inconclusive"
+    return "surjective"
+
+
+def box_curves(seed, count):
+    """Curves y^2 + a1 xy + a3 y = x^3 + a2 x^2 + a4 x + a6 from a small box."""
+    rng, out = random.Random(seed), []
+    while len(out) < count:
+        C = WeierstrassCurve(rng.randint(0, 1), rng.randint(-1, 1), rng.randint(0, 1),
+                             rng.randint(-50, 50), rng.randint(-50, 50))
+        if C.discriminant():
+            out.append(C)
+    return out
+
+
+ORACLE_CURVES = [WeierstrassCurve(*a) for a in NAMED_CURVES.values()] + box_curves(1, 40)
+
+
+@pytest.mark.parametrize("bound", [30, 1000])
+@pytest.mark.parametrize("l", [2, 3, 5, 7])
+def test_verdicts_match_the_class_enumeration(l, bound):
+    for C in ORACLE_CURVES:
+        verdict = surjectivity_certificate(C, l, bound).verdict
+        reference = enumeration_verdict(C, l, bound)
+        # soundness first: "surjective" must hold for the reference too
+        assert verdict != "surjective" or reference == "surjective", C.coefficients()
+        assert verdict == reference, C.coefficients()
+
+
+def _explicit_subgroup(M, l):
+    """Element set of one conjugate of the subgroup maximal_subgroups names."""
+    if M == EXCEPTIONAL_S4:
+        return None
+    units = range(1, l)
+    if M == BOREL:
+        return {(a, b, 0, d) for a in units for b in range(l) for d in units}
+    if M == SPLIT_NORMALISER:
+        return {(a, 0, 0, d) for a in units for d in units} | {(0, b, c, 0) for b in units for c in units}
+    if M == NONSPLIT_CARTAN and l == 2:
+        return group_closure([(0, 1, 1, 1)], 2).elements
+    e = next(x for x in units if pow(x, (l - 1) // 2, l) == l - 1)  # a non-square
+    cartan = {(a, e * b % l, b, a) for a in range(l) for b in range(l) if a or b}
+    return cartan | {mat_mul(x, (1, 0, 0, l - 1), l) for x in cartan}
+
+
+def _projective_order(x, l):
+    y, n = x, 1
+    while y[1] or y[2] or y[0] != y[3]:
+        y, n = mat_mul(y, x, l), n + 1
+    return n
+
+
+@pytest.mark.parametrize("l", [2, 3, 5, 7])
+def test_maximal_subgroups_cover_every_proper_class(l):
+    """Every proper subgroup with surjective det lies under a listed one.
+
+    "Under" means inside a conjugate for the Borel and Cartan classes, and
+    projective orders in {1, 2, 3, 4} for the S4 class, which is what the
+    certificate's S4 test refutes.  The listed subgroups have the orders of
+    the enumeration's maximal classes.
+    """
+    t = _tables(l)
+
+    def mask(elements):
+        out = np.zeros(t.n, dtype=bool)
+        out[[t.index[x] for x in elements]] = True
+        return out
+
+    def inside(H, K_mask):  # H lies in a conjugate of K
+        return bool(K_mask[t.conj[:, [t.index[x] for x in H.elements]]].all(axis=1).any())
+
+    listed = maximal_subgroups(l)
+    explicit = {M: _explicit_subgroup(M, l) for M in listed if M != EXCEPTIONAL_S4}
+    assert all(len(elements) == SUBGROUP_ORDER[M](l) for M, elements in explicit.items())
+    masks = [mask(elements) for elements in explicit.values()]
+    proper = [H for H in enumerate_subgroups_gl2(l)[:-1] if subgroup_det_surjective(H)]
+    for H in proper:
+        s4 = EXCEPTIONAL_S4 in listed and all(_projective_order(x, l) <= 4 for x in H.elements)
+        assert s4 or any(inside(H, m) for m in masks), sorted(H.elements)
+    maximal = [H.order for H in proper
+               if not any(H.order < K.order and inside(H, mask(K.elements)) for K in proper)]
+    assert sorted(maximal) == sorted(SUBGROUP_ORDER[M](l) for M in listed)

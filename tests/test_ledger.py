@@ -188,22 +188,35 @@ def test_cli_rejects_non_positive_numeric_options(flag, value, capsys):
     assert err.startswith("usage:") and "expected a positive integer" in err
 
 
-@pytest.mark.parametrize("value", ["0", "x", "4", "11"])
+@pytest.mark.parametrize("value", ["0", "x", "4", "53"])
 def test_cli_rejects_l_lists_that_are_not_small_primes(value, capsys):
-    # 0, x, 4 and 11 each ended in a traceback from deep inside the ledger
+    # 0, x and 4 each ended in a traceback from deep inside the ledger
     with pytest.raises(SystemExit) as exc:
         main(["image-modl", "--prime-bound", "200", "--l-list", value])
     assert exc.value.code == 2
     err = capsys.readouterr().err
-    assert err.startswith("usage:") and "expected a comma list of primes <= 7" in err
+    assert err.startswith("usage:") and "expected a comma list of primes <= 47" in err
 
 
-def test_cli_l_list_reads_the_enumeration_cap(monkeypatch):
+def test_cli_l_list_reads_the_certificate_cap(monkeypatch):
     parse = cli._build_parser().parse_args
     assert parse(["ledger", "--l-list", "7,3,3, 5"]).l_list == (3, 5, 7)
-    monkeypatch.setattr(galois_image, "SUBGROUP_ENUM_CAP", 5)
+    assert parse(["ledger", "--l-list", "47,11"]).l_list == (11, 47)
+    monkeypatch.setattr(galois_image, "CERTIFICATE_L_CAP", 5)
     with pytest.raises(SystemExit):
         parse(["ledger", "--l-list", "3,7"])
+
+
+LARGE_L = "11,13,17,19,23,29,31,37,41,43,47"
+
+
+@pytest.mark.parametrize("curve, code", [("1,1,1,-10,-10", 0), ("1,1,1,-5,2", 0), ("0,-1,1,-7,10", 1)],
+                         ids=["15a1", "15a3", "121b1"])
+def test_cli_certifies_l_past_the_enumeration_cap(curve, code, capsys):
+    # 15a1 and 15a3 are surjective at every l; 121b1 has CM, so no l is
+    assert main(["image-modl", "--curve", curve, "--l-list", LARGE_L]) == code
+    verdicts = re.findall(r"verdict=(\w+)", capsys.readouterr().out)
+    assert verdicts == ["surjective" if code == 0 else "inconclusive"] * 11
 
 
 def test_cli_defaults_are_the_ledger_defaults():
@@ -245,12 +258,14 @@ def test_view_prints_the_ledgers_records(command, curve, fast_ledgers, tmp_path)
     assert code == (1 if (curve, command) == (E2, "image-mod8") else 0)
 
 
-@pytest.mark.parametrize("argv", [["torsion"], ["lvalue", "--terms", "500"]])
+@pytest.mark.parametrize("argv", [["torsion"], ["lvalue", "--terms", "500"], ["ledger"], ["image-modl"]])
 def test_views_skip_subgroup_enumeration(argv, monkeypatch, capsys):
     def forbidden(l):
         raise AssertionError(f"enumerated the subgroups of GL2(F_{l})")
 
+    # the certificates need neither the class list nor the GL2(F_l) tables
     monkeypatch.setattr(galois_image, "enumerate_subgroups_gl2", forbidden)
+    monkeypatch.setattr(galois_image, "_tables", forbidden)
     assert main(argv) == 0
     assert capsys.readouterr().out
 
