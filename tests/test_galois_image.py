@@ -184,13 +184,13 @@ def test_certificates_past_the_enumeration_cap():
     # E1, E2 and 37a1 have surjective mod-l images for every l >= 3
     primes = [l for l in primes_up_to(CERTIFICATE_L_CAP) if l > SUBGROUP_ENUM_CAP]
     for C in (E1, E2, WeierstrassCurve(0, 0, 1, -1, 0)):
-        assert all(surjectivity_certificate(C, l, 10_000).verdict == "surjective" for l in primes)
+        assert all(surjectivity_certificate(C, l, 1000).verdict == "surjective" for l in primes)
     # 121b1 has CM by Q(sqrt(-11)): its image lies in the normaliser of the
     # Cartan subgroup that is split at l exactly when l splits in that field
     for l in primes:
         if l == 11:  # ramified in Q(sqrt(-11)): nothing is eliminated
             continue
-        cert = surjectivity_certificate(CM_121B1, l, 10_000)
+        cert = surjectivity_certificate(CM_121B1, l, 1000)
         assert cert.surviving == ((SPLIT_NORMALISER,) if kronecker_symbol(-11, l) == 1 else (NONSPLIT_NORMALISER,))
 
 
@@ -288,14 +288,14 @@ ORACLE_CURVES = [WeierstrassCurve(*a) for a in NAMED_CURVES.values()] + box_curv
 
 
 @pytest.mark.parametrize("bound", [30, 1000])
-@pytest.mark.parametrize("l", [2, 3, 5, 7])
-def test_verdicts_match_the_class_enumeration(l, bound):
+def test_verdicts_match_the_class_enumeration(bound):
     for C in ORACLE_CURVES:
-        verdict = surjectivity_certificate(C, l, bound).verdict
-        reference = enumeration_verdict(C, l, bound)
-        # soundness first: "surjective" must hold for the reference too
-        assert verdict != "surjective" or reference == "surjective", C.coefficients()
-        assert verdict == reference, C.coefficients()
+        for l in (2, 3, 5, 7):
+            verdict = surjectivity_certificate(C, l, bound).verdict
+            reference = enumeration_verdict(C, l, bound)
+            # soundness first: "surjective" must hold for the reference too
+            assert verdict != "surjective" or reference == "surjective", (C.coefficients(), l)
+            assert verdict == reference, (C.coefficients(), l)
 
 
 def _explicit_subgroup(M, l):
