@@ -35,6 +35,8 @@ GOLDEN = {
     "37a1-fast.json": ("0,0,1,-1,0", FAST, "json-text"),
     "additive-fast.json": ("0,0,0,0,1", FAST, "json-text"),
 }
+# `ecledger count --prime-bound 200` output, pinned the same way.
+COUNT_GOLDEN = {"15a1-count.txt": "1,1,1,-10,-10", "11a1-count.txt": "0,-1,1,-10,-20"}
 
 
 def _golden_report(name: str) -> str:
@@ -298,7 +300,19 @@ def test_report_matches_golden(name):
     assert _golden_report(name).encode() == (GOLDEN_DIR / name).read_bytes()
 
 
+def _golden_count(name: str, path: Path) -> None:
+    assert main(["count", "--curve", COUNT_GOLDEN[name], "--prime-bound", "200", "--out", str(path)]) == 0
+
+
+@pytest.mark.parametrize("name", sorted(COUNT_GOLDEN))
+def test_count_matches_golden(name, tmp_path):
+    _golden_count(name, tmp_path / name)
+    assert (tmp_path / name).read_bytes() == (GOLDEN_DIR / name).read_bytes()
+
+
 if __name__ == "__main__":
     GOLDEN_DIR.mkdir(exist_ok=True)
     for name in sorted(GOLDEN):
         (GOLDEN_DIR / name).write_bytes(_golden_report(name).encode())
+    for name in sorted(COUNT_GOLDEN):
+        _golden_count(name, GOLDEN_DIR / name)
