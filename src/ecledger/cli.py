@@ -13,8 +13,8 @@ import argparse
 import sys
 
 from . import __version__, galois_image
-from .arith import is_prime, primes_up_to
-from .counting import frobenius_record
+from .arith import is_prime
+from .counting import frobenius_table
 from .curve import E1, WeierstrassCurve, curve_from_string
 from .ledger import VERIFIED, LedgerOptions, emit_report, run_ledger
 
@@ -100,14 +100,10 @@ def _emit(args, text: str) -> None:
 
 
 def _count(C: WeierstrassCurve, args, opts: LedgerOptions) -> int:
-    disc = C.discriminant()
     lines = [f"{'p':>6} {'#E(F_p)':>9} {'a_p':>5}  class"]
-    for p in primes_up_to(opts.prime_bound):
-        if disc % p == 0:
-            continue
-        rec = frobenius_record(C, p)
-        kind = "ordinary" if rec.ordinary else "supersingular"
-        lines.append(f"{p:>6} {rec.count:>9} {rec.trace:>5}  {kind}")
+    for p, ap in frobenius_table(C, opts.prime_bound).items():
+        kind = "supersingular" if ap % p == 0 else "ordinary"
+        lines.append(f"{p:>6} {p + 1 - ap:>9} {ap:>5}  {kind}")
     _emit(args, "\n".join(lines) + "\n")
     return 0
 

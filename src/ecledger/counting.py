@@ -3,7 +3,9 @@
 Counting is O(p) per prime: for odd p the affine count is
 p + sum_x chi(f(x)) where f is the completed square
 f(x) = 4x^3 + b2 x^2 + 2 b4 x + b6 and chi the quadratic character,
-evaluated with a numpy residue table.  p = 2 is brute force.
+evaluated with a numpy residue table.  p = 2 is brute force.  Every trace
+the ledger reads comes from one sweep per curve, ``frobenius_table``, which
+also asserts the Hasse bound on each.
 """
 
 from __future__ import annotations
@@ -20,22 +22,19 @@ from .curve import BadReductionError, WeierstrassCurve
 COUNT_POINTS_MAX_P = 1_100_000_000  # 7 p^2 < 2^63 keeps count_points exact
 
 
-@dataclass(frozen=True)
-class FrobeniusRecord:
-    p: int
-    count: int
-    trace: int
-    ordinary: bool
-
-    def __post_init__(self):
-        if self.trace * self.trace > 4 * self.p:
-            raise AssertionError(f"Hasse bound violated at {self.p}: a_p = {self.trace}")
-
-
 def count_points_naive(C: WeierstrassCurve, p: int) -> int:
-    """Full enumeration oracle, O(p^2).  Kept independent of the fast path."""
-    Cp = C.reduce_mod_p(p)
-    return len(Cp.points_over_fp())
+    """Solutions (x, y) mod p of the integral model, plus infinity; O(p^2).
+
+    The oracle for ``count_points``, sharing none of its arithmetic.
+    """
+    if not C.is_integral():
+        raise DomainError("counting requires an integral model")
+    a1, a2, a3, a4, a6 = C.coefficients()
+    return 1 + sum(
+        (y * y + a1 * x * y + a3 * y - x**3 - a2 * x * x - a4 * x - a6) % p == 0
+        for x in range(p)
+        for y in range(p)
+    )
 
 
 def count_points(C: WeierstrassCurve, p: int) -> int:
@@ -77,6 +76,7 @@ def frobenius_table(C: WeierstrassCurve, bound: int) -> MappingProxyType:
     of a ledger count each good prime once, whatever their bounds.  A
     repeated (curve, bound) gets the same table back; the cache keeps the
     sweeps of the few most recently used curves and a few tables of each.
+    Every trace is checked against the Hasse bound a_p^2 <= 4p as it enters.
     """
     traces, tables = _sweeps.pop(C, None) or ({}, {})
     _sweeps[C] = traces, tables
@@ -86,7 +86,12 @@ def frobenius_table(C: WeierstrassCurve, bound: int) -> MappingProxyType:
         swept = next(reversed(traces), 1)
         if bound > swept:
             disc = C.discriminant()
-            traces.update((p, trace_ap(C, p)) for p in primes_up_to(bound) if p > swept and disc % p)
+            for p in primes_up_to(bound):
+                if p > swept and disc % p:
+                    ap = trace_ap(C, p)
+                    if ap * ap > 4 * p:
+                        raise AssertionError(f"Hasse bound violated at {p}: a_p = {ap}")
+                    traces[p] = ap
         tables[bound] = MappingProxyType({p: ap for p, ap in traces.items() if p <= bound})
         if len(tables) > FROBENIUS_CACHE_TABLES:
             del tables[next(iter(tables))]
@@ -94,12 +99,6 @@ def frobenius_table(C: WeierstrassCurve, bound: int) -> MappingProxyType:
 
 
 frobenius_table.cache_clear = _sweeps.clear
-
-
-def frobenius_record(C: WeierstrassCurve, p: int) -> FrobeniusRecord:
-    count = count_points(C, p)
-    trace = p + 1 - count
-    return FrobeniusRecord(p, count, trace, ordinary=trace % p != 0)
 
 
 def hasse_contradiction_symbolic(torsion_order: int) -> bool:

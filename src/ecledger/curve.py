@@ -1,9 +1,9 @@
-"""Long Weierstrass models, invariants, group law, reduction and 2-isogenies.
+"""Long Weierstrass models over Q: invariants, group law and 2-isogenies.
 
-Curves live either over the rationals (``p is None``, integer coefficients,
-point coordinates are ``Fraction``) or over a prime field (``p`` set, all
-values reduced mod p).  Points are ``None`` for the point at infinity or an
-``(x, y)`` pair.
+Coefficients and point coordinates are exact rationals, kept as plain ints
+when integral.  Points are ``None`` for the point at infinity or an
+``(x, y)`` pair.  Finite-field data enters only as Frobenius traces
+(``counting``).
 """
 
 from __future__ import annotations
@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .arith import DomainError, integer_cubic_roots, iroot_exact, is_prime, valuation
+from .arith import DomainError, integer_cubic_roots, iroot_exact, valuation
 
 Point = tuple  # (x, y); the point at infinity is None
 
@@ -21,7 +21,7 @@ class SingularCurveError(DomainError):
 
 
 class BadReductionError(DomainError):
-    """Reduction mod p was requested at a prime dividing the discriminant."""
+    """A point count was requested at a prime dividing the discriminant."""
 
 
 @dataclass(frozen=True)
@@ -38,10 +38,10 @@ class Invariants:
 
 @dataclass(frozen=True)
 class WeierstrassCurve:
-    """y^2 + a1*x*y + a3*y = x^3 + a2*x^2 + a4*x + a6.
+    """y^2 + a1*x*y + a3*y = x^3 + a2*x^2 + a4*x + a6 over Q.
 
-    Over Q the coefficients may be rational (Velu codomains of non-integral
-    kernel points are); integral models keep plain ints.
+    The coefficients may be rational (Velu codomains of non-integral kernel
+    points are); integral models keep plain ints.
     """
 
     a1: int | Fraction
@@ -49,22 +49,15 @@ class WeierstrassCurve:
     a3: int | Fraction
     a4: int | Fraction
     a6: int | Fraction
-    p: int | None = None  # None = over Q, otherwise the prime field F_p
 
     def __post_init__(self):
-        if self.p is not None:
-            if not is_prime(self.p):
-                raise DomainError(f"{self.p} is not prime")
-            for name in ("a1", "a2", "a3", "a4", "a6"):
-                object.__setattr__(self, name, int(getattr(self, name)) % self.p)
-        else:
-            for name in ("a1", "a2", "a3", "a4", "a6"):
-                object.__setattr__(self, name, rational(Fraction(getattr(self, name))))
+        for name in ("a1", "a2", "a3", "a4", "a6"):
+            object.__setattr__(self, name, rational(Fraction(getattr(self, name))))
         if self.discriminant() == 0:
             raise SingularCurveError(f"singular model {self.coefficients()}")
 
     def is_integral(self) -> bool:
-        return self.p is not None or all(isinstance(a, int) for a in self.coefficients())
+        return all(isinstance(a, int) for a in self.coefficients())
 
     # -- invariants ---------------------------------------------------------
 
@@ -77,59 +70,34 @@ class WeierstrassCurve:
         b4 = 2 * a4 + a1 * a3
         b6 = a3 * a3 + 4 * a6
         b8 = a1 * a1 * a6 + 4 * a2 * a6 - a1 * a3 * a4 + a2 * a3 * a3 - a4 * a4
-        if self.p is not None:
-            return (b2 % self.p, b4 % self.p, b6 % self.p, b8 % self.p)
         return (b2, b4, b6, b8)
 
     def c_invariants(self) -> tuple[int, int]:
         b2, b4, b6, _ = self.b_invariants()
         c4 = b2 * b2 - 24 * b4
         c6 = -b2**3 + 36 * b2 * b4 - 216 * b6
-        if self.p is not None:
-            return (c4 % self.p, c6 % self.p)
         return (c4, c6)
 
     def discriminant(self) -> int:
         b2, b4, b6, b8 = self.b_invariants()
-        d = -b2 * b2 * b8 - 8 * b4**3 - 27 * b6 * b6 + 9 * b2 * b4 * b6
-        return d % self.p if self.p is not None else d
+        return -b2 * b2 * b8 - 8 * b4**3 - 27 * b6 * b6 + 9 * b2 * b4 * b6
 
     def invariants(self) -> Invariants:
         b2, b4, b6, b8 = self.b_invariants()
         c4, c6 = self.c_invariants()
         disc = self.discriminant()
-        if self.p is None:
-            j = Fraction(c4**3, disc)
-        else:
-            j = Fraction(c4**3 * pow(disc, -1, self.p) % self.p)
-        return Invariants(b2, b4, b6, b8, c4, c6, disc, j)
+        return Invariants(b2, b4, b6, b8, c4, c6, disc, Fraction(c4**3, disc))
 
     def j_invariant(self) -> Fraction:
         return self.invariants().j
-
-    # -- field helpers ------------------------------------------------------
-
-    def _elem(self, x):
-        if self.p is not None:
-            return x % self.p if isinstance(x, int) else int(x) % self.p
-        return Fraction(x)
-
-    def _div(self, num, den):
-        if self.p is not None:
-            return num * pow(den % self.p, -1, self.p) % self.p
-        return Fraction(num, 1) / den
 
     # -- points -------------------------------------------------------------
 
     def is_on_curve(self, pt: Point | None) -> bool:
         if pt is None:
             return True
-        x, y = self._elem(pt[0]), self._elem(pt[1])
-        lhs = y * y + self.a1 * x * y + self.a3 * y
-        rhs = x**3 + self.a2 * x * x + self.a4 * x + self.a6
-        if self.p is not None:
-            return (lhs - rhs) % self.p == 0
-        return lhs == rhs
+        x, y = pt
+        return y * y + self.a1 * x * y + self.a3 * y == x**3 + self.a2 * x * x + self.a4 * x + self.a6
 
     def _require_on_curve(self, pt):
         if not self.is_on_curve(pt):
@@ -139,8 +107,8 @@ class WeierstrassCurve:
         self._require_on_curve(pt)
         if pt is None:
             return None
-        x, y = self._elem(pt[0]), self._elem(pt[1])
-        return (x, self._elem(-y - self.a1 * x - self.a3))
+        x, y = Fraction(pt[0]), Fraction(pt[1])
+        return (x, -y - self.a1 * x - self.a3)
 
     def add(self, P: Point | None, Q: Point | None) -> Point | None:
         self._require_on_curve(P)
@@ -154,24 +122,21 @@ class WeierstrassCurve:
         if Q is None:
             return P
         a1, a2, a3, a4, a6 = self.coefficients()
-        x1, y1 = self._elem(P[0]), self._elem(P[1])
-        x2, y2 = self._elem(Q[0]), self._elem(Q[1])
-        same_x = (x1 - x2) % self.p == 0 if self.p is not None else x1 == x2
-        if same_x:
-            same_y = (y2 - y1) % self.p == 0 if self.p is not None else y1 == y2
-            if not same_y:
+        x1, y1 = Fraction(P[0]), Fraction(P[1])
+        x2, y2 = Fraction(Q[0]), Fraction(Q[1])
+        if x1 == x2:
+            if y1 != y2:
                 return None  # Q = -P
-            den = self._elem(2 * y1 + a1 * x1 + a3)
+            den = 2 * y1 + a1 * x1 + a3
             if den == 0:
                 return None  # 2-torsion doubles to infinity
-            lam = self._div(3 * x1 * x1 + 2 * a2 * x1 + a4 - a1 * y1, den)
-            nu = self._div(-(x1**3) + a4 * x1 + 2 * a6 - a3 * y1, den)
+            lam = (3 * x1 * x1 + 2 * a2 * x1 + a4 - a1 * y1) / den
+            nu = (-(x1**3) + a4 * x1 + 2 * a6 - a3 * y1) / den
         else:
-            lam = self._div(y2 - y1, x2 - x1)
+            lam = (y2 - y1) / (x2 - x1)
             nu = y1 - lam * x1
         x3 = lam * lam + a1 * lam - a2 - x1 - x2
-        y3 = -(lam + a1) * x3 - nu - a3
-        return (self._elem(x3), self._elem(y3))
+        return (x3, -(lam + a1) * x3 - nu - a3)
 
     def multiply(self, pt: Point | None, n: int) -> Point | None:
         self._require_on_curve(pt)
@@ -185,27 +150,7 @@ class WeierstrassCurve:
             n >>= 1
         return result
 
-    def points_over_fp(self) -> list:
-        """All points including infinity; only for curves over a prime field."""
-        if self.p is None:
-            raise DomainError("point enumeration requires a finite base field")
-        pts = [None]
-        for x in range(self.p):
-            for y in range(self.p):
-                if self.is_on_curve((x, y)):
-                    pts.append((x, y))
-        return pts
-
-    # -- reduction ----------------------------------------------------------
-
-    def reduce_mod_p(self, p: int) -> "WeierstrassCurve":
-        if self.p is not None:
-            raise DomainError("curve is already over a finite field")
-        if not self.is_integral():
-            raise DomainError("reduction requires an integral model")
-        if self.discriminant() % p == 0:
-            raise BadReductionError(f"bad reduction at {p}")
-        return WeierstrassCurve(*(a % p for a in self.coefficients()), p=p)
+    # -- minimality and 2-torsion -------------------------------------------
 
     def is_minimal_at(self, p: int) -> bool:
         """Sufficient minimality certificate: v_p(disc) < 12 or v_p(c4) < 4."""
@@ -226,8 +171,6 @@ class WeierstrassCurve:
         cubic X^3 - 27 c4 X - 54 c6; a rational root of that monic cubic is
         an integer, so the exact integer root finder finds them all.
         """
-        if self.p is not None:
-            raise DomainError("rational 2-torsion requested over a finite field")
         if not self.is_integral():
             raise DomainError("rational 2-torsion requires an integral model")
         c4, c6 = self.c_invariants()
@@ -270,8 +213,6 @@ def isomorphism_over_Q(C1: WeierstrassCurve, C2: WeierstrassCurve) -> CurveIsomo
 
     u is pinned by u^12 = disc(C1)/disc(C2); r, s, t then solve linearly.
     """
-    if C1.p is not None or C2.p is not None:
-        raise DomainError("isomorphism search is implemented over Q only")
     if C1.j_invariant() != C2.j_invariant():
         return None
     ratio = Fraction(C1.discriminant()) / Fraction(C2.discriminant())
@@ -311,8 +252,6 @@ def velu_2_isogeny(C: WeierstrassCurve, K: tuple) -> TwoIsogeny:
         raise DomainError(f"kernel point {K} is not an affine point of the curve")
     if C.multiply(K, 2) is not None:
         raise DomainError(f"kernel point {K} does not have order 2")
-    if C.p is not None:
-        raise DomainError("the 2-isogeny is computed over Q; reduce afterwards")
     a1, a2, a3, a4, a6 = C.coefficients()
     x0, y0 = Fraction(K[0]), Fraction(K[1])
     # 2-torsion: g^y = 2*y0 + a1*x0 + a3 = 0, so u_Q = 0 and t_Q = g^x.

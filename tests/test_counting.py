@@ -3,11 +3,12 @@ import random
 
 import pytest
 
+from ecledger import counting
 from ecledger.arith import primes_up_to
+from ecledger.cli import main
 from ecledger.counting import (
     count_points,
     count_points_naive,
-    frobenius_record,
     frobenius_table,
     hasse_contradiction_symbolic,
     trace_ap,
@@ -54,17 +55,30 @@ def test_isogenous_curves_share_traces():
 
 
 def test_hasse_bound_on_all_small_primes():
-    for p in primes_up_to(500):
-        if E1.discriminant() % p == 0:
-            continue
-        rec = frobenius_record(E1, p)  # __post_init__ hard-asserts Hasse
+    table = frobenius_table(E1, 500)  # the sweep hard-asserts Hasse
+    assert list(table) == [p for p in primes_up_to(500) if E1.discriminant() % p]
+    for p, ap in table.items():
         lo, hi = hasse_interval(p)
-        assert lo <= rec.count <= hi
+        assert lo <= p + 1 - ap <= hi
 
 
-def test_ordinary_flag():
-    assert frobenius_record(E1, 7).ordinary is False  # a_7 = 0
-    assert frobenius_record(E1, 2).ordinary is True  # a_2 = -1
+def test_sweep_asserts_the_hasse_bound(monkeypatch):
+    frobenius_table.cache_clear()
+    monkeypatch.setattr(counting, "trace_ap", lambda C, p: 5 if p == 7 else 0)  # 5^2 <= 4 * 7
+    assert frobenius_table(E1, 7)[7] == 5
+    frobenius_table.cache_clear()
+    monkeypatch.setattr(counting, "trace_ap", lambda C, p: 6 if p == 7 else 0)  # 6^2 > 4 * 7
+    with pytest.raises(AssertionError, match="Hasse bound violated at 7: a_p = 6"):
+        frobenius_table(E1, 7)
+    frobenius_table.cache_clear()
+
+
+def test_ordinary_flag(capsys):
+    # the count view calls p supersingular iff p | a_p
+    assert main(["count", "--prime-bound", "7"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[1].split() == ["2", "4", "-1", "ordinary"]  # a_2 = -1
+    assert lines[2].split() == ["7", "8", "0", "supersingular"]  # a_7 = 0
 
 
 def test_ordinary_criterion_sweep():
