@@ -330,10 +330,12 @@ def _linv_records(run: _Run) -> list[CheckRecord]:
         if ld.kind is not ReductionKind.MULT_SPLIT:
             continue
         res = l_invariant(run.C, p, digits)
-        valuation = res.value.valuation() if not res.value.is_zero else "inf"
+        # a value that is zero to working precision has only a lower bound
+        valuation = None if res.value.is_zero else res.value.valuation()
+        shown = f">={res.value.absolute_precision}" if valuation is None else f"={valuation}"
         result = (
             f"q_E val={res.tate_q.valuation()} L-invariant={res.value} "
-            f"valuation={valuation} branch log({p})=0"
+            f"valuation{shown} branch log({p})=0"
         )
         out.append(_computed(run.C, f"linv-{p}", f"L-invariant log(q)/ord(q) at p = {p}",
                              f"p={p} digits={digits}", result, True, valuation))

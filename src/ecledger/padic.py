@@ -2,8 +2,12 @@
 parameters of split multiplicative curves, and the log q / ord q invariant.
 
 A ``PadicNumber`` stores a valuation and a unit part known modulo
-p**prec (prec significant base-p digits).  Additions track the precision
-lost to cancellation; everything else is exact unit arithmetic.
+p**prec (prec significant base-p digits), so it is known modulo
+p**(val + prec), its absolute precision.  A zero (unit 0) is O(p**(val +
+prec)): a number divisible by that power of p and nothing more.  Additions
+track the precision lost to cancellation, products and quotients with a
+zero carry its absolute precision; everything else is exact unit
+arithmetic.
 
 The Tate parameter is the exact rational sum of the integer series
 q = sum b_n t^n in t = 1/j (the reversion of 1/j(q)), cut where its tail
@@ -27,7 +31,7 @@ class PadicNumber:
     """p^valuation * unit, unit a p-adic unit known mod p^prec (prec digits)."""
 
     p: int
-    val: int
+    val: int  # for a zero, val + prec is all that is known: it is O(p^(val + prec))
     unit: int  # 0 means the number is zero to working precision
     prec: int
 
@@ -61,12 +65,17 @@ class PadicNumber:
 
     def __str__(self) -> str:
         if self.unit == 0:
-            return f"O({self.p}^{self.prec})"
+            return f"O({self.p}^{self.absolute_precision})"
         return f"{self.unit}*{self.p}^{self.val} + O({self.p}^{self.val + self.prec})"
 
     @property
     def is_zero(self) -> bool:
         return self.unit == 0
+
+    @property
+    def absolute_precision(self) -> int:
+        """The N with the number known modulo p^N."""
+        return self.val + self.prec
 
     def valuation(self) -> int:
         if self.is_zero:
@@ -80,11 +89,17 @@ class PadicNumber:
             raise DomainError("mixed primes")
         return min(self.prec, other.prec)
 
+    def _zero_like(self, absolute_precision: int, prec: int) -> "PadicNumber":
+        """O(p^absolute_precision), with prec digits for the exact rationals it meets."""
+        return PadicNumber(self.p, absolute_precision - prec, 0, prec)
+
     def __mul__(self, other) -> "PadicNumber":
         other = self._coerce(other)
         k = self._binary_prec(other)
         if self.is_zero or other.is_zero:
-            return PadicNumber.zero(self.p, k)
+            # p^v u * O(p^N) = O(p^(v + N)) and O(p^M) * O(p^N) = O(p^(M + N))
+            least = sum(x.absolute_precision if x.is_zero else x.val for x in (self, other))
+            return self._zero_like(least, k)
         return PadicNumber(self.p, self.val + other.val, self.unit * other.unit % self.p**k, k)
 
     def __truediv__(self, other) -> "PadicNumber":
@@ -92,29 +107,24 @@ class PadicNumber:
         k = self._binary_prec(other)
         if other.is_zero:
             raise DomainError("division by p-adic zero")
-        if self.is_zero:
-            return PadicNumber.zero(self.p, k)
+        if self.is_zero:  # O(p^N) / (p^v u) = O(p^(N - v))
+            return self._zero_like(self.absolute_precision - other.val, k)
         m = self.p**k
         return PadicNumber(self.p, self.val - other.val, self.unit * pow(other.unit, -1, m) % m, k)
 
     def __add__(self, other) -> "PadicNumber":
         other = self._coerce(other)
-        if self.is_zero:
-            return other
-        if other.is_zero:
-            return self
-        v = min(self.val, other.val)
-        abs_prec = min(self.val + self.prec, other.val + other.prec)
+        prec = self._binary_prec(other)
+        abs_prec = min(self.absolute_precision, other.absolute_precision)
+        terms = [x for x in (self, other) if not x.is_zero]
+        v = min((x.val for x in terms), default=abs_prec)
+        if v >= abs_prec:
+            return self._zero_like(abs_prec, prec)
         k = abs_prec - v
-        if k < 1:
-            raise DomainError("no significant digits left after cancellation")
-        m = self.p**k
-        s = (self.unit * self.p ** (self.val - v) + other.unit * self.p ** (other.val - v)) % m
+        s = sum(x.unit * self.p ** (x.val - v) for x in terms) % self.p**k
         if s == 0:
-            return PadicNumber.zero(self.p, k)
+            return self._zero_like(abs_prec, prec)
         dv = valuation(s, self.p)
-        if dv >= k:
-            return PadicNumber.zero(self.p, k)
         return PadicNumber(self.p, v + dv, s // self.p**dv, k - dv)
 
     def __neg__(self) -> "PadicNumber":
@@ -242,7 +252,11 @@ def iwasawa_log(x: PadicNumber) -> PadicNumber:
     """The p-adic logarithm with the branch log(p) = 0.
 
     Units u are reduced to 1 mod p via u^(p-1); the series log(1+t) then
-    converges and log(u) = log(u^(p-1)) / (p-1).
+    converges and log(u) = log(u^(p-1)) / (p-1).  u and so t are known
+    modulo p^prec, and so is log(1+t).  The k-th term t^k/k has valuation
+    at least k v(t) - floor(log_p k), which never decreases in k, so the sum
+    stops at the first k where that bound reaches prec: every later term is
+    O(p^prec).
     """
     if x.is_zero:
         raise DomainError("log of p-adic zero")
@@ -254,17 +268,13 @@ def iwasawa_log(x: PadicNumber) -> PadicNumber:
     if t.is_zero:
         return PadicNumber.zero(p, x.prec)
     total = PadicNumber.zero(p, x.prec)
-    tk = t
-    k = 1
-    # terms have valuation k*val(t) - v_p(k) -> stop once beyond precision
-    while k * t.valuation() - (k.bit_length() // max(p.bit_length() - 1, 1) + 2) <= x.prec + 2:
-        contrib = tk / k
-        contrib = -contrib if k % 2 == 0 else contrib
-        total = total + contrib
+    tk, k, log_k = t, 1, 0  # log_k = floor(log_p k)
+    while k * t.valuation() - log_k < x.prec:
+        total = total + (tk / k if k % 2 else -(tk / k))
         tk = tk * t
         k += 1
-        if k > 4 * x.prec + 40:
-            break
+        if k == p ** (log_k + 1):
+            log_k += 1
     return total / (p - 1)
 
 

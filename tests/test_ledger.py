@@ -289,6 +289,13 @@ def test_shared_facts_computed_once_per_ledger(monkeypatch):
     assert sorted(calls) == [("local", 3), ("local", 5), ("torsion",)]
 
 
+def test_linv_zero_to_working_precision_prints_a_bound():
+    # log(q) of this curve at 2 is 4 times a unit, so two digits of q give O(2^2)
+    records = run_ledger(WeierstrassCurve(1, 1, 1, 4, 7), LedgerOptions(padic_digits=2), ("linv",)).records
+    linv2 = next(r for r in records if r.id == "linv-2")
+    assert "L-invariant=O(2^2) valuation>=2 " in linv2.result
+
+
 def test_no_curve_equality_branches():
     # Paper expectations live in ledger.PAPER_EXPECTATIONS, not in code.
     for module in (ledger, cli):

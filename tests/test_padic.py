@@ -206,6 +206,49 @@ def test_l_invariant_valuation_one():
     assert agrees(res.value, PadicNumber(5, res2.value.val, res2.value.unit % 5**res.value.prec, res.value.prec))
 
 
+def test_zero_keeps_its_absolute_precision():
+    z = PadicNumber.zero(5, 3)  # O(5^3)
+    x = PadicNumber.from_fraction(50, 5, 12)  # 2*5^2 to twelve digits
+    assert str(x * z) == str(z * x) == "O(5^5)"
+    assert str(z * z) == "O(5^6)"
+    assert str(z / x) == "O(5^1)"
+    assert str(x + z) == "2*5^2 + O(5^3)"
+    assert str(PadicNumber.from_fraction(5**4, 5, 12) + z) == "O(5^3)"
+    # cancellation to zero keeps the absolute precision of the operands
+    a = PadicNumber.from_fraction(25, 5, 4)
+    b = PadicNumber.from_fraction(25 + 5**8, 5, 4)
+    assert str(a - b) == "O(5^6)" and str((a - b) / 5) == "O(5^5)"
+    assert str((a - b) * 5 + z) == "O(5^3)" and str(a - b + 5**7) == "O(5^6)"
+
+
+def _exact(x: PadicNumber) -> Fraction:
+    return Fraction(0) if x.is_zero else Fraction(x.p) ** x.val * x.unit
+
+
+# (curve, p, digits), split multiplicative at p.  First, cases where zeros
+# lost their absolute precision and the digits were wrong: 9*2^2 + O(2^6) for
+# 1*2^2 + O(2^6), O(3^2) for a value of valuation 1, and more.  Then controls:
+# (1, 1, 1, 4, 7) at 2, which is O(2^2) to two digits, and E1 and E2 at 5.
+REFERENCE_CASES = [
+    ((1, -10, -4, 11, -19), 2, 5), ((-4, 12, -7, 18, 7), 3, 2), ((14, -6, 20, 13, 8), 3, 5),
+    ((-2, -15, 12, -1, -7), 3, 1), ((5, -10, 0, 8, -12), 2, 8), ((-3, -3, -5, 6, -11), 2, 7),
+    ((3, 14, -8, 10, -16), 2, 6), ((15, 18, -20, 4, 12), 2, 2), ((1, 1, 1, 4, 7), 2, 2),
+    *(((1, 11, 17, -13, -7), 2, d) for d in range(2, 7)),
+    *(((17, 18, -12, 14, 14), 2, d) for d in range(2, 7)),
+    ((1, 1, 1, -10, -10), 5, 3), ((1, 1, 1, -5, 2), 5, 7),
+]
+
+
+@pytest.mark.parametrize("coeffs, p, digits", REFERENCE_CASES, ids=[f"{c}-{p}-{d}" for c, p, d in REFERENCE_CASES])
+def test_l_invariant_digits_agree_with_an_80_digit_run(coeffs, p, digits):
+    C = WeierstrassCurve(*coeffs)
+    low, ref = l_invariant(C, p, digits).value, l_invariant(C, p, 80).value
+    n = low.val + low.prec  # low is known modulo p^n
+    assert ref.val + ref.prec >= n + 60
+    diff = _exact(low) - _exact(ref)
+    assert diff == 0 or rational_valuation(diff, p) >= n, (str(low), str(ref))
+
+
 def test_l_invariant_is_isogeny_invariant():
     a = l_invariant(E1, 5, prec=20).value
     b = l_invariant(E2, 5, prec=20).value
