@@ -159,17 +159,20 @@ def factorize(n: int) -> dict[int, int]:
 def integer_cubic_roots(A: int, C: int) -> list[int]:
     """The integer roots of X^3 + A X + C, ascending, by exact bisection.
 
-    Every root has |X| <= 1 + max(|A|, |C|) (Cauchy's bound).  For A < 0 the
-    cubic is monotone on each side of its critical points +-sqrt(-A/3); with
-    c = floor(sqrt(-A/3)) it is increasing on [.., -c - 1], decreasing on
-    [-c, c] and increasing on [c + 1, ..], so each piece holds at most one
-    root.  For A >= 0 it is increasing throughout.
+    A root has |X|^3 = |A X + C| <= |A||X| + |C|, so X^2 <= 2|A| or
+    |X|^3 <= 2|C|: every root lies below the least power of two B with
+    B^2 > 2|A| and B^3 > 2|C|.  For A < 0 the cubic is monotone on each side
+    of its critical points +-sqrt(-A/3); with c = floor(sqrt(-A/3)) it is
+    increasing on [.., -c - 1], decreasing on [-c, c] and increasing on
+    [c + 1, ..], so each piece holds at most one root.  B^2 > 2|A| >= 6c^2
+    gives B >= c + 1, so the pieces are disjoint.  For A >= 0 it is
+    increasing throughout.
     """
 
     def f(X: int) -> int:
         return (X * X + A) * X + C
 
-    bound = 1 + max(abs(A), abs(C))
+    bound = 1 << max(((2 * abs(A)).bit_length() + 1) // 2, ((2 * abs(C)).bit_length() + 2) // 3)
     if A < 0:
         c = math.isqrt(-A // 3)
         pieces = ((-bound, -c - 1, 1), (-c, c, -1), (c + 1, bound, 1))

@@ -21,7 +21,7 @@ from .arith import DomainError, integer_cubic_roots, square_divisors
 from .counting import count_points  # noqa: F401  (count_points stays importable here)
 from .curve import WeierstrassCurve, rational
 
-MAZUR_ORDER_CAP = 16  # no rational point has order 11 or > 12; 16 is a lazy cap
+MAZUR_ORDER_CAP = 12  # Mazur: a rational torsion point has order at most 12
 
 
 @dataclass(frozen=True)
@@ -35,14 +35,18 @@ class TorsionGroup:
         return f"Z/{d2}" if d1 == 1 else f"Z/{d1} x Z/{d2}"
 
 
-def point_order(C: WeierstrassCurve, P, cap: int = MAZUR_ORDER_CAP) -> int | None:
-    """Least n <= cap with n*P = infinity, or None ('infinite: exceeds bound')."""
+def point_order(C: WeierstrassCurve, P) -> int | None:
+    """The order of a rational point P, or None when it is infinite.
+
+    By Mazur a rational torsion point has order at most 12, so a point with
+    no n <= 12 and n*P = infinity has infinite order.
+    """
     if not C.is_on_curve(P):
         raise DomainError(f"{P} is not on the curve")
     Q = P
-    for n in range(1, cap + 1):
+    for n in range(1, MAZUR_ORDER_CAP + 1):
         if Q is None:
-            return n if n > 1 or P is None else 1
+            return n
         Q = C._add(Q, P)  # P is on the curve, hence so is every multiple
     return None
 
