@@ -23,18 +23,12 @@ COUNT_POINTS_MAX_P = 1_100_000_000  # 7 p^2 < 2^63 keeps count_points exact
 
 
 def count_points_naive(C: WeierstrassCurve, p: int) -> int:
-    """Solutions (x, y) mod p of the integral model, plus infinity; O(p^2).
-
-    The oracle for ``count_points``, sharing none of its arithmetic.
-    """
+    """#E(F_p) by trying every (x, y) mod p: the O(p^2) oracle for ``count_points``."""
     if not C.is_integral():
         raise DomainError("counting requires an integral model")
     a1, a2, a3, a4, a6 = C.coefficients()
-    return 1 + sum(
-        (y * y + a1 * x * y + a3 * y - x**3 - a2 * x * x - a4 * x - a6) % p == 0
-        for x in range(p)
-        for y in range(p)
-    )
+    return 1 + sum((y * y + a1 * x * y + a3 * y - x**3 - a2 * x * x - a4 * x - a6) % p == 0
+                   for x in range(p) for y in range(p))
 
 
 def count_points(C: WeierstrassCurve, p: int) -> int:
@@ -110,9 +104,6 @@ def hasse_contradiction_symbolic(torsion_order: int) -> bool:
     """
     if torsion_order < 2:
         return False
-    # (t-1)p - 1 > 2 sqrt(p)  <=>  ((t-1)p - 1)^2 > 4p  (both sides positive).
-    # The gap ((t-1)p - 1)^2 - 4p is increasing in p for p >= 2, so p = 2
-    # decides the claim.
     t = torsion_order
     return ((t - 1) * 2 - 1) ** 2 > 8
 

@@ -330,7 +330,6 @@ def _linv_records(run: _Run) -> list[CheckRecord]:
         if ld.kind is not ReductionKind.MULT_SPLIT:
             continue
         res = l_invariant(run.C, p, digits)
-        # a value that is zero to working precision has only a lower bound
         valuation = None if res.value.is_zero else res.value.valuation()
         shown = f">={res.value.absolute_precision}" if valuation is None else f"={valuation}"
         result = (

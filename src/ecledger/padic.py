@@ -2,12 +2,9 @@
 parameters of split multiplicative curves, and the log q / ord q invariant.
 
 A ``PadicNumber`` stores a valuation and a unit part known modulo
-p**prec (prec significant base-p digits), so it is known modulo
-p**(val + prec), its absolute precision.  A zero (unit 0) is O(p**(val +
-prec)): a number divisible by that power of p and nothing more.  Additions
-track the precision lost to cancellation, products and quotients with a
-zero carry its absolute precision; everything else is exact unit
-arithmetic.
+p**prec (prec significant base-p digits): it is known modulo p**(val + prec),
+and a zero is O(p**(val + prec)).  Additions track the precision lost to
+cancellation, and every operation keeps a zero's absolute precision.
 
 The Tate parameter is the exact rational sum of the integer series
 q = sum b_n t^n in t = 1/j (the reversion of 1/j(q)), cut where its tail

@@ -36,11 +36,7 @@ class TorsionGroup:
 
 
 def point_order(C: WeierstrassCurve, P) -> int | None:
-    """The order of a rational point P, or None when it is infinite.
-
-    By Mazur a rational torsion point has order at most 12, so a point with
-    no n <= 12 and n*P = infinity has infinite order.
-    """
+    """The order of the rational point P, or None when it is past Mazur's 12, so infinite."""
     if not C.is_on_curve(P):
         raise DomainError(f"{P} is not on the curve")
     Q = P
