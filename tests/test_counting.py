@@ -62,15 +62,15 @@ def test_hasse_bound_on_all_small_primes():
         assert lo <= p + 1 - ap <= hi
 
 
-def test_sweep_asserts_the_hasse_bound(monkeypatch):
+def test_sweep_asserts_the_hasse_bound(monkeypatch, request):
     frobenius_table.cache_clear()
+    request.addfinalizer(frobenius_table.cache_clear)  # drop the patched sweeps
     monkeypatch.setattr(counting, "trace_ap", lambda C, p: 5 if p == 7 else 0)  # 5^2 <= 4 * 7
     assert frobenius_table(E1, 7)[7] == 5
     frobenius_table.cache_clear()
     monkeypatch.setattr(counting, "trace_ap", lambda C, p: 6 if p == 7 else 0)  # 6^2 > 4 * 7
     with pytest.raises(AssertionError, match="Hasse bound violated at 7: a_p = 6"):
         frobenius_table(E1, 7)
-    frobenius_table.cache_clear()
 
 
 def test_ordinary_flag(capsys):
