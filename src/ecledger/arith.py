@@ -76,14 +76,10 @@ def legendre_symbol(a: int, p: int) -> int:
 
 
 def kronecker_symbol(a: int, n: int) -> int:
-    """Kronecker symbol (a|n), the fully extended Jacobi symbol."""
-    if n == 0:
-        return 1 if a in (1, -1) else 0
+    """Kronecker symbol (a|n) for n >= 1: the Jacobi symbol extended to even n."""
+    if n < 1:
+        raise DomainError(f"Kronecker symbol needs n >= 1, got {n}")
     result = 1
-    if n < 0:
-        n = -n
-        if a < 0:
-            result = -result
     while n % 2 == 0:
         n //= 2
         if a % 2 == 0:

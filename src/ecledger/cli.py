@@ -13,7 +13,7 @@ import argparse
 import sys
 
 from . import __version__, galois_image
-from .arith import is_prime
+from .arith import DomainError, is_prime
 from .counting import frobenius_table
 from .curve import E1, WeierstrassCurve, curve_from_string
 from .ledger import VERIFIED, LedgerOptions, emit_report, run_ledger
@@ -32,6 +32,13 @@ VIEWS = {
     "lvalue": ("L(E,1), real period, and the reconstructed rational ratio", ("lvalue-ratio",)),
     "linv": ("log(q)/ord(q) invariant at each split multiplicative prime", ("linv",)),
 }
+
+
+def _curve(text: str) -> WeierstrassCurve:
+    try:
+        return curve_from_string(text)
+    except DomainError as err:
+        raise argparse.ArgumentTypeError(str(err)) from None
 
 
 def _positive_int(text: str) -> int:
@@ -57,10 +64,12 @@ def _prime_list(text: str) -> tuple[int, ...]:
 
 def _build_parser() -> argparse.ArgumentParser:
     defaults = LedgerOptions()
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--curve", default=DEFAULT_CURVE, metavar="a1,a2,a3,a4,a6",
+    shared = argparse.ArgumentParser(add_help=False)  # the options `count` shares with the views
+    shared.add_argument("--curve", type=_curve, default=DEFAULT_CURVE, metavar="a1,a2,a3,a4,a6",
                         help=f"Weierstrass coefficients (default {DEFAULT_CURVE})")
-    common.add_argument("--prime-bound", type=_positive_int, default=defaults.prime_bound, metavar="N")
+    shared.add_argument("--prime-bound", type=_positive_int, default=defaults.prime_bound, metavar="N")
+    shared.add_argument("--out", metavar="PATH", help="write output to PATH instead of stdout")
+    common = argparse.ArgumentParser(add_help=False, parents=[shared])
     common.add_argument("--l-list", type=_prime_list, default=",".join(map(str, defaults.l_list)),
                         metavar="L1,L2,...")
     common.add_argument("--terms", type=_positive_int, default=defaults.terms, metavar="M")
@@ -69,14 +78,13 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--padic-digits", type=_positive_int, default=defaults.padic_digits,
                         metavar="D")
     common.add_argument("--format", choices=("json", "text"), default="text")
-    common.add_argument("--out", metavar="PATH", help="write output to PATH instead of stdout")
 
     parser = argparse.ArgumentParser(prog="ecledger", description=__doc__)
     parser.add_argument("--version", action="version", version=f"ecledger {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (help_text, _) in VIEWS.items():
         sub.add_parser(name, parents=[common], help=help_text)
-    sub.add_parser("count", parents=[common],
+    sub.add_parser("count", parents=[shared],
                    help="point counts and Frobenius traces for good primes up to the bound")
     return parser
 
@@ -99,9 +107,9 @@ def _emit(args, text: str) -> None:
         sys.stdout.write(text)
 
 
-def _count(C: WeierstrassCurve, args, opts: LedgerOptions) -> int:
+def _count(args) -> int:
     lines = [f"{'p':>6} {'#E(F_p)':>9} {'a_p':>5}  class"]
-    for p, ap in frobenius_table(C, opts.prime_bound).items():
+    for p, ap in frobenius_table(args.curve, args.prime_bound).items():
         kind = "supersingular" if ap % p == 0 else "ordinary"
         lines.append(f"{p:>6} {p + 1 - ap:>9} {ap:>5}  {kind}")
     _emit(args, "\n".join(lines) + "\n")
@@ -110,11 +118,9 @@ def _count(C: WeierstrassCurve, args, opts: LedgerOptions) -> int:
 
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
-    C: WeierstrassCurve = curve_from_string(args.curve)
-    opts = _options(args)
     if args.command == "count":
-        return _count(C, args, opts)
-    report = run_ledger(C, opts, VIEWS[args.command][1])
+        return _count(args)
+    report = run_ledger(args.curve, _options(args), VIEWS[args.command][1])
     _emit(args, emit_report(report, "json-text" if args.format == "json" else "human-text"))
     return 0 if report.overall == VERIFIED else 1
 

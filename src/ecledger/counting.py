@@ -4,15 +4,14 @@ Counting is O(p) per prime: for odd p the affine count is
 p + sum_x chi(f(x)) where f is the completed square
 f(x) = 4x^3 + b2 x^2 + 2 b4 x + b6 and chi the quadratic character,
 evaluated with a numpy residue table.  p = 2 is brute force.  Every trace
-the ledger reads comes from one sweep per curve, ``frobenius_table``, which
-also asserts the Hasse bound on each.
+the ledger reads comes from one sweep, ``frobenius_table``, which keeps the
+last curve's traces, extends them to a larger bound and asserts the Hasse
+bound on each.
 """
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from dataclasses import dataclass
-from types import MappingProxyType
 
 import numpy as np
 
@@ -56,43 +55,36 @@ def trace_ap(C: WeierstrassCurve, p: int) -> int:
     return p + 1 - count_points(C, p)
 
 
-FROBENIUS_CACHE_CURVES = 4  # curves whose sweeps stay cached
-FROBENIUS_CACHE_TABLES = 4  # tables kept per cached curve
-_sweeps: OrderedDict = OrderedDict()  # curve -> ({p: a_p} ascending, {bound: table})
+_sweep: dict = {}  # the last curve asked for -> [largest bound swept, {p: a_p} ascending]
 
 
-def frobenius_table(C: WeierstrassCurve, bound: int) -> MappingProxyType:
-    """{p: a_p} for the good primes p <= bound, ascending, read-only.
+def frobenius_table(C: WeierstrassCurve, bound: int) -> dict[int, int]:
+    """A fresh {p: a_p} for the good primes p <= bound, ascending.
 
-    Each curve has one sweep.  A bound above the largest prime swept so far
-    extends it by the primes in between; a smaller bound reads its ascending
-    prefix.  So the certificates, the ordinary criterion and the a_n series
-    of a ledger count each good prime once, whatever their bounds.  A
-    repeated (curve, bound) gets the same table back; the cache keeps the
-    sweeps of the few most recently used curves and a few tables of each.
-    Every trace is checked against the Hasse bound a_p^2 <= 4p as it enters.
+    The sweep of the last curve asked for is kept.  A bound above the
+    largest swept so far extends it by the primes in between; a smaller
+    bound reads its ascending prefix.  So the certificates, the ordinary
+    criterion and the a_n series of a ledger count each good prime once,
+    whatever their bounds.  Every trace is checked against the Hasse bound
+    a_p^2 <= 4p as it enters.
     """
-    traces, tables = _sweeps.pop(C, None) or ({}, {})
-    _sweeps[C] = traces, tables
-    if len(_sweeps) > FROBENIUS_CACHE_CURVES:
-        _sweeps.popitem(last=False)
-    if bound not in tables:
-        swept = next(reversed(traces), 1)
-        if bound > swept:
-            disc = C.discriminant()
-            for p in primes_up_to(bound):
-                if p > swept and disc % p:
-                    ap = trace_ap(C, p)
-                    if ap * ap > 4 * p:
-                        raise AssertionError(f"Hasse bound violated at {p}: a_p = {ap}")
-                    traces[p] = ap
-        tables[bound] = MappingProxyType({p: ap for p, ap in traces.items() if p <= bound})
-        if len(tables) > FROBENIUS_CACHE_TABLES:
-            del tables[next(iter(tables))]
-    return tables[bound]
+    if C not in _sweep:
+        _sweep.clear()
+        _sweep[C] = [1, {}]
+    swept, traces = _sweep[C]
+    if bound > swept:
+        disc = C.discriminant()
+        for p in primes_up_to(bound):
+            if p > swept and disc % p:
+                ap = trace_ap(C, p)
+                if ap * ap > 4 * p:
+                    raise AssertionError(f"Hasse bound violated at {p}: a_p = {ap}")
+                traces[p] = ap
+        _sweep[C][0] = bound
+    return {p: ap for p, ap in traces.items() if p <= bound}
 
 
-frobenius_table.cache_clear = _sweeps.clear
+frobenius_table.cache_clear = _sweep.clear
 
 
 def hasse_contradiction_symbolic(torsion_order: int) -> bool:

@@ -280,10 +280,13 @@ def two_isogeny_onto(C: WeierstrassCurve, target: WeierstrassCurve):
 
 def curve_from_string(text: str) -> WeierstrassCurve:
     """Parse the toolkit-wide curve format "a1,a2,a3,a4,a6"."""
-    parts = [s.strip() for s in text.split(",")]
-    if len(parts) != 5:
+    try:
+        coefficients = [int(s) for s in text.split(",")]
+    except ValueError:
+        coefficients = []
+    if len(coefficients) != 5:
         raise DomainError(f"expected five comma-separated integers, got {text!r}")
-    return WeierstrassCurve(*(int(s) for s in parts))
+    return WeierstrassCurve(*coefficients)
 
 
 E1 = WeierstrassCurve(1, 1, 1, -10, -10)  # conductor 15, Cremona 15a1

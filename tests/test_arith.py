@@ -78,6 +78,9 @@ def test_kronecker_matches_legendre_at_odd_primes():
 def test_kronecker_at_two():
     # (a/2) = 0, 1, -1 according to a mod 8
     assert [kronecker_symbol(a, 2) for a in range(8)] == [0, 1, 0, -1, 0, -1, 0, 1]
+    for bad in (0, -3):
+        with pytest.raises(DomainError):
+            kronecker_symbol(3, bad)
 
 
 @given(st.integers(min_value=1, max_value=5000))

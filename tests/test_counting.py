@@ -122,9 +122,9 @@ def test_frobenius_table_lists_every_good_prime_once():
     table = frobenius_table(C, 300)
     assert list(table) == [p for p in primes_up_to(300) if p != 11]
     assert all(ap == trace_ap(C, p) for p, ap in table.items())
-    assert frobenius_table(C, 300) is table
-    with pytest.raises(TypeError):
-        table[2] = 0
+    assert frobenius_table(C, 300) == table
+    table[2] = 0  # a caller's copy: the sweep keeps its own
+    assert frobenius_table(C, 300)[2] == trace_ap(C, 2) != 0
 
 
 def test_frobenius_table_extends_one_sweep_per_curve(monkeypatch):
@@ -141,8 +141,24 @@ def test_frobenius_table_extends_one_sweep_per_curve(monkeypatch):
     assert calls == [p for p in primes_up_to(300) if p != 11]
     assert list(small.items()) == [(p, ap) for p, ap in large.items() if p <= 100]
     assert list(prefix.items()) == [(p, ap) for p, ap in large.items() if p <= 50]
-    assert frobenius_table(C, 100) is small and frobenius_table(C, 50) is prefix
+    assert frobenius_table(C, 100) == small and frobenius_table(C, 50) == prefix
     assert len(calls) == len(large)
+
+
+def test_frobenius_table_keeps_the_last_curve(monkeypatch):
+    import ecledger.counting as counting
+
+    C = WeierstrassCurve(0, -1, 1, -10, -20)  # 11a1
+    frobenius_table.cache_clear()
+    calls = []
+    real = counting.trace_ap
+    monkeypatch.setattr(counting, "trace_ap", lambda C, p: calls.append(p) or real(C, p))
+    for curve, bad in ((C, 11), (E1, 15), (C, 11)):
+        calls.clear()
+        table = frobenius_table(curve, 100)
+        good = [p for p in primes_up_to(100) if bad % p]
+        assert calls == good  # E1 took the one slot, so 11a1 is counted again
+        assert table == {p: real(curve, p) for p in good}
 
 
 def test_ledger_counts_each_prime_once_per_bound(monkeypatch):

@@ -174,5 +174,6 @@ def test_minimality():
 def test_curve_from_string():
     assert curve_from_string("1,1,1,-10,-10") == E1
     assert curve_from_string(" 1, 1 ,1, -5, 2 ") == E2
-    with pytest.raises(Exception):
-        curve_from_string("1,2,3")
+    for text in ("1,2,3", "a,b,c,d,e", "1,1,1,-10,"):
+        with pytest.raises(DomainError, match="expected five comma-separated integers"):
+            curve_from_string(text)

@@ -209,6 +209,27 @@ def test_cli_l_list_reads_the_certificate_cap(monkeypatch):
         parse(["ledger", "--l-list", "3,7"])
 
 
+@pytest.mark.parametrize("option", [["--format", "json"], ["--l-list", "3"], ["--terms", "500"],
+                                    ["--precision-bits", "96"], ["--padic-digits", "12"]])
+def test_cli_count_takes_only_its_own_options(option, capsys):
+    # the parent parser accepted these and printed the text table anyway
+    with pytest.raises(SystemExit) as exc:
+        main(["count", "--prime-bound", "10", *option])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["ledger", "count"])
+@pytest.mark.parametrize("curve", ["a,b,c,d,e", "1,2,3", "0,0,0,0,0"])
+def test_cli_rejects_malformed_curves(curve, command, capsys):
+    # each ended in a traceback and exit 1, the code for "not verified"
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--curve", curve])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage:") and "argument --curve" in err
+
+
 LARGE_L = "11,13,17,19,23,29,31,37,41,43,47"
 
 

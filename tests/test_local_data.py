@@ -101,25 +101,27 @@ def test_split_test_against_smooth_count_oracle():
 
 def test_split_test_at_two():
     # 15A1 pair has good reduction at 2; build multiplicative-at-2 fixtures
-    # 11a1-like twists: y^2 + xy = x^3 + ... with disc even
-    found = 0
-    for a2 in range(-4, 5):
-        for a4 in range(-4, 5):
-            for a6 in range(-4, 5):
-                try:
-                    C = WeierstrassCurve(1, a2, 0, a4, a6)
-                except SingularCurveError:
-                    continue
-                if C.discriminant() % 2:
-                    continue
-                try:
-                    kind = reduction_type(C, 2)
-                except UnsupportedReductionError:
-                    continue
-                expected = 1 if kind is ReductionKind.MULT_SPLIT else 3
-                assert smooth_point_count_oracle(C, 2) == expected
-                found += 1
-    assert found > 10
+    # y^2 + xy + a3 y = x^3 + ... with disc even.  Both values of a3 make the
+    # split test read a2 + a3, not a2 alone.
+    for a3 in (0, 1):
+        found = {ReductionKind.MULT_SPLIT: 0, ReductionKind.MULT_NONSPLIT: 0}
+        for a2 in range(-4, 5):
+            for a4 in range(-4, 5):
+                for a6 in range(-4, 5):
+                    try:
+                        C = WeierstrassCurve(1, a2, a3, a4, a6)
+                    except SingularCurveError:
+                        continue
+                    if C.discriminant() % 2:
+                        continue
+                    try:
+                        kind = reduction_type(C, 2)
+                    except UnsupportedReductionError:
+                        continue
+                    expected = 1 if kind is ReductionKind.MULT_SPLIT else 3
+                    assert smooth_point_count_oracle(C, 2) == expected
+                    found[kind] += 1
+        assert min(found.values()) > 10
 
 
 def test_local_data_all_ordering():
