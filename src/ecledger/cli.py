@@ -2,9 +2,10 @@
 
 `ledger` runs every check and emits the full report.  The single-check
 subcommands are fixed filters over the same check table: each runs only its
-own checks and emits their records in the same report format.  Every one of
-them exits 0 iff some selected computed record passed and none failed.
-`count` lists Frobenius data instead of running a check.
+own checks, takes only the options those checks read, and emits their records
+in the same report format.  Every one of them exits 0 iff some selected
+computed record passed and none failed.  `count` lists Frobenius data instead
+of running a check.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from . import __version__, galois_image
 from .arith import DomainError, is_prime
 from .counting import frobenius_table
 from .curve import E1, WeierstrassCurve, curve_from_string
-from .ledger import VERIFIED, LedgerOptions, emit_report, run_ledger
+from .ledger import CHECKS, VERIFIED, LedgerOptions, emit_report, run_ledger
 
 DEFAULT_CURVE = ",".join(str(a) for a in E1.coefficients())
 
@@ -62,41 +63,40 @@ def _prime_list(text: str) -> tuple[int, ...]:
     return tuple(sorted(primes))
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    defaults = LedgerOptions()
-    shared = argparse.ArgumentParser(add_help=False)  # the options `count` shares with the views
-    shared.add_argument("--curve", type=_curve, default=DEFAULT_CURVE, metavar="a1,a2,a3,a4,a6",
-                        help=f"Weierstrass coefficients (default {DEFAULT_CURVE})")
-    shared.add_argument("--prime-bound", type=_positive_int, default=defaults.prime_bound, metavar="N")
-    shared.add_argument("--out", metavar="PATH", help="write output to PATH instead of stdout")
-    common = argparse.ArgumentParser(add_help=False, parents=[shared])
-    common.add_argument("--l-list", type=_prime_list, default=",".join(map(str, defaults.l_list)),
-                        metavar="L1,L2,...")
-    common.add_argument("--terms", type=_positive_int, default=defaults.terms, metavar="M")
-    common.add_argument("--precision-bits", type=_positive_int, default=defaults.precision_bits,
-                        metavar="B")
-    common.add_argument("--padic-digits", type=_positive_int, default=defaults.padic_digits,
-                        metavar="D")
-    common.add_argument("--format", choices=("json", "text"), default="text")
+# LedgerOptions field -> (argument type, metavar), in field order
+_OPTION_ARGS = {"prime_bound": (_positive_int, "N"), "l_list": (_prime_list, "L1,L2,..."),
+                "terms": (_positive_int, "M"), "precision_bits": (_positive_int, "B"),
+                "padic_digits": (_positive_int, "D")}
 
+
+def _add_options(view: argparse.ArgumentParser, names) -> None:
+    defaults = LedgerOptions()
+    view.add_argument("--curve", type=_curve, default=DEFAULT_CURVE, metavar="a1,a2,a3,a4,a6",
+                      help=f"Weierstrass coefficients (default {DEFAULT_CURVE})")
+    view.add_argument("--out", metavar="PATH", help="write output to PATH instead of stdout")
+    for name in names:
+        kind, metavar = _OPTION_ARGS[name]
+        view.add_argument("--" + name.replace("_", "-"), type=kind, default=getattr(defaults, name),
+                          metavar=metavar)
+
+
+def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="ecledger", description=__doc__)
     parser.add_argument("--version", action="version", version=f"ecledger {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (help_text, _) in VIEWS.items():
-        sub.add_parser(name, parents=[common], help=help_text)
-    sub.add_parser("count", parents=[shared],
-                   help="point counts and Frobenius traces for good primes up to the bound")
+    for name, (help_text, checks) in VIEWS.items():
+        reads = {f for check, _, fields in CHECKS if checks is None or check in checks for f in fields}
+        view = sub.add_parser(name, help=help_text)
+        _add_options(view, [f for f in _OPTION_ARGS if f in reads])
+        view.add_argument("--format", choices=("json", "text"), default="text")
+    count = sub.add_parser("count", help="point counts and Frobenius traces for good primes up to the bound")
+    _add_options(count, ("prime_bound",))
     return parser
 
 
 def _options(args) -> LedgerOptions:
-    return LedgerOptions(
-        prime_bound=args.prime_bound,
-        l_list=args.l_list,
-        terms=args.terms,
-        precision_bits=args.precision_bits,
-        padic_digits=args.padic_digits,
-    )
+    """The fields the view parsed; the rest keep defaults that its checks never read."""
+    return LedgerOptions(**{k: v for k, v in vars(args).items() if k in _OPTION_ARGS})
 
 
 def _emit(args, text: str) -> None:

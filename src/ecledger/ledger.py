@@ -34,7 +34,6 @@ from .local_data import (
     ReductionKind,
     UnsupportedReductionError,
     bad_primes,
-    conductor_semistable,
     kodaira_and_tamagawa,
 )
 from .lvalue import DEFAULT_PRECISION_BITS, DEFAULT_TERMS, lvalue_ratio, root_number
@@ -196,10 +195,9 @@ def _reduction_records(run: _Run) -> list[CheckRecord]:
 
 def _conductor_records(run: _Run) -> list[CheckRecord]:
     claim = "semistable conductor = product of bad primes"
-    try:
-        N = conductor_semistable(run.C)
-    except UnsupportedReductionError as err:
-        return [_unsupported(run.C, "conductor", claim, "Tate (semistable)", str(err))]
+    if run.local_error:
+        return [_unsupported(run.C, "conductor", claim, "Tate (semistable)", run.local_error)]
+    N = math.prod(run.local)
     return [_computed(run.C, "conductor", claim, "Tate (semistable)", f"N={N}", True, N)]
 
 
@@ -346,23 +344,24 @@ def _cited_records(run: _Run) -> list[CheckRecord]:
             for rid, claim in CITED_DEPENDENCIES]
 
 
-# Every check, in the order the proof consumes them.  A name is the id of the
-# check's record, or the stem of its ids ("reduction" builds reduction-3, ...).
-# Builders reach the layers through this module's globals, never through
-# function objects captured here, so rebinding a layer function takes effect.
+# Every check, in the order the proof consumes them, with the LedgerOptions
+# fields its builder reads.  A name is the id of the check's record, or the
+# stem of its ids ("reduction" builds reduction-3, ...).  Builders reach the
+# layers through this module's globals, never through function objects
+# captured here, so rebinding a layer function takes effect.
 CHECKS = (
-    ("invariants", _invariants_records),
-    ("reduction", _reduction_records),
-    ("conductor", _conductor_records),
-    ("tamagawa-product", _tamagawa_records),
-    ("torsion", _torsion_records),
-    ("isogeny-degree-2", _isogeny_records),
-    ("mod8", _mod8_records),
-    ("surjectivity", _surjectivity_records),
-    ("ordinary-criterion", _ordinary_records),
-    ("lvalue-ratio", _lvalue_records),
-    ("linv", _linv_records),
-    ("cited", _cited_records),
+    ("invariants", _invariants_records, ()),
+    ("reduction", _reduction_records, ()),
+    ("conductor", _conductor_records, ()),
+    ("tamagawa-product", _tamagawa_records, ()),
+    ("torsion", _torsion_records, ()),
+    ("isogeny-degree-2", _isogeny_records, ()),
+    ("mod8", _mod8_records, ()),
+    ("surjectivity", _surjectivity_records, ("prime_bound", "l_list")),
+    ("ordinary-criterion", _ordinary_records, ("prime_bound",)),
+    ("lvalue-ratio", _lvalue_records, ("terms", "precision_bits")),
+    ("linv", _linv_records, ("padic_digits",)),
+    ("cited", _cited_records, ()),
 )
 
 
@@ -371,11 +370,11 @@ def run_ledger(
 ) -> VerificationReport:
     """The records of the named checks (default: all of CHECKS), in table order."""
     opts = opts or LedgerOptions()
-    unknown = set(checks or ()) - {name for name, _ in CHECKS}
+    unknown = set(checks or ()) - {name for name, *_ in CHECKS}
     if unknown:
         raise ValueError(f"unknown checks {sorted(unknown)}")
     run = _Run(C, opts)
-    records = [r for name, build in CHECKS if checks is None or name in checks for r in build(run)]
+    records = [r for name, build, _ in CHECKS if checks is None or name in checks for r in build(run)]
     descriptor = ",".join(str(a) for a in C.coefficients())
     return VerificationReport(descriptor, __version__, tuple(records))
 

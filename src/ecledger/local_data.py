@@ -1,9 +1,9 @@
 """Reduction types at bad primes, Kodaira types I_n, Tamagawa numbers.
 
-Only the good and multiplicative branches are implemented; additive
-reduction raises ``UnsupportedReductionError`` so the ledger can record it
-without aborting.  Semistable curves are all this toolkit needs.  The split
-test is one Kronecker symbol, (-c6 | p), at every prime, 2 included.
+Only the good and multiplicative reduction of a model minimal at p is
+implemented; anything else raises ``UnsupportedReductionError`` so the ledger
+can record it without aborting.  Semistable curves are all this toolkit
+needs.  The split test is (-c6 | p) = 1 at every prime, 2 included.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from .curve import WeierstrassCurve
 
 
 class UnsupportedReductionError(DomainError):
-    """Additive reduction: outside the supported (semistable) cases."""
+    """Additive reduction, or a model not certified minimal: outside the supported cases."""
 
 
 class ReductionKind(str, Enum):
@@ -52,7 +52,7 @@ def reduction_type(C: WeierstrassCurve, p: int) -> ReductionKind:
     a2 in {-1, 0, 1} and |a4|, |a6| <= 30.
     """
     if not C.is_minimal_at(p):
-        raise DomainError(f"minimality certificate fails at {p}; reduce the model first")
+        raise UnsupportedReductionError(f"minimality certificate fails at {p}; reduce the model first")
     if C.discriminant() % p:
         return ReductionKind.GOOD
     c4, c6 = C.c_invariants()

@@ -1,5 +1,6 @@
 import json
 import re
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -133,6 +134,16 @@ def test_e2_ledger_verifies():
     assert "skipped: external image data unavailable" in report.record("mod8-order").result
 
 
+def test_non_minimal_model_marked_unsupported():
+    # y^2 = x^3 - 16x is not minimal at 2; the ledger ended in a DomainError traceback
+    report = run_ledger(WeierstrassCurve(0, 0, 0, -16, 0), FAST)
+    for rid in ("reduction-2", "conductor", "tamagawa-product", "lvalue-ratio", "linv"):
+        assert report.record(rid).status == "unsupported"
+        assert "minimality certificate fails at 2" in report.record(rid).result
+    assert report.record("invariants").status == "fail"
+    assert "minimal=False" in report.record("invariants").result
+
+
 def test_additive_curve_marked_unsupported():
     report = run_ledger(WeierstrassCurve(0, 0, 0, 0, 1), FAST)
     unsupported = {r.id for r in report.records if r.status == "unsupported"}
@@ -246,8 +257,26 @@ def test_cli_defaults_are_the_ledger_defaults():
     assert cli._options(cli._build_parser().parse_args(["ledger"])) == LedgerOptions()
 
 
-FAST_ARGS = ["--prime-bound", "500", "--l-list", "3", "--terms", "500", "--precision-bits", "96",
-             "--padic-digits", "12"]
+# FAST as command-line flags, by LedgerOptions field.
+FAST_FLAGS = {"prime_bound": ["--prime-bound", "500"], "l_list": ["--l-list", "3"], "terms": ["--terms", "500"],
+              "precision_bits": ["--precision-bits", "96"], "padic_digits": ["--padic-digits", "12"]}
+# The LedgerOptions fields each subcommand takes: those its checks read.
+VIEW_OPTIONS = {
+    "ledger": tuple(FAST_FLAGS),
+    "invariants": (),
+    "local": (),
+    "torsion": (),
+    "image-mod8": (),
+    "image-modl": ("prime_bound", "l_list"),
+    "lvalue": ("terms", "precision_bits"),
+    "linv": ("padic_digits",),
+}
+
+
+def _view_flags(command: str) -> list[str]:
+    return [arg for field in VIEW_OPTIONS[command] for arg in FAST_FLAGS[field]]
+
+
 # The records each single-check subcommand prints for 15a1 and 15a3 at FAST.
 VIEW_IDS = {
     "invariants": {"invariants"},
@@ -270,7 +299,7 @@ def fast_ledgers():
 def test_view_prints_the_ledgers_records(command, curve, fast_ledgers, tmp_path):
     out = tmp_path / "view.json"
     coeffs = ",".join(map(str, curve.coefficients()))
-    code = main([command, "--curve", coeffs, *FAST_ARGS, "--format", "json", "--out", str(out)])
+    code = main([command, "--curve", coeffs, *_view_flags(command), "--format", "json", "--out", str(out)])
     text = out.read_text()
     assert emit_report(report_from_json(text), "json-text") == text
     full = fast_ledgers[curve]
@@ -279,6 +308,37 @@ def test_view_prints_the_ledgers_records(command, curve, fast_ledgers, tmp_path)
     statuses = {r.status for r in selected}
     assert code == (0 if "pass" in statuses and "fail" not in statuses else 1)
     assert code == (1 if (curve, command) == (E2, "image-mod8") else 0)
+
+
+def test_view_options_cover_every_view():
+    assert set(VIEW_OPTIONS) == set(cli.VIEWS)
+
+
+@pytest.mark.parametrize("command", sorted(VIEW_OPTIONS))
+def test_cli_view_takes_only_the_options_its_checks_read(command, capsys):
+    # every view took all five ledger options and dropped those its checks never read
+    parse = cli._build_parser().parse_args
+    for field, flag in FAST_FLAGS.items():
+        if field in VIEW_OPTIONS[command]:
+            assert getattr(parse([command, *flag]), field) == getattr(FAST, field)
+            continue
+        with pytest.raises(SystemExit) as exc:
+            parse([command, "--curve", "1,1,1,-5,2", "--format", "json", "--out", "x", *flag])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {flag[0]}" in capsys.readouterr().err
+
+
+UNREAD = LedgerOptions(prime_bound=200, l_list=(5,), terms=300, precision_bits=64, padic_digits=5)
+
+
+@pytest.mark.parametrize("command", sorted(set(VIEW_OPTIONS) - {"ledger"}))  # ledger takes every field
+@pytest.mark.parametrize("curve", [E1, E2], ids=["15a1", "15a3"])
+def test_view_records_ignore_the_options_it_does_not_take(command, curve):
+    # the oracle for the parser: changing every field a view does not take
+    # leaves its records as they are, so dropping those flags loses nothing
+    checks = cli.VIEWS[command][1]
+    unread = {f: getattr(UNREAD, f) for f in FAST_FLAGS if f not in VIEW_OPTIONS[command]}
+    assert run_ledger(curve, replace(FAST, **unread), checks) == run_ledger(curve, FAST, checks)
 
 
 @pytest.mark.parametrize("argv", [["torsion"], ["lvalue", "--terms", "500"], ["ledger"], ["image-modl"]])
