@@ -9,14 +9,17 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import cache
 
 
 class DomainError(ValueError):
     """An argument violates a mathematical precondition."""
 
 
+@cache
 def is_prime(n: int) -> bool:
-    """Deterministic primality by trial division (desk-scale inputs)."""
+    """Deterministic primality by trial division (desk-scale inputs), cached:
+    every valuation and p-adic operation checks its p, so each p is proved once."""
     if n < 2:
         return False
     if n < 4:

@@ -175,7 +175,7 @@ def _invariants_records(run: _Run) -> list[CheckRecord]:
     C = run.C
     inv = C.invariants()
     identity = 1728 * inv.disc == inv.c4**3 - inv.c6**2
-    minimal = all(C.is_minimal_at(p) for p in bad_primes(C))
+    minimal = all(C.is_minimal_at(p) for p in run.local)
     claim = "discriminant identity 1728*Delta = c4^3 - c6^2 and minimality"
     result = f"Delta={inv.disc} c4={inv.c4} c6={inv.c6} j={C.j_invariant()} minimal={minimal}"
     return [_computed(C, "invariants", claim, "exact integers", result, identity and minimal, inv.disc)]
@@ -308,12 +308,12 @@ def _ordinary_records(run: _Run) -> list[CheckRecord]:
 def _lvalue_records(run: _Run) -> list[CheckRecord]:
     opts, claim = run.opts, "L(E,1)/Omega_E rational reconstruction"
     inputs = f"terms={opts.terms} precision_bits={opts.precision_bits} convention=all-real-components"
-    try:
-        L, omega, ratio = lvalue_ratio(run.C, opts.terms, opts.precision_bits)
-    except UnsupportedReductionError as err:
-        return [_unsupported(run.C, "lvalue-ratio", claim, inputs, str(err))]
+    if run.local_error:
+        return [_unsupported(run.C, "lvalue-ratio", claim, inputs, run.local_error)]
+    bad = {p: 1 if ld.kind is ReductionKind.MULT_SPLIT else -1 for p, ld in run.local.items()}
+    L, omega, ratio = lvalue_ratio(run.C, bad, opts.terms, opts.precision_bits)
     result = f"L(E,1)={L.value} Omega={omega.value} ratio={ratio}"
-    if root_number(run.C) == -1:
+    if root_number(bad) == -1:
         result += " root_number=-1"
     return [_computed(run.C, "lvalue-ratio", claim, inputs, result, ratio is not None, ratio)]
 

@@ -1,6 +1,9 @@
 """L(E,1) by the exponential a_n series (zero from the root number when it is
 -1), the real period by AGM, and the rational reconstruction of their ratio.
 
+The caller's local data comes in as ``bad`` = {p: a_p} over the primes p | N
+of a semistable curve: a_p = +1 where the reduction is split, -1 where not.
+
 Reals are mpmath fixed-precision floats with an explicit interval-style
 error bound carried alongside; every reported digit survives doubling the
 working precision.
@@ -17,7 +20,6 @@ import mpmath as mp
 from .arith import DomainError
 from .counting import frobenius_table
 from .curve import WeierstrassCurve
-from .local_data import ReductionKind, bad_primes, conductor_semistable, reduction_type
 
 DEFAULT_TERMS = 2000
 DEFAULT_PRECISION_BITS = 128
@@ -51,11 +53,10 @@ class AnSeries:
         return self.coefficients[n]
 
 
-def an_coefficients(C: WeierstrassCurve, M: int) -> AnSeries:
+def an_coefficients(C: WeierstrassCurve, M: int, bad: dict[int, int]) -> AnSeries:
     """Hecke eigenvalue coefficients a_1..a_M of the curve's L-series."""
     if M < 1:
         raise DomainError(f"need at least one coefficient, got M = {M}")
-    N = conductor_semistable(C)
     traces = frobenius_table(C, M)
     # spf[n] = smallest prime factor of n
     spf = list(range(M + 1))
@@ -75,27 +76,19 @@ def an_coefficients(C: WeierstrassCurve, M: int) -> AnSeries:
         if m > 1:
             a[n] = a[pk] * a[m]
         elif pk == p:
-            if N % p:
-                a[p] = traces[p]
-            else:
-                a[p] = 1 if reduction_type(C, p) is ReductionKind.MULT_SPLIT else -1
+            a[p] = bad[p] if p in bad else traces[p]
         else:
             # a_{p^k} = a_p a_{p^(k-1)} - p a_{p^(k-2)} at good p; a_p^k at bad p
-            a[n] = a[p] * a[n // p] - (p * a[n // (p * p)] if N % p else 0)
-    return AnSeries(N, tuple(a))
+            a[n] = a[p] * a[n // p] - (0 if p in bad else p * a[n // (p * p)])
+    return AnSeries(math.prod(bad), tuple(a))
 
 
-def root_number(C: WeierstrassCurve) -> int:
+def root_number(bad: dict[int, int]) -> int:
     """Global root number of a semistable curve: w = -prod_{p | N} (-a_p).
 
-    At a multiplicative prime a_p is +1 (split) or -1 (non-split), so w is
-    -(-1)^(number of split primes).
+    With a_p = +1 (split) or -1 (non-split), w is -(-1)^(number of split primes).
     """
-    w = -1
-    for p in bad_primes(C):
-        if reduction_type(C, p) is ReductionKind.MULT_SPLIT:
-            w = -w
-    return w
+    return -math.prod(-ap for ap in bad.values())
 
 
 def _tail_bound(N: int, M: int) -> mp.mpf:
@@ -115,6 +108,7 @@ def _tail_bound(N: int, M: int) -> mp.mpf:
 
 def l_value_at_1(
     C: WeierstrassCurve,
+    bad: dict[int, int],
     terms: int = DEFAULT_TERMS,
     precision_bits: int = DEFAULT_PRECISION_BITS,
 ) -> RealApprox:
@@ -124,9 +118,9 @@ def l_value_at_1(
     functional equation forces L(E, 1) = 0 exactly, and no series is summed.
     """
     with mp.workprec(precision_bits):
-        if root_number(C) == -1:
+        if root_number(bad) == -1:
             return RealApprox(mp.mpf(0), mp.mpf(0), precision_bits)
-        series = an_coefficients(C, terms)
+        series = an_coefficients(C, terms, bad)
         tail = _tail_bound(series.conductor, terms)
         c = 2 * mp.pi / mp.sqrt(series.conductor)
         u = mp.e ** (-c)
@@ -191,12 +185,13 @@ def rational_reconstruct(x: RealApprox, max_den: int) -> Fraction | None:
 
 def lvalue_ratio(
     C: WeierstrassCurve,
+    bad: dict[int, int],
     terms: int = DEFAULT_TERMS,
     precision_bits: int = DEFAULT_PRECISION_BITS,
     max_den: int = 100,
 ) -> tuple[RealApprox, RealApprox, Fraction | None]:
     """(L(E,1), period, reconstructed rational ratio or None)."""
-    L = l_value_at_1(C, terms, precision_bits)
+    L = l_value_at_1(C, bad, terms, precision_bits)
     omega = real_period(C, precision_bits)
     with mp.workprec(precision_bits):
         ratio = L.value / omega.value

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from ecledger import cli, galois_image, ledger, local_data, torsion
+from ecledger import cli, galois_image, ledger, local_data, lvalue, padic, torsion
 from ecledger.cli import main
 from ecledger.curve import E1, E2, WeierstrassCurve, curve_from_string
 from ecledger.ledger import (
@@ -201,9 +201,10 @@ def test_cli_rejects_non_positive_numeric_options(flag, value, capsys):
     assert err.startswith("usage:") and "expected a positive integer" in err
 
 
-@pytest.mark.parametrize("value", ["0", "x", "4", "53"])
+@pytest.mark.parametrize("value", ["0", "x", "4", "53", "1000000000000000003"])
 def test_cli_rejects_l_lists_that_are_not_small_primes(value, capsys):
-    # 0, x and 4 each ended in a traceback from deep inside the ledger
+    # 0, x and 4 each ended in a traceback from deep inside the ledger; the
+    # 19-digit prime is over the cap, so it must exit before trial division
     with pytest.raises(SystemExit) as exc:
         main(["image-modl", "--prime-bound", "200", "--l-list", value])
     assert exc.value.code == 2
@@ -356,18 +357,27 @@ def test_views_skip_subgroup_enumeration(argv, monkeypatch, capsys):
 def test_shared_facts_computed_once_per_ledger(monkeypatch):
     calls = []
 
-    def counted(name, fn):
+    def count(fn):
         def wrapper(C, *args):
-            calls.append((name, *args))
+            calls.append((fn.__name__, *args))
             return fn(C, *args)
-        return wrapper
 
-    for module in (ledger, local_data):
-        monkeypatch.setattr(module, "kodaira_and_tamagawa", counted("local", local_data.kodaira_and_tamagawa))
-    for module in (ledger, torsion):
-        monkeypatch.setattr(module, "torsion_subgroup", counted("torsion", torsion.torsion_subgroup))
+        # every module binding, so a call through any import is seen
+        for module in (ledger, local_data, lvalue, padic, torsion):
+            if getattr(module, fn.__name__, None) is fn:
+                monkeypatch.setattr(module, fn.__name__, wrapper)
+
+    for fn in (local_data.bad_primes, local_data.reduction_type, local_data.kodaira_and_tamagawa,
+               torsion.torsion_subgroup):
+        count(fn)
     run_ledger(E1, FAST)
-    assert sorted(calls) == [("local", 3), ("local", 5), ("torsion",)]
+    # one factorisation of the discriminant; a reduction type per bad prime,
+    # plus the Tate parameter's own guard at the split prime 5; the L-value
+    # layer reads the ledger's local data and derives none of it
+    assert sorted(calls) == [
+        ("bad_primes",), ("kodaira_and_tamagawa", 3), ("kodaira_and_tamagawa", 5),
+        ("reduction_type", 3), ("reduction_type", 5), ("reduction_type", 5), ("torsion_subgroup",),
+    ]
 
 
 def test_linv_zero_to_working_precision_prints_a_bound():

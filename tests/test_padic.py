@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ecledger.arith import DomainError, rational_valuation
+from ecledger.arith import DomainError, is_prime, rational_valuation
 from ecledger.curve import E1, E2, WeierstrassCurve
 from ecledger.local_data import ReductionKind, bad_primes, reduction_type
 from ecledger.padic import (
@@ -247,6 +247,15 @@ def test_l_invariant_digits_agree_with_an_80_digit_run(coeffs, p, digits):
     assert ref.val + ref.prec >= n + 60
     diff = _exact(low) - _exact(ref)
     assert diff == 0 or rational_valuation(diff, p) >= n, (str(low), str(ref))
+
+
+def test_a_padic_computation_proves_its_prime_once():
+    # each valuation and each PadicNumber checks that its p is prime, and
+    # trial division of a 15-digit p takes about a second
+    is_prime.cache_clear()
+    l_invariant(E1, 5, prec=20)
+    info = is_prime.cache_info()
+    assert info.misses == 1 and info.hits > 100
 
 
 def test_l_invariant_is_isogeny_invariant():
