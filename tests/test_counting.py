@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 
@@ -39,6 +40,23 @@ def test_count_matches_naive_oracle():
         if C.discriminant() % p == 0:
             continue
         assert count_points(C, p) == count_points_naive(C, p)
+
+
+# sha256 of "p a_p\n" over frobenius_table(C, 10_000): the whole default range,
+# pinned before the counting kernel was rewritten.  E1 and E2 are isogenous,
+# so their traces agree.
+SWEEP_SHA256 = {
+    "1,1,1,-10,-10": "309d9595d3c50845b2da83a249807ea40df1e9efa4df060e735c7074129fd918",
+    "1,1,1,-5,2": "309d9595d3c50845b2da83a249807ea40df1e9efa4df060e735c7074129fd918",
+    "0,-1,1,-10,-20": "b5688b60e4b05053ab71c44028765346f6da6818a3948a923601a60589498127",
+}
+
+
+@pytest.mark.parametrize("coeffs", sorted(SWEEP_SHA256))
+def test_default_sweep_matches_pinned_digest(coeffs):
+    C = WeierstrassCurve(*map(int, coeffs.split(",")))
+    listing = "".join(f"{p} {ap}\n" for p, ap in frobenius_table(C, 10_000).items())
+    assert hashlib.sha256(listing.encode()).hexdigest() == SWEEP_SHA256[coeffs]
 
 
 def test_traces_of_E1():
