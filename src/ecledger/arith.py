@@ -127,9 +127,8 @@ def divisors_from_factorization(fac: dict[int, int]) -> list[int]:
     return sorted(out)
 
 
-def square_divisors(n: int) -> list[int]:
-    """All d >= 1 with d*d dividing |n|, via the factorization of n."""
-    fac = factorize(n)
+def square_divisors(fac: dict[int, int]) -> list[int]:
+    """All d >= 1 with d*d dividing the number whose factorization is fac."""
     return divisors_from_factorization({p: e // 2 for p, e in fac.items() if e >= 2})
 
 

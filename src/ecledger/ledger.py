@@ -20,6 +20,7 @@ from fractions import Fraction
 from functools import cached_property
 
 from . import __version__
+from .arith import factorize
 from .counting import verify_ordinary_criterion
 from .curve import E1, E2, WeierstrassCurve, two_isogeny_onto
 from .galois_image import (
@@ -33,7 +34,6 @@ from .galois_image import (
 from .local_data import (
     ReductionKind,
     UnsupportedReductionError,
-    bad_primes,
     kodaira_and_tamagawa,
 )
 from .lvalue import DEFAULT_PRECISION_BITS, DEFAULT_TERMS, lvalue_ratio, root_number
@@ -152,10 +152,15 @@ class _Run:
         self.C, self.opts = C, opts
 
     @cached_property
+    def disc_factors(self) -> dict[int, int]:
+        """The factorisation of the discriminant: the bad primes, for every check."""
+        return factorize(self.C.discriminant())
+
+    @cached_property
     def local(self) -> dict:
         """{bad prime p: LocalData, or why local data at p is unsupported}."""
         out = {}
-        for p in bad_primes(self.C):
+        for p in sorted(self.disc_factors):
             try:
                 out[p] = kodaira_and_tamagawa(self.C, p)
             except UnsupportedReductionError as err:
@@ -168,7 +173,7 @@ class _Run:
 
     @cached_property
     def torsion(self):
-        return torsion_subgroup(self.C)
+        return torsion_subgroup(self.C, self.disc_factors)
 
 
 def _invariants_records(run: _Run) -> list[CheckRecord]:
@@ -270,7 +275,7 @@ def _surjectivity_records(run: _Run) -> list[CheckRecord]:
     out, bound = [], run.opts.prime_bound
     for l in sorted(run.opts.l_list):
         claim = f"surjective for all primes l >= 3 (certified at l = {l})"
-        cert = surjectivity_certificate(run.C, l, bound)
+        cert = surjectivity_certificate(run.C, l, bound, run.disc_factors)
         n = len(cert.maximal_subgroups)
         result = (
             f"verdict={cert.verdict} eliminated {n - len(cert.surviving)}/{n} "
@@ -312,6 +317,10 @@ def _lvalue_records(run: _Run) -> list[CheckRecord]:
         return [_unsupported(run.C, "lvalue-ratio", claim, inputs, run.local_error)]
     bad = {p: 1 if ld.kind is ReductionKind.MULT_SPLIT else -1 for p, ld in run.local.items()}
     L, omega, ratio = lvalue_ratio(run.C, bad, opts.terms, opts.precision_bits)
+    if not math.isfinite(L.error_bound):  # the partial sum bounds nothing
+        return [_unsupported(run.C, "lvalue-ratio", claim, inputs,
+                             f"terms too few for N={math.prod(bad)}: at {opts.terms} terms the tail "
+                             "of the series has no finite bound, so no L(E,1) is reported")]
     result = f"L(E,1)={L.value} Omega={omega.value} ratio={ratio}"
     if root_number(bad) == -1:
         result += " root_number=-1"

@@ -4,12 +4,14 @@ The substitution X = 36x + 3b2, Y = 108(2y + a1x + a3) maps an integral model
 isomorphically over Q onto the integral short model Y^2 = X^3 + AX + B with
 A = -27c4 and B = -54c6.  By Nagell-Lutz (Silverman, AEC VIII.7.2) every
 torsion point of the short model has integer X and Y, with Y = 0 or
-Y^2 | disc.  For each such Y the X are the integer roots of
-X^3 + AX + (B - Y^2), which ``arith.integer_cubic_roots`` finds exactly, so
-the candidates contain the whole torsion subgroup.  A candidate is torsion
-iff its order is finite, and by Mazur it is then at most 12.  A finite
-subgroup of E(Q) lies in some E[n] = (Z/n)^2, so it is Z/d1 x Z/d2 with
-d1 | d2: d2 is its exponent, the largest order, and d1 = order / d2.
+Y^2 | disc.  That discriminant -16(4A^3 + 27B^2) is 2^12 3^12 Delta, so its
+square divisors come from the factorisation of Delta.  For each such Y the X
+are the integer roots of X^3 + AX + (B - Y^2), which
+``arith.integer_cubic_roots`` finds exactly, so the candidates contain the
+whole torsion subgroup.  A candidate is torsion iff its order is finite, and
+by Mazur it is then at most 12.  A finite subgroup of E(Q) lies in some
+E[n] = (Z/n)^2, so it is Z/d1 x Z/d2 with d1 | d2: d2 is its exponent, the
+largest order, and d1 = order / d2.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .arith import DomainError, integer_cubic_roots, square_divisors
+from .arith import DomainError, factorize, integer_cubic_roots, square_divisors
 from .counting import count_points  # noqa: F401  (count_points stays importable here)
 from .curve import WeierstrassCurve, rational
 
@@ -47,15 +49,21 @@ def point_order(C: WeierstrassCurve, P) -> int | None:
     return None
 
 
-def torsion_subgroup(C: WeierstrassCurve) -> TorsionGroup:
-    """The full rational torsion subgroup: its points, order and structure."""
+def torsion_subgroup(C: WeierstrassCurve, disc_factors: dict[int, int] | None = None) -> TorsionGroup:
+    """The full rational torsion subgroup: its points, order and structure.
+
+    ``disc_factors`` is the factorisation of C's discriminant, if the caller
+    holds it; otherwise it is computed here.
+    """
     if not C.is_integral():
         raise DomainError("torsion search requires an integral model")
     c4, c6 = C.c_invariants()
     A, B = -27 * c4, -54 * c6
     b2 = C.b_invariants()[0]
+    fac = dict(factorize(C.discriminant()) if disc_factors is None else disc_factors)
+    fac[2], fac[3] = fac.get(2, 0) + 12, fac.get(3, 0) + 12  # disc = 2^12 3^12 Delta
     orders = {None: 1}
-    for Y in [0] + square_divisors(-16 * (4 * A**3 + 27 * B**2)):
+    for Y in [0] + square_divisors(fac):
         for X in integer_cubic_roots(A, B - Y * Y):
             x = Fraction(X - 3 * b2, 36)
             for sY in {Y, -Y}:

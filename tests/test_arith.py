@@ -140,7 +140,7 @@ def test_integer_cubic_roots_with_one_integer_root(r, s):
 
 def test_square_divisors():
     # divisors d with d^2 | n, for n = 720 = 2^4 3^2 5
-    assert sorted(square_divisors(720)) == [1, 2, 3, 4, 6, 12]
+    assert sorted(square_divisors(factorize(720))) == [1, 2, 3, 4, 6, 12]
 
 
 def test_iroot_exact_beyond_float_range():

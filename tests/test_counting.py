@@ -17,8 +17,6 @@ from ecledger.counting import (
 )
 from ecledger.curve import E1, E2, SingularCurveError, WeierstrassCurve
 
-rng = random.Random(2718)
-
 
 def hasse_interval(p: int) -> tuple[int, int]:
     """Closed integer interval containing #E(F_p): |a_p| <= floor(2 sqrt p)."""
@@ -26,20 +24,44 @@ def hasse_interval(p: int) -> tuple[int, int]:
     return (p + 1 - m, p + 1 + m)
 
 
+ORACLE_PRIMES = primes_up_to(200)[1:]  # every odd p < 200; 3, 5 and 7 mirror the shortest tables
+NAMED_CURVES = {
+    "15a1": E1.coefficients(),
+    "15a3": E2.coefficients(),
+    "11a1": (0, -1, 1, -10, -20),
+    "14a1": (1, 0, 1, 4, -6),
+    "37a1": (0, 0, 1, -1, 0),
+}
+
+
+def assert_counts_match_oracle(C):
+    good = [p for p in ORACLE_PRIMES if C.discriminant() % p]
+    assert [count_points(C, p) for p in good] == [count_points_naive(C, p) for p in good]
+
+
+@pytest.mark.parametrize("name", sorted(NAMED_CURVES))
+def test_count_matches_oracle_at_every_small_prime(name):
+    assert_counts_match_oracle(WeierstrassCurve(*NAMED_CURVES[name]))
+
+
 def test_count_matches_naive_oracle():
-    for p in primes_up_to(50):
-        if E1.discriminant() % p == 0:
-            continue
-        assert count_points(E1, p) == count_points_naive(E1, p)
-    for _ in range(20):
-        p = rng.choice([q for q in primes_up_to(50) if q > 2])
+    box = random.Random(2718)
+    models = []
+    while len(models) < 20:
         try:
-            C = WeierstrassCurve(*(rng.randrange(-9, 10) for _ in range(5)))
+            models.append(WeierstrassCurve(box.randint(0, 1), box.randint(-1, 1), box.randint(0, 1),
+                                           box.randint(-50, 50), box.randint(-50, 50)))
         except SingularCurveError:
             continue
-        if C.discriminant() % p == 0:
-            continue
-        assert count_points(C, p) == count_points_naive(C, p)
+    for C in models:
+        assert_counts_match_oracle(C)
+
+
+def test_count_matches_oracle_with_coefficients_beyond_int64():
+    # b2, b4 and b6 are far above p^2 and 2^63, so the kernel must reduce them first
+    C = WeierstrassCurve(1, 3 * 10**18 + 1, 1, -5 * 10**18 - 7, 4 * 10**18 + 3)
+    assert min(abs(b) for b in C.b_invariants()[:3]) > 2**63
+    assert_counts_match_oracle(C)
 
 
 # sha256 of "p a_p\n" over frobenius_table(C, 10_000): the whole default range,

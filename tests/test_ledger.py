@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from ecledger import cli, galois_image, ledger, local_data, lvalue, padic, torsion
+from ecledger import arith, cli, galois_image, ledger, local_data, lvalue, padic, torsion
 from ecledger.cli import main
 from ecledger.curve import E1, E2, WeierstrassCurve, curve_from_string
 from ecledger.ledger import (
@@ -363,20 +363,22 @@ def test_shared_facts_computed_once_per_ledger(monkeypatch):
             return fn(C, *args)
 
         # every module binding, so a call through any import is seen
-        for module in (ledger, local_data, lvalue, padic, torsion):
+        for module in (arith, ledger, local_data, lvalue, padic, torsion):
             if getattr(module, fn.__name__, None) is fn:
                 monkeypatch.setattr(module, fn.__name__, wrapper)
 
-    for fn in (local_data.bad_primes, local_data.reduction_type, local_data.kodaira_and_tamagawa,
-               torsion.torsion_subgroup):
+    for fn in (arith.factorize, local_data.bad_primes, local_data.reduction_type,
+               local_data.kodaira_and_tamagawa, torsion.torsion_subgroup):
         count(fn)
     run_ledger(E1, FAST)
-    # one factorisation of the discriminant; a reduction type per bad prime,
-    # plus the Tate parameter's own guard at the split prime 5; the L-value
-    # layer reads the ledger's local data and derives none of it
+    # one factorisation of the discriminant, which the local data, torsion and
+    # the certificates share; a reduction type per bad prime, plus the Tate
+    # parameter's own guard at the split prime 5; the L-value layer reads the
+    # ledger's local data and derives none of it
     assert sorted(calls) == [
-        ("bad_primes",), ("kodaira_and_tamagawa", 3), ("kodaira_and_tamagawa", 5),
-        ("reduction_type", 3), ("reduction_type", 5), ("reduction_type", 5), ("torsion_subgroup",),
+        ("factorize",), ("kodaira_and_tamagawa", 3), ("kodaira_and_tamagawa", 5),
+        ("reduction_type", 3), ("reduction_type", 5), ("reduction_type", 5),
+        ("torsion_subgroup", {3: 4, 5: 4}),
     ]
 
 
@@ -385,6 +387,18 @@ def test_linv_zero_to_working_precision_prints_a_bound():
     records = run_ledger(WeierstrassCurve(1, 1, 1, 4, 7), LedgerOptions(padic_digits=2), ("linv",)).records
     linv2 = next(r for r in records if r.id == "linv-2")
     assert "L-invariant=O(2^2) valuation>=2 " in linv2.result
+
+
+def test_lvalue_ratio_without_a_tail_bound_is_unsupported():
+    # N = 2 * 1523: two terms of the series bound nothing, so no partial sum
+    # may be printed as L(E,1); two hundred terms do
+    C = WeierstrassCurve(1, 0, 1, -6, -4)
+    short = run_ledger(C, LedgerOptions(terms=2), ("lvalue-ratio",)).record("lvalue-ratio")
+    assert short.status == "unsupported"
+    assert short.result.startswith("terms too few for N=3046: at 2 terms ")
+    assert "L(E,1)=" not in short.result
+    enough = run_ledger(C, LedgerOptions(terms=200), ("lvalue-ratio",)).record("lvalue-ratio")
+    assert enough.status == "pass" and enough.result.startswith("L(E,1)=")
 
 
 def test_no_curve_equality_branches():

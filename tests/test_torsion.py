@@ -96,6 +96,11 @@ def test_mazur_groups(coeffs, structure):
     T = torsion_subgroup(C)
     assert T.structure == structure and T.order == structure[0] * structure[1]
     assert group_closure_oracle(C, T.points[1:]) == set(T.points)
+    # the short model's discriminant, whose square divisors the search reads
+    # from the factorisation of Delta
+    c4, c6 = C.c_invariants()
+    A, B = -27 * c4, -54 * c6
+    assert -16 * (4 * A**3 + 27 * B**2) == 2**12 * 3**12 * C.discriminant()
     # torsion injects into E(F_p) at good odd primes, so the order divides each count
     disc = C.discriminant()
     good = [p for p in primes_up_to(200) if p > 2 and disc % p][:6]
