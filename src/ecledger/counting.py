@@ -4,8 +4,8 @@ Counting is O(p) per prime: for odd p the affine count is
 p + sum_x chi(f(x)) where f is the completed square
 f(x) = 4x^3 + b2 x^2 + 2 b4 x + b6 and chi the quadratic character.  The
 numpy kernel squares only x <= (p-1)/2, mirrors the rest by (p-x)^2 = x^2,
-reduces f once and reads chi from one int8 table of the squares.  p = 2 is
-brute force.  Every trace
+reduces f once and reads chi from one int8 table of the squares; it computes
+in int32 while that is exact and in int64 above.  p = 2 is brute force.  Every trace
 the ledger reads comes from one sweep, ``frobenius_table``, which keeps the
 last curve's traces, extends them to a larger bound and asserts the Hasse
 bound on each.
@@ -46,26 +46,28 @@ def count_points(C: WeierstrassCurve, p: int) -> int:
     if p > COUNT_POINTS_MAX_P:
         raise DomainError(f"p = {p} exceeds the exact int64 range of the point count")
     b2, b4, b6, _ = (v % p for v in C.b_invariants())
-    # a - a // p * p is a % p on a >= 0, and numpy's scalar-divisor floor
-    # division is much faster than its remainder.
+    # Every intermediate stays below 7p^2, so int32 is exact while
+    # 7p^2 < 2^31 and int64 up to COUNT_POINTS_MAX_P; numpy's int32 passes are
+    # about twice as fast.  a - a // p * p is a % p on a >= 0, and numpy's
+    # floor division by a scalar is much faster than its remainder.
+    dtype = np.int32 if 7 * p * p < 2**31 else np.int64
     h = (p - 1) // 2
-    half = np.arange(h + 1, dtype=np.int64)
+    half = np.arange(h + 1, dtype=dtype)
     half *= half
     half -= half // p * p  # x^2 mod p for 0 <= x <= h: every square once
     sq = np.concatenate((half, half[h:0:-1]))  # (p - x)^2 = x^2
-    # f = (4x + b2) x^2 + (2 b4 x + b6) stays below 7p^2 < 2^63 before its
-    # one reduction; Horner's x^3 would not.
-    f = np.arange(b2, b2 + 4 * p, 4, dtype=np.int64)
+    # f = (4x + b2) x^2 + (2 b4 x + b6), reduced once; Horner's x^3 would
+    # pass 7p^2.  The linear part steps by 2 b4 mod p, or by p where that is
+    # 0, since np.arange needs a non-zero step.
+    f = np.arange(b2, b2 + 4 * p, 4, dtype=dtype)
     f *= sq
-    lin = np.arange(p, dtype=np.int64)
-    lin *= 2 * b4
-    lin += b6
-    f += lin
+    step = 2 * b4 % p or p
+    f += np.arange(b6, b6 + step * p, step, dtype=dtype)
     f -= f // p * p
-    chi = np.full(p, -1, dtype=np.int8)
-    chi[half] = 1
+    chi = np.full(p, -1, dtype=np.int8)  # numpy gathers by intp indices fastest
+    chi[half.astype(np.intp, copy=False)] = 1
     chi[0] = 0
-    return int(p + 1 + chi[f].sum(dtype=np.int64))
+    return int(p + 1 + chi[f.astype(np.intp, copy=False)].sum(dtype=np.int64))
 
 
 def trace_ap(C: WeierstrassCurve, p: int) -> int:

@@ -5,7 +5,7 @@ import random
 import pytest
 
 from ecledger import counting
-from ecledger.arith import primes_up_to
+from ecledger.arith import legendre_symbol, primes_up_to
 from ecledger.cli import main
 from ecledger.counting import (
     count_points,
@@ -79,6 +79,20 @@ def test_default_sweep_matches_pinned_digest(coeffs):
     C = WeierstrassCurve(*map(int, coeffs.split(",")))
     listing = "".join(f"{p} {ap}\n" for p, ap in frobenius_table(C, 10_000).items())
     assert hashlib.sha256(listing.encode()).hexdigest() == SWEEP_SHA256[coeffs]
+
+
+def test_count_points_exact_across_the_int32_range():
+    # the kernel computes in int32 while 7p^2 < 2^31 and in int64 above; at
+    # the primes on either side, and at 65537 where int32 would overflow,
+    # count by Euler's criterion in Python integers
+    last32 = max(p for p in primes_up_to(20_000) if 7 * p * p < 2**31)
+    first64 = min(p for p in primes_up_to(20_000) if p > last32)
+    for C in (E1, WeierstrassCurve(1, 3 * 10**18 + 1, 1, -5 * 10**18 - 7, 4 * 10**18 + 3)):
+        b2, b4, b6, _ = C.b_invariants()
+        for p in (last32, first64, 65_537):
+            assert C.discriminant() % p
+            euler = sum(legendre_symbol(((4 * x + b2) * x + 2 * b4) * x + b6, p) for x in range(p))
+            assert count_points(C, p) == p + 1 + euler
 
 
 def test_traces_of_E1():
