@@ -5,10 +5,10 @@ p + sum_x chi(f(x)) where f is the completed square
 f(x) = 4x^3 + b2 x^2 + 2 b4 x + b6 and chi the quadratic character.  The
 numpy kernel squares only x <= (p-1)/2, mirrors the rest by (p-x)^2 = x^2,
 reduces f once and reads chi from one int8 table of the squares; it computes
-in int32 while that is exact and in int64 above.  p = 2 is brute force.  Every trace
-the ledger reads comes from one sweep, ``frobenius_table``, which keeps the
-last curve's traces, extends them to a larger bound and asserts the Hasse
-bound on each.
+in int32 while that is exact and in int64 above.  p = 2 is brute force.
+Every trace the ledger reads comes from one sweep, ``frobenius_table``, which
+keeps the last curve's traces, extends them to a larger bound and asserts the
+Hasse bound on each.
 """
 
 from __future__ import annotations

@@ -32,6 +32,8 @@ NAMED_CURVES = {
     "14a1": (1, 0, 1, 4, -6),
     "37a1": (0, 0, 1, -1, 0),
 }
+# b2, b4 and b6 far above p^2 and 2^63, so the kernel must reduce them first
+BIG_MODEL = WeierstrassCurve(1, 3 * 10**18 + 1, 1, -5 * 10**18 - 7, 4 * 10**18 + 3)
 
 
 def assert_counts_match_oracle(C):
@@ -58,10 +60,8 @@ def test_count_matches_naive_oracle():
 
 
 def test_count_matches_oracle_with_coefficients_beyond_int64():
-    # b2, b4 and b6 are far above p^2 and 2^63, so the kernel must reduce them first
-    C = WeierstrassCurve(1, 3 * 10**18 + 1, 1, -5 * 10**18 - 7, 4 * 10**18 + 3)
-    assert min(abs(b) for b in C.b_invariants()[:3]) > 2**63
-    assert_counts_match_oracle(C)
+    assert min(abs(b) for b in BIG_MODEL.b_invariants()[:3]) > 2**63
+    assert_counts_match_oracle(BIG_MODEL)
 
 
 # sha256 of "p a_p\n" over frobenius_table(C, 10_000): the whole default range,
@@ -87,7 +87,7 @@ def test_count_points_exact_across_the_int32_range():
     # count by Euler's criterion in Python integers
     last32 = max(p for p in primes_up_to(20_000) if 7 * p * p < 2**31)
     first64 = min(p for p in primes_up_to(20_000) if p > last32)
-    for C in (E1, WeierstrassCurve(1, 3 * 10**18 + 1, 1, -5 * 10**18 - 7, 4 * 10**18 + 3)):
+    for C in (E1, BIG_MODEL):
         b2, b4, b6, _ = C.b_invariants()
         for p in (last32, first64, 65_537):
             assert C.discriminant() % p
