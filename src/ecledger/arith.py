@@ -132,8 +132,11 @@ def square_divisors(fac: dict[int, int]) -> list[int]:
     return divisors_from_factorization({p: e // 2 for p, e in fac.items() if e >= 2})
 
 
+@cache
 def factorize(n: int) -> dict[int, int]:
-    """Prime factorization of |n| by trial division."""
+    """Prime factorization of |n| by trial division, cached: the local data,
+    torsion and the certificates each read the discriminant's, so it is
+    trial-divided once.  Callers share the dict and must not mutate it."""
     n = abs(n)
     if n == 0:
         raise DomainError("factorization of 0")

@@ -18,7 +18,6 @@ Matrices are 4-tuples (a, b, c, d) read row-wise.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -404,23 +403,18 @@ def _fundamental_discriminants(support: frozenset) -> list[int]:
     return sorted(out)
 
 
-def _quadratic_character_refuted(
-    C: WeierstrassCurve, l: int, bound: int, bad_primes: Iterable[int] | None = None
-) -> bool:
+def _quadratic_character_refuted(C: WeierstrassCurve, l: int, bound: int) -> bool:
     """Refute every quadratic character compatible with a trace-zero coset.
 
     If the image lay in a subgroup whose non-zero-trace elements all sit in
     an index-2 subgroup, the quotient would define a quadratic character e
     unramified outside l and the bad primes with a_p = 0 mod l whenever
     e(p) = -1.  Exhibiting, for every such character, a good prime with
-    e(p) = -1 and a_p != 0 mod l rules this out unconditionally.  The bad
-    primes are factorised from the discriminant unless the caller gives them.
+    e(p) = -1 and a_p != 0 mod l rules this out unconditionally.
     """
     from .arith import factorize, kronecker_symbol
 
-    if bad_primes is None:
-        bad_primes = factorize(C.discriminant())
-    support = frozenset({l, *bad_primes})
+    support = frozenset({l} | set(factorize(C.discriminant())))
     witnesses_needed = _fundamental_discriminants(support)
     table = frobenius_table(C, bound)
     for d in witnesses_needed:
@@ -438,9 +432,7 @@ def frobenius_constraints(C: WeierstrassCurve, l: int, bound: int) -> tuple[froz
     return frozenset((table[p] % l, p % l) for p in primes), primes
 
 
-def surjectivity_certificate(
-    C: WeierstrassCurve, l: int, bound: int, bad_primes: Iterable[int] | None = None
-) -> SurjectivityCertificate:
+def surjectivity_certificate(C: WeierstrassCurve, l: int, bound: int) -> SurjectivityCertificate:
     """Sound certificate that the mod-l Galois image is all of GL2(F_l).
 
     The image G has surjective determinant (the cyclotomic character) and
@@ -464,8 +456,7 @@ def surjectivity_certificate(
       "inconclusive".
 
     A verdict of "surjective" is unconditional; "inconclusive" only means
-    the prime bound was too small or the image really is proper.  The
-    caller may pass the primes dividing the discriminant as ``bad_primes``.
+    the prime bound was too small or the image really is proper.
     """
     if not is_prime(l):
         raise DomainError(f"{l} is not prime")
@@ -476,13 +467,11 @@ def surjectivity_certificate(
         prime_bound=bound,
         witness_primes=primes,
         maximal_subgroups=maximal,
-        surviving=tuple(M for M in maximal if not _eliminated(M, C, l, bound, pairs, bad_primes)),
+        surviving=tuple(M for M in maximal if not _eliminated(M, C, l, bound, pairs)),
     )
 
 
-def _eliminated(
-    M: str, C: WeierstrassCurve, l: int, bound: int, pairs: frozenset, bad_primes: Iterable[int] | None
-) -> bool:
+def _eliminated(M: str, C: WeierstrassCurve, l: int, bound: int, pairs: frozenset) -> bool:
     """Do the Frobenius pairs (t, d) rule out an image inside M?"""
     if M == NONSPLIT_CARTAN:
         return False
@@ -496,4 +485,4 @@ def _eliminated(
     missing = [t for t, d in pairs if legendre_symbol(t * t - 4 * d, l) == kind]
     if M == BOREL:
         return bool(missing)
-    return any(missing) or bool(missing) and _quadratic_character_refuted(C, l, bound, bad_primes)
+    return any(missing) or bool(missing) and _quadratic_character_refuted(C, l, bound)

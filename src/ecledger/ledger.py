@@ -20,7 +20,6 @@ from fractions import Fraction
 from functools import cached_property
 
 from . import __version__
-from .arith import factorize
 from .counting import verify_ordinary_criterion
 from .curve import E1, E2, WeierstrassCurve, two_isogeny_onto
 from .galois_image import (
@@ -34,6 +33,7 @@ from .galois_image import (
 from .local_data import (
     ReductionKind,
     UnsupportedReductionError,
+    bad_primes,
     kodaira_and_tamagawa,
 )
 from .lvalue import DEFAULT_PRECISION_BITS, DEFAULT_TERMS, lvalue_ratio, root_number
@@ -152,15 +152,10 @@ class _Run:
         self.C, self.opts = C, opts
 
     @cached_property
-    def disc_factors(self) -> dict[int, int]:
-        """The factorisation of the discriminant: the bad primes, for every check."""
-        return factorize(self.C.discriminant())
-
-    @cached_property
     def local(self) -> dict:
         """{bad prime p: LocalData, or why local data at p is unsupported}."""
         out = {}
-        for p in sorted(self.disc_factors):
+        for p in bad_primes(self.C):
             try:
                 out[p] = kodaira_and_tamagawa(self.C, p)
             except UnsupportedReductionError as err:
@@ -173,7 +168,7 @@ class _Run:
 
     @cached_property
     def torsion(self):
-        return torsion_subgroup(self.C, self.disc_factors)
+        return torsion_subgroup(self.C)
 
 
 def _invariants_records(run: _Run) -> list[CheckRecord]:
@@ -275,7 +270,7 @@ def _surjectivity_records(run: _Run) -> list[CheckRecord]:
     out, bound = [], run.opts.prime_bound
     for l in sorted(run.opts.l_list):
         claim = f"surjective for all primes l >= 3 (certified at l = {l})"
-        cert = surjectivity_certificate(run.C, l, bound, run.disc_factors)
+        cert = surjectivity_certificate(run.C, l, bound)
         n = len(cert.maximal_subgroups)
         result = (
             f"verdict={cert.verdict} eliminated {n - len(cert.surviving)}/{n} "

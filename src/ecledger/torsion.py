@@ -49,18 +49,14 @@ def point_order(C: WeierstrassCurve, P) -> int | None:
     return None
 
 
-def torsion_subgroup(C: WeierstrassCurve, disc_factors: dict[int, int] | None = None) -> TorsionGroup:
-    """The full rational torsion subgroup: its points, order and structure.
-
-    ``disc_factors`` is the factorisation of C's discriminant, if the caller
-    holds it; otherwise it is computed here.
-    """
+def torsion_subgroup(C: WeierstrassCurve) -> TorsionGroup:
+    """The full rational torsion subgroup: its points, order and structure."""
     if not C.is_integral():
         raise DomainError("torsion search requires an integral model")
     c4, c6 = C.c_invariants()
     A, B = -27 * c4, -54 * c6
     b2 = C.b_invariants()[0]
-    fac = dict(factorize(C.discriminant()) if disc_factors is None else disc_factors)
+    fac = dict(factorize(C.discriminant()))  # a copy: factorize's dict is shared
     fac[2], fac[3] = fac.get(2, 0) + 12, fac.get(3, 0) + 12  # disc = 2^12 3^12 Delta
     orders = {None: 1}
     for Y in [0] + square_divisors(fac):

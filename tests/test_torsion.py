@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from ecledger.arith import primes_up_to
+from ecledger.arith import factorize, primes_up_to
 from ecledger.counting import count_points
 from ecledger.curve import E1, E2, SingularCurveError, WeierstrassCurve
 from ecledger.torsion import point_order, torsion_subgroup
@@ -93,7 +93,10 @@ MAZUR_CURVES = [
 @pytest.mark.parametrize("coeffs, structure", MAZUR_CURVES)
 def test_mazur_groups(coeffs, structure):
     C = WeierstrassCurve(*coeffs)
+    delta_factors = dict(factorize(C.discriminant()))
     T = torsion_subgroup(C)
+    # the search reads Delta's cached factorisation and leaves it as it was
+    assert factorize(C.discriminant()) == delta_factors
     assert T.structure == structure and T.order == structure[0] * structure[1]
     assert group_closure_oracle(C, T.points[1:]) == set(T.points)
     # the short model's discriminant, whose square divisors the search reads
