@@ -16,21 +16,30 @@ class DomainError(ValueError):
     """An argument violates a mathematical precondition."""
 
 
+# Strong probable-prime tests to the prime bases 2..41 decide primality of
+# every n below this bound (Sorenson and Webster, Math. Comp. 86 (2017)).
+MILLER_RABIN_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+MILLER_RABIN_BOUND = 3_317_044_064_679_887_385_961_981
+
+
 @cache
 def is_prime(n: int) -> bool:
-    """Deterministic primality by trial division (desk-scale inputs), cached:
-    every valuation and p-adic operation checks its p, so each p is proved once."""
+    """Deterministic primality, cached: every valuation and p-adic operation
+    checks its p, so each p is proved once.  Miller-Rabin to the bases
+    MILLER_RABIN_BASES below MILLER_RABIN_BOUND, trial division above."""
     if n < 2:
         return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
+    for q in MILLER_RABIN_BASES:
+        if n % q == 0:
+            return n == q
+    if n >= MILLER_RABIN_BOUND:
+        return all(n % d for d in range(43, math.isqrt(n) + 1, 2))
+    s = ((n - 1) & -(n - 1)).bit_length() - 1  # n - 1 = d 2^s with d odd
+    d = (n - 1) >> s
+    for a in MILLER_RABIN_BASES:  # strong probable prime: a^d = 1 or a^(d 2^i) = -1 for an i < s
+        x = pow(a, d, n)
+        if x != 1 and all(pow(x, 1 << i, n) != n - 1 for i in range(s)):
             return False
-        d += 2
     return True
 
 

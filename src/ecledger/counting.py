@@ -127,10 +127,6 @@ class OrdinaryCriterionRow:
     torsion_divides: bool
     trace_not_one_mod_p: bool
 
-    @property
-    def passed(self) -> bool:
-        return self.torsion_divides and self.trace_not_one_mod_p
-
 
 def verify_ordinary_criterion(
     C: WeierstrassCurve, torsion_order: int, bound: int
@@ -142,12 +138,8 @@ def verify_ordinary_criterion(
     """
     failures = []
     for p, trace in frobenius_table(C, bound).items():
-        if p == 2:
-            continue
         count = p + 1 - trace
-        row = OrdinaryCriterionRow(
-            p, count, trace, count % torsion_order == 0, trace % p != 1
-        )
-        if not row.passed:
-            failures.append(row)
+        divides, not_one = count % torsion_order == 0, trace % p != 1
+        if p != 2 and not (divides and not_one):
+            failures.append(OrdinaryCriterionRow(p, count, trace, divides, not_one))
     return failures, hasse_contradiction_symbolic(torsion_order)

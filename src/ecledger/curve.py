@@ -53,11 +53,12 @@ class WeierstrassCurve:
     def __post_init__(self):
         for name in ("a1", "a2", "a3", "a4", "a6"):
             object.__setattr__(self, name, rational(Fraction(getattr(self, name))))
-        if self.discriminant() == 0:
-            raise SingularCurveError(f"singular model {self.coefficients()}")
+        # Not dataclass fields: equality and hashing stay on the five coefficients.
+        object.__setattr__(self, "_invariants", _model_invariants(*self.coefficients()))
+        object.__setattr__(self, "_integral", all(isinstance(a, int) for a in self.coefficients()))
 
     def is_integral(self) -> bool:
-        return all(isinstance(a, int) for a in self.coefficients())
+        return self._integral
 
     # -- invariants ---------------------------------------------------------
 
@@ -65,31 +66,19 @@ class WeierstrassCurve:
         return (self.a1, self.a2, self.a3, self.a4, self.a6)
 
     def b_invariants(self) -> tuple[int, int, int, int]:
-        a1, a2, a3, a4, a6 = self.coefficients()
-        b2 = a1 * a1 + 4 * a2
-        b4 = 2 * a4 + a1 * a3
-        b6 = a3 * a3 + 4 * a6
-        b8 = a1 * a1 * a6 + 4 * a2 * a6 - a1 * a3 * a4 + a2 * a3 * a3 - a4 * a4
-        return (b2, b4, b6, b8)
+        return (self._invariants.b2, self._invariants.b4, self._invariants.b6, self._invariants.b8)
 
     def c_invariants(self) -> tuple[int, int]:
-        b2, b4, b6, _ = self.b_invariants()
-        c4 = b2 * b2 - 24 * b4
-        c6 = -b2**3 + 36 * b2 * b4 - 216 * b6
-        return (c4, c6)
+        return (self._invariants.c4, self._invariants.c6)
 
     def discriminant(self) -> int:
-        b2, b4, b6, b8 = self.b_invariants()
-        return -b2 * b2 * b8 - 8 * b4**3 - 27 * b6 * b6 + 9 * b2 * b4 * b6
+        return self._invariants.disc
 
     def invariants(self) -> Invariants:
-        b2, b4, b6, b8 = self.b_invariants()
-        c4, c6 = self.c_invariants()
-        disc = self.discriminant()
-        return Invariants(b2, b4, b6, b8, c4, c6, disc, Fraction(c4**3, disc))
+        return self._invariants
 
     def j_invariant(self) -> Fraction:
-        return self.invariants().j
+        return self._invariants.j
 
     # -- points -------------------------------------------------------------
 
@@ -180,6 +169,20 @@ class WeierstrassCurve:
             x = Fraction(X - 3 * b2, 36)
             pts.append((rational(x), rational(Fraction(-(self.a1 * x + self.a3), 2))))
         return pts
+
+
+def _model_invariants(a1, a2, a3, a4, a6) -> Invariants:
+    """The invariants of a model, computed once per curve by its constructor."""
+    b2 = a1 * a1 + 4 * a2
+    b4 = 2 * a4 + a1 * a3
+    b6 = a3 * a3 + 4 * a6
+    b8 = a1 * a1 * a6 + 4 * a2 * a6 - a1 * a3 * a4 + a2 * a3 * a3 - a4 * a4
+    c4 = b2 * b2 - 24 * b4
+    c6 = -b2**3 + 36 * b2 * b4 - 216 * b6
+    disc = -b2 * b2 * b8 - 8 * b4**3 - 27 * b6 * b6 + 9 * b2 * b4 * b6
+    if disc == 0:
+        raise SingularCurveError(f"singular model {(a1, a2, a3, a4, a6)}")
+    return Invariants(b2, b4, b6, b8, c4, c6, disc, Fraction(c4**3, disc))
 
 
 def rational(v: Fraction) -> int | Fraction:

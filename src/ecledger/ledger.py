@@ -34,7 +34,9 @@ from .local_data import (
     ReductionKind,
     UnsupportedReductionError,
     bad_primes,
+    conductor_semistable,
     kodaira_and_tamagawa,
+    tamagawa_product,
 )
 from .lvalue import DEFAULT_PRECISION_BITS, DEFAULT_TERMS, lvalue_ratio, root_number
 from .padic import DEFAULT_DIGITS, l_invariant
@@ -197,7 +199,7 @@ def _conductor_records(run: _Run) -> list[CheckRecord]:
     claim = "semistable conductor = product of bad primes"
     if run.local_error:
         return [_unsupported(run.C, "conductor", claim, "Tate (semistable)", run.local_error)]
-    N = math.prod(run.local)
+    N = conductor_semistable(run.local)
     return [_computed(run.C, "conductor", claim, "Tate (semistable)", f"N={N}", True, N)]
 
 
@@ -205,7 +207,7 @@ def _tamagawa_records(run: _Run) -> list[CheckRecord]:
     claim = "product of Tamagawa numbers"
     if run.local_error:
         return [_unsupported(run.C, "tamagawa-product", claim, "Tate (semistable)", run.local_error)]
-    prod = math.prod(ld.tamagawa for ld in run.local.values())
+    prod = tamagawa_product(run.local)
     return [_computed(run.C, "tamagawa-product", claim, "Tate (semistable)", f"product={prod}", True, prod)]
 
 
@@ -314,8 +316,8 @@ def _lvalue_records(run: _Run) -> list[CheckRecord]:
     L, omega, ratio = lvalue_ratio(run.C, bad, opts.terms, opts.precision_bits)
     if not math.isfinite(L.error_bound):  # the partial sum bounds nothing
         return [_unsupported(run.C, "lvalue-ratio", claim, inputs,
-                             f"terms too few for N={math.prod(bad)}: at {opts.terms} terms the tail "
-                             "of the series has no finite bound, so no L(E,1) is reported")]
+                             f"terms too few for N={conductor_semistable(run.local)}: at {opts.terms} "
+                             "terms the tail of the series has no finite bound, so no L(E,1) is reported")]
     result = f"L(E,1)={L.value} Omega={omega.value} ratio={ratio}"
     if root_number(bad) == -1:
         result += " root_number=-1"

@@ -75,14 +75,11 @@ def bad_primes(C: WeierstrassCurve) -> list[int]:
     return sorted(factorize(C.discriminant()))
 
 
-def tamagawa_product(C: WeierstrassCurve) -> int:
-    return prod(kodaira_and_tamagawa(C, p).tamagawa for p in bad_primes(C))
+def tamagawa_product(local: dict[int, LocalData]) -> int:
+    """Product of the Tamagawa numbers in a curve's {bad prime p: LocalData}."""
+    return prod(ld.tamagawa for ld in local.values())
 
 
-def conductor_semistable(C: WeierstrassCurve) -> int:
-    """Conductor of a semistable curve: product of the bad primes."""
-    N = 1
-    for p in bad_primes(C):
-        reduction_type(C, p)  # raises UnsupportedReductionError if additive
-        N *= p
-    return N
+def conductor_semistable(local: dict[int, LocalData]) -> int:
+    """Conductor of a semistable curve: the product of the primes of its {bad prime p: LocalData}."""
+    return prod(local)

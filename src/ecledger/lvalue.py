@@ -23,6 +23,7 @@ from .curve import WeierstrassCurve
 
 DEFAULT_TERMS = 2000
 DEFAULT_PRECISION_BITS = 128
+MAX_DENOMINATOR = 100  # of the reconstructed L(E,1)/Omega
 
 
 def _mpf_to_fraction(v: mp.mpf) -> Fraction:
@@ -39,9 +40,6 @@ class RealApprox:
     value: mp.mpf
     error_bound: mp.mpf
     precision_bits: int
-
-    def to_fraction(self) -> Fraction:
-        return _mpf_to_fraction(self.value)
 
 
 @dataclass(frozen=True)
@@ -141,27 +139,23 @@ def real_period(
 ) -> RealApprox:
     """Period of the invariant differential over all real components.
 
-    Completed-square cubic 4x^3 + b2 x^2 + 2 b4 x + b6 with real root(s);
-    positive discriminant (three real roots e1 > e2 > e3) gives the two-
-    component value 2 pi / agm(sqrt(e1-e3), sqrt(e1-e2)); negative
-    discriminant (one real root e1) gives the one-component value
-    2 pi / agm(2 sqrt(b), sqrt(2b + a)) with a = 3 e1 + b2/4 and
-    b = sqrt(3 e1^2 + (b2/2) e1 + b4/2) (Cremona, Algorithms for Modular
-    Elliptic Curves, 3.7).
+    Each component has period 2 pi / agm(2 sqrt(b), sqrt(2b + a)), with
+    a = 3 e1 + b2/4, b = sqrt(3 e1^2 + (b2/2) e1 + b4/2) and e1 a real root
+    of 4x^3 + b2 x^2 + 2 b4 x + b6 (Cremona, Algorithms for Modular Elliptic
+    Curves, 3.7).  A positive discriminant gives two components and e1 must
+    be the largest root: then, with A = e1 - e2 and B = e1 - e3, one AGM step
+    turns the formula into pi / agm(sqrt(A), sqrt(B)).
     """
     b2, b4, b6, _ = C.b_invariants()
-    disc = C.discriminant()
     with mp.workprec(precision_bits + 16):
         roots = mp.polyroots([4, b2, 2 * b4, b6], maxsteps=200, extraprec=64)
-        if disc > 0:
-            e1, e2, e3 = sorted((mp.re(r) for r in roots), reverse=True)
-            omega1 = mp.pi / mp.agm(mp.sqrt(e1 - e3), mp.sqrt(e1 - e2))
-            value = 2 * omega1
+        if C.discriminant() > 0:
+            components, e1 = 2, max(mp.re(r) for r in roots)
         else:
-            e1 = mp.re(min(roots, key=lambda r: abs(mp.im(r))))
-            a = 3 * e1 + mp.mpf(b2) / 4
-            b = mp.sqrt(3 * e1**2 + mp.mpf(b2) / 2 * e1 + mp.mpf(b4) / 2)
-            value = 2 * mp.pi / mp.agm(2 * mp.sqrt(b), mp.sqrt(2 * b + a))
+            components, e1 = 1, mp.re(min(roots, key=lambda r: abs(mp.im(r))))
+        a = 3 * e1 + mp.mpf(b2) / 4
+        b = mp.sqrt(3 * e1**2 + mp.mpf(b2) / 2 * e1 + mp.mpf(b4) / 2)
+        value = components * 2 * mp.pi / mp.agm(2 * mp.sqrt(b), mp.sqrt(2 * b + a))
         err = abs(value) * mp.mpf(2) ** (-precision_bits + 8)
         return RealApprox(value, err, precision_bits)
 
@@ -175,7 +169,7 @@ def rational_reconstruct(x: RealApprox, max_den: int) -> Fraction | None:
     """
     if not mp.isfinite(x.error_bound):
         return None
-    exact = x.to_fraction()
+    exact = _mpf_to_fraction(x.value)
     bound = _mpf_to_fraction(x.error_bound)
     if bound >= Fraction(1, 2 * max_den * max_den):
         return None
@@ -188,7 +182,6 @@ def lvalue_ratio(
     bad: dict[int, int],
     terms: int = DEFAULT_TERMS,
     precision_bits: int = DEFAULT_PRECISION_BITS,
-    max_den: int = 100,
 ) -> tuple[RealApprox, RealApprox, Fraction | None]:
     """(L(E,1), period, reconstructed rational ratio or None)."""
     L = l_value_at_1(C, bad, terms, precision_bits)
@@ -198,4 +191,4 @@ def lvalue_ratio(
         # |d(a/b)| <= (|da| + |a/b| |db|) / |b|
         err = (L.error_bound + abs(ratio) * omega.error_bound) / abs(omega.value)
         approx = RealApprox(ratio, err, precision_bits)
-    return L, omega, rational_reconstruct(approx, max_den)
+    return L, omega, rational_reconstruct(approx, MAX_DENOMINATOR)

@@ -53,9 +53,8 @@ class PadicNumber:
         x = Fraction(x)
         if x == 0:
             return cls.zero(p, prec)
-        v = valuation(x.numerator, p) - valuation(x.denominator, p)
-        num = x.numerator // p ** max(v, 0) if v > 0 else x.numerator
-        den = x.denominator // p ** max(-v, 0) if v < 0 else x.denominator
+        v = rational_valuation(x, p)
+        num, den = x.numerator // p ** max(v, 0), x.denominator // p ** max(-v, 0)
         m = p**prec
         unit = num * pow(den % m, -1, m) % m
         return cls(p, v, unit, prec)

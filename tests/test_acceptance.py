@@ -33,6 +33,7 @@ from ecledger.lvalue import an_coefficients, lvalue_ratio
 from ecledger.padic import PadicNumber, l_invariant
 from ecledger.arith import primes_up_to
 from ecledger.torsion import torsion_subgroup
+from test_local_data import local_data
 from test_lvalue import bad_ap
 
 
@@ -67,7 +68,7 @@ def test_criterion_03_reduction_data(announce):
     kinds = {p: reduction_type(E1, p) for p in (3, 5)}
     good = all(reduction_type(E1, p) is ReductionKind.GOOD for p in (2, 7, 11, 13))
     d3, d5 = kodaira_and_tamagawa(E1, 3), kodaira_and_tamagawa(E1, 5)
-    prod = tamagawa_product(E1)
+    prod = tamagawa_product(local_data(E1))
     ok = (
         kinds[3] is ReductionKind.MULT_NONSPLIT
         and kinds[5] is ReductionKind.MULT_SPLIT

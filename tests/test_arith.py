@@ -35,6 +35,21 @@ def test_is_prime_small_range():
         assert is_prime(n) == (n in expected)
 
 
+def test_is_prime_agrees_with_the_sieve_below_1e5():
+    assert [n for n in range(10**5) if is_prime(n)] == primes_up_to(10**5)
+
+
+@pytest.mark.parametrize("n", [3215031751, 3825123056546413051, 318665857834031151167461])
+def test_is_prime_rejects_strong_pseudoprimes(n):
+    # strong pseudoprimes to every prime base up to 7, 31 and 37 respectively
+    assert not is_prime(n)
+
+
+def test_is_prime_proves_a_15_digit_prime():
+    # the discriminant of y^2 + y = x^3 + x + 1000166
+    assert is_prime(432143651940139)
+
+
 def test_valuation_exact():
     assert valuation(50625, 5) == 4
     assert valuation(50625, 3) == 4

@@ -8,6 +8,7 @@ from ecledger import counting
 from ecledger.arith import legendre_symbol, primes_up_to
 from ecledger.cli import main
 from ecledger.counting import (
+    OrdinaryCriterionRow,
     count_points,
     count_points_naive,
     frobenius_table,
@@ -138,6 +139,20 @@ def test_ordinary_flag(capsys):
 def test_ordinary_criterion_sweep():
     failures, symbolic = verify_ordinary_criterion(E1, 8, 1000)
     assert failures == [] and symbolic is True
+
+
+@pytest.mark.parametrize("coeffs, torsion_order", [((0, -1, 1, -10, -20), 5), ((1, 0, 1, 4, -6), 6)])
+def test_ordinary_criterion_rows_are_the_failing_primes(coeffs, torsion_order):
+    C = WeierstrassCurve(*coeffs)  # 11a1 fails at a_5 = 1, 14a1 at one prime below 10^4
+    expected = []
+    for p in primes_up_to(10_000)[1:]:
+        if C.discriminant() % p:
+            ap = trace_ap(C, p)
+            count = p + 1 - ap
+            if count % torsion_order or ap % p == 1:
+                expected.append(OrdinaryCriterionRow(p, count, ap, count % torsion_order == 0, ap % p != 1))
+    failures, _ = verify_ordinary_criterion(C, torsion_order, 10_000)
+    assert failures == expected and len(expected) >= 1
 
 
 def test_torsion_injects_divisibility():

@@ -4,7 +4,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from ecledger import curve
 from ecledger.arith import DomainError
+from ecledger.counting import frobenius_table
 from ecledger.curve import (
     E1,
     E2,
@@ -73,6 +75,20 @@ def test_c_invariant_identity(coeffs):
 def test_singular_model_rejected():
     with pytest.raises(SingularCurveError):
         WeierstrassCurve(0, 0, 0, 0, 0)
+
+
+def test_a_curve_computes_its_invariants_once(monkeypatch):
+    # the sweep to 10^4 reads Delta and b2, b4, b6 at each of its 1,227 primes
+    built = []
+    real = curve._model_invariants
+    monkeypatch.setattr(curve, "_model_invariants", lambda *a: built.append(a) or real(*a))
+    frobenius_table.cache_clear()
+    frobenius_table(E1, 10_000)
+    assert built == []
+    C = WeierstrassCurve(*E1.coefficients())
+    assert (C.invariants(), C.b_invariants(), C.c_invariants()) == (E1.invariants(), E1.b_invariants(), E1.c_invariants())
+    assert built == [E1.coefficients()]
+    assert C == E1 and hash(C) == hash(E1) and repr(C) == "WeierstrassCurve(a1=1, a2=1, a3=1, a4=-10, a6=-10)"
 
 
 def test_group_law_associativity_samples():

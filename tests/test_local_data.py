@@ -17,8 +17,9 @@ from ecledger.local_data import (
 rng = random.Random(31415)
 
 
-def local_data_all(C):
-    return [kodaira_and_tamagawa(C, p) for p in bad_primes(C)]
+def local_data(C):
+    """{bad prime p: LocalData}, as the ledger builds it once per curve."""
+    return {p: kodaira_and_tamagawa(C, p) for p in bad_primes(C)}
 
 
 def smooth_point_count_oracle(C: WeierstrassCurve, p: int) -> int:
@@ -57,17 +58,17 @@ def test_kodaira_and_tamagawa_E1():
     d5 = kodaira_and_tamagawa(E1, 5)
     assert (d3.kodaira, d3.tamagawa) == ("I4", 2)  # nonsplit, 4 even -> 2
     assert (d5.kodaira, d5.tamagawa) == ("I4", 4)  # split -> n
-    assert tamagawa_product(E1) == 8
+    assert tamagawa_product(local_data(E1)) == 8
 
 
 def test_tamagawa_product_E2_power_of_two():
-    prod = tamagawa_product(E2)
+    prod = tamagawa_product(local_data(E2))
     assert prod & (prod - 1) == 0 and prod > 0
 
 
 def test_conductor_semistable():
-    assert conductor_semistable(E1) == 15
-    assert conductor_semistable(E2) == 15
+    assert conductor_semistable(local_data(E1)) == 15
+    assert conductor_semistable(local_data(E2)) == 15
 
 
 def test_additive_reduction_unsupported():
@@ -75,7 +76,7 @@ def test_additive_reduction_unsupported():
     with pytest.raises(UnsupportedReductionError):
         reduction_type(C, 3)
     with pytest.raises(UnsupportedReductionError):
-        tamagawa_product(C)
+        local_data(C)
 
 
 def test_split_test_against_smooth_count_oracle():
@@ -125,6 +126,6 @@ def test_split_test_at_two():
 
 
 def test_local_data_all_ordering():
-    data = local_data_all(E1)
-    assert [d.p for d in data] == [3, 5]
-    assert all(d.kodaira_n == 4 for d in data)
+    data = local_data(E1)
+    assert [d.p for d in data.values()] == list(data) == [3, 5]
+    assert all(d.kodaira_n == 4 for d in data.values())
