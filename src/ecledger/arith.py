@@ -128,17 +128,12 @@ def iroot_exact(n: int, k: int) -> int | None:
         r = s
 
 
-def divisors_from_factorization(fac: dict[int, int]) -> list[int]:
-    """Sorted positive divisors given a prime factorization."""
+def square_divisors(fac: dict[int, int]) -> list[int]:
+    """All d >= 1, ascending, with d*d dividing the number whose factorization is fac."""
     out = [1]
     for p, e in fac.items():
-        out = [d * p**k for d in out for k in range(e + 1)]
+        out = [d * p**k for d in out for k in range(e // 2 + 1)]
     return sorted(out)
-
-
-def square_divisors(fac: dict[int, int]) -> list[int]:
-    """All d >= 1 with d*d dividing the number whose factorization is fac."""
-    return divisors_from_factorization({p: e // 2 for p, e in fac.items() if e >= 2})
 
 
 @cache

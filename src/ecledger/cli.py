@@ -58,7 +58,7 @@ def _prime_list(text: str) -> tuple[int, ...]:
         primes = {int(s) for s in text.split(",") if s.strip()}
     except ValueError:
         primes = {0}
-    if not all(l <= cap and is_prime(l) for l in primes):
+    if not primes or not all(l <= cap and is_prime(l) for l in primes):
         raise argparse.ArgumentTypeError(f"expected a comma list of primes <= {cap}, got {text!r}")
     return tuple(sorted(primes))
 

@@ -23,7 +23,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .arith import DomainError, is_prime, legendre_symbol
+from .arith import DomainError, factorize, is_prime, kronecker_symbol, legendre_symbol
 from .counting import frobenius_table, trace_ap  # noqa: F401  (trace_ap stays importable here)
 from .curve import WeierstrassCurve
 
@@ -38,18 +38,6 @@ def mat_mul(x: Mat, y: Mat, m: int) -> Mat:
 
 def mat_det(x: Mat, m: int) -> int:
     return (x[0] * x[3] - x[1] * x[2]) % m
-
-
-def mat_trace(x: Mat, m: int) -> int:
-    return (x[0] + x[3]) % m
-
-
-def mat_identity() -> Mat:
-    return (1, 0, 0, 1)
-
-
-def is_invertible(x: Mat, m: int) -> bool:
-    return math.gcd(mat_det(x, m), m) == 1
 
 
 @dataclass(frozen=True)
@@ -68,10 +56,11 @@ def group_closure(gens, m: int) -> ModMMatrixGroup:
     """Smallest subgroup of GL2(Z/m) containing the generators."""
     gens = [tuple(v % m for v in g) for g in gens]
     for g in gens:
-        if not is_invertible(g, m):
+        if math.gcd(mat_det(g, m), m) != 1:
             raise DomainError(f"generator {g} is not invertible mod {m}")
-    elems = {mat_identity()}
-    frontier = [mat_identity()]
+    identity = (1, 0, 0, 1)
+    elems = {identity}
+    frontier = [identity]
     while frontier:
         nxt = []
         for x in frontier:
@@ -113,19 +102,12 @@ def fixed_submodule(G: ModMMatrixGroup) -> frozenset:
 
 
 def abelian_group_structure(vectors: frozenset, m: int) -> tuple[int, int]:
-    """(d1, d2) with the subgroup of (Z/m)^2 isomorphic to Z/d1 x Z/d2, d1 | d2."""
-    n = len(vectors)
-    exponent = 1
-    for v in vectors:
-        ov = 1
-        w = v
-        while w != (0, 0):
-            w = ((w[0] + v[0]) % m, (w[1] + v[1]) % m)
-            ov += 1
-        exponent = exponent * ov // math.gcd(exponent, ov)
-    d2 = exponent
-    d1 = n // d2
-    return (d1, d2)
+    """(d1, d2) with the subgroup of (Z/m)^2 isomorphic to Z/d1 x Z/d2, d1 | d2.
+
+    v has order m / gcd(v0, v1, m); d2 is the exponent, the largest order.
+    """
+    d2 = max(m // math.gcd(v0, v1, m) for v0, v1 in vectors)
+    return (len(vectors) // d2, d2)
 
 
 # -- built-in dataset: the mod-8 image generators for the conductor-15 class --
@@ -383,24 +365,19 @@ class SurjectivityCertificate:
         return "inconclusive" if self.surviving else "surjective"
 
 
-def _fundamental_discriminants(support: frozenset) -> list[int]:
-    """Nontrivial fundamental discriminants with prime support in the given set."""
-    odd = sorted(p for p in support if p != 2)
-    bases = [1]
-    for p in odd:
-        bases += [b * p for b in bases]
-    out = set()
-    for b in bases:
-        for s in (b, -b):
-            cands = [s]
-            if 2 in support:
-                cands += [4 * s, 8 * s, -8 * s]
-            for d in cands:
-                if d == 1 or d == 0:
-                    continue
-                if d % 4 == 1 or (d % 4 == 0 and (d // 4) % 4 in (2, 3)):
-                    out.add(d)
-    return sorted(out)
+def _quadratic_radicands(support: frozenset) -> list[int]:
+    """Squarefree d != 1 with Q(sqrt d) unramified outside the support.
+
+    d runs over the products of -1 and the support's primes.  Q(sqrt d) has
+    discriminant D = d when d = 1 mod 4 and D = 4d otherwise, so the second
+    kind needs 2 in the support, and (d | p) = (D | p) at every prime p
+    outside the support: these are the quadratic characters unramified
+    outside it.
+    """
+    out = [1, -1]
+    for p in support:
+        out += [d * p for d in out]
+    return sorted(d for d in out if d != 1 and (d % 4 == 1 or 2 in support))
 
 
 def _quadratic_character_refuted(C: WeierstrassCurve, l: int, bound: int) -> bool:
@@ -412,12 +389,9 @@ def _quadratic_character_refuted(C: WeierstrassCurve, l: int, bound: int) -> boo
     e(p) = -1.  Exhibiting, for every such character, a good prime with
     e(p) = -1 and a_p != 0 mod l rules this out unconditionally.
     """
-    from .arith import factorize, kronecker_symbol
-
     support = frozenset({l} | set(factorize(C.discriminant())))
-    witnesses_needed = _fundamental_discriminants(support)
     table = frobenius_table(C, bound)
-    for d in witnesses_needed:
+    for d in _quadratic_radicands(support):
         if not any(
             p != l and kronecker_symbol(d, p) == -1 and ap % l != 0 for p, ap in table.items()
         ):

@@ -312,14 +312,13 @@ def _lvalue_records(run: _Run) -> list[CheckRecord]:
     inputs = f"terms={opts.terms} precision_bits={opts.precision_bits} convention=all-real-components"
     if run.local_error:
         return [_unsupported(run.C, "lvalue-ratio", claim, inputs, run.local_error)]
-    bad = {p: 1 if ld.kind is ReductionKind.MULT_SPLIT else -1 for p, ld in run.local.items()}
-    L, omega, ratio = lvalue_ratio(run.C, bad, opts.terms, opts.precision_bits)
+    L, omega, ratio = lvalue_ratio(run.C, run.local, opts.terms, opts.precision_bits)
     if not math.isfinite(L.error_bound):  # the partial sum bounds nothing
         return [_unsupported(run.C, "lvalue-ratio", claim, inputs,
                              f"terms too few for N={conductor_semistable(run.local)}: at {opts.terms} "
                              "terms the tail of the series has no finite bound, so no L(E,1) is reported")]
     result = f"L(E,1)={L.value} Omega={omega.value} ratio={ratio}"
-    if root_number(bad) == -1:
+    if root_number(run.local) == -1:
         result += " root_number=-1"
     return [_computed(run.C, "lvalue-ratio", claim, inputs, result, ratio is not None, ratio)]
 

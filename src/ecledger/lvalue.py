@@ -1,8 +1,9 @@
 """L(E,1) by the exponential a_n series (zero from the root number when it is
 -1), the real period by AGM, and the rational reconstruction of their ratio.
 
-The caller's local data comes in as ``bad`` = {p: a_p} over the primes p | N
-of a semistable curve: a_p = +1 where the reduction is split, -1 where not.
+The caller's local data comes in as the ledger's {p: LocalData} over the
+primes p | N of a semistable curve; there a_p = +1 where the reduction is
+split and -1 where not.
 
 Reals are mpmath fixed-precision floats with an explicit interval-style
 error bound carried alongside; every reported digit survives doubling the
@@ -20,6 +21,7 @@ import mpmath as mp
 from .arith import DomainError
 from .counting import frobenius_table
 from .curve import WeierstrassCurve
+from .local_data import LocalData, ReductionKind, conductor_semistable
 
 DEFAULT_TERMS = 2000
 DEFAULT_PRECISION_BITS = 128
@@ -39,20 +41,15 @@ def _mpf_to_fraction(v: mp.mpf) -> Fraction:
 class RealApprox:
     value: mp.mpf
     error_bound: mp.mpf
-    precision_bits: int
 
 
-@dataclass(frozen=True)
-class AnSeries:
-    conductor: int
-    coefficients: tuple[int, ...]  # a_1 .. a_M at indices 1..M (index 0 unused)
-
-    def a(self, n: int) -> int:
-        return self.coefficients[n]
+def _bad_ap(ld: LocalData) -> int:
+    """a_p at a multiplicative prime: +1 where the reduction is split, -1 where not."""
+    return 1 if ld.kind is ReductionKind.MULT_SPLIT else -1
 
 
-def an_coefficients(C: WeierstrassCurve, M: int, bad: dict[int, int]) -> AnSeries:
-    """Hecke eigenvalue coefficients a_1..a_M of the curve's L-series."""
+def an_coefficients(C: WeierstrassCurve, M: int, local: dict[int, LocalData]) -> tuple[int, ...]:
+    """Hecke eigenvalue coefficients of the curve's L-series: a_n at index n, 1 <= n <= M."""
     if M < 1:
         raise DomainError(f"need at least one coefficient, got M = {M}")
     traces = frobenius_table(C, M)
@@ -74,19 +71,19 @@ def an_coefficients(C: WeierstrassCurve, M: int, bad: dict[int, int]) -> AnSerie
         if m > 1:
             a[n] = a[pk] * a[m]
         elif pk == p:
-            a[p] = bad[p] if p in bad else traces[p]
+            a[p] = _bad_ap(local[p]) if p in local else traces[p]
         else:
             # a_{p^k} = a_p a_{p^(k-1)} - p a_{p^(k-2)} at good p; a_p^k at bad p
-            a[n] = a[p] * a[n // p] - (0 if p in bad else p * a[n // (p * p)])
-    return AnSeries(math.prod(bad), tuple(a))
+            a[n] = a[p] * a[n // p] - (0 if p in local else p * a[n // (p * p)])
+    return tuple(a)
 
 
-def root_number(bad: dict[int, int]) -> int:
+def root_number(local: dict[int, LocalData]) -> int:
     """Global root number of a semistable curve: w = -prod_{p | N} (-a_p).
 
     With a_p = +1 (split) or -1 (non-split), w is -(-1)^(number of split primes).
     """
-    return -math.prod(-ap for ap in bad.values())
+    return -math.prod(-_bad_ap(ld) for ld in local.values())
 
 
 def _tail_bound(N: int, M: int) -> mp.mpf:
@@ -106,7 +103,7 @@ def _tail_bound(N: int, M: int) -> mp.mpf:
 
 def l_value_at_1(
     C: WeierstrassCurve,
-    bad: dict[int, int],
+    local: dict[int, LocalData],
     terms: int = DEFAULT_TERMS,
     precision_bits: int = DEFAULT_PRECISION_BITS,
 ) -> RealApprox:
@@ -116,22 +113,22 @@ def l_value_at_1(
     functional equation forces L(E, 1) = 0 exactly, and no series is summed.
     """
     with mp.workprec(precision_bits):
-        if root_number(bad) == -1:
-            return RealApprox(mp.mpf(0), mp.mpf(0), precision_bits)
-        series = an_coefficients(C, terms, bad)
-        tail = _tail_bound(series.conductor, terms)
-        c = 2 * mp.pi / mp.sqrt(series.conductor)
+        if root_number(local) == -1:
+            return RealApprox(mp.mpf(0), mp.mpf(0))
+        a = an_coefficients(C, terms, local)
+        N = conductor_semistable(local)
+        tail = _tail_bound(N, terms)
+        c = 2 * mp.pi / mp.sqrt(N)
         u = mp.e ** (-c)
         total = mp.mpf(0)
         un = mp.mpf(1)
         for n in range(1, terms + 1):
             un *= u
-            an = series.a(n)
-            if an:
-                total += mp.mpf(an) / n * un
+            if a[n]:
+                total += mp.mpf(a[n]) / n * un
         value = 2 * total
         rounding = mp.mpf(2) ** (-precision_bits + 12) * (abs(value) + 1) * terms
-        return RealApprox(value, tail + rounding, precision_bits)
+        return RealApprox(value, tail + rounding)
 
 
 def real_period(
@@ -157,7 +154,7 @@ def real_period(
         b = mp.sqrt(3 * e1**2 + mp.mpf(b2) / 2 * e1 + mp.mpf(b4) / 2)
         value = components * 2 * mp.pi / mp.agm(2 * mp.sqrt(b), mp.sqrt(2 * b + a))
         err = abs(value) * mp.mpf(2) ** (-precision_bits + 8)
-        return RealApprox(value, err, precision_bits)
+        return RealApprox(value, err)
 
 
 def rational_reconstruct(x: RealApprox, max_den: int) -> Fraction | None:
@@ -179,16 +176,16 @@ def rational_reconstruct(x: RealApprox, max_den: int) -> Fraction | None:
 
 def lvalue_ratio(
     C: WeierstrassCurve,
-    bad: dict[int, int],
+    local: dict[int, LocalData],
     terms: int = DEFAULT_TERMS,
     precision_bits: int = DEFAULT_PRECISION_BITS,
 ) -> tuple[RealApprox, RealApprox, Fraction | None]:
     """(L(E,1), period, reconstructed rational ratio or None)."""
-    L = l_value_at_1(C, bad, terms, precision_bits)
+    L = l_value_at_1(C, local, terms, precision_bits)
     omega = real_period(C, precision_bits)
     with mp.workprec(precision_bits):
         ratio = L.value / omega.value
         # |d(a/b)| <= (|da| + |a/b| |db|) / |b|
         err = (L.error_bound + abs(ratio) * omega.error_bound) / abs(omega.value)
-        approx = RealApprox(ratio, err, precision_bits)
+        approx = RealApprox(ratio, err)
     return L, omega, rational_reconstruct(approx, MAX_DENOMINATOR)

@@ -152,16 +152,6 @@ class PadicNumber:
 # -- q-expansion of the modular j-function -----------------------------------
 
 
-@dataclass(frozen=True)
-class QExpansion:
-    """Laurent coefficients c_{-1}, c_0, ..., c_T of j(q) (c_{-1} = 1)."""
-
-    coefficients: tuple[int, ...]
-
-    def c(self, n: int) -> int:
-        return self.coefficients[n + 1]
-
-
 def _series_mul(a: list[int], b: list[int], T: int) -> list[int]:
     out = [0] * (T + 1)
     for i, ai in enumerate(a[: T + 1]):
@@ -171,8 +161,10 @@ def _series_mul(a: list[int], b: list[int], T: int) -> list[int]:
     return out
 
 
-def j_q_expansion(T: int) -> QExpansion:
-    """j(q) = E4(q)^3 / Delta(q) as an exact integer Laurent series.
+def j_q_expansion(T: int) -> tuple[int, ...]:
+    """q j(q) to degree T + 1 as exact integers, j = E4(q)^3 / Delta(q).
+
+    Index n + 1 holds the coefficient of q^n in j(q), for -1 <= n <= T.
 
     E4 = 1 + 240 sum sigma3(n) q^n; Delta = q prod (1 - q^n)^24.
     """
@@ -194,7 +186,7 @@ def j_q_expansion(T: int) -> QExpansion:
     jq = []
     for k in range(T + 2):
         jq.append(e4cubed[k] - sum(eta24[i] * jq[k - i] for i in range(1, k + 1)))
-    return QExpansion(tuple(jq))
+    return tuple(jq)
 
 
 # -- Tate parameter and the log/ord invariant ---------------------------------
@@ -206,7 +198,7 @@ def tate_coefficients(N: int) -> tuple[int, ...]:
     With f = q j(q) = 1 + 744 q + ..., t = q / f(q); Lagrange inversion gives
     b_n = [q^(n-1)] f^n / n, and every b_n is an integer.
     """
-    f = j_q_expansion(N).coefficients
+    f = j_q_expansion(N)
     power = [1]
     out = []
     for n in range(1, N + 1):
@@ -279,12 +271,10 @@ class LInvariantResult:
     p: int
     tate_q: PadicNumber
     value: PadicNumber  # log_p(q) / ord_p(q)
-    unit_times_p: bool  # valuation exactly 1, i.e. lies in p Z_p^x
 
 
 def l_invariant(C: WeierstrassCurve, p: int, prec: int = DEFAULT_DIGITS) -> LInvariantResult:
     """log_p(q_E) / ord_p(q_E) for a split multiplicative prime."""
     q = tate_parameter(C, p, prec)
     log_q = iwasawa_log(q)
-    value = log_q / q.valuation()
-    return LInvariantResult(p, q, value, not value.is_zero and value.valuation() == 1)
+    return LInvariantResult(p, q, log_q / q.valuation())

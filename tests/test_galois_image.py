@@ -1,10 +1,12 @@
 import hashlib
+import itertools
+import math
 import random
 
 import numpy as np
 import pytest
 
-from ecledger.arith import DomainError, kronecker_symbol, primes_up_to
+from ecledger.arith import DomainError, factorize, kronecker_symbol, primes_up_to
 from ecledger.curve import E1, E2, WeierstrassCurve
 from ecledger.galois_image import (
     BOREL,
@@ -17,6 +19,7 @@ from ecledger.galois_image import (
     SUBGROUP_ENUM_CAP,
     ModMMatrixGroup,
     _quadratic_character_refuted,
+    _quadratic_radicands,
     _tables,
     abelian_group_structure,
     det_condition_subgroup,
@@ -26,7 +29,6 @@ from ecledger.galois_image import (
     group_closure,
     mat_det,
     mat_mul,
-    mat_trace,
     maximal_subgroups,
     surjectivity_certificate,
 )
@@ -107,6 +109,29 @@ def test_fixed_submodule_is_a_subgroup():
     for v in fg:
         for w in fg:
             assert ((v[0] + w[0]) % 8, (v[1] + w[1]) % 8) in fg
+
+
+def _element_order(v, m):
+    w, n = v, 1
+    while w != (0, 0):
+        w, n = ((w[0] + v[0]) % m, (w[1] + v[1]) % m), n + 1
+    return n
+
+
+@pytest.mark.parametrize("m", range(2, 13))
+def test_abelian_group_structure_against_element_orders(m):
+    # every subgroup of (Z/m)^2 is <u> + <v>; Z/d1 x Z/d2 has exactly
+    # gcd(k, d1) gcd(k, d2) elements of order dividing k, for every k
+    vectors = [(a, b) for a in range(m) for b in range(m)]
+    cyclic = {frozenset(((i * a) % m, (i * b) % m) for i in range(m)) for a, b in vectors}
+    subgroups = {frozenset(((x[0] + y[0]) % m, (x[1] + y[1]) % m) for x in U for y in V)
+                 for U in cyclic for V in cyclic}
+    for S in subgroups:
+        d1, d2 = abelian_group_structure(S, m)
+        orders = [_element_order(v, m) for v in S]
+        assert d2 % d1 == 0 and d1 * d2 == len(S)
+        for k in range(1, m + 1):
+            assert sum(k % o == 0 for o in orders) == math.gcd(k, d1) * math.gcd(k, d2), (m, sorted(S), k)
 
 
 def test_subgroup_class_counts():
@@ -225,12 +250,33 @@ def test_closure_is_the_generated_subgroup():
     assert list(t.closure([])) == [t.identity]
 
 
+def _radicands_by_definition(support):
+    """Squarefree d != 1 whose field Q(sqrt d) has discriminant supported in the set."""
+    bound = math.prod(support)
+    out = []
+    for d in range(-bound, bound + 1):
+        if d in (0, 1) or any(e > 1 for e in factorize(abs(d)).values()):
+            continue
+        disc = d if d % 4 == 1 else 4 * d
+        if set(factorize(abs(disc))) <= support:
+            out.append(d)
+    return out
+
+
+def test_quadratic_radicands_are_the_fields_unramified_outside_the_support():
+    primes = (2, 3, 5, 7, 11, 13)
+    supports = [frozenset(S) for k in range(5) for S in itertools.combinations(primes, k)]
+    assert len(supports) == 57
+    for S in supports:
+        assert _quadratic_radicands(S) == _radicands_by_definition(S), sorted(S)
+
+
 # -- reference: the certificate that walked every subgroup class --------------
 
 
 def subgroup_realizes_pairs(H: ModMMatrixGroup, pairs) -> bool:
     """Does H contain, for every pair (t, d), an element with that char poly?"""
-    seen = {(mat_trace(x, H.modulus), mat_det(x, H.modulus)) for x in H.elements}
+    seen = {((x[0] + x[3]) % H.modulus, mat_det(x, H.modulus)) for x in H.elements}
     return all(pair in seen for pair in pairs)
 
 
@@ -250,7 +296,7 @@ def _trace_zero_coset_possible(H: ModMMatrixGroup) -> bool:
     GL2(F_l)'s, e.g. for l = 3.)
     """
     m = H.modulus
-    gens = [x for x in H.elements if mat_trace(x, m) != 0]
+    gens = [x for x in H.elements if (x[0] + x[3]) % m != 0]
     if not gens:
         return True
     return group_closure(gens, m).order < H.order

@@ -201,10 +201,11 @@ def test_cli_rejects_non_positive_numeric_options(flag, value, capsys):
     assert err.startswith("usage:") and "expected a positive integer" in err
 
 
-@pytest.mark.parametrize("value", ["0", "x", "4", "53", "1000000000000000003"])
+@pytest.mark.parametrize("value", ["0", "x", "4", "53", "1000000000000000003", ",", ""])
 def test_cli_rejects_l_lists_that_are_not_small_primes(value, capsys):
     # 0, x and 4 each ended in a traceback from deep inside the ledger; the
-    # 19-digit prime is over the cap, so it must exit before trial division
+    # 19-digit prime is over the cap, so it must exit before trial division;
+    # an empty list certified no l and yet verified the ledger
     with pytest.raises(SystemExit) as exc:
         main(["image-modl", "--prime-bound", "200", "--l-list", value])
     assert exc.value.code == 2

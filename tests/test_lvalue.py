@@ -7,7 +7,7 @@ from mpmath import mp
 from ecledger.arith import DomainError, factorize, primes_up_to
 from ecledger.counting import trace_ap
 from ecledger.curve import E1, E2, WeierstrassCurve
-from ecledger.local_data import ReductionKind
+from ecledger.local_data import ReductionKind, conductor_semistable
 from ecledger.lvalue import (
     RealApprox,
     an_coefficients,
@@ -29,17 +29,17 @@ C43A1 = WeierstrassCurve(0, 1, 1, 0, 0)
 
 
 def bad_ap(C):
-    """{p: a_p} at the bad primes, +1 split and -1 non-split: what the ledger passes."""
+    """{p: a_p} at the bad primes, +1 split and -1 non-split: the oracle's reading of the local data."""
     return {p: 1 if ld.kind is ReductionKind.MULT_SPLIT else -1 for p, ld in local_data(C).items()}
 
 
 @pytest.fixture(scope="module")
 def series():
-    return an_coefficients(E1, M, bad_ap(E1))
+    return an_coefficients(E1, M, local_data(E1))
 
 
 def test_an_initial_segment(series):
-    assert [series.a(n) for n in range(1, 16)] == [
+    assert [series[n] for n in range(1, 16)] == [
         1, -1, -1, -1, 1, 1, 0, 3, 1, -1, -4, 1, -2, 0, -1,
     ]
 
@@ -48,9 +48,9 @@ def test_an_matches_frobenius_traces(series):
     for p in primes_up_to(200):
         if 15 % p == 0:
             continue
-        assert series.a(p) == trace_ap(E1, p)
+        assert series[p] == trace_ap(E1, p)
     # multiplicative primes: +1 split, -1 nonsplit
-    assert series.a(5) == 1 and series.a(3) == -1
+    assert series[5] == 1 and series[3] == -1
 
 
 def test_hecke_recurrences_exhaustive(series):
@@ -58,15 +58,13 @@ def test_hecke_recurrences_exhaustive(series):
     for m in range(2, M + 1):
         for n in range(2, M // m + 1):
             if math.gcd(m, n) == 1:
-                assert series.a(m * n) == series.a(m) * series.a(n)
+                assert series[m * n] == series[m] * series[n]
     # prime-power recurrence a_{p^k} = a_p a_{p^{k-1}} - eps(p) p a_{p^{k-2}}
     for p in primes_up_to(M):
         eps = 0 if 15 % p == 0 else 1
         k = 2
         while p**k <= M:
-            assert series.a(p**k) == series.a(p) * series.a(p ** (k - 1)) - eps * p * series.a(
-                p ** (k - 2)
-            )
+            assert series[p**k] == series[p] * series[p ** (k - 1)] - eps * p * series[p ** (k - 2)]
             k += 1
 
 
@@ -76,11 +74,11 @@ def test_an_bound(series):
         d_n = 1
         for _, e in factorize(n).items():
             d_n *= e + 1
-        assert series.a(n) ** 2 <= d_n * d_n * n
+        assert series[n] ** 2 <= d_n * d_n * n
 
 
 def test_l_value_and_period():
-    L = l_value_at_1(E1, bad_ap(E1), terms=2000, precision_bits=128)
+    L = l_value_at_1(E1, local_data(E1), terms=2000, precision_bits=128)
     omega = real_period(E1, precision_bits=128)
     assert abs(L.value - 0.3501507605831505) < 1e-12
     assert abs(omega.value - 2.8012060846652040) < 1e-12
@@ -89,29 +87,29 @@ def test_l_value_and_period():
 
 
 def test_ratio_reconstructs_to_one_eighth():
-    L, omega, ratio = lvalue_ratio(E1, bad_ap(E1), terms=2000, precision_bits=128)
+    L, omega, ratio = lvalue_ratio(E1, local_data(E1), terms=2000, precision_bits=128)
     assert ratio == Fraction(1, 8)
     with mp.workprec(128):
         assert abs(L.value / omega.value - 0.125) < 1e-8
 
 
 def test_E2_ratio_finite_positive():
-    _, _, ratio = lvalue_ratio(E2, bad_ap(E2), terms=2000, precision_bits=128)
+    _, _, ratio = lvalue_ratio(E2, local_data(E2), terms=2000, precision_bits=128)
     assert ratio is not None and ratio > 0
 
 
 def test_rational_reconstruct_rejects_wide_intervals():
     with mp.workprec(64):
-        loose = RealApprox(mp.mpf("0.12501"), mp.mpf("0.01"), 64)
+        loose = RealApprox(mp.mpf("0.12501"), mp.mpf("0.01"))
         assert rational_reconstruct(loose, 100) is None
-        tight = RealApprox(mp.mpf("0.125"), mp.mpf("1e-10"), 64)
+        tight = RealApprox(mp.mpf("0.125"), mp.mpf("1e-10"))
         assert rational_reconstruct(tight, 100) == Fraction(1, 8)
 
 
 def test_convergence_in_terms():
     # doubling the term count moves the value by less than the error bound
-    a = l_value_at_1(E1, bad_ap(E1), terms=1000, precision_bits=128)
-    b = l_value_at_1(E1, bad_ap(E1), terms=2000, precision_bits=128)
+    a = l_value_at_1(E1, local_data(E1), terms=1000, precision_bits=128)
+    b = l_value_at_1(E1, local_data(E1), terms=2000, precision_bits=128)
     with mp.workprec(128):
         assert abs(a.value - b.value) <= a.error_bound + b.error_bound
 
@@ -132,16 +130,16 @@ def naive_an(C, bad, n):
 
 @pytest.mark.parametrize("C, N", [(E1, 15), (C11A1, 11)])
 def test_an_matches_naive_factorisation(C, N):
-    bad = bad_ap(C)
-    series = an_coefficients(C, M, bad)
-    assert series.conductor == N
-    assert [series.a(n) for n in range(1, M + 1)] == [naive_an(C, bad, n) for n in range(1, M + 1)]
+    local, bad = local_data(C), bad_ap(C)
+    series = an_coefficients(C, M, local)
+    assert conductor_semistable(local) == N  # the N that l_value_at_1 reads
+    assert [series[n] for n in range(1, M + 1)] == [naive_an(C, bad, n) for n in range(1, M + 1)]
 
 
 @pytest.mark.parametrize("M", [0, -5])
 def test_an_coefficients_needs_a_positive_length(M):
     with pytest.raises(DomainError):
-        an_coefficients(E1, M, bad_ap(E1))
+        an_coefficients(E1, M, local_data(E1))
 
 
 @pytest.mark.parametrize("C", [C11A1, C14A1, C19A1, C43A1, E1, E2, C37A1])
@@ -164,11 +162,11 @@ def test_period_within_its_bound_against_quadrature(C):
 
 @pytest.mark.parametrize("C, w", [(C37A1, -1), (C43A1, -1), (E1, 1), (C11A1, 1), (C14A1, 1)])
 def test_root_number(C, w):
-    assert root_number(bad_ap(C)) == w
+    assert root_number(local_data(C)) == w
 
 
 def test_l_value_is_exactly_zero_when_the_root_number_is_minus_one():
-    L = l_value_at_1(C37A1, bad_ap(C37A1))
+    L = l_value_at_1(C37A1, local_data(C37A1))
     assert L.value == 0 and L.error_bound == 0
 
 
@@ -176,18 +174,18 @@ def test_l_value_is_exactly_zero_when_the_root_number_is_minus_one():
     (E1, Fraction(1, 8)), (E2, Fraction(1, 16)), (C11A1, Fraction(1, 5)), (C14A1, Fraction(1, 6)), (C37A1, 0),
 ])
 def test_ratios_reconstruct(C, ratio):
-    assert lvalue_ratio(C, bad_ap(C), terms=2000, precision_bits=128)[2] == ratio
+    assert lvalue_ratio(C, local_data(C), terms=2000, precision_bits=128)[2] == ratio
 
 
 def test_rational_reconstruct_reads_the_full_precision():
     with mp.workprec(128):
         # 1/8 + 2^-100 rounds to 1/8 at 53 bits, but 1/8 lies outside its interval
-        near = RealApprox(mp.mpf(1) / 8 + mp.mpf(2) ** -100, mp.mpf(2) ** -110, 128)
+        near = RealApprox(mp.mpf(1) / 8 + mp.mpf(2) ** -100, mp.mpf(2) ** -110)
         # 1/5 at 128 bits is within 2^-120 of 1/5; at 53 bits it is not
-        fifth = RealApprox(mp.mpf(1) / 5, mp.mpf(2) ** -120, 128)
+        fifth = RealApprox(mp.mpf(1) / 5, mp.mpf(2) ** -120)
     assert rational_reconstruct(near, 100) is None
     assert rational_reconstruct(fifth, 100) == Fraction(1, 5)
 
 
 def test_rational_reconstruct_rejects_an_infinite_bound():
-    assert rational_reconstruct(RealApprox(mp.mpf("0.125"), mp.inf, 64), 100) is None
+    assert rational_reconstruct(RealApprox(mp.mpf("0.125"), mp.inf), 100) is None
