@@ -75,11 +75,30 @@ SWEEP_SHA256 = {
 }
 
 
+# The same listing over frobenius_table(C, 50_000), whose primes above 2^15
+# put the kernel in int64, pinned before the baby-step giant-step pass; E1 has
+# torsion Z/2 x Z/4 and y^2 = x^3 - x is the CM curve with j = 1728.
+LONG_SWEEP_SHA256 = {
+    "1,1,1,-10,-10": "ed54dacb49f5548802f29468e559239ce9da612e2a39226494ee604fddc9ca2c",
+    "0,-1,1,-10,-20": "7ceae3dc520f162fd474f2dc637f84fd847b2f3aed55c859c33e9ae1e42d7766",
+    "0,0,0,-1,0": "27950a439497fa64628b2711bba7904fdc72479922777f83fa0df3477c06abd8",
+}
+
+
+def sweep_digest(coeffs: str, bound: int) -> str:
+    C = WeierstrassCurve(*map(int, coeffs.split(",")))
+    listing = "".join(f"{p} {ap}\n" for p, ap in frobenius_table(C, bound).items())
+    return hashlib.sha256(listing.encode()).hexdigest()
+
+
 @pytest.mark.parametrize("coeffs", sorted(SWEEP_SHA256))
 def test_default_sweep_matches_pinned_digest(coeffs):
-    C = WeierstrassCurve(*map(int, coeffs.split(",")))
-    listing = "".join(f"{p} {ap}\n" for p, ap in frobenius_table(C, 10_000).items())
-    assert hashlib.sha256(listing.encode()).hexdigest() == SWEEP_SHA256[coeffs]
+    assert sweep_digest(coeffs, 10_000) == SWEEP_SHA256[coeffs]
+
+
+@pytest.mark.parametrize("coeffs", sorted(LONG_SWEEP_SHA256))
+def test_long_sweep_matches_pinned_digest(coeffs):
+    assert sweep_digest(coeffs, 50_000) == LONG_SWEEP_SHA256[coeffs]
 
 
 def test_count_points_exact_across_the_int32_range():
