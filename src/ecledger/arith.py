@@ -9,12 +9,16 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import cache
+from functools import lru_cache
 
 
 class DomainError(ValueError):
     """An argument violates a mathematical precondition."""
 
+
+# Entries kept by the is_prime and factorize caches: a ledger reads a handful
+# of each, and a process that runs ledger after ledger keeps only the latest.
+CACHE_SIZE = 128
 
 # Strong probable-prime tests to the prime bases 2..41 decide primality of
 # every n below this bound (Sorenson and Webster, Math. Comp. 86 (2017)).
@@ -22,10 +26,10 @@ MILLER_RABIN_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 MILLER_RABIN_BOUND = 3_317_044_064_679_887_385_961_981
 
 
-@cache
+@lru_cache(maxsize=CACHE_SIZE)
 def is_prime(n: int) -> bool:
     """Deterministic primality, cached: every valuation and p-adic operation
-    checks its p, so each p is proved once.  Miller-Rabin to the bases
+    checks its p, so a ledger proves each p once.  Miller-Rabin to the bases
     MILLER_RABIN_BASES below MILLER_RABIN_BOUND, trial division above."""
     if n < 2:
         return False
@@ -136,7 +140,7 @@ def square_divisors(fac: dict[int, int]) -> list[int]:
     return sorted(out)
 
 
-@cache
+@lru_cache(maxsize=CACHE_SIZE)
 def factorize(n: int) -> dict[int, int]:
     """Prime factorization of |n| by trial division, cached: the local data,
     torsion and the certificates each read the discriminant's, so it is

@@ -1,26 +1,36 @@
 """Point counts over F_p, Frobenius traces and the ordinary-prime sweep.
 
-Counting is O(p) per prime: for odd p the affine count is
+``count_points`` is O(p) per prime: for odd p the affine count is
 p + sum_x chi(f(x)) where f is the completed square
 f(x) = 4x^3 + b2 x^2 + 2 b4 x + b6 and chi the quadratic character.  The
 numpy kernel squares only x <= (p-1)/2, mirrors the rest by (p-x)^2 = x^2,
 reduces f once and reads chi from one int8 table of the squares; it computes
 in int32 while that is exact and in int64 above.  p = 2 is brute force.
+
 Every trace the ledger reads comes from one sweep, ``frobenius_table``, which
 keeps the last curve's traces, extends them to a larger bound and asserts the
-Hasse bound on each.
+Hasse bound on each.  It counts the primes p >= BSGS_MIN_P together, in one
+numpy baby-step giant-step pass (Shanks-Mestre; Cohen, A Course in
+Computational Algebraic Number Theory, 7.4) with x-only arithmetic
+(Brier-Joye, PKC 2002) and one lane per (prime, point): a lane lists every
+trace its point allows, and a prime whose two lanes share exactly one is
+done.  ``count_points`` takes the small primes and the few the pass leaves
+open, and is the pass's oracle in the tests.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-
-import numpy as np
 
 from .arith import DomainError, primes_up_to
 from .curve import BadReductionError, WeierstrassCurve
 
-COUNT_POINTS_MAX_P = 1_100_000_000  # 7 p^2 < 2^63 keeps count_points exact
+COUNT_POINTS_MAX_P = 1_100_000_000  # 7 p^2 < 2^63 keeps count_points and the pass exact
+# From p > 229 on, E or its quadratic twist has a point whose order has one
+# multiple in the Hasse interval (Mestre), so two points usually fix a_p.
+BSGS_MIN_P = 230
+BSGS_CHUNK = 2048  # primes per pass, which bounds its (m + 1) x lanes tables
 
 
 def count_points_naive(C: WeierstrassCurve, p: int) -> int:
@@ -45,6 +55,8 @@ def count_points(C: WeierstrassCurve, p: int) -> int:
         return count_points_naive(C, 2)
     if p > COUNT_POINTS_MAX_P:
         raise DomainError(f"p = {p} exceeds the exact int64 range of the point count")
+    import numpy as np
+
     b2, b4, b6, _ = (v % p for v in C.b_invariants())
     # Every intermediate stays below 7p^2, so int32 is exact while
     # 7p^2 < 2^31 and int64 up to COUNT_POINTS_MAX_P; the int32 passes make a
@@ -74,6 +86,156 @@ def trace_ap(C: WeierstrassCurve, p: int) -> int:
     return p + 1 - count_points(C, p)
 
 
+# The pass works on the short model y^2 = x^3 + Ax + B with A = -27 c4 and
+# B = -54 c6, isomorphic to E over F_p for p > 3, in x = X/Z with Z = 0 the
+# point at infinity.  Every intermediate is a sum of at most three products
+# of residues in [0, p], so below 3p^2: exact in int32 while 7p^2 < 2^31, as
+# in count_points, and in int64 up to COUNT_POINTS_MAX_P.
+
+
+def _x_double(X, Z, A, B, p):
+    """x(2P) = ((x^2 - A)^2 - 8Bx) / (4(x^3 + Ax + B))."""
+    XX, ZZ, XZ = X * X % p, Z * Z % p, X * Z % p
+    u = (XX + (p - A) * ZZ) % p
+    v = (XX + A * ZZ) % p
+    return (u * u + (p - 8 * B % p) * (XZ * ZZ % p)) % p, 4 * ((XZ * v + B * (ZZ * ZZ % p)) % p) % p
+
+
+def _x_add(P, Q, D, A, B, p):
+    """x(P + Q) from x(P), x(Q) and x(P - Q), by the sum form
+    x(P + Q) + x(P - Q) = 2((x1 + x2)(x1 x2 + A) + 2B) / (x1 - x2)^2.
+
+    In a lane where P - Q is the point at infinity, P = Q and the sum is x(2Q).
+    Elsewhere the numerator and denominator vanish together only if P = -Q
+    is a 2-torsion point or P = Q is the point at infinity, that is when
+    P - Q is the point at infinity; so no lane ever reaches (0:0).
+    """
+    (X1, Z1), (X2, Z2), (Xd, Zd) = P, Q, D
+    t1, t2, zz = X1 * Z2 % p, X2 * Z1 % p, Z1 * Z2 % p
+    w = ((t1 + t2) * ((X1 * X2 + A * zz) % p) + 2 * B % p * (zz * zz % p)) % p
+    e = (t1 - t2) ** 2 % p
+    X, Z = (2 * w * Zd + (p - Xd) * e) % p, Zd * e % p
+    at_inf = (Zd == 0).nonzero()[0]
+    if at_inf.size:
+        X[at_inf], Z[at_inf] = _x_double(X2[at_inf], Z2[at_inf], A[at_inf], B[at_inf], p[at_inf])
+    return X, Z
+
+
+def _euler(f, p):
+    """f^((p - 1) / 2) mod p, lane by lane."""
+    import numpy as np
+
+    e, out = (p - 1) // 2, np.ones_like(p)
+    while e.any():
+        out = np.where(e & 1, out * f % p, out)
+        f, e = f * f % p, e >> 1
+    return out
+
+
+def _bsgs_traces(C: WeierstrassCurve, primes: list[int]) -> dict[int, int]:
+    """{p: a_p} for those of the ascending good primes p > 3 whose two lanes
+    leave one candidate trace; ``count_points`` counts the rest."""
+    if primes and primes[-1] > COUNT_POINTS_MAX_P:
+        raise DomainError(f"p = {primes[-1]} exceeds the exact int64 range of the point count")
+    if not C.is_integral():
+        raise DomainError("counting requires an integral model")
+    c4, c6 = C.c_invariants()
+    traces: dict[int, int] = {}
+    for i in range(0, len(primes), BSGS_CHUNK):
+        chunk = primes[i : i + BSGS_CHUNK]
+        r = math.isqrt(4 * chunk[-1])  # |a_p| <= r at every prime of the chunk
+        traces.update(_single_shared_trace(chunk, _lane_candidates(c4, c6, chunk, r), r))
+    return traces
+
+
+def _lane_candidates(c4: int, c6: int, primes: list[int], r: int):
+    """Every trace each lane allows, as lane * (2r + 1) + a + r.
+
+    Prime i has lanes 2i and 2i + 1.  A lane's point P has x = x0, the first
+    or the second x >= 1 with f(x) = x^3 + Ax + B != 0; it lies on E or on
+    its quadratic twist as f(x0) is a square or not, and the x-only formulas
+    are the same on both.  Baby steps jP, 0 <= j <= m, meet giant steps gP,
+    g = (c + 2k)m, whose windows g - m .. g + m cover the Hasse interval, and
+    x(gP) = x(jP) exactly when (g - j)P or (g + j)P is the point at
+    infinity.  So the candidates n = g +- j, read as a = p + 1 - n on E and
+    a = n - p - 1 on the twist, hold every a with a^2 <= 4p that the order
+    of P allows, a_p among them.
+    """
+    import numpy as np
+
+    dtype = np.int32 if 7 * primes[-1] ** 2 < 2**31 else np.int64
+    p = np.array(primes, dtype=dtype).repeat(2)
+    A = np.array([-27 * c4 % q for q in primes], dtype=dtype).repeat(2)
+    B = np.array([-54 * c6 % q for q in primes], dtype=dtype).repeat(2)
+    lane = np.arange(p.size)
+    x = np.arange(1, 6, dtype=dtype)[:, None]
+    f = ((x * x % p + A) % p * x + B) % p  # f has at most three roots, so 1..5 hold two others
+    x0 = (np.cumsum(f != 0, axis=0) <= lane % 2).sum(axis=0)  # row of the lane's non-root
+    chi = np.where(_euler(f[x0, lane], p) == 1, 1, -1)  # +1 on E, -1 on the twist
+
+    # A match reads both g - j and g + j, and where only one of them is a
+    # multiple of the order of P the other is its reflection about g: the
+    # trace a reads as 2(p + 1 - g) - a on E and 2(g - p - 1) - a on the
+    # twist.  The odd lanes' windows are shifted by m and m is odd, so the
+    # reflections of a prime's two lanes never agree: on one curve they would
+    # need the same centre g, and on E and its twist g + g' = 2(p + 1), but
+    # g + g' is an odd multiple of m.
+    m = math.isqrt(r) | 1
+    K = -(-r // m) + 1  # windows of width 2m from c m - m on cover n = p + 1 - r .. p + 1 + r
+    c = (p + 1 - np.array([math.isqrt(4 * q) for q in primes]).repeat(2)) // m + lane % 2
+    BX = np.empty((m + 1, p.size), dtype=dtype)
+    BZ = np.empty_like(BX)
+    BX[0], BZ[0], BX[1], BZ[1] = 1, 0, x0 + 1, 1
+    for j in range(1, m):
+        BX[j + 1], BZ[j + 1] = _x_add((BX[j], BZ[j]), (BX[1], BZ[1]), (BX[j - 1], BZ[j - 1]), A, B, p)
+    M = BX[m].copy(), BZ[m].copy()
+    np.subtract(p, BX, out=BX)  # -X, so that the match test below only adds
+    # one Montgomery ladder on M for all lanes: R0 = cM, R1 = (c + 1)M
+    R0, R1 = (np.ones_like(p), np.zeros_like(p)), M
+    for bit in reversed(range(int(c.max()).bit_length())):
+        b = (c >> bit & 1).astype(bool)
+        s = _x_add(R0, R1, M, A, B, p)
+        d = _x_double(np.where(b, R1[0], R0[0]), np.where(b, R1[1], R0[1]), A, B, p)
+        R0 = np.where(b, s[0], d[0]), np.where(b, s[1], d[1])
+        R1 = np.where(b, d[0], s[0]), np.where(b, d[1], s[1])
+    S = _x_double(*M, A, B, p)
+    G, G_next = R0, _x_add(R1, M, R0, A, B, p)  # cM and (c + 2)M
+    span, keys = 2 * r + 1, []
+    cross, term = np.empty_like(BX), np.empty_like(BX)
+    for k in range(K):
+        np.multiply(G[0], BZ, out=cross)
+        np.multiply(BX, G[1], out=term)
+        cross += term
+        np.remainder(cross, p, out=cross)
+        hit = cross == 0  # x(gP) = x(jP), or both are infinity
+        hit_lanes = hit.any(axis=0).nonzero()[0]
+        j, i = hit[:, hit_lanes].nonzero()
+        i = hit_lanes[i]
+        base = p[i] + 1 - (c[i] + 2 * k) * m
+        for a in (chi[i] * (base - j), chi[i] * (base + j)):
+            keys.append((i * span + a + r)[a * a <= 4 * p[i]])
+        G, G_next = G_next, _x_add(G_next, S, G, A, B, p)
+    return np.concatenate(keys)
+
+
+def _single_shared_trace(primes: list[int], keys, r: int) -> dict[int, int]:
+    """{p: a} for the primes whose two lanes share exactly one trace a."""
+    import numpy as np
+
+    # Sorting and neighbour tests in place of np.unique, whose first call
+    # imports numpy.ma and costs about a megabyte of resident memory.
+    span = 2 * r + 1
+    keys.sort()
+    keys = keys[np.concatenate(([True], keys[1:] != keys[:-1]))]  # each lane's traces once
+    shared = keys // span // 2 * span + keys % span  # lanes 2i and 2i + 1 -> prime i
+    shared.sort()
+    shared = shared[1:][shared[1:] == shared[:-1]]  # traces both lanes of a prime allow
+    prime = shared // span
+    alone = np.concatenate(([True], prime[1:] != prime[:-1], [True]))
+    one = alone[:-1] & alone[1:]
+    return {primes[i]: int(key % span) - r for i, key in zip(prime[one], shared[one])}
+
+
 _sweep: dict = {}  # the last curve asked for -> [largest bound swept, {p: a_p} ascending]
 
 
@@ -84,7 +246,9 @@ def frobenius_table(C: WeierstrassCurve, bound: int) -> dict[int, int]:
     largest swept so far extends it by the primes in between; a smaller
     bound reads its ascending prefix.  So the certificates, the ordinary
     criterion and the a_n series of a ledger count each good prime once,
-    whatever their bounds.  Every trace is checked against the Hasse bound
+    whatever their bounds.  Primes from BSGS_MIN_P on enter through one
+    baby-step giant-step pass, the rest and the pass's open primes through
+    ``trace_ap``.  Every trace is checked against the Hasse bound
     a_p^2 <= 4p as it enters.
     """
     if C not in _sweep:
@@ -93,12 +257,13 @@ def frobenius_table(C: WeierstrassCurve, bound: int) -> dict[int, int]:
     swept, traces = _sweep[C]
     if bound > swept:
         disc = C.discriminant()
-        for p in primes_up_to(bound):
-            if p > swept and disc % p:
-                ap = trace_ap(C, p)
-                if ap * ap > 4 * p:
-                    raise AssertionError(f"Hasse bound violated at {p}: a_p = {ap}")
-                traces[p] = ap
+        new = [p for p in primes_up_to(bound) if p > swept and disc % p]
+        batched = _bsgs_traces(C, [p for p in new if p >= BSGS_MIN_P])
+        for p in new:
+            ap = batched[p] if p in batched else trace_ap(C, p)
+            if ap * ap > 4 * p:
+                raise AssertionError(f"Hasse bound violated at {p}: a_p = {ap}")
+            traces[p] = ap
         _sweep[C][0] = bound
     return {p: ap for p, ap in traces.items() if p <= bound}
 

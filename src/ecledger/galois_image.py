@@ -21,8 +21,6 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-import numpy as np
-
 from .arith import DomainError, factorize, is_prime, kronecker_symbol, legendre_symbol
 from .counting import frobenius_table, trace_ap  # noqa: F401  (trace_ap stays importable here)
 from .curve import WeierstrassCurve
@@ -141,6 +139,8 @@ class _GL2Tables:
     """Dense multiplication / conjugation tables for GL2(F_l), int-encoded."""
 
     def __init__(self, l: int):
+        import numpy as np
+
         self.l = l
         mats = []
         for a in range(l):
@@ -221,6 +221,8 @@ class _GL2Tables:
         the frontier by the generators only, and a membership mask over the
         group drops elements already reached.
         """
+        import numpy as np
+
         gens = np.asarray(gens, dtype=np.int32)
         member = np.zeros(self.n, dtype=bool)
         member[self.identity] = True
@@ -265,6 +267,8 @@ def enumerate_subgroups_gl2(l: int) -> tuple[ModMMatrixGroup, ...]:
     conjugate join), and results are deduplicated against the stored
     conjugate orbits of every class already found.  Capped at l <= 7.
     """
+    import numpy as np
+
     if not is_prime(l):
         raise DomainError(f"{l} is not prime")
     if l > SUBGROUP_ENUM_CAP:

@@ -47,16 +47,20 @@ def test_count_matches_oracle_at_every_small_prime(name):
     assert_counts_match_oracle(WeierstrassCurve(*NAMED_CURVES[name]))
 
 
-def test_count_matches_naive_oracle():
-    box = random.Random(2718)
+def seeded_models(seed: int, count: int = 20) -> list[WeierstrassCurve]:
+    box = random.Random(seed)
     models = []
-    while len(models) < 20:
+    while len(models) < count:
         try:
             models.append(WeierstrassCurve(box.randint(0, 1), box.randint(-1, 1), box.randint(0, 1),
                                            box.randint(-50, 50), box.randint(-50, 50)))
         except SingularCurveError:
             continue
-    for C in models:
+    return models
+
+
+def test_count_matches_naive_oracle():
+    for C in seeded_models(2718):
         assert_counts_match_oracle(C)
 
 
@@ -215,18 +219,107 @@ def test_frobenius_table_lists_every_good_prime_once():
     assert frobenius_table(C, 300)[2] == trace_ap(C, 2) != 0
 
 
-def test_frobenius_table_extends_one_sweep_per_curve(monkeypatch):
-    import ecledger.counting as counting
+# The batched pass's oracle set: E1 (torsion Z/2 x Z/4), 11a1, 14a1, j = 1728,
+# j = 0 and 20 seeded models, at every good p in [BSGS_MIN_P, 20 000].
+PASS_CURVES = [E1, WeierstrassCurve(0, -1, 1, -10, -20), WeierstrassCurve(1, 0, 1, 4, -6),
+               WeierstrassCurve(0, 0, 0, -1, 0), WeierstrassCurve(0, 0, 1, 0, 0), *seeded_models(31415)]
+PASS_PRIMES = [p for p in primes_up_to(20_000) if p >= counting.BSGS_MIN_P]
 
+
+def good_pass_primes(C):
+    return [p for p in PASS_PRIMES if C.discriminant() % p]
+
+
+@pytest.mark.parametrize("C", PASS_CURVES, ids=lambda C: ",".join(map(str, C.coefficients())))
+def test_batched_pass_matches_count_points(C):
+    traces = counting._bsgs_traces(C, good_pass_primes(C))
+    assert traces == {p: p + 1 - count_points(C, p) for p in traces}
+
+
+def test_batched_pass_doubles_where_it_must_and_leaves_few_primes_open(monkeypatch):
+    real_add = counting._x_add
+    seen = {"doubled": 0, "zero": 0}
+
+    def add(P, Q, D, A, B, p):
+        X, Z = real_add(P, Q, D, A, B, p)
+        at_inf = D[1] == 0
+        if not at_inf.all():  # the first baby step doubles every lane; count the others
+            seen["doubled"] += int(at_inf.sum())
+        seen["zero"] += int(((X == 0) & (Z == 0)).sum())
+        return X, Z
+
+    monkeypatch.setattr(counting, "_x_add", add)
+    asked = resolved = 0
+    for C in PASS_CURVES:
+        good = good_pass_primes(C)
+        asked += len(good)
+        resolved += len(counting._bsgs_traces(C, good))
+    # a lane whose point has a small order, or whose giant step lands on the
+    # point at infinity, takes the doubling branch; no lane ever reads (0:0)
+    assert seen["doubled"] > 0 and seen["zero"] == 0
+    # the two lanes of a prime leave more than one trace at a few primes only
+    assert 0 < asked - resolved <= asked // 20
+
+
+def largest_primes(residue: int, modulus: int, count: int = 3) -> list[int]:
+    from ecledger.arith import is_prime
+
+    found, q = [], counting.COUNT_POINTS_MAX_P
+    while len(found) < count:
+        if q % modulus == residue and is_prime(q):
+            found.append(q)
+        q -= 1
+    return sorted(found)
+
+
+@pytest.mark.parametrize("coeffs, residue, modulus", [((0, 0, 0, -1, 0), 3, 4), ((0, 0, 0, 0, 1), 2, 3)])
+def test_batched_pass_exact_at_the_largest_accepted_supersingular_primes(coeffs, residue, modulus):
+    # y^2 = x^3 - x at p = 3 (mod 4) and y^2 = x^3 + 1 at p = 2 (mod 3) have a_p = 0
+    primes = largest_primes(residue, modulus)
+    assert counting._bsgs_traces(WeierstrassCurve(*coeffs), primes) == {p: 0 for p in primes}
+
+
+def test_batched_pass_exact_at_the_largest_accepted_ordinary_primes():
+    # y^2 = x^3 - x at p = 1 (mod 4): a_p = 2a, where p = a^2 + b^2, b is even
+    # and the sign of a makes a + b = 1 (mod 4); checked against count_points
+    # below 2000 and then read at the top of the range
+    C = WeierstrassCurve(0, 0, 0, -1, 0)
+
+    def closed_form(p):
+        b = next(b for b in range(0, math.isqrt(p) + 1, 2) if math.isqrt(p - b * b) ** 2 == p - b * b)
+        a = math.isqrt(p - b * b)
+        return 2 * (a if (a + b) % 4 == 1 else -a)
+
+    small = [p for p in primes_up_to(2000) if p % 4 == 1]
+    assert all(closed_form(p) == trace_ap(C, p) for p in small)
+    primes = largest_primes(1, 4)
+    assert counting._bsgs_traces(C, primes) == {p: closed_form(p) for p in primes}
+
+
+def record_sweep_primes(monkeypatch) -> list[int]:
+    """Every prime that enters a sweep: through trace_ap, or resolved by the batched pass."""
+    calls = []
+    real_trace, real_pass = counting.trace_ap, counting._bsgs_traces
+
+    def batched(C, primes):
+        traces = real_pass(C, primes)
+        calls.extend(traces)
+        return traces
+
+    monkeypatch.setattr(counting, "trace_ap", lambda C, p: calls.append(p) or real_trace(C, p))
+    monkeypatch.setattr(counting, "_bsgs_traces", batched)
+    return calls
+
+
+def test_frobenius_table_extends_one_sweep_per_curve(monkeypatch):
     C = WeierstrassCurve(0, -1, 1, -10, -20)  # 11a1
     frobenius_table.cache_clear()
-    calls = []
-    real = counting.trace_ap
-    monkeypatch.setattr(counting, "trace_ap", lambda C, p: calls.append(p) or real(C, p))
+    calls = record_sweep_primes(monkeypatch)
     small = frobenius_table(C, 100)
     large = frobenius_table(C, 300)
     prefix = frobenius_table(C, 50)
-    assert calls == [p for p in primes_up_to(300) if p != 11]
+    assert sorted(calls) == [p for p in primes_up_to(300) if p != 11]
+    assert any(p >= counting.BSGS_MIN_P for p in calls)
     assert list(small.items()) == [(p, ap) for p, ap in large.items() if p <= 100]
     assert list(prefix.items()) == [(p, ap) for p, ap in large.items() if p <= 50]
     assert frobenius_table(C, 100) == small and frobenius_table(C, 50) == prefix
@@ -234,28 +327,21 @@ def test_frobenius_table_extends_one_sweep_per_curve(monkeypatch):
 
 
 def test_frobenius_table_keeps_the_last_curve(monkeypatch):
-    import ecledger.counting as counting
-
     C = WeierstrassCurve(0, -1, 1, -10, -20)  # 11a1
     frobenius_table.cache_clear()
-    calls = []
-    real = counting.trace_ap
-    monkeypatch.setattr(counting, "trace_ap", lambda C, p: calls.append(p) or real(C, p))
+    calls = record_sweep_primes(monkeypatch)
     for curve, bad in ((C, 11), (E1, 15), (C, 11)):
         calls.clear()
-        table = frobenius_table(curve, 100)
-        good = [p for p in primes_up_to(100) if bad % p]
-        assert calls == good  # E1 took the one slot, so 11a1 is counted again
-        assert table == {p: real(curve, p) for p in good}
+        table = frobenius_table(curve, 300)
+        good = [p for p in primes_up_to(300) if bad % p]
+        assert sorted(calls) == good  # E1 took the one slot, so 11a1 is counted again
+        assert table == {p: trace_ap(curve, p) for p in good}
 
 
 def test_ledger_counts_each_prime_once_per_bound(monkeypatch):
-    import ecledger.counting as counting
     from ecledger.ledger import LedgerOptions, run_ledger
 
-    calls = []
-    real = counting.trace_ap
-    monkeypatch.setattr(counting, "trace_ap", lambda C, p: calls.append(p) or real(C, p))
+    calls = record_sweep_primes(monkeypatch)
     # the series reads a prefix of the certificates' sweep, or extends it
     for prime_bound, terms in ((400, 200), (200, 400)):
         frobenius_table.cache_clear()
@@ -263,4 +349,4 @@ def test_ledger_counts_each_prime_once_per_bound(monkeypatch):
         opts = LedgerOptions(prime_bound=prime_bound, l_list=(3, 5), terms=terms, precision_bits=96,
                              padic_digits=12)
         run_ledger(E1, opts)
-        assert calls == [p for p in primes_up_to(max(prime_bound, terms)) if 15 % p]
+        assert sorted(calls) == [p for p in primes_up_to(max(prime_bound, terms)) if 15 % p]

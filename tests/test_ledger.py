@@ -186,6 +186,27 @@ def test_cli_subcommands_run(tmp_path, capsys):
         assert capsys.readouterr().out
 
 
+def test_cli_and_views_without_point_counts_leave_numpy_unimported():
+    # numpy is imported by the point counts and the GL2(F_l) tables only, so
+    # the import and these views skip its cost in a fresh interpreter
+    import os
+    import subprocess
+    import sys
+
+    code = (
+        "import contextlib, io, sys\n"
+        "import ecledger.cli\n"
+        "assert 'numpy' not in sys.modules\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    for view in ('invariants', 'local', 'torsion', 'linv', 'image-mod8'):\n"
+        "        ecledger.cli.main([view])\n"
+        "assert 'numpy' not in sys.modules\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=120)
+
+
 def test_cli_image_mod8_skips_other_curves(capsys):
     assert main(["image-mod8", "--curve", "1,1,1,-5,2"]) == 1
     assert "skipped" in capsys.readouterr().out
@@ -382,6 +403,29 @@ def test_shared_facts_computed_once_per_ledger(monkeypatch):
         ("bad_primes",), ("kodaira_and_tamagawa", 3), ("kodaira_and_tamagawa", 5),
         ("reduction_type", 3), ("reduction_type", 5), ("reduction_type", 5), ("torsion_subgroup",),
     ]
+
+
+def test_factorisation_and_primality_caches_stay_bounded():
+    # a process that runs ledger after ledger keeps the latest entries only
+    import random
+
+    from ecledger.curve import SingularCurveError
+
+    arith.factorize.cache_clear()
+    arith.is_prime.cache_clear()
+    box, ran = random.Random(3), 0
+    small = LedgerOptions(prime_bound=200, l_list=(3,), terms=50, precision_bits=64, padic_digits=6)
+    while ran < 400:
+        try:
+            C = WeierstrassCurve(box.randint(0, 1), box.randint(-1, 1), box.randint(0, 1),
+                                 box.randint(-50, 50), box.randint(-50, 50))
+        except SingularCurveError:
+            continue
+        run_ledger(C, small)
+        ran += 1
+    for cached in (arith.factorize, arith.is_prime):
+        info = cached.cache_info()
+        assert info.currsize <= info.maxsize < info.misses
 
 
 def test_linv_zero_to_working_precision_prints_a_bound():
