@@ -248,11 +248,6 @@ def _is_prime_power(n: int) -> bool:
     return n == 1
 
 
-@lru_cache(maxsize=None)
-def _tables(l: int) -> _GL2Tables:
-    return _GL2Tables(l)
-
-
 SUBGROUP_ENUM_CAP = 7
 
 
@@ -273,7 +268,9 @@ def enumerate_subgroups_gl2(l: int) -> tuple[ModMMatrixGroup, ...]:
         raise DomainError(f"{l} is not prime")
     if l > SUBGROUP_ENUM_CAP:
         raise DomainError(f"subgroup enumeration is capped at l <= {SUBGROUP_ENUM_CAP}")
-    t = _tables(l)
+    # The walk's result is cached, not the tables: no ledger reads them, so a
+    # long-lived process frees them (about 2 MB at l = 5) once the walk ends.
+    t = _GL2Tables(l)
     candidates = np.array(
         sorted({int(r) for r in t.cyc_rep if r >= 0}), dtype=np.int32
     )

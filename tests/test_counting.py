@@ -220,9 +220,10 @@ def test_frobenius_table_lists_every_good_prime_once():
 
 
 # The batched pass's oracle set: E1 (torsion Z/2 x Z/4), 11a1, 14a1, j = 1728,
-# j = 0 and 20 seeded models, at every good p in [BSGS_MIN_P, 20 000].
+# j = 0, a model whose c4 and c6 exceed int64, and 20 seeded models, at every
+# good p in [BSGS_MIN_P, 20 000].
 PASS_CURVES = [E1, WeierstrassCurve(0, -1, 1, -10, -20), WeierstrassCurve(1, 0, 1, 4, -6),
-               WeierstrassCurve(0, 0, 0, -1, 0), WeierstrassCurve(0, 0, 1, 0, 0), *seeded_models(31415)]
+               WeierstrassCurve(0, 0, 0, -1, 0), WeierstrassCurve(0, 0, 1, 0, 0), BIG_MODEL, *seeded_models(31415)]
 PASS_PRIMES = [p for p in primes_up_to(20_000) if p >= counting.BSGS_MIN_P]
 
 

@@ -18,9 +18,9 @@ from ecledger.galois_image import (
     SPLIT_NORMALISER,
     SUBGROUP_ENUM_CAP,
     ModMMatrixGroup,
+    _GL2Tables,
     _quadratic_character_refuted,
     _quadratic_radicands,
-    _tables,
     abelian_group_structure,
     det_condition_subgroup,
     enumerate_subgroups_gl2,
@@ -226,7 +226,7 @@ def test_subgroup_enum_cap():
 
 @pytest.mark.parametrize("l", [3, 5])
 def test_gl2_tables_agree_with_matrix_arithmetic(l):
-    t = _tables(l)
+    t = _GL2Tables(l)
     mats = t.mats
     assert len(mats) == (l * l - 1) * (l * l - l)
     for i, x in enumerate(mats):
@@ -241,7 +241,7 @@ def test_gl2_tables_agree_with_matrix_arithmetic(l):
 
 
 def test_closure_is_the_generated_subgroup():
-    t = _tables(5)
+    t = _GL2Tables(5)
     gens = [t.index[(1, 1, 0, 1)], t.index[(2, 0, 0, 1)], t.index[(1, 0, 0, 2)]]  # upper triangular
     K = t.closure(gens)
     expected = group_closure([t.mats[g] for g in gens], 5).elements
@@ -376,7 +376,7 @@ def test_maximal_subgroups_cover_every_proper_class(l):
     certificate's S4 test refutes.  The listed subgroups have the orders of
     the enumeration's maximal classes.
     """
-    t = _tables(l)
+    t = _GL2Tables(l)
 
     def mask(elements):
         out = np.zeros(t.n, dtype=bool)

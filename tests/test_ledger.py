@@ -371,7 +371,7 @@ def test_views_skip_subgroup_enumeration(argv, monkeypatch, capsys):
 
     # the certificates need neither the class list nor the GL2(F_l) tables
     monkeypatch.setattr(galois_image, "enumerate_subgroups_gl2", forbidden)
-    monkeypatch.setattr(galois_image, "_tables", forbidden)
+    monkeypatch.setattr(galois_image, "_GL2Tables", forbidden)
     assert main(argv) == 0
     assert capsys.readouterr().out
 
