@@ -178,10 +178,10 @@ def _lane_candidates(c4: int, c6: int, primes: list[int], r: int):
     # trace a reads as 2(p + 1 - g) - a on E and 2(g - p - 1) - a on the
     # twist.  The odd lanes' windows are shifted by m and m is odd, so the
     # reflections of a prime's two lanes never agree: on one curve they would
-    # need the same centre g, and on E and its twist g + g' = 2(p + 1), but
-    # g + g' is an odd multiple of m.
+    # need the same centre g, and on E and its twist centres with
+    # g + g' = 2(p + 1), while g + g' is an odd multiple of m.
     m = math.isqrt(r // 2) | 1  # as fast as sqrt(r) here, with smaller tables
-    K = -(-r // m) + 1  # windows of width 2m from c m - m on cover n = p + 1 - r .. p + 1 + r
+    K = -(-r // m) + 1  # K windows of width 2m, from cm - m on, cover p + 1 - r .. p + 1 + r
     c = (p + 1 - np.array([math.isqrt(4 * q) for q in primes]).repeat(2)) // m + lane % 2
     BX = np.empty((m + 1, p.size), dtype=dtype)
     BZ = np.empty_like(BX)
