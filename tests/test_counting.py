@@ -206,7 +206,19 @@ def test_count_points_rejects_primes_beyond_exact_range():
 
     with pytest.raises(DomainError):
         count_points(E1, 1_100_000_009)
+    with pytest.raises(DomainError):
+        counting._bsgs_traces(E1, [1_100_000_009])
     assert 7 * COUNT_POINTS_MAX_P**2 < 2**63
+
+
+def test_sweep_rejects_a_model_that_is_not_integral():
+    from fractions import Fraction
+
+    from ecledger.arith import DomainError
+
+    frobenius_table.cache_clear()
+    with pytest.raises(DomainError, match="integral model"):
+        frobenius_table(WeierstrassCurve(0, 0, 0, Fraction(1, 2), 1), 1000)
 
 
 def test_frobenius_table_lists_every_good_prime_once():
