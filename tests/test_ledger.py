@@ -38,6 +38,10 @@ GOLDEN = {
 }
 # `ecledger count --prime-bound 200` output, pinned the same way.
 COUNT_GOLDEN = {"15a1-count.txt": "1,1,1,-10,-10", "11a1-count.txt": "0,-1,1,-10,-20"}
+# `ecledger lvalue --format json` at default options on two large conductors
+# (N = 526022 and 3265006): the series runs all its terms, and the printed
+# L(E,1) is far above its error bound, so every digit is pinned.
+LVALUE_GOLDEN = {"526022-lvalue.json": "1,1,0,39,7", "3265006-lvalue.json": "1,-1,0,-47,33"}
 
 
 def _golden_report(name: str) -> str:
@@ -468,9 +472,22 @@ def test_count_matches_golden(name, tmp_path):
     assert (tmp_path / name).read_bytes() == (GOLDEN_DIR / name).read_bytes()
 
 
+def _golden_lvalue(name: str, path: Path) -> None:
+    # no tail bound small enough to reconstruct a ratio at 2000 terms: exit 1
+    assert main(["lvalue", "--curve", LVALUE_GOLDEN[name], "--format", "json", "--out", str(path)]) == 1
+
+
+@pytest.mark.parametrize("name", sorted(LVALUE_GOLDEN))
+def test_lvalue_matches_golden(name, tmp_path):
+    _golden_lvalue(name, tmp_path / name)
+    assert (tmp_path / name).read_bytes() == (GOLDEN_DIR / name).read_bytes()
+
+
 if __name__ == "__main__":
     GOLDEN_DIR.mkdir(exist_ok=True)
     for name in sorted(GOLDEN):
         (GOLDEN_DIR / name).write_bytes(_golden_report(name).encode())
     for name in sorted(COUNT_GOLDEN):
         _golden_count(name, GOLDEN_DIR / name)
+    for name in sorted(LVALUE_GOLDEN):
+        _golden_lvalue(name, GOLDEN_DIR / name)
