@@ -12,12 +12,15 @@ from __future__ import annotations
 
 import argparse
 import sys
+from functools import partial
 
 from . import __version__, galois_image
 from .arith import DomainError, is_prime
 from .counting import frobenius_table
 from .curve import E1, WeierstrassCurve, curve_from_string
 from .ledger import CHECKS, VERIFIED, LedgerOptions, emit_report, run_ledger
+from .lvalue import PRECISION_BITS_CAP, TERMS_CAP
+from .padic import DIGITS_CAP
 
 DEFAULT_CURVE = ",".join(str(a) for a in E1.coefficients())
 
@@ -42,13 +45,14 @@ def _curve(text: str) -> WeierstrassCurve:
         raise argparse.ArgumentTypeError(str(err)) from None
 
 
-def _positive_int(text: str) -> int:
+def _positive_int(text: str, cap: int | None = None) -> int:
     try:
         n = int(text)
     except ValueError:
         n = 0
-    if n < 1:
-        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    if n < 1 or (cap is not None and n > cap):
+        up_to = "" if cap is None else f" up to {cap}"
+        raise argparse.ArgumentTypeError(f"expected a positive integer{up_to}, got {text!r}")
     return n
 
 
@@ -65,8 +69,9 @@ def _prime_list(text: str) -> tuple[int, ...]:
 
 # LedgerOptions field -> (argument type, metavar), in field order
 _OPTION_ARGS = {"prime_bound": (_positive_int, "N"), "l_list": (_prime_list, "L1,L2,..."),
-                "terms": (_positive_int, "M"), "precision_bits": (_positive_int, "B"),
-                "padic_digits": (_positive_int, "D")}
+                "terms": (partial(_positive_int, cap=TERMS_CAP), "M"),
+                "precision_bits": (partial(_positive_int, cap=PRECISION_BITS_CAP), "B"),
+                "padic_digits": (partial(_positive_int, cap=DIGITS_CAP), "D")}
 
 
 def _add_options(view: argparse.ArgumentParser, names) -> None:

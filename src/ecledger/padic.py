@@ -15,12 +15,20 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from .arith import DomainError, is_prime, rational_valuation, valuation
 from .curve import WeierstrassCurve
 from .local_data import ReductionKind, reduction_type
 
 DEFAULT_DIGITS = 20
+# The most digits the CLI accepts; the functions take any.  A split prime with
+# v_p(j) = -1 needs as many Lagrange coefficients, and `linv` at the cap then
+# runs in 2.4 to 3.9 s on a 2-vCPU x86-64 container (7 s at 300 digits).
+DIGITS_CAP = 250
+# Series lengths whose Lagrange coefficients stay cached: a ledger at D digits
+# asks for ceil(D / m) at each split prime, one of a few lengths per D.
+TATE_CACHE_SIZE = 16
 
 
 @dataclass(frozen=True)
@@ -192,11 +200,13 @@ def j_q_expansion(T: int) -> tuple[int, ...]:
 # -- Tate parameter and the log/ord invariant ---------------------------------
 
 
+@lru_cache(maxsize=TATE_CACHE_SIZE)
 def tate_coefficients(N: int) -> tuple[int, ...]:
     """b_1..b_N of q = sum b_n t^n, the inverse of the series t = 1/j(q).
 
     With f = q j(q) = 1 + 744 q + ..., t = q / f(q); Lagrange inversion gives
-    b_n = [q^(n-1)] f^n / n, and every b_n is an integer.
+    b_n = [q^(n-1)] f^n / n, and every b_n is an integer.  They depend on N
+    alone, so they are cached by length.
     """
     f = j_q_expansion(N)
     power = [1]

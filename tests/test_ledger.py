@@ -39,8 +39,9 @@ GOLDEN = {
 # `ecledger count --prime-bound 200` output, pinned the same way.
 COUNT_GOLDEN = {"15a1-count.txt": "1,1,1,-10,-10", "11a1-count.txt": "0,-1,1,-10,-20"}
 # `ecledger lvalue --format json` at default options on two large conductors
-# (N = 526022 and 3265006): the series runs all its terms, and the printed
-# L(E,1) is far above its error bound, so every digit is pinned.
+# (N = 526022 and 3265006): the series runs all 2000 terms and their tails
+# bound nothing useful, but each printed digit of the partial sum lies far
+# above the rounding of the sum, so every byte is pinned.
 LVALUE_GOLDEN = {"526022-lvalue.json": "1,1,0,39,7", "3265006-lvalue.json": "1,-1,0,-47,33"}
 
 
@@ -224,6 +225,24 @@ def test_cli_rejects_non_positive_numeric_options(flag, value, capsys):
     assert exc.value.code == 2
     err = capsys.readouterr().err
     assert err.startswith("usage:") and "expected a positive integer" in err
+
+
+@pytest.mark.parametrize("flag, cap", [("--terms", lvalue.TERMS_CAP), ("--precision-bits", lvalue.PRECISION_BITS_CAP),
+                                       ("--padic-digits", padic.DIGITS_CAP)])
+def test_cli_series_options_stop_at_their_caps(flag, cap, capsys):
+    # each cap bounds the run time of the views that read the option; a value
+    # over it exits 2 before any series is built, and every value the suites,
+    # the CI steps and the golden reports use is admitted
+    parse = cli._build_parser().parse_args
+    field = flag[2:].replace("-", "_")
+    assert getattr(parse(["ledger", flag, str(cap)]), field) == cap
+    assert max(getattr(opts, field) for opts in (LedgerOptions(), FAST)) <= cap
+    for value in (cap + 1, 100 * cap, 10**100):
+        with pytest.raises(SystemExit) as exc:
+            main(["ledger", flag, str(value)])
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert not out and err.startswith("usage:") and f"expected a positive integer up to {cap}," in err
 
 
 @pytest.mark.parametrize("value", ["0", "x", "4", "53", "1000000000000000003", ",", ""])
@@ -430,6 +449,38 @@ def test_factorisation_and_primality_caches_stay_bounded():
     for cached in (arith.factorize, arith.is_prime):
         info = cached.cache_info()
         assert info.currsize <= info.maxsize < info.misses
+
+
+def test_tate_coefficients_are_built_once_per_length_and_stay_bounded(monkeypatch):
+    # the Lagrange coefficients depend on the series length alone: across a
+    # box slice at one digit count each length expands j(q) once, and a
+    # process that varies the digits keeps the latest lengths only
+    import random
+
+    from ecledger.curve import SingularCurveError
+
+    lengths = []
+    expand = padic.j_q_expansion
+    monkeypatch.setattr(padic, "j_q_expansion", lambda T: lengths.append(T) or expand(T))
+    padic.tate_coefficients.cache_clear()
+    cache_info = padic.tate_coefficients.cache_info
+    box, ran, split = random.Random(3), 0, 0
+    while ran < 400:
+        try:
+            C = WeierstrassCurve(box.randint(0, 1), box.randint(-1, 1), box.randint(0, 1),
+                                 box.randint(-50, 50), box.randint(-50, 50))
+        except SingularCurveError:
+            continue
+        digits = 20 if ran < 200 else 1 + ran % 60
+        records = run_ledger(C, LedgerOptions(padic_digits=digits), ("linv",)).records
+        split += sum(r.id.startswith("linv-") for r in records)
+        ran += 1
+        if ran == 200:
+            assert len(lengths) == len(set(lengths)) == cache_info().misses > 1
+            assert cache_info().hits > 2 * cache_info().misses
+    info = cache_info()
+    assert split > 100 and len(lengths) == info.misses
+    assert info.currsize <= info.maxsize < info.misses
 
 
 def test_linv_zero_to_working_precision_prints_a_bound():

@@ -6,10 +6,12 @@ from mpmath import mp
 
 from ecledger.arith import DomainError, factorize, primes_up_to
 from ecledger.counting import trace_ap
-from ecledger.curve import E1, E2, WeierstrassCurve
-from ecledger.local_data import ReductionKind, conductor_semistable
+from ecledger.curve import E1, E2, SingularCurveError, WeierstrassCurve
+from ecledger.local_data import ReductionKind, UnsupportedReductionError, conductor_semistable
 from ecledger.lvalue import (
+    GUARD_BITS,
     RealApprox,
+    _fixed_point_sum,
     an_coefficients,
     l_value_at_1,
     lvalue_ratio,
@@ -189,3 +191,47 @@ def test_rational_reconstruct_reads_the_full_precision():
 
 def test_rational_reconstruct_rejects_an_infinite_bound():
     assert rational_reconstruct(RealApprox(mp.mpf("0.125"), mp.inf), 100) is None
+
+
+def semistable_box_curves(seed, count):
+    """The first `count` box curves of root number +1 with multiplicative reduction at every bad prime."""
+    import random
+
+    box, out = random.Random(seed), []
+    while len(out) < count:
+        try:
+            C = WeierstrassCurve(box.randint(0, 1), box.randint(-1, 1), box.randint(0, 1),
+                                 box.randint(-50, 50), box.randint(-50, 50))
+            local = local_data(C)
+        except (SingularCurveError, UnsupportedReductionError):
+            continue
+        if root_number(local) == 1:
+            out.append(C)
+    return out
+
+
+def fixed_point_bound(a, u, P):
+    """l_value_at_1's bound E on the fixed-point sum's distance from sum a_n u^n / n, n <= M."""
+    M = len(a) - 1
+    spread = sum(abs(a[n]) * min(1, 1 / (n * (1 - u))) for n in range(1, M + 1))
+    return mp.ldexp(2 * (1 + mp.mpf(2) ** -29) * spread + M, -P)
+
+
+@pytest.mark.parametrize("C", [E1, E2, C11A1, C14A1, C19A1, *semistable_box_curves(5, 20)],
+                         ids=lambda C: ",".join(map(str, C.coefficients())))
+def test_fixed_point_sum_against_a_four_fold_precision_sum(C):
+    # conductors from 11 to about 10^6: the series stops after some 70 terms
+    # for small N and runs all M terms for large N; the oracle always sums all M
+    local, B, M = local_data(C), 128, 2000
+    a, N, P = an_coefficients(C, M, local), conductor_semistable(local), B + GUARD_BITS
+    L = l_value_at_1(C, local, M, B)
+    with mp.workprec(4 * B):
+        u = mp.exp(-2 * mp.pi / mp.sqrt(N))
+        partial = mp.fsum(mp.mpf(a[n]) / n * u**n for n in range(1, M + 1) if a[n])
+        E = fixed_point_bound(a, u, P)
+        assert abs(mp.ldexp(_fixed_point_sum(a, N, P), -P) - partial) <= E
+        # the reported value adds one rounding to B bits, and all of it lies
+        # far inside the rounding term of the error bound
+        error = 2 * E + mp.ldexp(abs(L.value), -B)
+        assert abs(L.value - 2 * partial) <= error
+        assert error <= mp.ldexp(abs(L.value) + 1, 12 - B - 20) * M
