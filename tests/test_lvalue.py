@@ -220,7 +220,7 @@ def fixed_point_bound(a, u, P):
 @pytest.mark.parametrize("C", [E1, E2, C11A1, C14A1, C19A1, *semistable_box_curves(5, 20)],
                          ids=lambda C: ",".join(map(str, C.coefficients())))
 def test_fixed_point_sum_against_a_four_fold_precision_sum(C):
-    # conductors from 11 to about 10^6: the series stops after some 70 terms
+    # conductors from 11 to about 10^7: the series stops after some 70 terms
     # for small N and runs all M terms for large N; the oracle always sums all M
     local, B, M = local_data(C), 128, 2000
     a, N, P = an_coefficients(C, M, local), conductor_semistable(local), B + GUARD_BITS
