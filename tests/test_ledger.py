@@ -43,6 +43,9 @@ COUNT_GOLDEN = {"15a1-count.txt": "1,1,1,-10,-10", "11a1-count.txt": "0,-1,1,-10
 # bound nothing useful, but each printed digit of the partial sum lies far
 # above the rounding of the sum, so every byte is pinned.
 LVALUE_GOLDEN = {"526022-lvalue.json": "1,1,0,39,7", "3265006-lvalue.json": "1,-1,0,-47,33"}
+# `ecledger linv --format json` at the digit cap on a curve split at 71 with
+# v(j) = -1, which needs the longest Tate-parameter run the CLI admits.
+LINV_GOLDEN = {"3265006-linv250.json": "1,-1,0,-47,33"}
 
 
 def _golden_report(name: str) -> str:
@@ -534,6 +537,17 @@ def test_lvalue_matches_golden(name, tmp_path):
     assert (tmp_path / name).read_bytes() == (GOLDEN_DIR / name).read_bytes()
 
 
+def _golden_linv(name: str, path: Path) -> None:
+    argv = ["linv", "--curve", LINV_GOLDEN[name], "--padic-digits", "250", "--format", "json"]
+    assert main([*argv, "--out", str(path)]) == 0
+
+
+@pytest.mark.parametrize("name", sorted(LINV_GOLDEN))
+def test_linv_at_the_digit_cap_matches_golden(name, tmp_path):
+    _golden_linv(name, tmp_path / name)
+    assert (tmp_path / name).read_bytes() == (GOLDEN_DIR / name).read_bytes()
+
+
 if __name__ == "__main__":
     GOLDEN_DIR.mkdir(exist_ok=True)
     for name in sorted(GOLDEN):
@@ -542,3 +556,5 @@ if __name__ == "__main__":
         _golden_count(name, GOLDEN_DIR / name)
     for name in sorted(LVALUE_GOLDEN):
         _golden_lvalue(name, GOLDEN_DIR / name)
+    for name in sorted(LINV_GOLDEN):
+        _golden_linv(name, GOLDEN_DIR / name)
