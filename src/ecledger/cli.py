@@ -11,6 +11,7 @@ of running a check.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from functools import partial
 
@@ -43,6 +44,14 @@ def _curve(text: str) -> WeierstrassCurve:
         return curve_from_string(text)
     except DomainError as err:
         raise argparse.ArgumentTypeError(str(err)) from None
+
+
+def _out_path(text: str) -> str:
+    """A file path the output can be written to; the file is made only once the output is ready."""
+    folder = os.path.dirname(text) or "."
+    if os.path.isdir(text) or not os.path.isdir(folder) or not os.access(folder, os.W_OK):
+        raise argparse.ArgumentTypeError(f"cannot write a file at {text!r}")
+    return text
 
 
 def _positive_int(text: str, cap: int | None = None) -> int:
@@ -78,7 +87,7 @@ def _add_options(view: argparse.ArgumentParser, names) -> None:
     defaults = LedgerOptions()
     view.add_argument("--curve", type=_curve, default=DEFAULT_CURVE, metavar="a1,a2,a3,a4,a6",
                       help=f"Weierstrass coefficients (default {DEFAULT_CURVE})")
-    view.add_argument("--out", metavar="PATH", help="write output to PATH instead of stdout")
+    view.add_argument("--out", type=_out_path, metavar="PATH", help="write output to PATH instead of stdout")
     for name in names:
         kind, metavar = _OPTION_ARGS[name]
         view.add_argument("--" + name.replace("_", "-"), type=kind, default=getattr(defaults, name),

@@ -6,16 +6,15 @@ p**prec (prec significant base-p digits): it is known modulo p**(val + prec),
 and a zero is O(p**(val + prec)).  Additions track the precision lost to
 cancellation, and every operation keeps a zero's absolute precision.
 
-The Tate parameter is the exact rational sum of the integer series
-q = sum b_n t^n in t = 1/j (the reversion of 1/j(q)), cut where its tail
-provably lies beyond the requested digits; no iteration is involved.
+The Tate parameter q of a curve with invariant j is the fixed point of
+x -> x j(x) / j, found by exact iteration in the integers modulo
+p**(val + prec): ceil(prec / val) steps from x = 0, each proving val digits.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
 from .arith import DomainError, is_prime, rational_valuation, valuation
 from .curve import WeierstrassCurve
@@ -23,12 +22,10 @@ from .local_data import ReductionKind, reduction_type
 
 DEFAULT_DIGITS = 20
 # The most digits the CLI accepts; the functions take any.  A split prime with
-# v_p(j) = -1 needs as many Lagrange coefficients, and `linv` at the cap then
-# runs in 2.4 to 3.9 s on a 2-vCPU x86-64 container (7 s at 300 digits).
+# v_p(j) = -1 needs as many fixed-point steps, the k-th a Horner pass over k
+# terms mod p^(k + 1).  On a 2-vCPU x86-64 container `linv` at the cap took
+# 0.5 s at p = 71 and 2.4 s at p = 8964467; the cost grows with log p.
 DIGITS_CAP = 250
-# Series lengths whose Lagrange coefficients stay cached: a ledger at D digits
-# asks for ceil(D / m) at each split prime, one of a few lengths per D.
-TATE_CACHE_SIZE = 16
 
 
 @dataclass(frozen=True)
@@ -174,7 +171,8 @@ def j_q_expansion(T: int) -> tuple[int, ...]:
 
     Index n + 1 holds the coefficient of q^n in j(q), for -1 <= n <= T.
 
-    E4 = 1 + 240 sum sigma3(n) q^n; Delta = q prod (1 - q^n)^24.
+    E4 = 1 + 240 sum sigma3(n) q^n; Delta = q prod (1 - q^n)^24, and Jacobi's
+    identity gives prod (1 - q^n)^3 = sum_k (-1)^k (2k + 1) q^(k(k+1)/2).
     """
     if T < 1:
         raise DomainError("need at least one positive power")
@@ -184,12 +182,14 @@ def j_q_expansion(T: int) -> tuple[int, ...]:
             sigma3[mult] += d**3
     e4 = [1] + [240 * sigma3[n] for n in range(1, T + 2)]
     e4cubed = _series_mul(_series_mul(e4, e4, T + 1), e4, T + 1)
-    # Delta / q = prod (1 - q^n)^24, one factor (1 - q^n) at a time, in place
-    eta24 = [1] + [0] * (T + 1)
-    for n in range(1, T + 2):
-        for _ in range(24):
-            for k in range(T + 1, n - 1, -1):
-                eta24[k] -= eta24[k - n]
+    # Delta / q = prod (1 - q^n)^24: Jacobi's cube, squared three times
+    eta24 = [0] * (T + 2)
+    k = 0
+    while k * (k + 1) // 2 <= T + 1:
+        eta24[k * (k + 1) // 2] = (-1) ** k * (2 * k + 1)
+        k += 1
+    for _ in range(3):
+        eta24 = _series_mul(eta24, eta24, T + 1)
     # j * q = E4^3 / (Delta / q); the divisor has constant term 1
     jq = []
     for k in range(T + 2):
@@ -200,34 +200,17 @@ def j_q_expansion(T: int) -> tuple[int, ...]:
 # -- Tate parameter and the log/ord invariant ---------------------------------
 
 
-@lru_cache(maxsize=TATE_CACHE_SIZE)
-def tate_coefficients(N: int) -> tuple[int, ...]:
-    """b_1..b_N of q = sum b_n t^n, the inverse of the series t = 1/j(q).
-
-    With f = q j(q) = 1 + 744 q + ..., t = q / f(q); Lagrange inversion gives
-    b_n = [q^(n-1)] f^n / n, and every b_n is an integer.  They depend on N
-    alone, so they are cached by length.
-    """
-    f = j_q_expansion(N)
-    power = [1]
-    out = []
-    for n in range(1, N + 1):
-        power = _series_mul(power, f, N - 1)
-        b, r = divmod(power[n - 1], n)
-        if r:
-            raise AssertionError(f"Lagrange coefficient {n} is not an integer")
-        out.append(b)
-    return tuple(out)
-
-
 def tate_parameter(C: WeierstrassCurve, p: int, prec: int = DEFAULT_DIGITS) -> PadicNumber:
     """The q with j(q) = j(C), val(q) = -val_p(j) > 0, for split multiplicative C.
 
-    q = sum_{n>=1} b_n t^n with t = 1/j and integer b_n (``tate_coefficients``).
-    With m = val(t) and N = ceil(prec / m), the sum over n <= N is taken
-    exactly; every dropped term has valuation >= (N + 1) m >= m + prec, so the
-    partial sum equals q mod p^(m + prec): its valuation m and all prec digits
-    of its unit are proved.
+    With F(x) = x j(x) = 1 + 744 x + ... (integer coefficients) and t = 1/j,
+    q is the fixed point of x -> t F(x) in p Z_p.  Let m = val(t), so q lies
+    in p^m Z_p, and N = ceil(prec / m).  For x, y in p^m Z_p, x = y mod p^(k m)
+    gives F(x) = F(y) mod p^(k m), and the terms of F from x^k on vanish mod
+    p^(k m); so t F(x) = t F(y) mod p^(k m + m), and that step needs only the
+    terms below x^k.  From x = 0, which is q mod p^m, step k = 1..N gives q mod
+    p^(k m + m), and step N gives q mod p^(m + prec): its valuation m and all
+    prec digits of its unit are proved.
     """
     if reduction_type(C, p) is not ReductionKind.MULT_SPLIT:
         raise DomainError(f"reduction at {p} is not split multiplicative")
@@ -235,15 +218,18 @@ def tate_parameter(C: WeierstrassCurve, p: int, prec: int = DEFAULT_DIGITS) -> P
     vj = rational_valuation(j, p)
     if vj >= 0:
         raise DomainError(f"j-invariant is p-integral at {p}; no Tate parameter")
-    m = -vj
-    t = 1 / j
-    q = Fraction(0)
-    for b in reversed(tate_coefficients(-(-prec // m))):
-        q = (q + b) * t
-    q = PadicNumber.from_fraction(q, p, prec)
-    if q.valuation() != m:
-        raise AssertionError("Tate parameter valuation mismatch")
-    return q
+    m, N = -vj, -(-prec // -vj)
+    mod = p ** (m + prec)
+    t = j.denominator * pow(j.numerator, -1, mod) % mod
+    F = [c % mod for c in reversed(j_q_expansion(N)[:N])]
+    x = 0
+    for k in range(1, N + 1):
+        r = p ** min(k * m + m, m + prec)
+        acc = 0
+        for c in F[-k:]:
+            acc = (acc * x + c) % r
+        x = t * acc % r
+    return PadicNumber(p, m, x // p**m, prec)
 
 
 def iwasawa_log(x: PadicNumber) -> PadicNumber:

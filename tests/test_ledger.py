@@ -290,6 +290,21 @@ def test_cli_rejects_malformed_curves(curve, command, capsys):
     assert err.startswith("usage:") and "argument --curve" in err
 
 
+@pytest.mark.parametrize("command", ["torsion", "count"])
+@pytest.mark.parametrize("where", ["missing/x.json", "."], ids=["missing-folder", "a-folder"])
+def test_cli_rejects_an_out_path_it_cannot_write(command, where, tmp_path, monkeypatch, capsys):
+    # a missing folder ended in a FileNotFoundError traceback and exit 1, the
+    # code for "not verified", after the check had run
+    monkeypatch.setattr(cli, "run_ledger", lambda *args: pytest.fail("a check ran"))
+    monkeypatch.setattr(cli, "frobenius_table", lambda *args: pytest.fail("the sweep ran"))
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--out", str(tmp_path / where)])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage:") and "argument --out: cannot write a file at" in err
+    assert list(tmp_path.iterdir()) == []
+
+
 LARGE_L = "11,13,17,19,23,29,31,37,41,43,47"
 
 
@@ -452,38 +467,6 @@ def test_factorisation_and_primality_caches_stay_bounded():
     for cached in (arith.factorize, arith.is_prime):
         info = cached.cache_info()
         assert info.currsize <= info.maxsize < info.misses
-
-
-def test_tate_coefficients_are_built_once_per_length_and_stay_bounded(monkeypatch):
-    # the Lagrange coefficients depend on the series length alone: across a
-    # box slice at one digit count each length expands j(q) once, and a
-    # process that varies the digits keeps the latest lengths only
-    import random
-
-    from ecledger.curve import SingularCurveError
-
-    lengths = []
-    expand = padic.j_q_expansion
-    monkeypatch.setattr(padic, "j_q_expansion", lambda T: lengths.append(T) or expand(T))
-    padic.tate_coefficients.cache_clear()
-    cache_info = padic.tate_coefficients.cache_info
-    box, ran, split = random.Random(3), 0, 0
-    while ran < 400:
-        try:
-            C = WeierstrassCurve(box.randint(0, 1), box.randint(-1, 1), box.randint(0, 1),
-                                 box.randint(-50, 50), box.randint(-50, 50))
-        except SingularCurveError:
-            continue
-        digits = 20 if ran < 200 else 1 + ran % 60
-        records = run_ledger(C, LedgerOptions(padic_digits=digits), ("linv",)).records
-        split += sum(r.id.startswith("linv-") for r in records)
-        ran += 1
-        if ran == 200:
-            assert len(lengths) == len(set(lengths)) == cache_info().misses > 1
-            assert cache_info().hits > 2 * cache_info().misses
-    info = cache_info()
-    assert split > 100 and len(lengths) == info.misses
-    assert info.currsize <= info.maxsize < info.misses
 
 
 def test_linv_zero_to_working_precision_prints_a_bound():

@@ -11,7 +11,6 @@ from ecledger.padic import (
     iwasawa_log,
     j_q_expansion,
     l_invariant,
-    tate_coefficients,
     tate_parameter,
 )
 
@@ -114,29 +113,55 @@ def test_j_expansion_initial_coefficients():
 
 
 def test_j_expansion_satisfies_the_delta_identity():
-    # 1728 Delta = E4^3 - E6^2 gives Delta without the product formula
-    T = 30
+    # 1728 Delta = E4^3 - E6^2 gives Delta without the product formula; T = 250
+    # is the longest expansion that DIGITS_CAP reads
 
-    def eisenstein(k, c):
+    def eisenstein(k, c, T):
         return [1] + [c * sum(d**k for d in range(1, n + 1) if n % d == 0) for n in range(1, T + 3)]
 
     def mul(a, b):
-        return [sum(a[i] * b[n - i] for i in range(n + 1)) for n in range(T + 3)]
+        return [sum(a[i] * b[n - i] for i in range(n + 1)) for n in range(len(a))]
 
-    e4, e6 = eisenstein(3, 240), eisenstein(5, -504)
-    e4cubed = mul(mul(e4, e4), e4)
-    delta1728 = [x - y for x, y in zip(e4cubed, mul(e6, e6))]
-    assert delta1728[0] == 0
-    jq = list(j_q_expansion(T))  # q j(q) to degree T + 1
-    assert mul(jq + [0], delta1728[1:] + [0])[: T + 2] == [1728 * x for x in e4cubed[: T + 2]]
+    for T in (30, 250):
+        e4, e6 = eisenstein(3, 240, T), eisenstein(5, -504, T)
+        e4cubed = mul(mul(e4, e4), e4)
+        delta1728 = [x - y for x, y in zip(e4cubed, mul(e6, e6))]
+        assert delta1728[0] == 0
+        jq = list(j_q_expansion(T))  # q j(q) to degree T + 1
+        assert mul(jq + [0], delta1728[1:] + [0])[: T + 2] == [1728 * x for x in e4cubed[: T + 2]]
 
 
-def test_tate_coefficients_are_the_reversion_of_1_over_j():
-    assert tate_coefficients(7) == (
+def reversion_coefficients(N: int) -> list[int]:
+    """b_1..b_N of q = sum b_n t^n, the inverse of the series t = 1/j(q).
+
+    With f = q j(q) = 1 + 744 q + ..., t = q / f(q); Lagrange inversion gives
+    b_n = [q^(n-1)] f^n / n, and every b_n is an integer.
+    """
+    f = j_q_expansion(N)
+    power, out = [1], []
+    for n in range(1, N + 1):
+        power = [sum(power[i] * f[k - i] for i in range(min(k, len(power) - 1) + 1)) for k in range(N)]
+        b, r = divmod(power[n - 1], n)
+        assert r == 0, f"Lagrange coefficient {n} is not an integer"
+        out.append(b)
+    return out
+
+
+def tate_parameter_by_reversion(C: WeierstrassCurve, p: int, prec: int) -> PadicNumber:
+    """q = sum_{n <= N} b_n t^n summed exactly in t = 1/j, N = ceil(prec / m).
+
+    Every dropped term has valuation >= (N + 1) m >= m + prec.
+    """
+    t = 1 / C.j_invariant()
+    m = rational_valuation(t, p)
+    q = sum(b * t**n for n, b in enumerate(reversion_coefficients(-(-prec // m)), start=1))
+    return PadicNumber.from_fraction(q, p, prec)
+
+
+def test_reversion_coefficients_of_1_over_j():
+    assert reversion_coefficients(7) == [
         1, 744, 750420, 872769632, 1102652742882, 1470561136292880, 2037518752496883080
-    )
-    # every Lagrange quotient up to this length divides exactly (else AssertionError)
-    assert tate_coefficients(40)[:7] == tate_coefficients(7)
+    ]
 
 
 # E1 (m = 4 at 5), E2 (m = 2 at 5), 11a1 (m = 5 at 11), 11a3 (m = 1 at 11),
@@ -168,6 +193,13 @@ def test_tate_parameter_satisfies_j_of_q(C, p, prec):
     q = tate_parameter(C, p, prec)
     assert (q.valuation(), q.prec) == (m, prec)
     assert rational_valuation(evaluate_j_at(q) - j, p) >= prec - m
+
+
+@pytest.mark.parametrize("prec", [1, 2, 5, 20, 40])
+@pytest.mark.parametrize("C, p", SPLIT_PRIMES, ids=[f"{C.coefficients()}-{p}" for C, p in SPLIT_PRIMES])
+def test_tate_parameter_matches_the_series_reversion(C, p, prec):
+    q, ref = tate_parameter(C, p, prec), tate_parameter_by_reversion(C, p, prec)
+    assert (q.val, q.unit, q.prec) == (ref.val, ref.unit, ref.prec)
 
 
 def test_tate_parameter_requires_split_multiplicative():
