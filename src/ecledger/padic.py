@@ -218,7 +218,8 @@ def tate_parameter(C: WeierstrassCurve, p: int, prec: int = DEFAULT_DIGITS) -> P
     vj = rational_valuation(j, p)
     if vj >= 0:
         raise DomainError(f"j-invariant is p-integral at {p}; no Tate parameter")
-    m, N = -vj, -(-prec // -vj)
+    m = -vj
+    N = -(-prec // m)
     mod = p ** (m + prec)
     t = j.denominator * pow(j.numerator, -1, mod) % mod
     F = [c % mod for c in reversed(j_q_expansion(N)[:N])]
