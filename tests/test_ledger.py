@@ -44,8 +44,10 @@ COUNT_GOLDEN = {"15a1-count.txt": "1,1,1,-10,-10", "11a1-count.txt": "0,-1,1,-10
 # above the rounding of the sum, so every byte is pinned.
 LVALUE_GOLDEN = {"526022-lvalue.json": "1,1,0,39,7", "3265006-lvalue.json": "1,-1,0,-47,33"}
 # `ecledger linv --format json` at the digit cap on a curve split at 71 with
-# v(j) = -1, which needs the longest Tate-parameter run the CLI admits.
-LINV_GOLDEN = {"3265006-linv250.json": "1,-1,0,-47,33"}
+# v(j) = -1, which needs the longest Tate-parameter run the CLI admits, and at
+# 60 digits on a curve split at the 15-digit prime 432143651940139.
+LINV_GOLDEN = {"3265006-linv250.json": ("1,-1,0,-47,33", 250),
+               "1000166-linv60.json": ("0,0,1,1,1000166", 60)}
 
 
 def _golden_report(name: str) -> str:
@@ -521,12 +523,19 @@ def test_lvalue_matches_golden(name, tmp_path):
 
 
 def _golden_linv(name: str, path: Path) -> None:
-    argv = ["linv", "--curve", LINV_GOLDEN[name], "--padic-digits", "250", "--format", "json"]
+    coeffs, digits = LINV_GOLDEN[name]
+    argv = ["linv", "--curve", coeffs, "--padic-digits", str(digits), "--format", "json"]
     assert main([*argv, "--out", str(path)]) == 0
 
 
-@pytest.mark.parametrize("name", sorted(LINV_GOLDEN))
+@pytest.mark.parametrize("name", ["3265006-linv250.json"])
 def test_linv_at_the_digit_cap_matches_golden(name, tmp_path):
+    _golden_linv(name, tmp_path / name)
+    assert (tmp_path / name).read_bytes() == (GOLDEN_DIR / name).read_bytes()
+
+
+def test_linv_at_a_15_digit_prime_matches_golden(tmp_path):
+    name = "1000166-linv60.json"
     _golden_linv(name, tmp_path / name)
     assert (tmp_path / name).read_bytes() == (GOLDEN_DIR / name).read_bytes()
 
