@@ -28,7 +28,7 @@ MILLER_RABIN_BOUND = 3_317_044_064_679_887_385_961_981
 
 @lru_cache(maxsize=CACHE_SIZE)
 def is_prime(n: int) -> bool:
-    """Deterministic primality, cached: every valuation and p-adic operation
+    """Deterministic primality, cached: every valuation and every PadicNumber
     checks its p, so a ledger proves each p once.  Miller-Rabin to the bases
     MILLER_RABIN_BASES below MILLER_RABIN_BOUND, trial division above."""
     if n < 2:
@@ -53,7 +53,7 @@ def primes_up_to(bound: int) -> list[int]:
         return []
     sieve = bytearray([1]) * (bound + 1)
     sieve[0] = sieve[1] = 0
-    for p in range(2, int(bound**0.5) + 1):
+    for p in range(2, math.isqrt(bound) + 1):
         if sieve[p]:
             sieve[p * p :: p] = bytearray(len(sieve[p * p :: p]))
     return [i for i in range(2, bound + 1) if sieve[i]]

@@ -1,10 +1,10 @@
-"""Fixed-precision p-adic arithmetic, the j-function q-expansion, Tate
-parameters of split multiplicative curves, and the log q / ord q invariant.
+"""p-adic values, the j-function q-expansion, Tate parameters of split
+multiplicative curves, and the log q / ord q invariant.
 
-A ``PadicNumber`` stores a valuation and a unit part known modulo
-p**prec (prec significant base-p digits): it is known modulo p**(val + prec),
-and a zero is O(p**(val + prec)).  Additions track the precision lost to
-cancellation, and every operation keeps a zero's absolute precision.
+Everything is computed on plain integers modulo a power of p.  A
+``PadicNumber`` only records a result: a valuation and a unit part known
+modulo p**prec (prec significant base-p digits), so it is known modulo
+p**(val + prec), and a zero is O(p**(val + prec)).
 
 The Tate parameter q of a curve with invariant j is the fixed point of
 x -> x j(x) / j, found by exact iteration in the integers modulo
@@ -14,7 +14,6 @@ p**(val + prec): ceil(prec / val) steps from x = 0, each proving val digits.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .arith import DomainError, is_prime, rational_valuation, valuation
 from .curve import WeierstrassCurve
@@ -47,22 +46,14 @@ class PadicNumber:
         if u and u % self.p == 0:
             raise AssertionError("unit part must be a unit (normalize on construction)")
 
-    # -- constructors --------------------------------------------------------
-
     @classmethod
-    def zero(cls, p: int, prec: int = DEFAULT_DIGITS) -> "PadicNumber":
-        return cls(p, 0, 0, prec)
-
-    @classmethod
-    def from_fraction(cls, x, p: int, prec: int = DEFAULT_DIGITS) -> "PadicNumber":
-        x = Fraction(x)
-        if x == 0:
-            return cls.zero(p, prec)
-        v = rational_valuation(x, p)
-        num, den = x.numerator // p ** max(v, 0), x.denominator // p ** max(-v, 0)
-        m = p**prec
-        unit = num * pow(den % m, -1, m) % m
-        return cls(p, v, unit, prec)
+    def from_residue(cls, a: int, p: int, n: int) -> "PadicNumber":
+        """The integer a known mod p^n: O(p^n) if p^n divides a."""
+        a %= p**n
+        if a == 0:
+            return cls(p, 0, 0, n)
+        v = valuation(a, p)
+        return cls(p, v, a // p**v, n - v)
 
     def __str__(self) -> str:
         if self.unit == 0:
@@ -82,76 +73,6 @@ class PadicNumber:
         if self.is_zero:
             raise DomainError("valuation of (p-adic) zero")
         return self.val
-
-    # -- arithmetic -----------------------------------------------------------
-
-    def _binary_prec(self, other: "PadicNumber"):
-        if self.p != other.p:
-            raise DomainError("mixed primes")
-        return min(self.prec, other.prec)
-
-    def _zero_like(self, absolute_precision: int, prec: int) -> "PadicNumber":
-        """O(p^absolute_precision), with prec digits for the exact rationals it meets."""
-        return PadicNumber(self.p, absolute_precision - prec, 0, prec)
-
-    def __mul__(self, other) -> "PadicNumber":
-        other = self._coerce(other)
-        k = self._binary_prec(other)
-        if self.is_zero or other.is_zero:
-            # p^v u * O(p^N) = O(p^(v + N)) and O(p^M) * O(p^N) = O(p^(M + N))
-            least = sum(x.absolute_precision if x.is_zero else x.val for x in (self, other))
-            return self._zero_like(least, k)
-        return PadicNumber(self.p, self.val + other.val, self.unit * other.unit % self.p**k, k)
-
-    def __truediv__(self, other) -> "PadicNumber":
-        other = self._coerce(other)
-        k = self._binary_prec(other)
-        if other.is_zero:
-            raise DomainError("division by p-adic zero")
-        if self.is_zero:  # O(p^N) / (p^v u) = O(p^(N - v))
-            return self._zero_like(self.absolute_precision - other.val, k)
-        m = self.p**k
-        return PadicNumber(self.p, self.val - other.val, self.unit * pow(other.unit, -1, m) % m, k)
-
-    def __add__(self, other) -> "PadicNumber":
-        other = self._coerce(other)
-        prec = self._binary_prec(other)
-        abs_prec = min(self.absolute_precision, other.absolute_precision)
-        terms = [x for x in (self, other) if not x.is_zero]
-        v = min((x.val for x in terms), default=abs_prec)
-        if v >= abs_prec:
-            return self._zero_like(abs_prec, prec)
-        k = abs_prec - v
-        s = sum(x.unit * self.p ** (x.val - v) for x in terms) % self.p**k
-        if s == 0:
-            return self._zero_like(abs_prec, prec)
-        dv = valuation(s, self.p)
-        return PadicNumber(self.p, v + dv, s // self.p**dv, k - dv)
-
-    def __neg__(self) -> "PadicNumber":
-        if self.is_zero:
-            return self
-        return PadicNumber(self.p, self.val, self.p**self.prec - self.unit, self.prec)
-
-    def __sub__(self, other) -> "PadicNumber":
-        return self + (-self._coerce(other))
-
-    def __pow__(self, n: int) -> "PadicNumber":
-        if n < 0:
-            return PadicNumber.from_fraction(1, self.p, self.prec) / self**(-n)
-        out = PadicNumber(self.p, 0, 1, self.prec)
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
-
-    def _coerce(self, other):
-        if isinstance(other, PadicNumber):
-            return other
-        return PadicNumber.from_fraction(other, self.p, self.prec)
 
 
 # -- q-expansion of the modular j-function -----------------------------------
@@ -230,37 +151,45 @@ def tate_parameter(C: WeierstrassCurve, p: int, prec: int = DEFAULT_DIGITS) -> P
         for c in F[-k:]:
             acc = (acc * x + c) % r
         x = t * acc % r
-    return PadicNumber(p, m, x // p**m, prec)
+    return PadicNumber.from_residue(x, p, m + prec)
 
 
 def iwasawa_log(x: PadicNumber) -> PadicNumber:
-    """The p-adic logarithm with the branch log(p) = 0.
+    """The p-adic logarithm with the branch log(p) = 0, known mod p^n, n = x.prec.
 
-    Units u are reduced to 1 mod p via u^(p-1); the series log(1+t) then
-    converges and log(u) = log(u^(p-1)) / (p-1).  u and so t are known
-    modulo p^prec, and so is log(1+t).  The k-th term t^k/k has valuation
-    at least k v(t) - floor(log_p k), which never decreases in k, so the sum
-    stops at the first k where that bound reaches prec: every later term is
-    O(p^prec).
+    log(p^v u) = log(u) = log(1 + t) / (p - 1) with t = u^(p-1) - 1 in p Z_p.
+    The unit u is known mod p^n, so t is: take its integer representative in
+    [0, p^n), of valuation v >= 1 (t = 0 gives O(p^n)).  Any t' = t mod p^n has
+    t'^k = t^k mod p^(n + (k - 1) v), and (k - 1) v >= v_p(k) since
+    k >= p^(v_p(k)) > v_p(k); so t^k / k mod p^n, and with it every digit of
+    the sum mod p^n, is the same for every t' and proved.
+
+    The k-th term has valuation k v - v_p(k) >= k v - g, g = floor(log_p k),
+    a bound that never decreases in k; the sum stops at the first k where it
+    reaches n, and every later term is 0 mod p^n.  t^k is carried mod
+    p^(n + g): that holds at k = 1, and multiplying by t proves v >= 1 more
+    digits while g grows by at most one.  As v_p(k) <= g, t^k splits exactly
+    by p^(v_p(k)), leaving t^k / p^(v_p(k)) mod p^n, and the unit part of k
+    is inverted mod p^n.
     """
     if x.is_zero:
         raise DomainError("log of p-adic zero")
-    p = x.p
-    # branch: log(p^v * u) = v*log(p) + log(u) = log(u)
-    u = PadicNumber(p, 0, x.unit, x.prec)
-    w = u ** (p - 1)  # = 1 mod p
-    t = w - 1
-    if t.is_zero:
-        return PadicNumber.zero(p, x.prec)
-    total = PadicNumber.zero(p, x.prec)
-    tk, k, log_k = t, 1, 0  # log_k = floor(log_p k)
-    while k * t.valuation() - log_k < x.prec:
-        total = total + (tk / k if k % 2 else -(tk / k))
-        tk = tk * t
+    p, n = x.p, x.prec
+    mod = p**n
+    t = (pow(x.unit, p - 1, mod) - 1) % mod
+    if t == 0:
+        return PadicNumber.from_residue(0, p, n)
+    v = valuation(t, p)
+    total, tk, k, g = 0, t, 1, 0  # tk = t^k mod p^(n + g), g = floor(log_p k)
+    while k * v - g < n:
+        e = valuation(k, p)
+        term = tk // p**e * pow(k // p**e, -1, mod)
+        total += term if k % 2 else -term
         k += 1
-        if k == p ** (log_k + 1):
-            log_k += 1
-    return total / (p - 1)
+        if k == p ** (g + 1):
+            g += 1
+        tk = tk * t % p ** (n + g)
+    return PadicNumber.from_residue(total * pow(p - 1, -1, mod), p, n)
 
 
 @dataclass(frozen=True)
@@ -274,4 +203,10 @@ def l_invariant(C: WeierstrassCurve, p: int, prec: int = DEFAULT_DIGITS) -> LInv
     """log_p(q_E) / ord_p(q_E) for a split multiplicative prime."""
     q = tate_parameter(C, p, prec)
     log_q = iwasawa_log(q)
-    return LInvariantResult(p, q, log_q / q.valuation())
+    # divide by m = ord(q) = p^e u: lower the valuation by e and multiply the
+    # unit by u^-1 mod p^digits, so a zero O(p^N) becomes O(p^(N - e))
+    m = q.valuation()
+    e = valuation(m, p)
+    mod = p**log_q.prec
+    value = PadicNumber(p, log_q.val - e, log_q.unit * pow(m // p**e, -1, mod), log_q.prec)
+    return LInvariantResult(p, q, value)

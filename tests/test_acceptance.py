@@ -29,10 +29,11 @@ from ecledger.galois_image import (
 from ecledger.ledger import CITED_DEPENDENCIES, LedgerOptions, emit_report, run_ledger
 from ecledger.local_data import ReductionKind, kodaira_and_tamagawa, reduction_type, tamagawa_product
 from ecledger.lvalue import an_coefficients, lvalue_ratio
-from ecledger.padic import PadicNumber, l_invariant
-from ecledger.arith import primes_up_to
+from ecledger.padic import iwasawa_log, l_invariant
+from ecledger.arith import primes_up_to, rational_valuation
 from ecledger.torsion import torsion_subgroup
 from test_local_data import local_data
+from test_padic import exact_value, from_fraction
 
 
 @pytest.fixture
@@ -164,10 +165,10 @@ def test_criterion_10_property_suites_and_determinism(announce):
         for n in range(2, 2000 // m + 1)
         if math.gcd(m, n) == 1
     )
-    # ultrametric law sample
-    x = PadicNumber.from_fraction(Fraction(10), 5, 12)
-    y = PadicNumber.from_fraction(Fraction(75, 2), 5, 12)
-    ultra = (x * y).valuation() == 3 and (x + y).valuation() == 1
+    # log homomorphism sample: log(xy) = log(x) + log(y) mod 5^12
+    x, y = Fraction(10), Fraction(75, 2)
+    lx, ly, lxy = (exact_value(iwasawa_log(from_fraction(z, 5, 12))) for z in (x, y, x * y))
+    homomorphic = lx + ly == lxy or rational_valuation(lx + ly - lxy, 5) >= 12
     # closure of every built matrix group
     groups = [group_closure(RZB_15A1_MOD8[k], 8) for k in ("g_generators", "h_generators")]
     closures = all(
@@ -184,5 +185,5 @@ def test_criterion_10_property_suites_and_determinism(announce):
     complete = all(
         sum(1 for rid in cited_ids if rid == want) == 1 for want, _ in CITED_DEPENDENCIES
     )
-    ok = hasse and assoc and hecke and ultra and closures and blob1 == blob2 and complete
-    announce(10, ok, "Hasse/associativity/Hecke/ultrametric/closure properties hold; ledger json byte-identical; cited records complete")
+    ok = hasse and assoc and hecke and homomorphic and closures and blob1 == blob2 and complete
+    announce(10, ok, "Hasse/associativity/Hecke/log-homomorphism/closure properties hold; ledger json byte-identical; cited records complete")

@@ -29,6 +29,15 @@ def test_primes_up_to_matches_trial_division():
     assert primes_up_to(2) == [2]
 
 
+def test_primes_up_to_at_prime_squares():
+    # the sieve stops at isqrt(bound): a bound at q^2 - 1, q^2 or q^2 + 1 must
+    # still strike out q^2
+    primes = [m for m in range(97**2 + 2) if is_prime(m)]
+    for q in primes_up_to(100):
+        for n in (q * q - 1, q * q, q * q + 1):
+            assert primes_up_to(n) == [m for m in primes if m <= n]
+
+
 def test_is_prime_small_range():
     expected = set(brute_primes(500))
     for n in range(-3, 501):
