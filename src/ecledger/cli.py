@@ -49,7 +49,7 @@ def _curve(text: str) -> WeierstrassCurve:
 def _out_path(text: str) -> str:
     """A file path the output can be written to; the file is made only once the output is ready."""
     folder = os.path.dirname(text) or "."
-    if os.path.isdir(text) or not os.path.isdir(folder) or not os.access(folder, os.W_OK):
+    if not text or os.path.isdir(text) or not os.path.isdir(folder) or not os.access(folder, os.W_OK):
         raise argparse.ArgumentTypeError(f"cannot write a file at {text!r}")
     return text
 

@@ -33,10 +33,22 @@ BSGS_MIN_P = 230
 BSGS_CHUNK = 2048  # primes per pass, which bounds its (m + 1) x lanes tables
 
 
+def _exact_dtype(p: int):
+    """The numpy integer type in which the counts at primes up to p are exact.
+
+    Every intermediate of ``count_points`` and of the pass stays below 7p^2,
+    so int32 is exact while 7p^2 < 2^31 and int64 up to COUNT_POINTS_MAX_P;
+    the int32 passes make a sweep to 10^4 faster.  A larger p raises.
+    """
+    import numpy as np
+
+    if p > COUNT_POINTS_MAX_P:
+        raise DomainError(f"p = {p} exceeds the exact int64 range of the point count")
+    return np.int32 if 7 * p * p < 2**31 else np.int64
+
+
 def count_points_naive(C: WeierstrassCurve, p: int) -> int:
     """#E(F_p) by trying every (x, y) mod p: the O(p^2) oracle for ``count_points``."""
-    if not C.is_integral():
-        raise DomainError("counting requires an integral model")
     a1, a2, a3, a4, a6 = C.coefficients()
     count = 1
     for x in range(p):
@@ -49,20 +61,14 @@ def count_points(C: WeierstrassCurve, p: int) -> int:
     """#E(F_p) including the point at infinity; p must be a good prime."""
     if C.discriminant() % p == 0:
         raise BadReductionError(f"bad reduction at {p}")
-    if not C.is_integral():
-        raise DomainError("counting requires an integral model")
     if p == 2:
         return count_points_naive(C, 2)
-    if p > COUNT_POINTS_MAX_P:
-        raise DomainError(f"p = {p} exceeds the exact int64 range of the point count")
+    dtype = _exact_dtype(p)
     import numpy as np
 
     b2, b4, b6, _ = (v % p for v in C.b_invariants())
-    # Every intermediate stays below 7p^2, so int32 is exact while
-    # 7p^2 < 2^31 and int64 up to COUNT_POINTS_MAX_P; the int32 passes make a
-    # sweep to 10^4 faster.  a - a // p * p is a % p on a >= 0, and numpy's
-    # floor division by a scalar is much faster than its remainder.
-    dtype = np.int32 if 7 * p * p < 2**31 else np.int64
+    # a - a // p * p is a % p on a >= 0, and numpy's floor division by a
+    # scalar is much faster than its remainder.
     h = (p - 1) // 2
     half = np.arange(h + 1, dtype=dtype)
     half *= half
@@ -89,8 +95,7 @@ def trace_ap(C: WeierstrassCurve, p: int) -> int:
 # The pass works on the short model y^2 = x^3 + Ax + B with A = -27 c4 and
 # B = -54 c6, isomorphic to E over F_p for p > 3, in x = X/Z with Z = 0 the
 # point at infinity.  Every intermediate is a sum of at most three products
-# of residues in [0, p], so below 3p^2: exact in int32 while 7p^2 < 2^31, as
-# in count_points, and in int64 up to COUNT_POINTS_MAX_P.
+# of residues in [0, p], so below 3p^2 and exact in ``_exact_dtype``.
 
 
 def _x_double(X, Z, A, B, p):
@@ -135,10 +140,6 @@ def _euler(f, p):
 def _bsgs_traces(C: WeierstrassCurve, primes: list[int]) -> dict[int, int]:
     """{p: a_p} for those of the ascending good primes p > 3 whose two lanes
     leave one candidate trace; ``count_points`` counts the rest."""
-    if primes and primes[-1] > COUNT_POINTS_MAX_P:
-        raise DomainError(f"p = {primes[-1]} exceeds the exact int64 range of the point count")
-    if not C.is_integral():
-        raise DomainError("counting requires an integral model")
     c4, c6 = C.c_invariants()
     traces: dict[int, int] = {}
     for i in range(0, len(primes), BSGS_CHUNK):
@@ -163,7 +164,7 @@ def _lane_candidates(c4: int, c6: int, primes: list[int], r: int):
     """
     import numpy as np
 
-    dtype = np.int32 if 7 * primes[-1] ** 2 < 2**31 else np.int64
+    dtype = _exact_dtype(primes[-1])
     p = np.array(primes, dtype=dtype).repeat(2)
     A = np.array([-27 * c4 % q for q in primes], dtype=dtype).repeat(2)
     B = np.array([-54 * c6 % q for q in primes], dtype=dtype).repeat(2)

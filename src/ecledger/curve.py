@@ -1,8 +1,9 @@
-"""Long Weierstrass models over Q: invariants, group law and 2-isogenies.
+"""Integral long Weierstrass models: invariants, group law and 2-isogenies.
 
-Coefficients and point coordinates are exact rationals, kept as plain ints
-when integral.  Points are ``None`` for the point at infinity or an
-``(x, y)`` pair.  Finite-field data enters only as Frobenius traces
+Coefficients are integers.  Points are rational: ``None`` for the point at
+infinity or an ``(x, y)`` pair of exact rationals, kept as plain ints when
+integral.  A Velu codomain need not be integral, so it stays a tuple of five
+rational coefficients.  Finite-field data enters only as Frobenius traces
 (``counting``).
 """
 
@@ -11,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .arith import DomainError, integer_cubic_roots, iroot_exact, valuation
+from .arith import DomainError, iroot_exact, valuation
 
 Point = tuple  # (x, y); the point at infinity is None
 
@@ -38,27 +39,23 @@ class Invariants:
 
 @dataclass(frozen=True)
 class WeierstrassCurve:
-    """y^2 + a1*x*y + a3*y = x^3 + a2*x^2 + a4*x + a6 over Q.
+    """y^2 + a1*x*y + a3*y = x^3 + a2*x^2 + a4*x + a6 with integer coefficients.
 
-    The coefficients may be rational (Velu codomains of non-integral kernel
-    points are); integral models keep plain ints.
+    Any coefficient that is not an int (a bool, a Fraction, a float) raises a
+    DomainError.
     """
 
-    a1: int | Fraction
-    a2: int | Fraction
-    a3: int | Fraction
-    a4: int | Fraction
-    a6: int | Fraction
+    a1: int
+    a2: int
+    a3: int
+    a4: int
+    a6: int
 
     def __post_init__(self):
-        for name in ("a1", "a2", "a3", "a4", "a6"):
-            object.__setattr__(self, name, rational(Fraction(getattr(self, name))))
-        # Not dataclass fields: equality and hashing stay on the five coefficients.
+        if not all(type(a) is int for a in self.coefficients()):  # a bool would print as True
+            raise DomainError(f"coefficients must be integers, got {self.coefficients()}")
+        # Not a dataclass field: equality and hashing stay on the five coefficients.
         object.__setattr__(self, "_invariants", _model_invariants(*self.coefficients()))
-        object.__setattr__(self, "_integral", all(isinstance(a, int) for a in self.coefficients()))
-
-    def is_integral(self) -> bool:
-        return self._integral
 
     # -- invariants ---------------------------------------------------------
 
@@ -139,12 +136,10 @@ class WeierstrassCurve:
             n >>= 1
         return result
 
-    # -- minimality and 2-torsion -------------------------------------------
+    # -- minimality ---------------------------------------------------------
 
     def is_minimal_at(self, p: int) -> bool:
         """Sufficient minimality certificate: v_p(disc) < 12 or v_p(c4) < 4."""
-        if not self.is_integral():
-            raise DomainError("minimality certificate requires an integral model")
         disc = self.discriminant()
         if disc % p != 0:
             return True
@@ -153,26 +148,10 @@ class WeierstrassCurve:
             return True
         return c4 != 0 and valuation(c4, p) < 4
 
-    def two_torsion_points(self) -> list:
-        """The affine rational points of order 2, sorted by x.
-
-        Their x are (X - 3 b2)/36 for the roots X of the integral short-model
-        cubic X^3 - 27 c4 X - 54 c6; a rational root of that monic cubic is
-        an integer, so the exact integer root finder finds them all.
-        """
-        if not self.is_integral():
-            raise DomainError("rational 2-torsion requires an integral model")
-        c4, c6 = self.c_invariants()
-        b2 = self.b_invariants()[0]
-        pts = []
-        for X in integer_cubic_roots(-27 * c4, -54 * c6):
-            x = Fraction(X - 3 * b2, 36)
-            pts.append((rational(x), rational(Fraction(-(self.a1 * x + self.a3), 2))))
-        return pts
-
 
 def _model_invariants(a1, a2, a3, a4, a6) -> Invariants:
-    """The invariants of a model, computed once per curve by its constructor."""
+    """The invariants of a model: once per curve, by its constructor, and of
+    the rational models that isomorphisms compare."""
     b2 = a1 * a1 + 4 * a2
     b4 = 2 * a4 + a1 * a3
     b6 = a3 * a3 + 4 * a6
@@ -185,11 +164,6 @@ def _model_invariants(a1, a2, a3, a4, a6) -> Invariants:
     return Invariants(b2, b4, b6, b8, c4, c6, disc, Fraction(c4**3, disc))
 
 
-def rational(v: Fraction) -> int | Fraction:
-    """v as a plain int when it is integral (the form points and models keep)."""
-    return int(v) if v.denominator == 1 else v
-
-
 @dataclass(frozen=True)
 class CurveIsomorphism:
     """Change of variables x = u^2 x' + r, y = u^3 y' + s u^2 x' + t."""
@@ -199,10 +173,10 @@ class CurveIsomorphism:
     s: Fraction
     t: Fraction
 
-    def apply(self, C: WeierstrassCurve) -> tuple[Fraction, ...]:
-        """Coefficients of the transformed curve (over Q, as Fractions)."""
+    def apply(self, model: tuple) -> tuple[Fraction, ...]:
+        """The five coefficients of the transformed model, as Fractions."""
         u, r, s, t = self.u, self.r, self.s, self.t
-        a1, a2, a3, a4, a6 = (Fraction(a) for a in C.coefficients())
+        a1, a2, a3, a4, a6 = model
         A1 = (a1 + 2 * s) / u
         A2 = (a2 - s * a1 + 3 * r - s * s) / u**2
         A3 = (a3 + r * a1 + 2 * t) / u**3
@@ -211,28 +185,30 @@ class CurveIsomorphism:
         return (A1, A2, A3, A4, A6)
 
 
-def isomorphism_over_Q(C1: WeierstrassCurve, C2: WeierstrassCurve) -> CurveIsomorphism | None:
-    """An exact isomorphism (u, r, s, t) taking C1 to C2, or None.
+def isomorphism_over_Q(model: tuple, target: tuple) -> CurveIsomorphism | None:
+    """An exact isomorphism (u, r, s, t) taking one model to the other, or None.
 
-    u is pinned by u^12 = disc(C1)/disc(C2); r, s, t then solve linearly.
+    Both are tuples of five rational coefficients.  u is pinned by
+    u^12 = disc(model)/disc(target); r, s, t then solve linearly.
     """
-    if C1.j_invariant() != C2.j_invariant():
+    inv, inv_target = _model_invariants(*model), _model_invariants(*target)
+    if inv.j != inv_target.j:
         return None
-    ratio = Fraction(C1.discriminant()) / Fraction(C2.discriminant())
+    ratio = Fraction(inv.disc) / inv_target.disc
     if ratio < 0:
         return None
     un = iroot_exact(ratio.numerator, 12)
     ud = iroot_exact(ratio.denominator, 12)
     if un is None or ud is None:
         return None
-    a1, a2, a3, a4, a6 = C1.coefficients()
-    b1, b2_, b3, b4_, b6_ = C2.coefficients()
+    a1, a2, a3, _, _ = model
+    b1, b2, b3, _, _ = target
     for u in (Fraction(un, ud), Fraction(-un, ud)):
         s = (u * b1 - a1) / 2
-        r = (u * u * b2_ - a2 + s * a1 + s * s) / 3
+        r = (u * u * b2 - a2 + s * a1 + s * s) / 3
         t = (u**3 * b3 - a3 - r * a1) / 2
         iso = CurveIsomorphism(u, r, s, t)
-        if iso.apply(C1) == tuple(Fraction(b) for b in C2.coefficients()):
+        if iso.apply(model) == tuple(target):
             return iso
     return None
 
@@ -243,7 +219,7 @@ class TwoIsogeny:
 
     domain: WeierstrassCurve
     kernel: tuple
-    codomain: WeierstrassCurve
+    codomain: tuple  # its five coefficients, rational and in general not integral
     # Velu data for the map itself: x' = x + t/(x - x0), y' = y - ...
     t: Fraction
     w: Fraction
@@ -253,29 +229,27 @@ def velu_2_isogeny(C: WeierstrassCurve, K: tuple) -> TwoIsogeny:
     """Quotient of C by the order-2 subgroup generated by K (Velu's formulas)."""
     if K is None or not C.is_on_curve(K):
         raise DomainError(f"kernel point {K} is not an affine point of the curve")
-    if C.multiply(K, 2) is not None:
-        raise DomainError(f"kernel point {K} does not have order 2")
     a1, a2, a3, a4, a6 = C.coefficients()
     x0, y0 = Fraction(K[0]), Fraction(K[1])
-    # 2-torsion: g^y = 2*y0 + a1*x0 + a3 = 0, so u_Q = 0 and t_Q = g^x.
+    if 2 * y0 + a1 * x0 + a3 != 0:  # K has order 2 iff K = -K, iff this is 0
+        raise DomainError(f"kernel point {K} does not have order 2")
+    # g^y = 2*y0 + a1*x0 + a3 = 0, so u_Q = 0 and t_Q = g^x.
     t = 3 * x0 * x0 + 2 * a2 * x0 + a4 - a1 * y0
     w = t * x0  # u_Q + t_Q * x0 with u_Q = 0
     b2 = a1 * a1 + 4 * a2
-    codomain = WeierstrassCurve(a1, a2, a3, a4 - 5 * t, a6 - b2 * t - 7 * w)
-    return TwoIsogeny(C, (K[0], K[1]), codomain, t, w)
+    return TwoIsogeny(C, (K[0], K[1]), (a1, a2, a3, a4 - 5 * t, a6 - b2 * t - 7 * w), t, w)
 
 
-def two_isogeny_onto(C: WeierstrassCurve, target: WeierstrassCurve):
+def two_isogeny_onto(C: WeierstrassCurve, target: WeierstrassCurve, kernels):
     """The 2-isogeny from C whose Velu codomain is isomorphic over Q to target.
 
-    Tries every rational 2-torsion point of C and matches by j-invariant,
-    then by an exact isomorphism.  Returns (isogeny, isomorphism) or None.
+    Tries each of the kernels, the rational points of order 2 on C, and
+    matches its codomain to target by an exact isomorphism.  Returns
+    (isogeny, isomorphism) or None.
     """
-    for K in C.two_torsion_points():
+    for K in kernels:
         phi = velu_2_isogeny(C, K)
-        if phi.codomain.j_invariant() != target.j_invariant():
-            continue
-        iso = isomorphism_over_Q(phi.codomain, target)
+        iso = isomorphism_over_Q(phi.codomain, target.coefficients())
         if iso is not None:
             return phi, iso
     return None

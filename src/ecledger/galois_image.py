@@ -127,8 +127,6 @@ RZB_15A1_MOD8 = {
         (5, 0, 2, 3),
         (1, 0, 4, 1),
     ),
-    # coefficients of the unique curve this dataset applies to
-    "curve": (1, 1, 1, -10, -10),
 }
 
 

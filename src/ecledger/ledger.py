@@ -105,6 +105,8 @@ CITED_DEPENDENCIES = (
 # record id -> (claim, expected evidence).  A listed record passes when its
 # check passes and its evidence equals the expected value; a claim of None
 # keeps the check's wording.  Unlisted records are graded on the check alone.
+# Two entries are inputs rather than evidence: "isogeny-degree-2" names the
+# curve a 2-isogeny must reach, and "mod8" the published mod-8 image dataset.
 _CONDUCTOR_15 = {
     "reduction-3": ("non-split multiplicative reduction at p = 3", ReductionKind.MULT_NONSPLIT),
     "reduction-5": ("split multiplicative reduction at p = 5", ReductionKind.MULT_SPLIT),
@@ -116,7 +118,8 @@ PAPER_EXPECTATIONS = {
         **_CONDUCTOR_15,
         "invariants": ("minimal discriminant 15^4", 50625),
         "tamagawa-product": ("Tamagawa numbers of E is equal to 8", 8),
-        "isogeny-degree-2": (None, E2),  # the curve a 2-isogeny must reach
+        "isogeny-degree-2": (None, E2),
+        "mod8": (None, RZB_15A1_MOD8),
         "mod8-order": (None, 16),
         "mod8-det-subgroup": (None, 8),
         "mod8-fixed-points": (None, (8, (2, 4))),
@@ -213,8 +216,7 @@ def _tamagawa_records(run: _Run) -> list[CheckRecord]:
 
 def _torsion_records(run: _Run) -> list[CheckRecord]:
     T = run.torsion
-    a1, a3 = run.C.a1, run.C.a3
-    two_x = sorted(str(P[0]) for P in T.points if P is not None and 2 * P[1] + a1 * P[0] + a3 == 0)
+    two_x = sorted(str(P[0]) for P in T.two_torsion)
     result = f"order={T.order} structure={T.describe()} order-2 x-coordinates={two_x}"
     return [_computed(run.C, "torsion", "torsion subgroup structure (Nagell-Lutz)",
                       "Nagell-Lutz on scaled short model", result, True, (T.order, T.structure))]
@@ -227,25 +229,27 @@ def _isogeny_records(run: _Run) -> list[CheckRecord]:
     if target is None:
         return [_unsupported(run.C, rid, claim, "Velu",
                              "skipped: the degree-2 isogeny check applies to the 15A1 curve only")]
-    hit = two_isogeny_onto(run.C, target)
+    hit = two_isogeny_onto(run.C, target, run.torsion.two_torsion)
     result = f"no kernel reaches {target.coefficients()}"
     if hit is not None:
         phi, iso = hit
-        result = (
-            f"kernel=({phi.kernel[0]},{phi.kernel[1]}) codomain j={phi.codomain.j_invariant()} "
+        result = (  # the codomain is isomorphic to target, so shares its j
+            f"kernel=({phi.kernel[0]},{phi.kernel[1]}) codomain j={target.j_invariant()} "
             f"iso (u,r,s,t)=({iso.u},{iso.r},{iso.s},{iso.t}) onto {target.coefficients()}"
         )
     return [_computed(run.C, rid, claim, "Velu over the rational 2-torsion", result, hit is not None, target)]
 
 
 def _mod8_records(run: _Run) -> list[CheckRecord]:
-    C, data = run.C, RZB_15A1_MOD8
+    """The mod-8 image the paper cites, where it cites one; unsupported elsewhere."""
+    C = run.C
     claims = {
         "mod8-order": "This group has order 16",
         "mod8-det-subgroup": "matrices with determinant +-1 (order 8)",
         "mod8-fixed-points": "(Z/8Z x Z/8Z)^H = (Z/8Z x Z/8Z)^G",
     }
-    if C.coefficients() != data["curve"]:
+    data = _expectation(C, "mod8", "")[1]
+    if data is None:
         return [
             _unsupported(C, rid, claim, "mod-8 dataset", "skipped: external image data unavailable")
             for rid, claim in claims.items()

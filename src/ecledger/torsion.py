@@ -11,7 +11,8 @@ are the integer roots of X^3 + AX + (B - Y^2), which
 whole torsion subgroup.  A candidate is torsion iff its order is finite, and
 by Mazur it is then at most 12.  A finite subgroup of E(Q) lies in some
 E[n] = (Z/n)^2, so it is Z/d1 x Z/d2 with d1 | d2: d2 is its exponent, the
-largest order, and d1 = order / d2.
+largest order, and d1 = order / d2.  Its points of order 2 are the kernels
+of the rational 2-isogenies, so the group lists them too.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from fractions import Fraction
 
 from .arith import DomainError, factorize, integer_cubic_roots, square_divisors
 from .counting import count_points  # noqa: F401  (count_points stays importable here)
-from .curve import WeierstrassCurve, rational
+from .curve import WeierstrassCurve
 
 MAZUR_ORDER_CAP = 12  # Mazur: a rational torsion point has order at most 12
 
@@ -30,7 +31,8 @@ MAZUR_ORDER_CAP = 12  # Mazur: a rational torsion point has order at most 12
 class TorsionGroup:
     order: int
     structure: tuple[int, int]  # (d1, d2), d1 | d2, group = Z/d1 x Z/d2
-    points: tuple
+    points: tuple  # the point at infinity, then the affine points sorted by (x, y)
+    two_torsion: tuple  # the points of order 2, sorted by x: the kernels of the rational 2-isogenies
 
     def describe(self) -> str:
         d1, d2 = self.structure
@@ -49,10 +51,13 @@ def point_order(C: WeierstrassCurve, P) -> int | None:
     return None
 
 
+def rational(v: Fraction) -> int | Fraction:
+    """v as a plain int when it is integral (the form points keep)."""
+    return int(v) if v.denominator == 1 else v
+
+
 def torsion_subgroup(C: WeierstrassCurve) -> TorsionGroup:
     """The full rational torsion subgroup: its points, order and structure."""
-    if not C.is_integral():
-        raise DomainError("torsion search requires an integral model")
     c4, c6 = C.c_invariants()
     A, B = -27 * c4, -54 * c6
     b2 = C.b_invariants()[0]
@@ -72,4 +77,4 @@ def torsion_subgroup(C: WeierstrassCurve) -> TorsionGroup:
     if d1 * d2 != order or d2 % d1 != 0:
         raise AssertionError(f"inconsistent torsion structure: order {order}, exponent {d2}")
     pts = sorted((P for P in orders if P is not None), key=lambda q: (Fraction(q[0]), Fraction(q[1])))
-    return TorsionGroup(order, (d1, d2), (None, *pts))
+    return TorsionGroup(order, (d1, d2), (None, *pts), tuple(P for P in pts if orders[P] == 2))

@@ -1,4 +1,3 @@
-import time
 from fractions import Fraction
 
 import pytest
@@ -17,6 +16,7 @@ from ecledger.curve import (
     two_isogeny_onto,
     velu_2_isogeny,
 )
+from ecledger.torsion import torsion_subgroup
 
 # 37a1, y^2 + y = x^3 - x, has rank 1 and trivial torsion: its points n(0, 0)
 # are pairwise distinct, so the group law on them is checked by the index n.
@@ -37,6 +37,13 @@ def isomorphism_map(iso, pt):
     x, y = Fraction(pt[0]), Fraction(pt[1])
     xp = (x - iso.r) / iso.u**2
     return (xp, (y - iso.s * iso.u**2 * xp - iso.t) / iso.u**3)
+
+
+def on_model(model, pt):
+    """pt lies on the model given by its five rational coefficients."""
+    a1, a2, a3, a4, a6 = model
+    x, y = pt
+    return y * y + a1 * x * y + a3 * y == x**3 + a2 * x * x + a4 * x + a6
 
 
 def isogeny_map(phi, pt):
@@ -132,39 +139,34 @@ def test_multiply_matches_repeated_addition():
 
 
 def test_two_torsion_of_E1():
-    pts = E1.two_torsion_points()
-    xs = sorted(P[0] for P in pts)
-    assert xs == [Fraction(-13, 4), -1, 3]
+    pts = torsion_subgroup(E1).two_torsion
+    assert [P[0] for P in pts] == [Fraction(-13, 4), -1, 3]
     for P in pts:
         assert E1.is_on_curve(P)
         assert E1.add(P, P) is None
 
 
-def test_two_torsion_with_a_huge_integral_root():
-    # y^2 = x^3 + (5 - r^2)x - 5r = (x - r)(x^2 + rx + 5): the root is beyond
-    # float precision and too large to reach by trying divisors of 5r
-    r = 10**17 + 3
-    C = WeierstrassCurve(0, 0, 0, 5 - r * r, -5 * r)
-    start = time.perf_counter()
-    assert C.two_torsion_points() == [(r, 0)]
-    assert time.perf_counter() - start < 1.0
-
-
-def test_two_torsion_requires_an_integral_model():
-    with pytest.raises(DomainError):
-        WeierstrassCurve(0, 0, 0, Fraction(-1, 4), 0).two_torsion_points()
+def test_non_integer_coefficients_are_rejected():
+    for a4 in (Fraction(-1, 4), Fraction(2), 2.0, "2", True):
+        with pytest.raises(DomainError, match="coefficients must be integers"):
+            WeierstrassCurve(0, 0, 0, a4, 0)
 
 
 def test_velu_isogeny_codomain_on_curve():
     phi = velu_2_isogeny(E1, (Fraction(-13, 4), Fraction(9, 8)))
-    assert phi.codomain.j_invariant() == E2.j_invariant()
+    assert phi.codomain == (1, 1, 1, Fraction(-1285, 16), Fraction(15335, 64))
+    assert curve._model_invariants(*phi.codomain).j == E2.j_invariant()
     for P in [(-1, 0), (-2, -2), (8, 18), (3, -2)]:
         img = isogeny_map(phi, P)
-        assert img is None or phi.codomain.is_on_curve(img)
+        assert img is None or on_model(phi.codomain, img)
+    # (-2, -2) has order 4 and (7, 1) is not on E1: neither is a kernel
+    for K, why in (((-2, -2), "does not have order 2"), ((7, 1), "is not an affine point")):
+        with pytest.raises(DomainError, match=why):
+            velu_2_isogeny(E1, K)
 
 
 def test_two_isogeny_onto_E2():
-    hit = two_isogeny_onto(E1, E2)
+    hit = two_isogeny_onto(E1, E2, torsion_subgroup(E1).two_torsion)
     assert hit is not None
     phi, iso = hit
     assert phi.kernel[0] == Fraction(-13, 4)
@@ -176,9 +178,14 @@ def test_two_isogeny_onto_E2():
 
 
 def test_isomorphism_roundtrip():
-    iso = isomorphism_over_Q(E1, E1)
+    iso = isomorphism_over_Q(E1.coefficients(), E1.coefficients())
     assert iso is not None and iso.u == 1
-    assert isomorphism_over_Q(E1, E2) is None  # different j-invariants
+    assert isomorphism_over_Q(E1.coefficients(), E2.coefficients()) is None  # different j-invariants
+    # the Velu codomain of E1 by (-13/4, 9/8) is not integral; E2 is its integral model
+    codomain = velu_2_isogeny(E1, (Fraction(-13, 4), Fraction(9, 8))).codomain
+    iso = isomorphism_over_Q(codomain, E2.coefficients())
+    assert (iso.u, iso.r, iso.s, iso.t) == (2, Fraction(5, 4), Fraction(1, 2), Fraction(23, 8))
+    assert iso.apply(codomain) == E2.coefficients()
 
 
 def test_minimality():

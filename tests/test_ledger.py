@@ -282,7 +282,7 @@ def test_cli_count_takes_only_its_own_options(option, capsys):
 
 
 @pytest.mark.parametrize("command", ["ledger", "count"])
-@pytest.mark.parametrize("curve", ["a,b,c,d,e", "1,2,3", "0,0,0,0,0"])
+@pytest.mark.parametrize("curve", ["a,b,c,d,e", "1,2,3", "0,0,0,0,0", "0,0,0,1/2,1"])
 def test_cli_rejects_malformed_curves(curve, command, capsys):
     # each ended in a traceback and exit 1, the code for "not verified"
     with pytest.raises(SystemExit) as exc:
@@ -305,6 +305,18 @@ def test_cli_rejects_an_out_path_it_cannot_write(command, where, tmp_path, monke
     err = capsys.readouterr().err
     assert err.startswith("usage:") and "argument --out: cannot write a file at" in err
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("command", ["torsion", "count"])
+def test_cli_rejects_an_empty_out_path(command, monkeypatch, capsys):
+    # --out "" printed the output to stdout and exited 0
+    monkeypatch.setattr(cli, "run_ledger", lambda *args: pytest.fail("a check ran"))
+    monkeypatch.setattr(cli, "frobenius_table", lambda *args: pytest.fail("the sweep ran"))
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--out", ""])
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("usage:") and "argument --out: cannot write a file at ''" in err
 
 
 LARGE_L = "11,13,17,19,23,29,31,37,41,43,47"

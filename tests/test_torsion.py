@@ -47,6 +47,7 @@ def test_E1_two_torsion_includes_non_integral_x():
     T = torsion_subgroup(E1)
     xs = {P[0] for P in T.points if P is not None and point_order(E1, P) == 2}
     assert xs == {-1, 3, Fraction(-13, 4)}
+    assert T.two_torsion == tuple(P for P in T.points[1:] if point_order(E1, P) == 2)
 
 
 def test_known_small_curves():
@@ -118,7 +119,7 @@ def test_full_two_torsion_of_congruent_number_curves(n):
     C = WeierstrassCurve(0, 0, 0, -n * n, 0)
     T = torsion_subgroup(C)
     assert (T.order, T.structure) == (4, (2, 2))
-    assert C.two_torsion_points() == [(-n, 0), (0, 0), (n, 0)]
+    assert T.two_torsion == ((-n, 0), (0, 0), (n, 0))
     assert T.points == (None, (-n, 0), (0, 0), (n, 0))
 
 
@@ -134,7 +135,7 @@ def test_small_model_grid_pinned():
     rows = []
     for C in _small_models():
         T = torsion_subgroup(C)
-        rows.append((C.coefficients(), T.order, T.structure, T.points, tuple(C.two_torsion_points())))
+        rows.append((C.coefficients(), T.order, T.structure, T.points, T.two_torsion))
     assert len(rows) == 290
     # sha256 of the same rows from the count-bound and closure search
     digest = hashlib.sha256(repr(rows).encode()).hexdigest()
