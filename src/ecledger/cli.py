@@ -20,7 +20,7 @@ from .arith import DomainError, is_prime
 from .counting import frobenius_table
 from .curve import E1, WeierstrassCurve, curve_from_string
 from .ledger import CHECKS, VERIFIED, LedgerOptions, emit_report, run_ledger
-from .lvalue import PRECISION_BITS_CAP, TERMS_CAP
+from .lvalue import TERMS_CAP
 from .padic import DIGITS_CAP
 
 DEFAULT_CURVE = ",".join(str(a) for a in E1.coefficients())
@@ -71,15 +71,15 @@ def _prime_list(text: str) -> tuple[int, ...]:
         primes = {int(s) for s in text.split(",") if s.strip()}
     except ValueError:
         primes = {0}
-    if not primes or not all(l <= cap and is_prime(l) for l in primes):
-        raise argparse.ArgumentTypeError(f"expected a comma list of primes <= {cap}, got {text!r}")
+    # at l = 2 the certificate never concludes: nothing eliminates the non-split Cartan
+    if not primes or not all(3 <= l <= cap and is_prime(l) for l in primes):
+        raise argparse.ArgumentTypeError(f"expected a comma list of primes from 3 to {cap}, got {text!r}")
     return tuple(sorted(primes))
 
 
 # LedgerOptions field -> (argument type, metavar), in field order
 _OPTION_ARGS = {"prime_bound": (_positive_int, "N"), "l_list": (_prime_list, "L1,L2,..."),
                 "terms": (partial(_positive_int, cap=TERMS_CAP), "M"),
-                "precision_bits": (partial(_positive_int, cap=PRECISION_BITS_CAP), "B"),
                 "padic_digits": (partial(_positive_int, cap=DIGITS_CAP), "D")}
 
 

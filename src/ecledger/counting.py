@@ -275,14 +275,11 @@ frobenius_table.cache_clear = _sweep.clear
 def hasse_contradiction_symbolic(torsion_order: int) -> bool:
     """torsion_order * p > p + 1 + 2*sqrt(p) for every prime p >= 2.
 
-    For t >= 2 the inequality t*p > p + 1 + 2*sqrt(p) reduces to
-    (t-1)*p - 1 > 2*sqrt(p); squaring at the worst case p = 2 settles all p
-    since the left side grows linearly and the right as sqrt.
+    With t = torsion_order the inequality is (t-1)*p - 1 > 2*sqrt(p).  At
+    p = 2 it needs 2(t-1) - 1 > 2*sqrt(2), so t >= 3.  For t >= 3,
+    (t-1)*p - 1 >= 2p - 1 > 2*sqrt(p) at every p >= 2.
     """
-    if torsion_order < 2:
-        return False
-    t = torsion_order
-    return ((t - 1) * 2 - 1) ** 2 > 8
+    return torsion_order >= 3
 
 
 @dataclass(frozen=True)

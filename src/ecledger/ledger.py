@@ -38,7 +38,7 @@ from .local_data import (
     kodaira_and_tamagawa,
     tamagawa_product,
 )
-from .lvalue import DEFAULT_PRECISION_BITS, DEFAULT_TERMS, lvalue_ratio, root_number
+from .lvalue import DEFAULT_TERMS, PRECISION_BITS, lvalue_ratio, root_number
 from .padic import DEFAULT_DIGITS, l_invariant
 from .torsion import torsion_subgroup
 
@@ -64,7 +64,6 @@ class LedgerOptions:
     prime_bound: int = 10_000
     l_list: tuple[int, ...] = (3, 5, 7)
     terms: int = DEFAULT_TERMS
-    precision_bits: int = DEFAULT_PRECISION_BITS
     padic_digits: int = DEFAULT_DIGITS
 
 
@@ -313,10 +312,10 @@ def _ordinary_records(run: _Run) -> list[CheckRecord]:
 
 def _lvalue_records(run: _Run) -> list[CheckRecord]:
     opts, claim = run.opts, "L(E,1)/Omega_E rational reconstruction"
-    inputs = f"terms={opts.terms} precision_bits={opts.precision_bits} convention=all-real-components"
+    inputs = f"terms={opts.terms} precision_bits={PRECISION_BITS} convention=all-real-components"
     if run.local_error:
         return [_unsupported(run.C, "lvalue-ratio", claim, inputs, run.local_error)]
-    L, omega, ratio = lvalue_ratio(run.C, run.local, opts.terms, opts.precision_bits)
+    L, omega, ratio = lvalue_ratio(run.C, run.local, opts.terms)
     if not math.isfinite(L.error_bound):  # the partial sum bounds nothing
         return [_unsupported(run.C, "lvalue-ratio", claim, inputs,
                              f"terms too few for N={conductor_semistable(run.local)}: at {opts.terms} "
@@ -368,7 +367,7 @@ CHECKS = (
     ("mod8", _mod8_records, ()),
     ("surjectivity", _surjectivity_records, ("prime_bound", "l_list")),
     ("ordinary-criterion", _ordinary_records, ("prime_bound",)),
-    ("lvalue-ratio", _lvalue_records, ("terms", "precision_bits")),
+    ("lvalue-ratio", _lvalue_records, ("terms",)),
     ("linv", _linv_records, ("padic_digits",)),
     ("cited", _cited_records, ()),
 )

@@ -5,12 +5,12 @@ The caller's local data comes in as the ledger's {p: LocalData} over the
 primes p | N of a semistable curve; there a_p = +1 where the reduction is
 split and -1 where not.
 
-Reals are mpmath fixed-precision floats with an error bound carried
-alongside.  L(E,1) is summed exactly in integer fixed point with 32 guard
-bits and rounded to the working precision once; ``l_value_at_1`` proves
-that this error is far below the rounding term it reports.  A value whose
-magnitude is below its own error bound is a partial sum, not a digit of
-L(E,1): it can change with the working precision.
+Reals are mpmath floats at one working precision, PRECISION_BITS, with an
+error bound carried alongside.  L(E,1) is summed exactly in integer fixed
+point with 32 guard bits and rounded to the working precision once;
+``l_value_at_1`` proves that this error is far below the rounding term it
+reports.  A value whose magnitude is below its own error bound is a partial
+sum, not a digit of L(E,1): it can change with the number of terms.
 """
 
 from __future__ import annotations
@@ -27,12 +27,11 @@ from .curve import WeierstrassCurve
 from .local_data import LocalData, ReductionKind, conductor_semistable
 
 DEFAULT_TERMS = 2000
-DEFAULT_PRECISION_BITS = 128
-# The largest series length and working precision the CLI accepts; the
-# functions take any.  At both caps at once, with N = 3265006, `lvalue` runs
-# in about 5 s on a 2-vCPU x86-64 container (the sweep to 10^6 is most of it).
+PRECISION_BITS = 128  # of L(E,1), Omega and their ratio
+# The largest series length the CLI accepts; the functions take any.  At the
+# cap, with N = 3265006, `lvalue` runs in about 4 s on a 2-vCPU x86-64
+# container (the sweep to 10^6 is most of it).
 TERMS_CAP = 1_000_000
-PRECISION_BITS_CAP = 1024
 GUARD_BITS = 32  # of the fixed-point L-series sum, beyond the working precision
 MAX_DENOMINATOR = 100  # of the reconstructed L(E,1)/Omega
 
@@ -127,20 +126,15 @@ def _fixed_point_sum(a: tuple[int, ...], N: int, P: int) -> int:
     return acc
 
 
-def l_value_at_1(
-    C: WeierstrassCurve,
-    local: dict[int, LocalData],
-    terms: int = DEFAULT_TERMS,
-    precision_bits: int = DEFAULT_PRECISION_BITS,
-) -> RealApprox:
+def l_value_at_1(C: WeierstrassCurve, local: dict[int, LocalData], terms: int = DEFAULT_TERMS) -> RealApprox:
     """L(E, 1) = 2 sum a_n/n u^n with u = exp(-2 pi / sqrt N), with a tail bound.
 
     The series is valid when the root number is +1; when it is -1 the
     functional equation forces L(E, 1) = 0 exactly, and no series is summed.
 
     The error bound is the tail bound plus the rounding term
-    R = 2^(12 - B) (|value| + 1) M, for B = precision_bits and M = terms.
-    R covers the fixed-point sum ``_fixed_point_sum`` at P = B + 32 bits:
+    R = 2^(12 - B) (|value| + 1) M, for B = PRECISION_BITS = 128 and M = terms.
+    R covers the fixed-point sum ``_fixed_point_sum`` at P = B + 32 = 160 bits:
     - U = floor(u~ 2^P), where mpmath's u~ at P + 32 bits is within
       2^(-P-28) of u (c = 2 pi / sqrt N < 2 carries a relative error of a few
       units in 2^(-P-32)).  So U' = U 2^-P has |U' - u| < 2^-P (1 + 2^-28).
@@ -158,21 +152,19 @@ def l_value_at_1(
     2E <= 2^(-31-B) M (2.01 sqrt(M) (ln M + 1) + 1), which stays below
     2^-26 R for every M <= 10^7; the rounding step is below 2^-12 R / M.
     """
-    with mp.workprec(precision_bits):
+    with mp.workprec(PRECISION_BITS):
         if root_number(local) == -1:
             return RealApprox(mp.mpf(0), mp.mpf(0))
         a = an_coefficients(C, terms, local)
         N = conductor_semistable(local)
         tail = _tail_bound(N, terms)
-        P = precision_bits + GUARD_BITS
+        P = PRECISION_BITS + GUARD_BITS
         value = mp.ldexp(mp.mpf(_fixed_point_sum(a, N, P)), 1 - P)
-        rounding = mp.mpf(2) ** (-precision_bits + 12) * (abs(value) + 1) * terms
+        rounding = mp.mpf(2) ** (12 - PRECISION_BITS) * (abs(value) + 1) * terms
         return RealApprox(value, tail + rounding)
 
 
-def real_period(
-    C: WeierstrassCurve, precision_bits: int = DEFAULT_PRECISION_BITS
-) -> RealApprox:
+def real_period(C: WeierstrassCurve) -> RealApprox:
     """Period of the invariant differential over all real components.
 
     Each component has period 2 pi / agm(2 sqrt(b), sqrt(2b + a)), with
@@ -183,7 +175,7 @@ def real_period(
     turns the formula into pi / agm(sqrt(A), sqrt(B)).
     """
     b2, b4, b6, _ = C.b_invariants()
-    with mp.workprec(precision_bits + 16):
+    with mp.workprec(PRECISION_BITS + 16):
         roots = mp.polyroots([4, b2, 2 * b4, b6], maxsteps=200, extraprec=64)
         if C.discriminant() > 0:
             components, e1 = 2, max(mp.re(r) for r in roots)
@@ -192,39 +184,36 @@ def real_period(
         a = 3 * e1 + mp.mpf(b2) / 4
         b = mp.sqrt(3 * e1**2 + mp.mpf(b2) / 2 * e1 + mp.mpf(b4) / 2)
         value = components * 2 * mp.pi / mp.agm(2 * mp.sqrt(b), mp.sqrt(2 * b + a))
-        err = abs(value) * mp.mpf(2) ** (-precision_bits + 8)
+        err = abs(value) * mp.mpf(2) ** (8 - PRECISION_BITS)
         return RealApprox(value, err)
 
 
-def rational_reconstruct(x: RealApprox, max_den: int) -> Fraction | None:
-    """The unique rational with denominator <= max_den within the interval.
+def rational_reconstruct(x: RealApprox) -> Fraction | None:
+    """The unique rational with denominator <= MAX_DENOMINATOR within the interval.
 
     None when the error bound is too large to make the answer unique
-    (requires error_bound < 1/(2 max_den^2), the classical uniqueness
-    threshold for continued-fraction reconstruction).
+    (requires error_bound < 1/(2 MAX_DENOMINATOR^2), the classical
+    uniqueness threshold for continued-fraction reconstruction).
     """
     if not mp.isfinite(x.error_bound):
         return None
     exact = _mpf_to_fraction(x.value)
     bound = _mpf_to_fraction(x.error_bound)
-    if bound >= Fraction(1, 2 * max_den * max_den):
+    if bound >= Fraction(1, 2 * MAX_DENOMINATOR**2):
         return None
-    cand = exact.limit_denominator(max_den)
+    cand = exact.limit_denominator(MAX_DENOMINATOR)
     return cand if abs(cand - exact) <= bound else None
 
 
 def lvalue_ratio(
-    C: WeierstrassCurve,
-    local: dict[int, LocalData],
-    terms: int = DEFAULT_TERMS,
-    precision_bits: int = DEFAULT_PRECISION_BITS,
+    C: WeierstrassCurve, local: dict[int, LocalData], terms: int = DEFAULT_TERMS
 ) -> tuple[RealApprox, RealApprox, Fraction | None]:
     """(L(E,1), period, reconstructed rational ratio or None)."""
-    L = l_value_at_1(C, local, terms, precision_bits)
-    omega = real_period(C, precision_bits)
-    with mp.workprec(precision_bits):
+    L = l_value_at_1(C, local, terms)
+    omega = real_period(C)
+    with mp.workprec(PRECISION_BITS):
         ratio = L.value / omega.value
         # |d(a/b)| <= (|da| + |a/b| |db|) / |b|
         err = (L.error_bound + abs(ratio) * omega.error_bound) / abs(omega.value)
         approx = RealApprox(ratio, err)
-    return L, omega, rational_reconstruct(approx, MAX_DENOMINATOR)
+    return L, omega, rational_reconstruct(approx)

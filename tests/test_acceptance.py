@@ -125,7 +125,7 @@ def test_criterion_07_ordinary_criterion(announce):
 
 
 def test_criterion_08_lvalue_ratio(announce):
-    L, omega, ratio = lvalue_ratio(E1, local_data(E1), terms=2000, precision_bits=128)
+    L, omega, ratio = lvalue_ratio(E1, local_data(E1), terms=2000)
     from mpmath import mp
 
     with mp.workprec(128):

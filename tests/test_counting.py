@@ -190,6 +190,9 @@ def test_symbolic_hasse_contradiction():
     assert hasse_contradiction_symbolic(8) is True
     # torsion order 1 gives p > p + 1 + 2 sqrt p, never true
     assert hasse_contradiction_symbolic(1) is False
+    # at p = 2, 2p = 4 < 3 + 2 sqrt 2 but 3p = 6 > 3 + 2 sqrt 2
+    assert hasse_contradiction_symbolic(2) is False
+    assert hasse_contradiction_symbolic(3) is True
 
 
 def test_count_points_exact_beyond_int64_horner():
@@ -360,7 +363,6 @@ def test_ledger_counts_each_prime_once_per_bound(monkeypatch):
     for prime_bound, terms in ((400, 200), (200, 400)):
         frobenius_table.cache_clear()
         calls.clear()
-        opts = LedgerOptions(prime_bound=prime_bound, l_list=(3, 5), terms=terms, precision_bits=96,
-                             padic_digits=12)
+        opts = LedgerOptions(prime_bound=prime_bound, l_list=(3, 5), terms=terms, padic_digits=12)
         run_ledger(E1, opts)
         assert sorted(calls) == [p for p in primes_up_to(max(prime_bound, terms)) if 15 % p]

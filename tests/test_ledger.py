@@ -19,7 +19,7 @@ from ecledger.ledger import (
     run_ledger,
 )
 
-FAST = LedgerOptions(prime_bound=500, l_list=(3,), terms=500, precision_bits=96, padic_digits=12)
+FAST = LedgerOptions(prime_bound=500, l_list=(3,), terms=500, padic_digits=12)
 
 # Reports saved before the checks moved into one table; every later change
 # must reproduce them byte for byte.  Regenerate deliberately with
@@ -222,7 +222,7 @@ def test_cli_image_mod8_skips_other_curves(capsys):
     assert "skipped" in capsys.readouterr().out
 
 
-@pytest.mark.parametrize("flag", ["--prime-bound", "--terms", "--precision-bits", "--padic-digits"])
+@pytest.mark.parametrize("flag", ["--prime-bound", "--terms", "--padic-digits"])
 @pytest.mark.parametrize("value", ["0", "-5", "x"])
 def test_cli_rejects_non_positive_numeric_options(flag, value, capsys):
     with pytest.raises(SystemExit) as exc:
@@ -232,8 +232,7 @@ def test_cli_rejects_non_positive_numeric_options(flag, value, capsys):
     assert err.startswith("usage:") and "expected a positive integer" in err
 
 
-@pytest.mark.parametrize("flag, cap", [("--terms", lvalue.TERMS_CAP), ("--precision-bits", lvalue.PRECISION_BITS_CAP),
-                                       ("--padic-digits", padic.DIGITS_CAP)])
+@pytest.mark.parametrize("flag, cap", [("--terms", lvalue.TERMS_CAP), ("--padic-digits", padic.DIGITS_CAP)])
 def test_cli_series_options_stop_at_their_caps(flag, cap, capsys):
     # each cap bounds the run time of the views that read the option; a value
     # over it exits 2 before any series is built, and every value the suites,
@@ -250,16 +249,28 @@ def test_cli_series_options_stop_at_their_caps(flag, cap, capsys):
         assert not out and err.startswith("usage:") and f"expected a positive integer up to {cap}," in err
 
 
-@pytest.mark.parametrize("value", ["0", "x", "4", "53", "1000000000000000003", ",", ""])
+@pytest.mark.parametrize("command", ["ledger", "lvalue"])
+def test_cli_has_no_precision_option(command, capsys):
+    # L(E,1) and the period run at lvalue.PRECISION_BITS; the old option only
+    # echoed itself above 53 bits and graded the paper's ratio a fail below
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--precision-bits", "128"])
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert not out and err.startswith("usage:") and "unrecognized arguments: --precision-bits 128" in err
+
+
+@pytest.mark.parametrize("value", ["0", "x", "4", "53", "1000000000000000003", ",", "", "2"])
 def test_cli_rejects_l_lists_that_are_not_small_primes(value, capsys):
     # 0, x and 4 each ended in a traceback from deep inside the ledger; the
     # 19-digit prime is over the cap, so it must exit before trial division;
-    # an empty list certified no l and yet verified the ledger
+    # an empty list certified no l and yet verified the ledger; at l = 2 the
+    # certificate never concludes, so the ledger read failed
     with pytest.raises(SystemExit) as exc:
         main(["image-modl", "--prime-bound", "200", "--l-list", value])
     assert exc.value.code == 2
     err = capsys.readouterr().err
-    assert err.startswith("usage:") and "expected a comma list of primes <= 47" in err
+    assert err.startswith("usage:") and "expected a comma list of primes from 3 to 47" in err
 
 
 def test_cli_l_list_reads_the_certificate_cap(monkeypatch):
@@ -337,7 +348,7 @@ def test_cli_defaults_are_the_ledger_defaults():
 
 # FAST as command-line flags, by LedgerOptions field.
 FAST_FLAGS = {"prime_bound": ["--prime-bound", "500"], "l_list": ["--l-list", "3"], "terms": ["--terms", "500"],
-              "precision_bits": ["--precision-bits", "96"], "padic_digits": ["--padic-digits", "12"]}
+              "padic_digits": ["--padic-digits", "12"]}
 # The LedgerOptions fields each subcommand takes: those its checks read.
 VIEW_OPTIONS = {
     "ledger": tuple(FAST_FLAGS),
@@ -346,7 +357,7 @@ VIEW_OPTIONS = {
     "torsion": (),
     "image-mod8": (),
     "image-modl": ("prime_bound", "l_list"),
-    "lvalue": ("terms", "precision_bits"),
+    "lvalue": ("terms",),
     "linv": ("padic_digits",),
 }
 
@@ -394,7 +405,7 @@ def test_view_options_cover_every_view():
 
 @pytest.mark.parametrize("command", sorted(VIEW_OPTIONS))
 def test_cli_view_takes_only_the_options_its_checks_read(command, capsys):
-    # every view took all five ledger options and dropped those its checks never read
+    # every view took all the ledger options and dropped those its checks never read
     parse = cli._build_parser().parse_args
     for field, flag in FAST_FLAGS.items():
         if field in VIEW_OPTIONS[command]:
@@ -406,7 +417,7 @@ def test_cli_view_takes_only_the_options_its_checks_read(command, capsys):
         assert f"unrecognized arguments: {flag[0]}" in capsys.readouterr().err
 
 
-UNREAD = LedgerOptions(prime_bound=200, l_list=(5,), terms=300, precision_bits=64, padic_digits=5)
+UNREAD = LedgerOptions(prime_bound=200, l_list=(5,), terms=300, padic_digits=5)
 
 
 @pytest.mark.parametrize("command", sorted(set(VIEW_OPTIONS) - {"ledger"}))  # ledger takes every field
@@ -469,7 +480,7 @@ def test_factorisation_and_primality_caches_stay_bounded():
     arith.factorize.cache_clear()
     arith.is_prime.cache_clear()
     box, ran = random.Random(3), 0
-    small = LedgerOptions(prime_bound=200, l_list=(3,), terms=50, precision_bits=64, padic_digits=6)
+    small = LedgerOptions(prime_bound=200, l_list=(3,), terms=50, padic_digits=6)
     while ran < 400:
         try:
             C = WeierstrassCurve(box.randint(0, 1), box.randint(-1, 1), box.randint(0, 1),

@@ -10,6 +10,7 @@ from ecledger.curve import E1, E2, SingularCurveError, WeierstrassCurve
 from ecledger.local_data import ReductionKind, UnsupportedReductionError, conductor_semistable
 from ecledger.lvalue import (
     GUARD_BITS,
+    PRECISION_BITS,
     RealApprox,
     _fixed_point_sum,
     an_coefficients,
@@ -80,8 +81,8 @@ def test_an_bound(series):
 
 
 def test_l_value_and_period():
-    L = l_value_at_1(E1, local_data(E1), terms=2000, precision_bits=128)
-    omega = real_period(E1, precision_bits=128)
+    L = l_value_at_1(E1, local_data(E1), terms=2000)
+    omega = real_period(E1)
     assert abs(L.value - 0.3501507605831505) < 1e-12
     assert abs(omega.value - 2.8012060846652040) < 1e-12
     assert L.error_bound < 1e-20
@@ -89,29 +90,29 @@ def test_l_value_and_period():
 
 
 def test_ratio_reconstructs_to_one_eighth():
-    L, omega, ratio = lvalue_ratio(E1, local_data(E1), terms=2000, precision_bits=128)
+    L, omega, ratio = lvalue_ratio(E1, local_data(E1), terms=2000)
     assert ratio == Fraction(1, 8)
     with mp.workprec(128):
         assert abs(L.value / omega.value - 0.125) < 1e-8
 
 
 def test_E2_ratio_finite_positive():
-    _, _, ratio = lvalue_ratio(E2, local_data(E2), terms=2000, precision_bits=128)
+    _, _, ratio = lvalue_ratio(E2, local_data(E2), terms=2000)
     assert ratio is not None and ratio > 0
 
 
 def test_rational_reconstruct_rejects_wide_intervals():
     with mp.workprec(64):
         loose = RealApprox(mp.mpf("0.12501"), mp.mpf("0.01"))
-        assert rational_reconstruct(loose, 100) is None
+        assert rational_reconstruct(loose) is None
         tight = RealApprox(mp.mpf("0.125"), mp.mpf("1e-10"))
-        assert rational_reconstruct(tight, 100) == Fraction(1, 8)
+        assert rational_reconstruct(tight) == Fraction(1, 8)
 
 
 def test_convergence_in_terms():
     # doubling the term count moves the value by less than the error bound
-    a = l_value_at_1(E1, local_data(E1), terms=1000, precision_bits=128)
-    b = l_value_at_1(E1, local_data(E1), terms=2000, precision_bits=128)
+    a = l_value_at_1(E1, local_data(E1), terms=1000)
+    b = l_value_at_1(E1, local_data(E1), terms=2000)
     with mp.workprec(128):
         assert abs(a.value - b.value) <= a.error_bound + b.error_bound
 
@@ -149,7 +150,7 @@ def test_period_within_its_bound_against_quadrature(C):
     # Omega sums 2 int dx / sqrt(f) over each real component of (2y + a1 x + a3)^2 = f(x):
     # [e1, oo), and for a positive discriminant also the egg [e3, e2], where
     # x = e3 + (e2 - e3) sin^2 t turns dx / sqrt(f) into dt / sqrt(e1 - x).
-    omega = real_period(C, precision_bits=128)
+    omega = real_period(C)
     b2, b4, b6, _ = C.b_invariants()
     with mp.workprec(300):
         roots = mp.polyroots([4, b2, 2 * b4, b6], maxsteps=400, extraprec=300)
@@ -176,7 +177,7 @@ def test_l_value_is_exactly_zero_when_the_root_number_is_minus_one():
     (E1, Fraction(1, 8)), (E2, Fraction(1, 16)), (C11A1, Fraction(1, 5)), (C14A1, Fraction(1, 6)), (C37A1, 0),
 ])
 def test_ratios_reconstruct(C, ratio):
-    assert lvalue_ratio(C, local_data(C), terms=2000, precision_bits=128)[2] == ratio
+    assert lvalue_ratio(C, local_data(C), terms=2000)[2] == ratio
 
 
 def test_rational_reconstruct_reads_the_full_precision():
@@ -185,12 +186,12 @@ def test_rational_reconstruct_reads_the_full_precision():
         near = RealApprox(mp.mpf(1) / 8 + mp.mpf(2) ** -100, mp.mpf(2) ** -110)
         # 1/5 at 128 bits is within 2^-120 of 1/5; at 53 bits it is not
         fifth = RealApprox(mp.mpf(1) / 5, mp.mpf(2) ** -120)
-    assert rational_reconstruct(near, 100) is None
-    assert rational_reconstruct(fifth, 100) == Fraction(1, 5)
+    assert rational_reconstruct(near) is None
+    assert rational_reconstruct(fifth) == Fraction(1, 5)
 
 
 def test_rational_reconstruct_rejects_an_infinite_bound():
-    assert rational_reconstruct(RealApprox(mp.mpf("0.125"), mp.inf), 100) is None
+    assert rational_reconstruct(RealApprox(mp.mpf("0.125"), mp.inf)) is None
 
 
 def semistable_box_curves(seed, count):
@@ -222,9 +223,9 @@ def fixed_point_bound(a, u, P):
 def test_fixed_point_sum_against_a_four_fold_precision_sum(C):
     # conductors from 11 to about 10^7: the series stops after some 70 terms
     # for small N and runs all M terms for large N; the oracle always sums all M
-    local, B, M = local_data(C), 128, 2000
+    local, B, M = local_data(C), PRECISION_BITS, 2000
     a, N, P = an_coefficients(C, M, local), conductor_semistable(local), B + GUARD_BITS
-    L = l_value_at_1(C, local, M, B)
+    L = l_value_at_1(C, local, M)
     with mp.workprec(4 * B):
         u = mp.exp(-2 * mp.pi / mp.sqrt(N))
         partial = mp.fsum(mp.mpf(a[n]) / n * u**n for n in range(1, M + 1) if a[n])
