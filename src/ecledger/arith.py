@@ -10,6 +10,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache
+from itertools import compress
 
 
 class DomainError(ValueError):
@@ -56,7 +57,7 @@ def primes_up_to(bound: int) -> list[int]:
     for p in range(2, math.isqrt(bound) + 1):
         if sieve[p]:
             sieve[p * p :: p] = bytearray(len(sieve[p * p :: p]))
-    return [i for i in range(2, bound + 1) if sieve[i]]
+    return list(compress(range(bound + 1), sieve))
 
 
 def valuation(n: int, p: int) -> int:

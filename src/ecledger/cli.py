@@ -78,7 +78,8 @@ def _prime_list(text: str) -> tuple[int, ...]:
 
 
 # LedgerOptions field -> (argument type, metavar), in field order
-_OPTION_ARGS = {"prime_bound": (_positive_int, "N"), "l_list": (_prime_list, "L1,L2,..."),
+_OPTION_ARGS = {"prime_bound": (partial(_positive_int, cap=galois_image.PRIME_BOUND_CAP), "N"),
+                "l_list": (_prime_list, "L1,L2,..."),
                 "terms": (partial(_positive_int, cap=TERMS_CAP), "M"),
                 "padic_digits": (partial(_positive_int, cap=DIGITS_CAP), "D")}
 

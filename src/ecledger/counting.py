@@ -9,27 +9,28 @@ in int32 while that is exact and in int64 above.  p = 2 is brute force.
 
 Every trace the ledger reads comes from one sweep, ``frobenius_table``, which
 keeps the last curve's traces, extends them to a larger bound and asserts the
-Hasse bound on each.  It counts the primes p >= BSGS_MIN_P together, in one
-numpy baby-step giant-step pass (Shanks-Mestre; Cohen, A Course in
-Computational Algebraic Number Theory, 7.4) with x-only arithmetic
-(Brier-Joye, PKC 2002) and one lane per (prime, point): a lane lists every
-trace its point allows, and a prime whose two lanes share exactly one is
-done.  ``count_points`` takes the small primes and the few the pass leaves
-open, and is the pass's oracle in the tests.
+Hasse bound on each.  It counts every good p > 3 together, in one numpy
+baby-step giant-step pass (Shanks-Mestre; Cohen, A Course in Computational
+Algebraic Number Theory, 7.4) with x-only arithmetic (Brier-Joye, PKC 2002),
+reducing by ``np.fmod`` (the remainder on its non-negative operands), and one
+lane per (prime, point): a lane lists every trace its point allows, and a
+prime whose two lanes share exactly one is done.  Mestre's theorem (from
+p > 229 on, E or its twist has a point whose order has one multiple in the
+Hasse interval) only explains why few primes stay open.  ``count_points``
+takes p = 2, p = 3 and the open primes, and is the pass's oracle in the tests.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import islice
 
 from .arith import DomainError, primes_up_to
 from .curve import BadReductionError, WeierstrassCurve
 
 COUNT_POINTS_MAX_P = 1_100_000_000  # 7 p^2 < 2^63 keeps count_points and the pass exact
-# From p > 229 on, E or its quadratic twist has a point whose order has one
-# multiple in the Hasse interval (Mestre), so two points usually fix a_p.
-BSGS_MIN_P = 230
 BSGS_CHUNK = 2048  # primes per pass, which bounds its (m + 1) x lanes tables
 
 
@@ -100,10 +101,11 @@ def trace_ap(C: WeierstrassCurve, p: int) -> int:
 
 def _x_double(X, Z, A, B, p):
     """x(2P) = ((x^2 - A)^2 - 8Bx) / (4(x^3 + Ax + B))."""
-    XX, ZZ, XZ = X * X % p, Z * Z % p, X * Z % p
-    u = (XX + (p - A) * ZZ) % p
-    v = (XX + A * ZZ) % p
-    return (u * u + (p - 8 * B % p) * (XZ * ZZ % p)) % p, 4 * ((XZ * v + B * (ZZ * ZZ % p)) % p) % p
+    from numpy import fmod
+    XX, ZZ, XZ = fmod(X * X, p), fmod(Z * Z, p), fmod(X * Z, p)
+    u = fmod(XX + (p - A) * ZZ, p)
+    v = fmod(XX + A * ZZ, p)
+    return fmod(u * u + (p - fmod(8 * B, p)) * fmod(XZ * ZZ, p), p), fmod(4 * fmod(XZ * v + B * fmod(ZZ * ZZ, p), p), p)
 
 
 def _x_add(P, Q, D, A, B, p):
@@ -115,11 +117,12 @@ def _x_add(P, Q, D, A, B, p):
     is a 2-torsion point or P = Q is the point at infinity, that is when
     P - Q is the point at infinity; so no lane ever reaches (0:0).
     """
+    from numpy import fmod
     (X1, Z1), (X2, Z2), (Xd, Zd) = P, Q, D
-    t1, t2, zz = X1 * Z2 % p, X2 * Z1 % p, Z1 * Z2 % p
-    w = ((t1 + t2) * ((X1 * X2 + A * zz) % p) + 2 * B % p * (zz * zz % p)) % p
-    e = (t1 - t2) ** 2 % p
-    X, Z = (2 * w * Zd + (p - Xd) * e) % p, Zd * e % p
+    t1, t2, zz = fmod(X1 * Z2, p), fmod(X2 * Z1, p), fmod(Z1 * Z2, p)
+    w = fmod((t1 + t2) * fmod(X1 * X2 + A * zz, p) + fmod(2 * B, p) * fmod(zz * zz, p), p)
+    e = fmod((t1 - t2) ** 2, p)
+    X, Z = fmod(2 * w * Zd + (p - Xd) * e, p), fmod(Zd * e, p)
     at_inf = (Zd == 0).nonzero()[0]
     if at_inf.size:
         X[at_inf], Z[at_inf] = _x_double(X2[at_inf], Z2[at_inf], A[at_inf], B[at_inf], p[at_inf])
@@ -132,8 +135,8 @@ def _euler(f, p):
 
     e, out = (p - 1) // 2, np.ones_like(p)
     while e.any():
-        out = np.where(e & 1, out * f % p, out)
-        f, e = f * f % p, e >> 1
+        out = np.where(e & 1, np.fmod(out * f, p), out)
+        f, e = np.fmod(f * f, p), e >> 1
     return out
 
 
@@ -187,8 +190,9 @@ def _lane_candidates(c4: int, c6: int, primes: list[int], r: int):
     BX = np.empty((m + 1, p.size), dtype=dtype)
     BZ = np.empty_like(BX)
     BX[0], BZ[0], BX[1], BZ[1] = 1, 0, x0 + 1, 1
-    for j in range(1, m):
-        BX[j + 1], BZ[j + 1] = _x_add((BX[j], BZ[j]), (BX[1], BZ[1]), (BX[j - 1], BZ[j - 1]), A, B, p)
+    for j in range(1, m):  # 2P by doubling: P - P is the point at infinity
+        BX[j + 1], BZ[j + 1] = (_x_double(BX[1], BZ[1], A, B, p) if j == 1 else
+                                _x_add((BX[j], BZ[j]), (BX[1], BZ[1]), (BX[j - 1], BZ[j - 1]), A, B, p))
     M = BX[m].copy(), BZ[m].copy()
     np.subtract(p, BX, out=BX)  # -X, so that the match test below only adds
     # one Montgomery ladder on M for all lanes: R0 = cM, R1 = (c + 1)M
@@ -207,7 +211,7 @@ def _lane_candidates(c4: int, c6: int, primes: list[int], r: int):
         np.multiply(G[0], BZ, out=cross)
         np.multiply(BX, G[1], out=term)
         cross += term
-        np.remainder(cross, p, out=cross)
+        np.fmod(cross, p, out=cross)
         hit = cross == 0  # x(gP) = x(jP), or both are infinity
         hit_lanes = hit.any(axis=0).nonzero()[0]
         j, i = hit[:, hit_lanes].nonzero()
@@ -234,10 +238,10 @@ def _single_shared_trace(primes: list[int], keys, r: int) -> dict[int, int]:
     prime = shared // span
     alone = np.concatenate(([True], prime[1:] != prime[:-1], [True]))
     one = alone[:-1] & alone[1:]
-    return {primes[i]: int(key % span) - r for i, key in zip(prime[one], shared[one])}
+    return dict(zip([primes[i] for i in prime[one].tolist()], (shared[one] % span - r).tolist()))
 
 
-_sweep: dict = {}  # the last curve asked for -> [largest bound swept, {p: a_p} ascending]
+_sweep: dict = {}  # the last curve asked for -> [largest bound swept, [good p ascending], {p: a_p} ascending]
 
 
 def frobenius_table(C: WeierstrassCurve, bound: int) -> dict[int, int]:
@@ -247,26 +251,28 @@ def frobenius_table(C: WeierstrassCurve, bound: int) -> dict[int, int]:
     largest swept so far extends it by the primes in between; a smaller
     bound reads its ascending prefix.  So the certificates, the ordinary
     criterion and the a_n series of a ledger count each good prime once,
-    whatever their bounds.  Primes from BSGS_MIN_P on enter through one
-    baby-step giant-step pass, the rest and the pass's open primes through
+    whatever their bounds.  Every good p > 3 enters through one baby-step
+    giant-step pass, p = 2, p = 3 and the pass's open primes through
     ``trace_ap``.  Every trace is checked against the Hasse bound
     a_p^2 <= 4p as it enters.
     """
     if C not in _sweep:
         _sweep.clear()
-        _sweep[C] = [1, {}]
-    swept, traces = _sweep[C]
+        _sweep[C] = [1, [], {}]
+    swept, primes, traces = _sweep[C]
     if bound > swept:
         disc = C.discriminant()
         new = [p for p in primes_up_to(bound) if p > swept and disc % p]
-        batched = _bsgs_traces(C, [p for p in new if p >= BSGS_MIN_P])
+        batched = _bsgs_traces(C, [p for p in new if p > 3])
         for p in new:
             ap = batched[p] if p in batched else trace_ap(C, p)
             if ap * ap > 4 * p:
                 raise AssertionError(f"Hasse bound violated at {p}: a_p = {ap}")
             traces[p] = ap
+        primes += new
         _sweep[C][0] = bound
-    return {p: ap for p, ap in traces.items() if p <= bound}
+    n = bisect_right(primes, bound)
+    return traces.copy() if n == len(primes) else dict(islice(traces.items(), n))
 
 
 frobenius_table.cache_clear = _sweep.clear

@@ -327,6 +327,7 @@ NONSPLIT_CARTAN = "nonsplit-cartan"  # l = 2 only
 EXCEPTIONAL_S4 = "exceptional-s4"
 
 CERTIFICATE_L_CAP = 47  # the primes l the CLI certifies; the certificate itself takes any prime
+PRIME_BOUND_CAP = 10**6  # the largest --prime-bound the CLI accepts; the sweep takes any
 
 
 def maximal_subgroups(l: int) -> tuple[str, ...]:
@@ -401,8 +402,9 @@ def _quadratic_character_refuted(C: WeierstrassCurve, l: int, bound: int) -> boo
 def frobenius_constraints(C: WeierstrassCurve, l: int, bound: int) -> tuple[frozenset, tuple[int, ...]]:
     """{(a_p mod l, p mod l)} and the primes p used: good primes p != l up to bound."""
     table = frobenius_table(C, bound)
-    primes = tuple(p for p in table if p != l)
-    return frozenset((table[p] % l, p % l) for p in primes), primes
+    table.pop(l, None)  # a fresh dict
+    primes = tuple(table)
+    return frozenset(zip([ap % l for ap in table.values()], [p % l for p in primes])), primes
 
 
 def surjectivity_certificate(C: WeierstrassCurve, l: int, bound: int) -> SurjectivityCertificate:

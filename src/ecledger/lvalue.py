@@ -1,5 +1,6 @@
 """L(E,1) by the exponential a_n series (zero from the root number when it is
--1), the real period by AGM, and the rational reconstruction of their ratio.
+-1), the real period by AGM from an exact bracket of e1, and the rational
+reconstruction of their ratio.
 
 The caller's local data comes in as the ledger's {p: LocalData} over the
 primes p | N of a semistable curve; there a_p = +1 where the reduction is
@@ -164,6 +165,41 @@ def l_value_at_1(C: WeierstrassCurve, local: dict[int, LocalData], terms: int = 
         return RealApprox(value, tail + rounding)
 
 
+def e1_bracket(C: WeierstrassCurve) -> int:
+    """The integer X with e1 in [X 2^-k, (X + 1) 2^-k), k = PRECISION_BITS + GUARD_BITS.
+
+    e1 is the real root of g = 4x^3 + b2 x^2 + 2 b4 x + b6 if Delta < 0, the
+    largest if Delta > 0.  Bisection on the integer cubic G(X) = 2^(3k) g(X/2^k)
+    keeps G(lo) <= 0 < G(hi), and the final signs are checked exactly.  Every
+    root has |x| < 1 + max(|b2|, 2|b4|, |b6|) / 4 (Cauchy), where hi starts.
+    Delta < 0: lo starts at -hi; the one real root lies in [lo, hi).
+    Delta > 0: g > 0 exactly on (e3, e2) and (e1, oo).  The critical points
+    c -+ sqrt(c4)/12, c = -b2/12, lie in (e3, e2) and (e2, e1), 1/6 apart at
+    least (c4 >= 1 is an integer); lo starts within 2^(1-k) below the larger,
+    so above e3.  Then g(lo) <= 0 puts lo in [e2, e1] and g(hi) > 0 puts
+    hi above e1.  The check fails only if the larger critical point is within
+    2^(1-k) of e2, where g(lo) > 0 from the start.
+    """
+    b2, b4, b6, _ = C.b_invariants()
+    k = PRECISION_BITS + GUARD_BITS
+    c2, c1, c0 = b2 << k, 2 * b4 << 2 * k, b6 << 3 * k
+
+    def G(X: int) -> int:
+        return ((4 * X + c2) * X + c1) * X + c0
+
+    hi = 1 + max(abs(b2), 2 * abs(b4), abs(b6)) << k
+    lo = (math.isqrt(C.c_invariants()[0] << 2 * k) - c2) // 12 if C.discriminant() > 0 else -hi
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if G(mid) > 0:
+            hi = mid
+        else:
+            lo = mid
+    if not G(lo) <= 0 < G(hi):
+        raise ArithmeticError(f"no sign change of g brackets e1 at {lo} / 2^{k}")
+    return lo
+
+
 def real_period(C: WeierstrassCurve) -> RealApprox:
     """Period of the invariant differential over all real components.
 
@@ -172,17 +208,17 @@ def real_period(C: WeierstrassCurve) -> RealApprox:
     of 4x^3 + b2 x^2 + 2 b4 x + b6 (Cremona, Algorithms for Modular Elliptic
     Curves, 3.7).  A positive discriminant gives two components and e1 must
     be the largest root: then, with A = e1 - e2 and B = e1 - e3, one AGM step
-    turns the formula into pi / agm(sqrt(A), sqrt(B)).
+    turns the formula into pi / agm(sqrt(A), sqrt(B)).  e1 comes from the
+    proved integer bracket of ``e1_bracket``, within 2^-160 of its value.
+    The reported error |Omega| 2^(8 - PRECISION_BITS) of the mpmath AGM is
+    not proved (ROADMAP item 5).
     """
-    b2, b4, b6, _ = C.b_invariants()
+    b2, b4, _, _ = C.b_invariants()
     with mp.workprec(PRECISION_BITS + 16):
-        roots = mp.polyroots([4, b2, 2 * b4, b6], maxsteps=200, extraprec=64)
-        if C.discriminant() > 0:
-            components, e1 = 2, max(mp.re(r) for r in roots)
-        else:
-            components, e1 = 1, mp.re(min(roots, key=lambda r: abs(mp.im(r))))
+        e1 = mp.ldexp(mp.mpf(e1_bracket(C)), -(PRECISION_BITS + GUARD_BITS))
         a = 3 * e1 + mp.mpf(b2) / 4
         b = mp.sqrt(3 * e1**2 + mp.mpf(b2) / 2 * e1 + mp.mpf(b4) / 2)
+        components = 2 if C.discriminant() > 0 else 1
         value = components * 2 * mp.pi / mp.agm(2 * mp.sqrt(b), mp.sqrt(2 * b + a))
         err = abs(value) * mp.mpf(2) ** (8 - PRECISION_BITS)
         return RealApprox(value, err)

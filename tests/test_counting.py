@@ -237,10 +237,10 @@ def test_frobenius_table_lists_every_good_prime_once():
 
 # The batched pass's oracle set: E1 (torsion Z/2 x Z/4), 11a1, 14a1, j = 1728,
 # j = 0, a model whose c4 and c6 exceed int64, and 20 seeded models, at every
-# good p in [BSGS_MIN_P, 20 000].
+# good p from 5 to 20 000: the pass takes every good p > 3.
 PASS_CURVES = [E1, WeierstrassCurve(0, -1, 1, -10, -20), WeierstrassCurve(1, 0, 1, 4, -6),
                WeierstrassCurve(0, 0, 0, -1, 0), WeierstrassCurve(0, 0, 1, 0, 0), BIG_MODEL, *seeded_models(31415)]
-PASS_PRIMES = [p for p in primes_up_to(20_000) if p >= counting.BSGS_MIN_P]
+PASS_PRIMES = primes_up_to(20_000)[2:]
 
 
 def good_pass_primes(C):
@@ -255,13 +255,13 @@ def test_batched_pass_matches_count_points(C):
 
 def test_batched_pass_doubles_where_it_must_and_leaves_few_primes_open(monkeypatch):
     real_add = counting._x_add
-    seen = {"doubled": 0, "zero": 0}
+    seen = {"doubled": 0, "all doubled": 0, "zero": 0}
 
     def add(P, Q, D, A, B, p):
         X, Z = real_add(P, Q, D, A, B, p)
         at_inf = D[1] == 0
-        if not at_inf.all():  # the first baby step doubles every lane; count the others
-            seen["doubled"] += int(at_inf.sum())
+        seen["doubled"] += int(at_inf.sum())
+        seen["all doubled"] += bool(at_inf.all())  # 2P is a doubling, not an addition
         seen["zero"] += int(((X == 0) & (Z == 0)).sum())
         return X, Z
 
@@ -273,7 +273,7 @@ def test_batched_pass_doubles_where_it_must_and_leaves_few_primes_open(monkeypat
         resolved += len(counting._bsgs_traces(C, good))
     # a lane whose point has a small order, or whose giant step lands on the
     # point at infinity, takes the doubling branch; no lane ever reads (0:0)
-    assert seen["doubled"] > 0 and seen["zero"] == 0
+    assert seen["doubled"] > 0 and seen["all doubled"] == 0 and seen["zero"] == 0
     # the two lanes of a prime leave more than one trace at a few primes only
     assert 0 < asked - resolved <= asked // 20
 
@@ -331,12 +331,14 @@ def record_sweep_primes(monkeypatch) -> list[int]:
 def test_frobenius_table_extends_one_sweep_per_curve(monkeypatch):
     C = WeierstrassCurve(0, -1, 1, -10, -20)  # 11a1
     frobenius_table.cache_clear()
-    calls = record_sweep_primes(monkeypatch)
+    calls, passed = record_sweep_primes(monkeypatch), []
+    recording_pass = counting._bsgs_traces
+    monkeypatch.setattr(counting, "_bsgs_traces", lambda C, primes: passed.extend(primes) or recording_pass(C, primes))
     small = frobenius_table(C, 100)
     large = frobenius_table(C, 300)
     prefix = frobenius_table(C, 50)
     assert sorted(calls) == [p for p in primes_up_to(300) if p != 11]
-    assert any(p >= counting.BSGS_MIN_P for p in calls)
+    assert passed == [p for p in primes_up_to(300) if p > 3 and p != 11]  # the pass is offered every good p > 3
     assert list(small.items()) == [(p, ap) for p, ap in large.items() if p <= 100]
     assert list(prefix.items()) == [(p, ap) for p, ap in large.items() if p <= 50]
     assert frobenius_table(C, 100) == small and frobenius_table(C, 50) == prefix

@@ -249,6 +249,20 @@ def test_cli_series_options_stop_at_their_caps(flag, cap, capsys):
         assert not out and err.startswith("usage:") and f"expected a positive integer up to {cap}," in err
 
 
+@pytest.mark.parametrize("view", ["ledger", "image-modl", "count"])
+def test_cli_prime_bound_stops_at_its_cap(view, capsys):
+    # at the cap a sweep takes a few seconds; far above it, minutes to hours
+    cap = galois_image.PRIME_BOUND_CAP
+    assert cli._build_parser().parse_args([view, "--prime-bound", str(cap)]).prime_bound == cap
+    assert max(opts.prime_bound for opts in (LedgerOptions(), FAST)) <= cap
+    for value in (cap + 1, 10**9):
+        with pytest.raises(SystemExit) as exc:
+            main([view, "--prime-bound", str(value)])
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert not out and err.startswith("usage:") and f"expected a positive integer up to {cap}," in err
+
+
 @pytest.mark.parametrize("command", ["ledger", "lvalue"])
 def test_cli_has_no_precision_option(command, capsys):
     # L(E,1) and the period run at lvalue.PRECISION_BITS; the old option only

@@ -1,4 +1,5 @@
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -14,6 +15,7 @@ from ecledger.lvalue import (
     RealApprox,
     _fixed_point_sum,
     an_coefficients,
+    e1_bracket,
     l_value_at_1,
     lvalue_ratio,
     rational_reconstruct,
@@ -236,3 +238,42 @@ def test_fixed_point_sum_against_a_four_fold_precision_sum(C):
         error = 2 * E + mp.ldexp(abs(L.value), -B)
         assert abs(L.value - 2 * partial) <= error
         assert error <= mp.ldexp(abs(L.value) + 1, 12 - B - 20) * M
+
+
+def box_models(seed, count):
+    """Nonsingular models in the benchmark's box: a1, a3 in {0, 1}, a2 in {-1, 0, 1}, |a4|, |a6| <= 50."""
+    box, out = random.Random(seed), []
+    while len(out) < count:
+        try:
+            out.append(WeierstrassCurve(box.randint(0, 1), box.randint(-1, 1), box.randint(0, 1),
+                                        box.randint(-50, 50), box.randint(-50, 50)))
+        except SingularCurveError:
+            pass
+    return out
+
+
+# y^2 = x^3 - 3^72 x has e1 = 3^36 exactly, so its bracket starts on a root
+E1_BRACKET_CURVES = [E1, E2, C11A1, C37A1, C43A1, WeierstrassCurve(0, 0, 0, -(3**72), 0), *box_models(2024, 50)]
+
+
+@pytest.mark.parametrize("C", E1_BRACKET_CURVES, ids=lambda C: ",".join(map(str, C.coefficients())))
+def test_e1_bracket_meets_its_signs_within_2_to_the_minus_k_of_polyroots(C):
+    k = PRECISION_BITS + GUARD_BITS
+    X = e1_bracket(C)
+    b2, b4, b6, _ = C.b_invariants()
+
+    def g(x: Fraction) -> Fraction:
+        return ((4 * x + b2) * x + 2 * b4) * x + b6
+
+    assert g(Fraction(X, 2**k)) <= 0 < g(Fraction(X + 1, 2**k))
+    with mp.workprec(300):
+        roots = mp.polyroots([4, b2, 2 * b4, b6], maxsteps=400, extraprec=300)
+        if C.discriminant() > 0:
+            e1 = max(mp.re(r) for r in roots)
+        else:
+            e1 = mp.re(min(roots, key=lambda r: abs(mp.im(r))))
+        assert abs(mp.ldexp(X, -k) - e1) <= mp.ldexp(1, -k)
+
+
+def test_e1_bracket_covers_both_signs_of_the_discriminant():
+    assert {C.discriminant() > 0 for C in E1_BRACKET_CURVES} == {True, False}

@@ -1,5 +1,6 @@
 import hashlib
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -7,6 +8,7 @@ import pytest
 from ecledger.arith import factorize, primes_up_to
 from ecledger.counting import count_points
 from ecledger.curve import E1, E2, SingularCurveError, WeierstrassCurve
+from ecledger import torsion
 from ecledger.torsion import point_order, torsion_subgroup
 
 
@@ -140,3 +142,19 @@ def test_small_model_grid_pinned():
     # sha256 of the same rows from the count-bound and closure search
     digest = hashlib.sha256(repr(rows).encode()).hexdigest()
     assert digest == "cd67d2e7bb793eaaf52882b7c1640929145477e030d0328a2318cac1bd68a9f4"
+
+
+def test_point_count_gcd_returns_what_the_full_search_finds(monkeypatch):
+    # a fixed slice of 400 models from the benchmark's coefficient box
+    box, curves = random.Random(22), []
+    while len(curves) < 400:
+        try:
+            curves.append(WeierstrassCurve(box.randint(0, 1), box.randint(-1, 1), box.randint(0, 1),
+                                           box.randint(-50, 50), box.randint(-50, 50)))
+        except SingularCurveError:
+            pass
+    fast = [torsion_subgroup(C) for C in curves]
+    monkeypatch.setattr(torsion, "GCD_PRIMES", ())  # no gcd: every curve takes the search
+    assert [torsion_subgroup(C) for C in curves] == fast
+    orders = [T.order for T in fast]
+    assert orders.count(1) > 300 and len(set(orders)) > 2
