@@ -208,10 +208,10 @@ def real_period(C: WeierstrassCurve) -> RealApprox:
     of 4x^3 + b2 x^2 + 2 b4 x + b6 (Cremona, Algorithms for Modular Elliptic
     Curves, 3.7).  A positive discriminant gives two components and e1 must
     be the largest root: then, with A = e1 - e2 and B = e1 - e3, one AGM step
-    turns the formula into pi / agm(sqrt(A), sqrt(B)).  e1 comes from the
-    proved integer bracket of ``e1_bracket``, within 2^-160 of its value.
-    The reported error |Omega| 2^(8 - PRECISION_BITS) of the mpmath AGM is
-    not proved (ROADMAP item 5).
+    turns the formula into pi / agm(sqrt(A), sqrt(B)).  e1 is the left end of
+    the proved bracket of ``e1_bracket``, 2^-(PRECISION_BITS + GUARD_BITS)
+    wide.  The reported error |Omega| 2^(8 - PRECISION_BITS) of the mpmath
+    AGM is not proved (ROADMAP item 5).
     """
     b2, b4, _, _ = C.b_invariants()
     with mp.workprec(PRECISION_BITS + 16):
