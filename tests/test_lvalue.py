@@ -1,5 +1,4 @@
 import math
-import random
 from fractions import Fraction
 
 import pytest
@@ -22,6 +21,7 @@ from ecledger.lvalue import (
     real_period,
     root_number,
 )
+from test_counting import seeded_models
 from test_local_data import local_data
 
 M = 2000
@@ -240,20 +240,8 @@ def test_fixed_point_sum_against_a_four_fold_precision_sum(C):
         assert error <= mp.ldexp(abs(L.value) + 1, 12 - B - 20) * M
 
 
-def box_models(seed, count):
-    """Nonsingular models in the benchmark's box: a1, a3 in {0, 1}, a2 in {-1, 0, 1}, |a4|, |a6| <= 50."""
-    box, out = random.Random(seed), []
-    while len(out) < count:
-        try:
-            out.append(WeierstrassCurve(box.randint(0, 1), box.randint(-1, 1), box.randint(0, 1),
-                                        box.randint(-50, 50), box.randint(-50, 50)))
-        except SingularCurveError:
-            pass
-    return out
-
-
-# y^2 = x^3 - 3^72 x has e1 = 3^36 exactly, so its bracket starts on a root
-E1_BRACKET_CURVES = [E1, E2, C11A1, C37A1, C43A1, WeierstrassCurve(0, 0, 0, -(3**72), 0), *box_models(2024, 50)]
+# y^2 = x^3 - 3^72 x has e1 = 3^36 exactly, so its bracket's left end is a root of g
+E1_BRACKET_CURVES = [E1, E2, C11A1, C37A1, C43A1, WeierstrassCurve(0, 0, 0, -(3**72), 0), *seeded_models(2024, 50)]
 
 
 @pytest.mark.parametrize("C", E1_BRACKET_CURVES, ids=lambda C: ",".join(map(str, C.coefficients())))

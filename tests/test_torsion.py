@@ -1,15 +1,15 @@
 import hashlib
 import itertools
-import random
 from fractions import Fraction
 
 import pytest
 
+from ecledger import torsion
 from ecledger.arith import factorize, primes_up_to
 from ecledger.counting import count_points
 from ecledger.curve import E1, E2, SingularCurveError, WeierstrassCurve
-from ecledger import torsion
 from ecledger.torsion import point_order, torsion_subgroup
+from test_counting import seeded_models
 
 
 def group_closure_oracle(C, points):
@@ -145,14 +145,7 @@ def test_small_model_grid_pinned():
 
 
 def test_point_count_gcd_returns_what_the_full_search_finds(monkeypatch):
-    # a fixed slice of 400 models from the benchmark's coefficient box
-    box, curves = random.Random(22), []
-    while len(curves) < 400:
-        try:
-            curves.append(WeierstrassCurve(box.randint(0, 1), box.randint(-1, 1), box.randint(0, 1),
-                                           box.randint(-50, 50), box.randint(-50, 50)))
-        except SingularCurveError:
-            pass
+    curves = seeded_models(22, 400)  # a fixed slice of the benchmark's coefficient box
     fast = [torsion_subgroup(C) for C in curves]
     monkeypatch.setattr(torsion, "GCD_PRIMES", ())  # no gcd: every curve takes the search
     assert [torsion_subgroup(C) for C in curves] == fast
