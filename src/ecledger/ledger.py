@@ -14,7 +14,6 @@ PAPER_EXPECTATIONS, so each check is written once, for every curve.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import asdict, dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -316,11 +315,11 @@ def _lvalue_records(run: _Run) -> list[CheckRecord]:
     if run.local_error:
         return [_unsupported(run.C, "lvalue-ratio", claim, inputs, run.local_error)]
     L, omega, ratio = lvalue_ratio(run.C, run.local, opts.terms)
-    if not math.isfinite(L.error_bound):  # the partial sum bounds nothing
+    if L is None:  # the partial sum bounds nothing
         return [_unsupported(run.C, "lvalue-ratio", claim, inputs,
                              f"terms too few for N={conductor_semistable(run.local)}: at {opts.terms} "
                              "terms the tail of the series has no finite bound, so no L(E,1) is reported")]
-    result = f"L(E,1)={L.value} Omega={omega.value} ratio={ratio}"
+    result = f"L(E,1)={L} Omega={omega} ratio={ratio}"
     if root_number(run.local) == -1:
         result += " root_number=-1"
     return [_computed(run.C, "lvalue-ratio", claim, inputs, result, ratio is not None, ratio)]

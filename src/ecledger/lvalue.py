@@ -6,21 +6,19 @@ The caller's local data comes in as the ledger's {p: LocalData} over the
 primes p | N of a semistable curve; there a_p = +1 where the reduction is
 split and -1 where not.
 
-Reals are mpmath floats at one working precision, PRECISION_BITS, with an
-error bound carried alongside.  L(E,1) is summed exactly in integer fixed
-point with 32 guard bits and rounded to the working precision once;
-``l_value_at_1`` proves that this error is far below the rounding term it
-reports.  A value whose magnitude is below its own error bound is a partial
-sum, not a digit of L(E,1): it can change with the number of terms.
+Every real is an interval with exact rational ends, computed on integers in
+units of 2^-Q from proved enclosures of pi, e^-x, square roots and the AGM;
+its error is its width.  An interval around 0 holds a partial sum, not a
+digit of L(E,1): its midpoint can change with the number of terms.
 """
 
 from __future__ import annotations
 
+import decimal
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-
-import mpmath as mp
 
 from .arith import DomainError
 from .counting import frobenius_table
@@ -33,23 +31,73 @@ PRECISION_BITS = 128  # of L(E,1), Omega and their ratio
 # cap, with N = 3265006, `lvalue` runs in about 4 s on a 2-vCPU x86-64
 # container (the sweep to 10^6 is most of it).
 TERMS_CAP = 1_000_000
-GUARD_BITS = 32  # of the fixed-point L-series sum, beyond the working precision
+GUARD_BITS = 32  # of the fixed-point L-series sum and e1, beyond the working precision
+Q = PRECISION_BITS + 2 * GUARD_BITS  # the intervals' integer ends are in units of 2^-Q
 MAX_DENOMINATOR = 100  # of the reconstructed L(E,1)/Omega
-
-
-def _mpf_to_fraction(v: mp.mpf) -> Fraction:
-    """The exact value of v, read at v's own precision (never rounded)."""
-    if not mp.isfinite(v):
-        raise ValueError(f"{v} has no exact rational value")
-    sign, man, exp, _ = v._mpf_
-    fr = Fraction(man) * Fraction(2) ** exp
-    return -fr if sign else fr
+_DECIMAL = decimal.Context(prec=15, rounding=decimal.ROUND_HALF_UP)  # of the printed reals
 
 
 @dataclass(frozen=True)
 class RealApprox:
-    value: mp.mpf
-    error_bound: mp.mpf
+    """The closed interval [lo, hi] around a real."""
+
+    lo: Fraction
+    hi: Fraction
+
+    def __str__(self) -> str:
+        """The midpoint to 15 significant digits rounded half up, fixed for decimal exponents -4 to 14."""
+        mid = (self.lo + self.hi) / 2
+        q = _DECIMAL.divide(mid.numerator, mid.denominator).normalize(_DECIMAL)
+        mantissa, mark, exponent = f"{q:{'f' if -5 < q.adjusted() < 15 else 'e'}}".partition("e")
+        return mantissa + ("" if "." in mantissa else ".0") + mark + exponent
+
+
+@functools.cache
+def _pi() -> tuple[int, int]:
+    """(lo, hi) with lo < pi 2^Q < hi, by Machin: pi = 16 atan(1/5) - 4 atan(1/239).
+
+    atan(1/m) 2^R = sum_k (-1)^k t_k, t_k = 2^R / ((2k + 1) m^(2k+1)), R = Q + 16.  The
+    loop sums floor(t_k) (floor(floor(x / a) / b) = floor(x / (ab))) up to the first
+    floor(t_k) = 0; the t_k decrease, so the dropped tail is below that t_k < 1 and
+    the sum is within k + 1 of atan(1/m) 2^R.
+    """
+    R, mid, rad = Q + 16, 0, 0
+    for m, w in ((5, 16), (239, -4)):
+        power, k = (1 << R) // m, 0  # floor(2^R / m^(2k+1))
+        while t := power // (2 * k + 1):
+            mid += -w * t if k & 1 else w * t
+            power //= m * m
+            k += 1
+        rad += abs(w) * (k + 1)
+    return mid - rad >> R - Q, -(-(mid + rad) >> R - Q)
+
+
+def _exp_neg(X: int) -> tuple[int, int]:
+    """(lo, hi) with lo <= e^-x 2^Q <= hi, for x = X 2^-Q >= 0.
+
+    e^-x = (e^-y)^(2^s), y = x 2^-s < 2^-10, in units of 2^-R, R = Q + s + 8.  With
+    t_k = y^k / k! 2^R, T_0 = 2^R and T_k = floor(T_(k-1) X 2^-(Q+s)) // k have
+    t_k - 2 < T_k <= t_k, as y / k < 1.  The t_k decrease, so the alternating sum
+    up to the first T_n = 0 (t_n < 2) is within 2n of e^-y 2^R <= 2^R.  Squaring
+    s times, lo rounded down and hi up, keeps each on its side of e^-x.
+    """
+    s = max(0, X.bit_length() - Q + 10)
+    R, total, term, k = Q + s + 8, 0, 1 << Q + s + 8, 0
+    while term:
+        total += -term if k & 1 else term
+        k += 1
+        term = (term * X >> Q + s) // k
+    lo, hi = max(total - 2 * k, 0), min(total + 2 * k, 1 << R)
+    for _ in range(s):
+        lo, hi = lo * lo >> R, -(-hi * hi >> R)
+    return lo >> R - Q, -(-hi >> R - Q)
+
+
+def _two_pi_over_sqrt(N: int) -> tuple[int, int]:
+    """(lo, hi) with lo <= 2 pi 2^Q / sqrt(N) <= hi."""
+    pi_lo, pi_hi = _pi()
+    r = math.isqrt(N << 2 * Q)  # r <= sqrt(N) 2^Q < r + 1
+    return (pi_lo << Q + 1) // (r + 1), -((-pi_hi << Q + 1) // r)
 
 
 def _bad_ap(ld: LocalData) -> int:
@@ -95,19 +143,20 @@ def root_number(local: dict[int, LocalData]) -> int:
     return -math.prod(-_bad_ap(ld) for ld in local.values())
 
 
-def _tail_bound(N: int, M: int) -> mp.mpf:
-    """Bound on the truncated tail of 2*sum a_n/n exp(-2 pi n / sqrt N).
+def _tail_bound(c_lo: int, M: int) -> int | None:
+    """T with T 2^-Q above the truncated tail of 2*sum a_n/n e^(-c n), c = 2 pi / sqrt N >= c_lo 2^-Q.
 
     Uses |a_n| <= d(n) sqrt(n) <= n^(3/2), so each term is below
     2 sqrt(n) e^(-c n); sqrt(n) <= sqrt(M+1) e^((n-M-1)/(2(M+1))) collapses
-    the sum to a geometric series.
+    the sum to a geometric series of ratio r = e^(-(c - 1/(2(M+1)))).  Every
+    factor is rounded up.  None when the enclosures do not prove r < 1, that
+    is 4 pi (M+1) > sqrt N: then no finite bound follows.
     """
-    c = 2 * mp.pi / mp.sqrt(N)
-    r = mp.e ** (-(c - mp.mpf(1) / (2 * (M + 1))))
-    if r >= 1:
-        return mp.inf
-    first = 2 * mp.sqrt(M + 1) * mp.e ** (-c * (M + 1))
-    return first / (1 - r)
+    x = c_lo + (-(1 << Q) // (2 * M + 2))  # x 2^-Q <= c - 1/(2(M+1))
+    if x <= 0 or (r := _exp_neg(x)[1]) >= 1 << Q:
+        return None
+    first = 2 * (math.isqrt((M + 1) << 2 * Q) + 1) * _exp_neg(c_lo * (M + 1))[1]  # in units of 2^-2Q
+    return -(-first // ((1 << Q) - r))
 
 
 def _fixed_point_sum(a: tuple[int, ...], N: int, P: int) -> int:
@@ -116,8 +165,7 @@ def _fixed_point_sum(a: tuple[int, ...], N: int, P: int) -> int:
     u^n is carried as the integer un ~ u^n 2^P and each term is floored;
     once un is 0 every later term is 0 too, so the loop stops there.
     """
-    with mp.workprec(P + GUARD_BITS):
-        U = int(mp.floor(mp.ldexp(mp.exp(-2 * mp.pi / mp.sqrt(N)), P)))
+    U = _exp_neg(_two_pi_over_sqrt(N)[1])[0] >> Q - P  # floor(u_lo 2^P)
     acc, un = 0, 1 << P
     for n in range(1, len(a)):
         un = un * U >> P
@@ -127,42 +175,32 @@ def _fixed_point_sum(a: tuple[int, ...], N: int, P: int) -> int:
     return acc
 
 
-def l_value_at_1(C: WeierstrassCurve, local: dict[int, LocalData], terms: int = DEFAULT_TERMS) -> RealApprox:
-    """L(E, 1) = 2 sum a_n/n u^n with u = exp(-2 pi / sqrt N), with a tail bound.
+def l_value_at_1(C: WeierstrassCurve, local: dict[int, LocalData], terms: int = DEFAULT_TERMS) -> RealApprox | None:
+    """L(E, 1) = 2 sum a_n/n u^n with u = exp(-2 pi / sqrt N), or None with no tail bound.
 
     The series is valid when the root number is +1; when it is -1 the
     functional equation forces L(E, 1) = 0 exactly, and no series is summed.
 
-    The error bound is the tail bound plus the rounding term
-    R = 2^(12 - B) (|value| + 1) M, for B = PRECISION_BITS = 128 and M = terms.
-    R covers the fixed-point sum ``_fixed_point_sum`` at P = B + 32 = 160 bits:
-    - U = floor(u~ 2^P), where mpmath's u~ at P + 32 bits is within
-      2^(-P-28) of u (c = 2 pi / sqrt N < 2 carries a relative error of a few
-      units in 2^(-P-32)).  So U' = U 2^-P has |U' - u| < 2^-P (1 + 2^-28).
-    - Step n sets un = floor(un U 2^-P), so v_n = un 2^-P = v_(n-1) U' - eps_n
-      with 0 <= eps_n < 2^-P, and v_n <= 1.  Then e_n = u^n - v_n satisfies
-      e_n = u e_(n-1) + v_(n-1) (u - U') + eps_n, and from e_0 = 0,
-      |e_n| < 2^(1-P) (1 + 2^-29) min(n, 1 / (1 - u)).
-    - Each term is floor(a_n un / n), within 2^-P of a_n v_n / n.  Once un
-      is 0 every later un and term is exactly 0, so stopping there drops
-      nothing that the floors would keep, and the integer sum is within
-        E = 2^-P (2 (1 + 2^-29) sum_(n<=M) |a_n| min(1, 1 / (n (1 - u))) + M)
-      of sum_(n<=M) a_n u^n / n.
-    - One rounding to B bits adds at most 2^-B |value| to value = 2 sum.
-    With |a_n| <= d(n) sqrt(n) and sum_(n<=M) d(n) <= M (ln M + 1),
-    2E <= 2^(-31-B) M (2.01 sqrt(M) (ln M + 1) + 1), which stays below
-    2^-26 R for every M <= 10^7; the rounding step is below 2^-12 R / M.
+    The interval is 2 S 2^-P -+ (2E + T) for S = ``_fixed_point_sum`` at
+    P = Q - GUARD_BITS, T = ``_tail_bound`` and E = M 2^-P + beta sum_(n<=M) |a_n|,
+    M = terms.  U' = U 2^-P = floor(u_lo 2^P) 2^-P has 0 <= u - U' <= u_hi - U',
+    and beta = u_hi - U' + 2^-P.  Step n sets v_n = un 2^-P = v_(n-1) U' - eps_n,
+    0 <= eps_n < 2^-P, so e_n = u^n - v_n = u e_(n-1) + v_(n-1) (u - U') + eps_n
+    lies in [0, n beta].  Each term floor(a_n un / n) is within 2^-P of
+    a_n v_n / n, and |a_n| e_n / n <= |a_n| beta.  Once un is 0 every later un
+    and term is 0, so S 2^-P is within E of sum_(n<=M) a_n u^n / n.
     """
-    with mp.workprec(PRECISION_BITS):
-        if root_number(local) == -1:
-            return RealApprox(mp.mpf(0), mp.mpf(0))
-        a = an_coefficients(C, terms, local)
-        N = conductor_semistable(local)
-        tail = _tail_bound(N, terms)
-        P = PRECISION_BITS + GUARD_BITS
-        value = mp.ldexp(mp.mpf(_fixed_point_sum(a, N, P)), 1 - P)
-        rounding = mp.mpf(2) ** (12 - PRECISION_BITS) * (abs(value) + 1) * terms
-        return RealApprox(value, tail + rounding)
+    if root_number(local) == -1:
+        return RealApprox(Fraction(0), Fraction(0))
+    a = an_coefficients(C, terms, local)
+    N, P = conductor_semistable(local), PRECISION_BITS + GUARD_BITS
+    c_lo, c_hi = _two_pi_over_sqrt(N)
+    if (tail := _tail_bound(c_lo, terms)) is None:
+        return None
+    beta = _exp_neg(c_lo)[1] - (_exp_neg(c_hi)[0] >> Q - P << Q - P) + (1 << Q - P)  # in units of 2^-Q
+    E = (terms << Q - P) + beta * sum(map(abs, a))
+    mid, rad = _fixed_point_sum(a, N, P) << Q - P + 1, 2 * E + tail
+    return RealApprox(Fraction(mid - rad, 1 << Q), Fraction(mid + rad, 1 << Q))
 
 
 def e1_bracket(C: WeierstrassCurve) -> int:
@@ -208,48 +246,48 @@ def real_period(C: WeierstrassCurve) -> RealApprox:
     of 4x^3 + b2 x^2 + 2 b4 x + b6 (Cremona, Algorithms for Modular Elliptic
     Curves, 3.7).  A positive discriminant gives two components and e1 must
     be the largest root: then, with A = e1 - e2 and B = e1 - e3, one AGM step
-    turns the formula into pi / agm(sqrt(A), sqrt(B)).  e1 is the left end of
-    the proved bracket of ``e1_bracket``, 2^-(PRECISION_BITS + GUARD_BITS)
-    wide.  The reported error |Omega| 2^(8 - PRECISION_BITS) of the mpmath
-    AGM is not proved (ROADMAP item 5).
+    turns the formula into pi / agm(sqrt(A), sqrt(B)).  ``e1_bracket`` puts e1
+    in [x0, x0 + t0], t0 = 2^-k: there a rises with e1, and b^2 = h(x0 + t) =
+    h(x0) + h'(x0) t + 3t^2 lies in [h(x0) + min(0, h'(x0) t0), h(x0) + max(0, h'(x0) t0) + 3 t0^2].
+    Lower ends round down and upper ends up.  The AGM step increases in both
+    arguments, so the lower lane stays below the exact (a_n, b_n) and the upper
+    lane above, and b_n <= M <= a_n for n >= 1; the lanes stop once their gap
+    stops shrinking, as rounding widens them.
     """
     b2, b4, _, _ = C.b_invariants()
-    with mp.workprec(PRECISION_BITS + 16):
-        e1 = mp.ldexp(mp.mpf(e1_bracket(C)), -(PRECISION_BITS + GUARD_BITS))
-        a = 3 * e1 + mp.mpf(b2) / 4
-        b = mp.sqrt(3 * e1**2 + mp.mpf(b2) / 2 * e1 + mp.mpf(b4) / 2)
-        components = 2 if C.discriminant() > 0 else 1
-        value = components * 2 * mp.pi / mp.agm(2 * mp.sqrt(b), mp.sqrt(2 * b + a))
-        err = abs(value) * mp.mpf(2) ** (8 - PRECISION_BITS)
-        return RealApprox(value, err)
+    k, X = Q - GUARD_BITS, e1_bracket(C)
+    h0, dh = 6 * X * X + (b2 * X << k) + (b4 << 2 * k), 12 * X + (b2 << k)  # h(x0), h'(x0) t0 in 2^-(2k+1)
+    b_lo = math.isqrt(h0 + min(dh, 0) << 2 * GUARD_BITS - 1)  # b 2^Q from b^2 in units of 2^-2Q
+    b_hi = math.isqrt(h0 + max(dh, 0) + 6 << 2 * GUARD_BITS - 1) + 1
+    a_lo = 3 * X + (b2 << k - 2) << GUARD_BITS  # a = 3 e1 + b2/4 in units of 2^-Q, to a_lo + 3 2^(Q-k)
+    al, bl = math.isqrt(b_lo << Q + 2), math.isqrt(2 * b_lo + a_lo << Q)  # 2 sqrt(b), sqrt(2b + a)
+    ah, bh, gap = math.isqrt(b_hi << Q + 2) + 1, math.isqrt(2 * b_hi + a_lo + (3 << GUARD_BITS) << Q) + 1, None
+    while True:
+        al, bl, ah, bh = al + bl >> 1, math.isqrt(al * bl), ah + bh + 1 >> 1, math.isqrt(ah * bh) + 1
+        if gap is not None and ah - bl >= gap:
+            break
+        gap = ah - bl
+    (pi_lo, pi_hi), w = _pi(), 2 if C.discriminant() > 0 else 1  # w real components
+    lo, hi = (w * pi_lo << Q + 1) // ah, -(-(w * pi_hi << Q + 1) // bl)  # w 2 pi 2^Q / M
+    return RealApprox(Fraction(lo, 1 << Q), Fraction(hi, 1 << Q))
 
 
 def rational_reconstruct(x: RealApprox) -> Fraction | None:
-    """The unique rational with denominator <= MAX_DENOMINATOR within the interval.
+    """The unique rational with denominator <= MAX_DENOMINATOR in the interval, or None.
 
-    None when the error bound is too large to make the answer unique
-    (requires error_bound < 1/(2 MAX_DENOMINATOR^2), the classical
-    uniqueness threshold for continued-fraction reconstruction).
+    Two such rationals differ by at least 1/MAX_DENOMINATOR^2, so a narrower
+    interval holds at most one: the one closest to its midpoint, if any.
     """
-    if not mp.isfinite(x.error_bound):
-        return None
-    exact = _mpf_to_fraction(x.value)
-    bound = _mpf_to_fraction(x.error_bound)
-    if bound >= Fraction(1, 2 * MAX_DENOMINATOR**2):
-        return None
-    cand = exact.limit_denominator(MAX_DENOMINATOR)
-    return cand if abs(cand - exact) <= bound else None
+    cand = ((x.lo + x.hi) / 2).limit_denominator(MAX_DENOMINATOR)
+    return cand if x.hi - x.lo < Fraction(1, MAX_DENOMINATOR**2) and x.lo <= cand <= x.hi else None
 
 
 def lvalue_ratio(
     C: WeierstrassCurve, local: dict[int, LocalData], terms: int = DEFAULT_TERMS
-) -> tuple[RealApprox, RealApprox, Fraction | None]:
-    """(L(E,1), period, reconstructed rational ratio or None)."""
-    L = l_value_at_1(C, local, terms)
-    omega = real_period(C)
-    with mp.workprec(PRECISION_BITS):
-        ratio = L.value / omega.value
-        # |d(a/b)| <= (|da| + |a/b| |db|) / |b|
-        err = (L.error_bound + abs(ratio) * omega.error_bound) / abs(omega.value)
-        approx = RealApprox(ratio, err)
-    return L, omega, rational_reconstruct(approx)
+) -> tuple[RealApprox | None, RealApprox, Fraction | None]:
+    """(L(E,1) or None, period, reconstructed rational ratio or None)."""
+    L, omega = l_value_at_1(C, local, terms), real_period(C)
+    if L is None:
+        return L, omega, None
+    ends = [x / y for x in (L.lo, L.hi) for y in (omega.lo, omega.hi)]  # omega.lo > 0
+    return L, omega, rational_reconstruct(RealApprox(min(ends), max(ends)))

@@ -1,4 +1,5 @@
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -7,12 +8,18 @@ from mpmath import mp
 from ecledger.arith import DomainError, factorize, primes_up_to
 from ecledger.counting import trace_ap
 from ecledger.curve import E1, E2, SingularCurveError, WeierstrassCurve
-from ecledger.local_data import ReductionKind, UnsupportedReductionError, conductor_semistable
+from ecledger.local_data import ReductionKind, UnsupportedReductionError, conductor_semistable, tamagawa_product
 from ecledger.lvalue import (
     GUARD_BITS,
     PRECISION_BITS,
+    TERMS_CAP,
+    Q,
     RealApprox,
+    _exp_neg,
     _fixed_point_sum,
+    _pi,
+    _tail_bound,
+    _two_pi_over_sqrt,
     an_coefficients,
     e1_bracket,
     l_value_at_1,
@@ -21,6 +28,7 @@ from ecledger.lvalue import (
     real_period,
     root_number,
 )
+from ecledger.torsion import torsion_subgroup
 from test_counting import seeded_models
 from test_local_data import local_data
 
@@ -82,20 +90,24 @@ def test_an_bound(series):
         assert series[n] ** 2 <= d_n * d_n * n
 
 
+def mpf(x: Fraction):
+    """x as an mpf at the working precision (exact for the dyadic ends of the intervals)."""
+    return mp.mpf(x.numerator) / x.denominator
+
+
 def test_l_value_and_period():
     L = l_value_at_1(E1, local_data(E1), terms=2000)
     omega = real_period(E1)
-    assert abs(L.value - 0.3501507605831505) < 1e-12
-    assert abs(omega.value - 2.8012060846652040) < 1e-12
-    assert L.error_bound < 1e-20
-    assert omega.value > 0
+    assert abs(float(L.lo) - 0.3501507605831505) < 1e-12
+    assert abs(float(omega.lo) - 2.8012060846652040) < 1e-12
+    assert L.hi - L.lo < Fraction(1, 10**20)
+    assert omega.lo > 0
 
 
 def test_ratio_reconstructs_to_one_eighth():
     L, omega, ratio = lvalue_ratio(E1, local_data(E1), terms=2000)
     assert ratio == Fraction(1, 8)
-    with mp.workprec(128):
-        assert abs(L.value / omega.value - 0.125) < 1e-8
+    assert L.lo / omega.hi <= Fraction(1, 8) <= L.hi / omega.lo
 
 
 def test_E2_ratio_finite_positive():
@@ -104,19 +116,17 @@ def test_E2_ratio_finite_positive():
 
 
 def test_rational_reconstruct_rejects_wide_intervals():
-    with mp.workprec(64):
-        loose = RealApprox(mp.mpf("0.12501"), mp.mpf("0.01"))
-        assert rational_reconstruct(loose) is None
-        tight = RealApprox(mp.mpf("0.125"), mp.mpf("1e-10"))
-        assert rational_reconstruct(tight) == Fraction(1, 8)
+    loose = RealApprox(Fraction("0.11501"), Fraction("0.13501"))
+    assert rational_reconstruct(loose) is None
+    tight = RealApprox(Fraction("0.125") - Fraction("1e-10"), Fraction("0.125") + Fraction("1e-10"))
+    assert rational_reconstruct(tight) == Fraction(1, 8)
 
 
 def test_convergence_in_terms():
-    # doubling the term count moves the value by less than the error bound
+    # the intervals at 1000 and 2000 terms overlap
     a = l_value_at_1(E1, local_data(E1), terms=1000)
     b = l_value_at_1(E1, local_data(E1), terms=2000)
-    with mp.workprec(128):
-        assert abs(a.value - b.value) <= a.error_bound + b.error_bound
+    assert a.lo <= b.hi and b.lo <= a.hi
 
 
 def naive_an(C, bad, n):
@@ -151,7 +161,9 @@ def test_an_coefficients_needs_a_positive_length(M):
 def test_period_within_its_bound_against_quadrature(C):
     # Omega sums 2 int dx / sqrt(f) over each real component of (2y + a1 x + a3)^2 = f(x):
     # [e1, oo), and for a positive discriminant also the egg [e3, e2], where
-    # x = e3 + (e2 - e3) sin^2 t turns dx / sqrt(f) into dt / sqrt(e1 - x).
+    # x = e3 + (e2 - e3) sin^2 t turns dx / sqrt(f) into dt / sqrt(e1 - x).  On
+    # [e1, oo), x = e1 + t^2 turns it into 2 dt / sqrt(q(x)) with q = f / (x - e1),
+    # whose error grows with that of e1 and not with its square root.
     omega = real_period(C)
     b2, b4, b6, _ = C.b_invariants()
     with mp.workprec(300):
@@ -161,8 +173,13 @@ def test_period_within_its_bound_against_quadrature(C):
             egg = 2 * mp.quad(lambda t: 1 / mp.sqrt(e1 - e3 - (e2 - e3) * mp.sin(t) ** 2), [0, mp.pi / 2])
         else:
             e1, egg = mp.re(min(roots, key=lambda r: abs(mp.im(r)))), 0
-        reference = 2 * mp.quad(lambda x: 1 / mp.sqrt(((4 * x + b2) * x + 2 * b4) * x + b6), [e1, e1 + 1, mp.inf])
-        assert abs(omega.value - (mp.re(reference) + egg)) <= omega.error_bound
+
+        def q(x):
+            return (4 * x + b2 + 4 * e1) * x + 2 * b4 + (b2 + 4 * e1) * e1
+
+        reference = 4 * mp.quad(lambda t: 1 / mp.sqrt(q(e1 + t * t)), [0, 1, mp.inf])
+        assert mpf(omega.lo) <= reference + egg <= mpf(omega.hi)
+    assert omega.hi - omega.lo <= omega.lo / 2**120
 
 
 @pytest.mark.parametrize("C, w", [(C37A1, -1), (C43A1, -1), (E1, 1), (C11A1, 1), (C14A1, 1)])
@@ -172,7 +189,7 @@ def test_root_number(C, w):
 
 def test_l_value_is_exactly_zero_when_the_root_number_is_minus_one():
     L = l_value_at_1(C37A1, local_data(C37A1))
-    assert L.value == 0 and L.error_bound == 0
+    assert L.lo == L.hi == 0 and str(L) == "0.0"
 
 
 @pytest.mark.parametrize("C, ratio", [
@@ -183,17 +200,19 @@ def test_ratios_reconstruct(C, ratio):
 
 
 def test_rational_reconstruct_reads_the_full_precision():
-    with mp.workprec(128):
-        # 1/8 + 2^-100 rounds to 1/8 at 53 bits, but 1/8 lies outside its interval
-        near = RealApprox(mp.mpf(1) / 8 + mp.mpf(2) ** -100, mp.mpf(2) ** -110)
-        # 1/5 at 128 bits is within 2^-120 of 1/5; at 53 bits it is not
-        fifth = RealApprox(mp.mpf(1) / 5, mp.mpf(2) ** -120)
-    assert rational_reconstruct(near) is None
-    assert rational_reconstruct(fifth) == Fraction(1, 5)
+    # 1/8 + 2^-100 rounds to 1/8 at 53 bits, but 1/8 lies outside its interval
+    near = Fraction(1, 8) + Fraction(1, 2**100)
+    assert rational_reconstruct(RealApprox(near - Fraction(1, 2**110), near + Fraction(1, 2**110))) is None
+    # an interval 2^-119 wide around 1/5 at 128 bits holds 1/5; at 53 bits it would not
+    fifth = Fraction(round(Fraction(2**128, 5)), 2**128)
+    assert rational_reconstruct(RealApprox(fifth - Fraction(1, 2**120), fifth + Fraction(1, 2**120))) == Fraction(1, 5)
 
 
-def test_rational_reconstruct_rejects_an_infinite_bound():
-    assert rational_reconstruct(RealApprox(mp.mpf("0.125"), mp.inf)) is None
+def test_lvalue_ratio_has_no_l_value_without_a_tail_bound():
+    # N = 3046 and 4 pi (M + 1) < sqrt N at M = 2 terms: the tail bounds nothing
+    C = WeierstrassCurve(1, 0, 1, -6, -4)
+    L, omega, ratio = lvalue_ratio(C, local_data(C), terms=2)
+    assert L is None and ratio is None and omega.lo > 0
 
 
 def semistable_box_curves(seed, count):
@@ -233,11 +252,9 @@ def test_fixed_point_sum_against_a_four_fold_precision_sum(C):
         partial = mp.fsum(mp.mpf(a[n]) / n * u**n for n in range(1, M + 1) if a[n])
         E = fixed_point_bound(a, u, P)
         assert abs(mp.ldexp(_fixed_point_sum(a, N, P), -P) - partial) <= E
-        # the reported value adds one rounding to B bits, and all of it lies
-        # far inside the rounding term of the error bound
-        error = 2 * E + mp.ldexp(abs(L.value), -B)
-        assert abs(L.value - 2 * partial) <= error
-        assert error <= mp.ldexp(abs(L.value) + 1, 12 - B - 20) * M
+        # the interval holds twice the partial sum, and its radius covers 2E
+        assert mpf(L.lo) <= 2 * partial <= mpf(L.hi)
+        assert 2 * E <= mpf(L.hi - L.lo) / 2
 
 
 # y^2 = x^3 - 3^72 x has e1 = 3^36 exactly, so its bracket's left end is a root of g
@@ -265,3 +282,70 @@ def test_e1_bracket_meets_its_signs_within_2_to_the_minus_k_of_polyroots(C):
 
 def test_e1_bracket_covers_both_signs_of_the_discriminant():
     assert {C.discriminant() > 0 for C in E1_BRACKET_CURVES} == {True, False}
+
+
+def test_real_approx_prints_its_midpoint_as_mpmath_str():
+    # random 128-bit values with decimal exponents from -10 to 17, zero,
+    # negatives, and ...999 rounded up to a power of ten
+    box = random.Random(23)
+    values = [Fraction(0), Fraction(-1, 8), Fraction(10**16 - 1, 10**16), Fraction(-(10**20 - 1), 10**5),
+              Fraction(99999999999999951, 10**21), Fraction(-99999999999999951, 10**2)]
+    for _ in range(5000):
+        man = box.getrandbits(128) | 1 << 127
+        values.append(box.choice((1, -1)) * man * Fraction(2) ** box.randint(-160, -70))
+    for x in values:
+        with mp.workprec(128):
+            v = mp.mpf(x.numerator) / x.denominator
+        with mp.workdps(15):
+            assert str(RealApprox(x - 2, x + 2)) == str(v)
+
+
+def test_pi_enclosure_against_300_bit_mpmath():
+    lo, hi = _pi()
+    with mp.workprec(300):
+        assert lo < mp.ldexp(mp.pi, Q) < hi
+    assert hi - lo < 2**8
+
+
+# conductors from 11 to 4 * 10^6 at even steps of log N, E1's and the golden listings'
+ORACLE_CONDUCTORS = sorted({round(11 * (4 * 10**6 / 11) ** (i / 40)) for i in range(41)} | {15, 526022, 3265006})
+
+
+@pytest.mark.parametrize("N", ORACLE_CONDUCTORS)
+def test_exp_enclosures_against_300_bit_mpmath(N):
+    # c = 2 pi / sqrt N, u = e^-c, and the tail's e^(-c (M + 1)) up to TERMS_CAP;
+    # U = floor(u 2^P) is the integer the fixed-point series runs on
+    P = PRECISION_BITS + GUARD_BITS
+    c_lo, c_hi = _two_pi_over_sqrt(N)
+    u_lo, u_hi = _exp_neg(c_hi)[0], _exp_neg(c_lo)[1]
+    with mp.workprec(300):
+        c = 2 * mp.pi / mp.sqrt(N)
+        assert c_lo <= mp.ldexp(c, Q) <= c_hi and c_hi - c_lo <= 4
+        u = mp.exp(-c)
+        assert u_lo <= mp.ldexp(u, Q) <= u_hi and u_hi - u_lo <= 8
+        assert u_lo >> Q - P == int(mp.floor(mp.ldexp(u, P)))
+        for M in (1, 10, 100, 2000, 10**4, 10**5, TERMS_CAP):
+            lo, hi = _exp_neg(c_lo * (M + 1))
+            assert lo <= mp.ldexp(mp.exp(-mp.ldexp(c_lo * (M + 1), -Q)), Q) <= hi and hi - lo <= 4
+
+
+@pytest.mark.parametrize("M", [1, 2, 10, 99, 2000, TERMS_CAP])
+def test_tail_bound_exists_exactly_when_4_pi_m_plus_1_exceeds_sqrt_n(M):
+    with mp.workprec(300):
+        edge = int(mp.floor(16 * mp.pi**2 * (M + 1) ** 2))  # N <= edge iff 4 pi (M + 1) > sqrt N
+    for N in (edge - 1, edge, edge + 1, edge + 2):
+        assert (_tail_bound(_two_pi_over_sqrt(N)[0], M) is None) == (N > edge)
+
+
+def test_bsd_analytic_sha_is_a_square_integer():
+    # BSD at rank 0: L(E,1)/Omega = #Sha prod c_p / |T|^2, so every non-zero
+    # ratio times |T|^2 / prod c_p is a square integer, the analytic order of Sha
+    shas = []
+    for C in semistable_box_curves(1, 60):
+        local = local_data(C)
+        ratio = lvalue_ratio(C, local)[2]
+        if ratio:
+            sha = ratio * torsion_subgroup(C).order ** 2 / tamagawa_product(local)
+            assert sha.denominator == 1 and math.isqrt(sha.numerator) ** 2 == sha.numerator, C
+            shas.append(sha)
+    assert sorted(shas) == [1] * 14 + [4]
