@@ -216,8 +216,10 @@ def _torsion_records(run: _Run) -> list[CheckRecord]:
     T = run.torsion
     two_x = sorted(str(P[0]) for P in T.two_torsion)
     result = f"order={T.order} structure={T.describe()} order-2 x-coordinates={two_x}"
-    return [_computed(run.C, "torsion", "torsion subgroup structure (Nagell-Lutz)",
-                      "Nagell-Lutz on scaled short model", result, True, (T.order, T.structure))]
+    claim, inputs = "torsion subgroup structure (Nagell-Lutz)", "Nagell-Lutz on scaled short model"
+    if T.gcd_primes:
+        claim, inputs = "torsion subgroup structure", f"gcd of #E(F_p) at p = {', '.join(map(str, T.gcd_primes))} is 1"
+    return [_computed(run.C, "torsion", claim, inputs, result, True, (T.order, T.structure))]
 
 
 def _isogeny_records(run: _Run) -> list[CheckRecord]:

@@ -23,7 +23,7 @@ IV.6.1).  So #E(Q)_tors divides every such #E(F_p), and a gcd of 1 proves it 1.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .arith import DomainError, factorize, integer_cubic_roots, square_divisors
@@ -40,6 +40,7 @@ class TorsionGroup:
     structure: tuple[int, int]  # (d1, d2), d1 | d2, group = Z/d1 x Z/d2
     points: tuple  # the point at infinity, then the affine points sorted by (x, y)
     two_torsion: tuple  # the points of order 2, sorted by x: the kernels of the rational 2-isogenies
+    gcd_primes: tuple[int, ...] = field(default=(), compare=False)  # the p whose #E(F_p) have gcd 1, if any
 
     def describe(self) -> str:
         d1, d2 = self.structure
@@ -66,11 +67,11 @@ def rational(v: Fraction) -> int | Fraction:
 def torsion_subgroup(C: WeierstrassCurve) -> TorsionGroup:
     """The full rational torsion subgroup: its points, order and structure."""
     n, disc = 0, C.discriminant()
-    for p in GCD_PRIMES:
-        if disc % p:
-            n = math.gcd(n, count_points_naive(C, p))
-            if n == 1:
-                return TorsionGroup(1, (1, 1), (None,), ())
+    good = [p for p in GCD_PRIMES if disc % p]
+    for i, p in enumerate(good):
+        n = math.gcd(n, count_points_naive(C, p))
+        if n == 1:
+            return TorsionGroup(1, (1, 1), (None,), (), tuple(good[: i + 1]))
     c4, c6 = C.c_invariants()
     A, B = -27 * c4, -54 * c6
     b2 = C.b_invariants()[0]

@@ -31,7 +31,7 @@ CURVES = [
     (0, 0, 1, -29, -32), (0, 1, 1, -42, -11), (1, 0, 1, -32, -36), (0, 1, 1, -34, -34),
     (0, 1, 1, -46, -20), (0, -1, 1, -27, 11), (0, 1, 1, -29, 28), (0, 0, 0, -29, -44),
 ]
-DIGEST = "9c0e35c4f6d642746f1c1a8d2944bdcc63a32deffb0c2fe3d694114326dda083"
+DIGEST = "c3271e40c362e344883ce30ed03cda5fe9a6dcd6995aa35bc9f7e2cb7c8d9a2d"
 
 
 def test_reports_match_pinned_digest():

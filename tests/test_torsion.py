@@ -151,3 +151,9 @@ def test_point_count_gcd_returns_what_the_full_search_finds(monkeypatch):
     assert [torsion_subgroup(C) for C in curves] == fast
     orders = [T.order for T in fast]
     assert orders.count(1) > 300 and len(set(orders)) > 2
+
+
+def test_gcd_primes_name_the_point_counts_that_proved_the_group_trivial():
+    # 37a1: #E(F_3) = 7 and #E(F_5) = 8; E1's Z/2 x Z/4 comes from the search
+    assert torsion_subgroup(WeierstrassCurve(0, 0, 1, -1, 0)).gcd_primes == (3, 5)
+    assert torsion_subgroup(E1).gcd_primes == ()
