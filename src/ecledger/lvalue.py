@@ -77,9 +77,9 @@ def _exp_neg(X: int) -> tuple[int, int]:
 
     e^-x = (e^-y)^(2^s), y = x 2^-s < 2^-10, in units of 2^-R, R = Q + s + 8.  With
     t_k = y^k / k! 2^R, T_0 = 2^R and T_k = floor(T_(k-1) X 2^-(Q+s)) // k have
-    t_k - 2 < T_k <= t_k, as y / k < 1.  The t_k decrease, so the alternating sum
+    t_k - 2 < T_k <= t_k, as y < 1/2.  The t_k decrease, so the alternating sum
     up to the first T_n = 0 (t_n < 2) is within 2n of e^-y 2^R <= 2^R.  Squaring
-    s times, lo rounded down and hi up, keeps each on its side of e^-x.
+    s times, lo >= 0 rounded down and hi up, keeps each on its side of e^-x.
     """
     s = max(0, X.bit_length() - Q + 10)
     R, total, term, k = Q + s + 8, 0, 1 << Q + s + 8, 0
