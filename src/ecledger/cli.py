@@ -15,13 +15,11 @@ import os
 import sys
 from functools import partial
 
-from . import __version__, galois_image
+from . import __version__
 from .arith import DomainError, is_prime
 from .counting import frobenius_table
 from .curve import E1, WeierstrassCurve, curve_from_string
 from .ledger import CHECKS, VERIFIED, LedgerOptions, emit_report, run_ledger
-from .lvalue import TERMS_CAP
-from .padic import DIGITS_CAP
 
 DEFAULT_CURVE = ",".join(str(a) for a in E1.coefficients())
 
@@ -31,7 +29,7 @@ VIEWS = {
     "invariants": ("discriminant identity, minimality, c-invariants, j-invariant", ("invariants",)),
     "local": ("reduction type and Kodaira symbol at each bad prime, conductor, Tamagawa product",
               ("reduction", "conductor", "tamagawa-product")),
-    "torsion": ("rational torsion subgroup via Nagell-Lutz", ("torsion",)),
+    "torsion": ("rational torsion subgroup: point-count gcd, else Nagell-Lutz", ("torsion",)),
     "image-mod8": ("order, det-condition subgroup, and fixed points of the mod-8 image", ("mod8",)),
     "image-modl": ("mod-l surjectivity certificates for each l in the list", ("surjectivity",)),
     "lvalue": ("L(E,1), real period, and the reconstructed rational ratio", ("lvalue-ratio",)),
@@ -66,19 +64,32 @@ def _positive_int(text: str, cap: int | None = None) -> int:
 
 
 def _prime_list(text: str) -> tuple[int, ...]:
-    cap = galois_image.CERTIFICATE_L_CAP
+    cap = CERTIFICATE_L_CAP
     try:
         primes = {int(s) for s in text.split(",") if s.strip()}
     except ValueError:
         primes = {0}
-    # at l = 2 the certificate never concludes: nothing eliminates the non-split Cartan
+    # the certificate takes odd primes only: at l = 2 it raises a DomainError
     if not primes or not all(3 <= l <= cap and is_prime(l) for l in primes):
         raise argparse.ArgumentTypeError(f"expected a comma list of primes from 3 to {cap}, got {text!r}")
     return tuple(sorted(primes))
 
 
+# The input envelope: the largest value each option accepts.  The layers take
+# larger values; the caps bound what one CLI call can cost.
+CERTIFICATE_L_CAP = 47  # of the primes in --l-list
+PRIME_BOUND_CAP = 10**6  # of --prime-bound
+# Of --terms.  At the cap, with N = 3265006, `lvalue` runs in about 4 s on a
+# 2-vCPU x86-64 container (the sweep to 10^6 is most of it).
+TERMS_CAP = 1_000_000
+# Of --padic-digits.  A split prime with v_p(j) = -1 needs as many fixed-point
+# steps, the k-th a Horner pass over k terms mod p^(k + 1).  On a 2-vCPU x86-64
+# container `linv` at the cap took 0.5 s at p = 71 and 2.4 s at p = 8964467;
+# the cost grows with log p.
+DIGITS_CAP = 250
+
 # LedgerOptions field -> (argument type, metavar), in field order
-_OPTION_ARGS = {"prime_bound": (partial(_positive_int, cap=galois_image.PRIME_BOUND_CAP), "N"),
+_OPTION_ARGS = {"prime_bound": (partial(_positive_int, cap=PRIME_BOUND_CAP), "N"),
                 "l_list": (_prime_list, "L1,L2,..."),
                 "terms": (partial(_positive_int, cap=TERMS_CAP), "M"),
                 "padic_digits": (partial(_positive_int, cap=DIGITS_CAP), "D")}

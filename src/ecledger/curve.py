@@ -1,4 +1,4 @@
-"""Integral long Weierstrass models: invariants, group law and 2-isogenies.
+"""Integral long Weierstrass models: invariants, point addition and 2-isogenies.
 
 Coefficients are integers.  Points are rational: ``None`` for the point at
 infinity or an ``(x, y)`` pair of exact rationals, kept as plain ints when
@@ -85,24 +85,11 @@ class WeierstrassCurve:
         x, y = pt
         return y * y + self.a1 * x * y + self.a3 * y == x**3 + self.a2 * x * x + self.a4 * x + self.a6
 
-    def _require_on_curve(self, pt):
-        if not self.is_on_curve(pt):
-            raise DomainError(f"point {pt} is not on {self.coefficients()}")
-
-    def negate(self, pt: Point | None) -> Point | None:
-        self._require_on_curve(pt)
-        if pt is None:
-            return None
-        x, y = Fraction(pt[0]), Fraction(pt[1])
-        return (x, -y - self.a1 * x - self.a3)
-
     def add(self, P: Point | None, Q: Point | None) -> Point | None:
-        self._require_on_curve(P)
-        self._require_on_curve(Q)
-        return self._add(P, Q)
-
-    def _add(self, P: Point | None, Q: Point | None) -> Point | None:
-        """P + Q for points already known to lie on the curve."""
+        """P + Q; a DomainError when either point is not on the curve."""
+        for pt in (P, Q):
+            if not self.is_on_curve(pt):
+                raise DomainError(f"point {pt} is not on {self.coefficients()}")
         if P is None:
             return Q
         if Q is None:
@@ -123,18 +110,6 @@ class WeierstrassCurve:
             nu = y1 - lam * x1
         x3 = lam * lam + a1 * lam - a2 - x1 - x2
         return (x3, -(lam + a1) * x3 - nu - a3)
-
-    def multiply(self, pt: Point | None, n: int) -> Point | None:
-        self._require_on_curve(pt)
-        if n < 0:
-            return self.multiply(self.negate(pt), -n)
-        result, addend = None, pt
-        while n:
-            if n & 1:
-                result = self.add(result, addend)
-            addend = self.add(addend, addend)
-            n >>= 1
-        return result
 
     # -- minimality ---------------------------------------------------------
 

@@ -7,7 +7,7 @@ Three parts:
   computation for conductor-15 curves;
 * surjectivity certificates: Frobenius char polys mod l eliminate each of
   Dickson's maximal subgroups of GL2(F_l) with surjective determinant, a
-  sound "surjective / inconclusive" verdict for any prime l;
+  sound "surjective / inconclusive" verdict for any odd prime l;
 * complete subgroup enumeration of GL2(F_l) up to conjugacy (l <= 7) on
   dense tables.  The certificates do not use it; the tests check them
   against it.
@@ -323,15 +323,11 @@ def enumerate_subgroups_gl2(l: int) -> tuple[ModMMatrixGroup, ...]:
 BOREL = "borel"
 SPLIT_NORMALISER = "split-cartan-normaliser"
 NONSPLIT_NORMALISER = "nonsplit-cartan-normaliser"
-NONSPLIT_CARTAN = "nonsplit-cartan"  # l = 2 only
 EXCEPTIONAL_S4 = "exceptional-s4"
-
-CERTIFICATE_L_CAP = 47  # the primes l the CLI certifies; the certificate itself takes any prime
-PRIME_BOUND_CAP = 10**6  # the largest --prime-bound the CLI accepts; the sweep takes any
 
 
 def maximal_subgroups(l: int) -> tuple[str, ...]:
-    """Maximal proper subgroups of GL2(F_l) with surjective det, up to conjugacy.
+    """Maximal proper subgroups of GL2(F_l) with surjective det, up to conjugacy, l odd.
 
     By Dickson's classification (Serre 1972, section 2; Zywina,
     arXiv:1508.07660) a proper subgroup with surjective determinant lies in
@@ -340,11 +336,8 @@ def maximal_subgroups(l: int) -> tuple[str, ...]:
     quotient of order 2, so they lie in PSL2(F_l) and their determinants are
     squares; S4 leaves PSL2(F_l) exactly when l = +-3 mod 8.  The split
     normaliser lies in the S4 class at l = 5 and in the non-split normaliser
-    at l = 3, where PGL2(F_3) is S4 itself.  GL2(F_2) is S3: its maximal
-    subgroups are the Borel and the non-split Cartan A3.
+    at l = 3, where PGL2(F_3) is S4 itself.
     """
-    if l == 2:
-        return (BOREL, NONSPLIT_CARTAN)
     if l == 3:
         return (BOREL, NONSPLIT_NORMALISER)
     split = () if l == 5 else (SPLIT_NORMALISER,)
@@ -417,7 +410,7 @@ def surjectivity_certificate(C: WeierstrassCurve, l: int, bound: int) -> Surject
 
     * Borel: every element has a split char poly, so an irreducible one
       (t^2 - 4d a non-square) rules M out;
-    * Cartan normalisers, l odd: every element outside the Cartan has
+    * Cartan normalisers: every element outside the Cartan has
       trace 0.  A split normaliser holds no irreducible char poly of
       non-zero trace, a non-split one no split char poly t^2 - 4d a non-zero
       square of non-zero trace.  Failing that, G inside M but outside the
@@ -425,16 +418,16 @@ def surjectivity_certificate(C: WeierstrassCurve, l: int, bound: int) -> Surject
       _quadratic_character_refuted refutes; G inside the split Cartan lies
       in a Borel, and the non-split Cartan holds no split char poly;
     * S4 class: projective orders are 1, 2, 3 and 4, that is
-      u = t^2/d in {4, 0, 1, 2}, so any other u rules it out;
-    * l = 2: x^2 + x + 1 rules out the Borel; the Cartan A3 realises both
-      char polys x^2 + 1 and x^2 + x + 1, so the verdict stays
-      "inconclusive".
+      u = t^2/d in {4, 0, 1, 2}, so any other u rules it out.
 
-    A verdict of "surjective" is unconditional; "inconclusive" only means
-    the prime bound was too small or the image really is proper.
+    l must be an odd prime: GL2(F_2) is S3, and its non-split Cartan A3
+    realises both char polys x^2 + 1 and x^2 + x + 1, so no Frobenius data
+    eliminates it.  A verdict of "surjective" is unconditional;
+    "inconclusive" only means the prime bound was too small or the image
+    really is proper.
     """
-    if not is_prime(l):
-        raise DomainError(f"{l} is not prime")
+    if l == 2 or not is_prime(l):
+        raise DomainError(f"{l} is not an odd prime")
     pairs, primes = frobenius_constraints(C, l, bound)
     maximal = maximal_subgroups(l)
     return SurjectivityCertificate(
@@ -448,10 +441,6 @@ def surjectivity_certificate(C: WeierstrassCurve, l: int, bound: int) -> Surject
 
 def _eliminated(M: str, C: WeierstrassCurve, l: int, bound: int, pairs: frozenset) -> bool:
     """Do the Frobenius pairs (t, d) rule out an image inside M?"""
-    if M == NONSPLIT_CARTAN:
-        return False
-    if l == 2:  # the Borel
-        return any(t for t, _ in pairs)
     if M == EXCEPTIONAL_S4:
         return any(t * t * pow(d, -1, l) % l not in (0, 1, 2, 4) for t, d in pairs)
     # traces of the pairs the Cartan side of M cannot realise: irreducible

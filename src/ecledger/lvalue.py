@@ -27,10 +27,6 @@ from .local_data import LocalData, ReductionKind, conductor_semistable
 
 DEFAULT_TERMS = 2000
 PRECISION_BITS = 128  # of L(E,1), Omega and their ratio
-# The largest series length the CLI accepts; the functions take any.  At the
-# cap, with N = 3265006, `lvalue` runs in about 4 s on a 2-vCPU x86-64
-# container (the sweep to 10^6 is most of it).
-TERMS_CAP = 1_000_000
 GUARD_BITS = 32  # of the fixed-point L-series sum and e1, beyond the working precision
 Q = PRECISION_BITS + 2 * GUARD_BITS  # the intervals' integer ends are in units of 2^-Q
 MAX_DENOMINATOR = 100  # of the reconstructed L(E,1)/Omega
@@ -159,13 +155,12 @@ def _tail_bound(c_lo: int, M: int) -> int | None:
     return -(-first // ((1 << Q) - r))
 
 
-def _fixed_point_sum(a: tuple[int, ...], N: int, P: int) -> int:
-    """sum a[n]/n e^(-2 pi n / sqrt N) over 1 <= n < len(a), in units of 2^-P.
+def _fixed_point_sum(a: tuple[int, ...], U: int, P: int) -> int:
+    """sum a[n]/n u^n over 1 <= n < len(a) for u = U 2^-P, in units of 2^-P.
 
     u^n is carried as the integer un ~ u^n 2^P and each term is floored;
     once un is 0 every later term is 0 too, so the loop stops there.
     """
-    U = _exp_neg(_two_pi_over_sqrt(N)[1])[0] >> Q - P  # floor(u_lo 2^P)
     acc, un = 0, 1 << P
     for n in range(1, len(a)):
         un = un * U >> P
@@ -197,9 +192,10 @@ def l_value_at_1(C: WeierstrassCurve, local: dict[int, LocalData], terms: int = 
     c_lo, c_hi = _two_pi_over_sqrt(N)
     if (tail := _tail_bound(c_lo, terms)) is None:
         return None
-    beta = _exp_neg(c_lo)[1] - (_exp_neg(c_hi)[0] >> Q - P << Q - P) + (1 << Q - P)  # in units of 2^-Q
+    U = _exp_neg(c_hi)[0] >> Q - P  # floor(u_lo 2^P)
+    beta = _exp_neg(c_lo)[1] - (U << Q - P) + (1 << Q - P)  # in units of 2^-Q
     E = (terms << Q - P) + beta * sum(map(abs, a))
-    mid, rad = _fixed_point_sum(a, N, P) << Q - P + 1, 2 * E + tail
+    mid, rad = _fixed_point_sum(a, U, P) << Q - P + 1, 2 * E + tail
     return RealApprox(Fraction(mid - rad, 1 << Q), Fraction(mid + rad, 1 << Q))
 
 

@@ -20,11 +20,6 @@ from .curve import WeierstrassCurve
 from .local_data import ReductionKind, reduction_type
 
 DEFAULT_DIGITS = 20
-# The most digits the CLI accepts; the functions take any.  A split prime with
-# v_p(j) = -1 needs as many fixed-point steps, the k-th a Horner pass over k
-# terms mod p^(k + 1).  On a 2-vCPU x86-64 container `linv` at the cap took
-# 0.5 s at p = 71 and 2.4 s at p = 8964467; the cost grows with log p.
-DIGITS_CAP = 250
 
 
 @dataclass(frozen=True)

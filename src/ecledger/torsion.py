@@ -26,7 +26,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .arith import DomainError, factorize, integer_cubic_roots, square_divisors
+from .arith import factorize, integer_cubic_roots, square_divisors
 from .counting import count_points, count_points_naive  # noqa: F401  (count_points stays importable here)
 from .curve import WeierstrassCurve
 
@@ -48,14 +48,15 @@ class TorsionGroup:
 
 
 def point_order(C: WeierstrassCurve, P) -> int | None:
-    """The order of the rational point P, or None when it is past Mazur's 12, so infinite."""
-    if not C.is_on_curve(P):
-        raise DomainError(f"{P} is not on the curve")
+    """The order of the rational point P, or None when it is past Mazur's 12, so infinite.
+
+    A DomainError when P is not on C.
+    """
     Q = P
     for n in range(1, MAZUR_ORDER_CAP + 1):
         if Q is None:
             return n
-        Q = C._add(Q, P)  # P is on the curve, hence so is every multiple
+        Q = C.add(Q, P)
     return None
 
 

@@ -145,7 +145,7 @@ def test_criterion_10_property_suites_and_determinism(announce):
     hasse = all(ap**2 <= 4 * p for p, ap in frobenius_table(E1, 300).items())
     # group-law associativity samples: rational points of 37a1 and E1
     C37 = WeierstrassCurve(0, 0, 1, -1, 0)
-    pts37 = [C37.multiply((0, 0), n) for n in (-2, 1, 3)]
+    pts37 = [(1, -1), (0, 0), (-1, -1)]  # -2, 1 and 3 times (0, 0)
     pts1 = [None, (-1, 0), (-2, 3), (8, -27)]
     assoc = all(
         C.add(C.add(P, Q), R) == C.add(P, C.add(Q, R))

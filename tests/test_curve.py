@@ -16,7 +16,7 @@ from ecledger.curve import (
     two_isogeny_onto,
     velu_2_isogeny,
 )
-from ecledger.torsion import torsion_subgroup
+from ecledger.torsion import point_order, torsion_subgroup
 
 # 37a1, y^2 + y = x^3 - x, has rank 1 and trivial torsion: its points n(0, 0)
 # are pairwise distinct, so the group law on them is checked by the index n.
@@ -28,6 +28,22 @@ MULTIPLES_37 = {  # n -> n(0, 0), n = 1..8
 # The eight rational torsion points of E1 (Z/2 x Z/4).
 E1_TORSION = [None, (-1, 0), (Fraction(-13, 4), Fraction(9, 8)), (3, -2),
               (-2, -2), (-2, 3), (8, 18), (8, -27)]
+
+
+def negative(C, P):
+    """-P = (x, -y - a1 x - a3), the other point on P's vertical line."""
+    if P is None:
+        return None
+    x, y = P
+    return (x, -y - C.a1 * x - C.a3)
+
+
+def multiple(C, P, n):
+    """n P by |n| repeated additions."""
+    Q = None
+    for _ in range(abs(n)):
+        Q = C.add(Q, P)
+    return Q if n >= 0 else negative(C, Q)
 
 
 def isomorphism_map(iso, pt):
@@ -100,13 +116,13 @@ def test_a_curve_computes_its_invariants_once(monkeypatch):
 
 def test_group_law_associativity_samples():
     # 37a1: (i P + j P) + k P lands on (i + j + k) P, by either bracketing
-    pts = {n: C37.multiply((0, 0), n) for n in range(-4, 5)}
+    pts = {n: multiple(C37, (0, 0), n) for n in range(-4, 5)}
     for i in pts:
         for j in pts:
             for k in (-3, 1, 2):
                 lhs = C37.add(C37.add(pts[i], pts[j]), pts[k])
                 assert lhs == C37.add(pts[i], C37.add(pts[j], pts[k]))
-                assert lhs == C37.multiply((0, 0), i + j + k)
+                assert lhs == multiple(C37, (0, 0), i + j + k)
     # E1's torsion: every triple, and the sums stay in the group
     for P in E1_TORSION:
         for Q in E1_TORSION:
@@ -119,23 +135,33 @@ def test_group_law_identity_and_inverse():
     for C, pts in ((C37, list(MULTIPLES_37.values())), (E1, E1_TORSION)):
         for P in pts:
             assert C.add(P, None) == P and C.add(None, P) == P
-            assert C.add(P, C.negate(P)) is None
-            assert C.negate(C.negate(P)) == P
-    assert C37.negate((0, 0)) == (0, -1)
+            assert C.is_on_curve(negative(C, P))
+            assert C.add(P, negative(C, P)) is None and C.add(negative(C, P), P) is None
+    assert C37.add((0, 0), (0, -1)) is None
 
 
-def test_multiply_matches_repeated_addition():
+def test_repeated_addition_reaches_the_known_multiples():
     acc = None
     for n in range(9):
-        assert C37.multiply((0, 0), n) == acc == MULTIPLES_37.get(n)
-        assert C37.multiply((0, 0), -n) == C37.negate(acc)
+        assert acc == MULTIPLES_37.get(n)
         acc = C37.add(acc, (0, 0))
+    # E1's torsion has exponent 4, so the multiples of each point repeat with period 4
     for P in E1_TORSION:
-        acc = None
-        for n in range(10):
-            assert E1.multiply(P, n) == acc
-            acc = E1.add(acc, P)
-        assert E1.multiply(P, 4) is None
+        multiples = [None]
+        for _ in range(9):
+            multiples.append(E1.add(multiples[-1], P))
+        assert multiples[4] is None
+        assert all(multiples[n] == multiples[n % 4] for n in range(10))
+
+
+def test_add_rejects_a_point_off_the_curve():
+    # (0, 1) is not on 37a1, and (7, 1) is not on E1
+    for C, P, off in ((C37, (0, 0), (0, 1)), (E1, (-1, 0), (7, 1))):
+        for pair in ((P, off), (off, P), (None, off), (off, None), (off, off)):
+            with pytest.raises(DomainError, match="is not on"):
+                C.add(*pair)
+        with pytest.raises(DomainError, match="is not on"):
+            point_order(C, off)
 
 
 def test_two_torsion_of_E1():

@@ -7,12 +7,11 @@ import numpy as np
 import pytest
 
 from ecledger.arith import DomainError, factorize, kronecker_symbol, primes_up_to
+from ecledger.cli import CERTIFICATE_L_CAP
 from ecledger.curve import E1, E2, WeierstrassCurve
 from ecledger.galois_image import (
     BOREL,
-    CERTIFICATE_L_CAP,
     EXCEPTIONAL_S4,
-    NONSPLIT_CARTAN,
     NONSPLIT_NORMALISER,
     RZB_15A1_MOD8,
     SPLIT_NORMALISER,
@@ -32,6 +31,7 @@ from ecledger.galois_image import (
     maximal_subgroups,
     surjectivity_certificate,
 )
+from ecledger.ledger import LedgerOptions, run_ledger
 
 CONTROL_11A1 = WeierstrassCurve(0, -1, 1, -10, -20)  # conductor 11, 5-isogeny
 CM_121B1 = WeierstrassCurve(0, -1, 1, -7, 10)  # CM by Q(sqrt(-11))
@@ -57,7 +57,6 @@ SUBGROUP_ORDER = {
     BOREL: lambda l: l * (l - 1) ** 2,
     SPLIT_NORMALISER: lambda l: 2 * (l - 1) ** 2,
     NONSPLIT_NORMALISER: lambda l: 2 * (l * l - 1),
-    NONSPLIT_CARTAN: lambda l: l * l - 1,
     EXCEPTIONAL_S4: lambda l: 24 * (l - 1),
 }
 
@@ -170,14 +169,11 @@ def test_enumerated_subgroups_are_closed_subgroups():
 def test_full_group_never_eliminated():
     # soundness: the certificate lists proper subgroups only, and a
     # survivor is one of them
-    for l in (2, 3, 5, 7):
+    for l in (3, 5, 7):
         cert = surjectivity_certificate(E1, l, 200)
         assert cert.maximal_subgroups == maximal_subgroups(l)
         assert set(cert.surviving) <= set(cert.maximal_subgroups)
         assert all(SUBGROUP_ORDER[M](l) < gl2_order(l) for M in cert.maximal_subgroups)
-    # GL2(F_2) = S3: the Cartan A3 realises every char poly, so l = 2 is
-    # never "surjective", even for 11a1, whose mod-2 image is all of S3
-    assert surjectivity_certificate(CONTROL_11A1, 2, 200).surviving == (NONSPLIT_CARTAN,)
 
 
 def test_certificates_for_E1():
@@ -203,6 +199,16 @@ def test_certificate_monotone_in_bound():
 def test_certificate_rejects_composite_l():
     with pytest.raises(DomainError):
         surjectivity_certificate(E1, 9, 100)
+
+
+def test_certificate_and_ledger_reject_l_2():
+    # GL2(F_2) = S3: its Cartan A3 realises every char poly, so at l = 2 no
+    # verdict could be "surjective", even for 11a1, whose mod-2 image is all of S3
+    for C in (E1, CONTROL_11A1):
+        with pytest.raises(DomainError, match="2 is not an odd prime"):
+            surjectivity_certificate(C, 2, 200)
+    with pytest.raises(DomainError, match="2 is not an odd prime"):
+        run_ledger(E1, LedgerOptions(l_list=(2,)))
 
 
 def test_certificates_past_the_enumeration_cap():
@@ -336,7 +342,7 @@ ORACLE_CURVES = [WeierstrassCurve(*a) for a in NAMED_CURVES.values()] + box_curv
 @pytest.mark.parametrize("bound", [30, 1000])
 def test_verdicts_match_the_class_enumeration(bound):
     for C in ORACLE_CURVES:
-        for l in (2, 3, 5, 7):
+        for l in (3, 5, 7):
             verdict = surjectivity_certificate(C, l, bound).verdict
             reference = enumeration_verdict(C, l, bound)
             # soundness first: "surjective" must hold for the reference too
@@ -353,8 +359,6 @@ def _explicit_subgroup(M, l):
         return {(a, b, 0, d) for a in units for b in range(l) for d in units}
     if M == SPLIT_NORMALISER:
         return {(a, 0, 0, d) for a in units for d in units} | {(0, b, c, 0) for b in units for c in units}
-    if M == NONSPLIT_CARTAN and l == 2:
-        return group_closure([(0, 1, 1, 1)], 2).elements
     e = next(x for x in units if pow(x, (l - 1) // 2, l) == l - 1)  # a non-square
     cartan = {(a, e * b % l, b, a) for a in range(l) for b in range(l) if a or b}
     return cartan | {mat_mul(x, (1, 0, 0, l - 1), l) for x in cartan}
@@ -367,7 +371,7 @@ def _projective_order(x, l):
     return n
 
 
-@pytest.mark.parametrize("l", [2, 3, 5, 7])
+@pytest.mark.parametrize("l", [3, 5, 7])
 def test_maximal_subgroups_cover_every_proper_class(l):
     """Every proper subgroup with surjective det lies under a listed one.
 

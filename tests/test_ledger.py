@@ -232,7 +232,7 @@ def test_cli_rejects_non_positive_numeric_options(flag, value, capsys):
     assert err.startswith("usage:") and "expected a positive integer" in err
 
 
-@pytest.mark.parametrize("flag, cap", [("--terms", lvalue.TERMS_CAP), ("--padic-digits", padic.DIGITS_CAP)])
+@pytest.mark.parametrize("flag, cap", [("--terms", cli.TERMS_CAP), ("--padic-digits", cli.DIGITS_CAP)])
 def test_cli_series_options_stop_at_their_caps(flag, cap, capsys):
     # each cap bounds the run time of the views that read the option; a value
     # over it exits 2 before any series is built, and every value the suites,
@@ -252,7 +252,7 @@ def test_cli_series_options_stop_at_their_caps(flag, cap, capsys):
 @pytest.mark.parametrize("view", ["ledger", "image-modl", "count"])
 def test_cli_prime_bound_stops_at_its_cap(view, capsys):
     # at the cap a sweep takes a few seconds; far above it, minutes to hours
-    cap = galois_image.PRIME_BOUND_CAP
+    cap = cli.PRIME_BOUND_CAP
     assert cli._build_parser().parse_args([view, "--prime-bound", str(cap)]).prime_bound == cap
     assert max(opts.prime_bound for opts in (LedgerOptions(), FAST)) <= cap
     for value in (cap + 1, 10**9):
@@ -279,7 +279,7 @@ def test_cli_rejects_l_lists_that_are_not_small_primes(value, capsys):
     # 0, x and 4 each ended in a traceback from deep inside the ledger; the
     # 19-digit prime is over the cap, so it must exit before trial division;
     # an empty list certified no l and yet verified the ledger; at l = 2 the
-    # certificate never concludes, so the ledger read failed
+    # certificate raises a DomainError
     with pytest.raises(SystemExit) as exc:
         main(["image-modl", "--prime-bound", "200", "--l-list", value])
     assert exc.value.code == 2
@@ -291,7 +291,7 @@ def test_cli_l_list_reads_the_certificate_cap(monkeypatch):
     parse = cli._build_parser().parse_args
     assert parse(["ledger", "--l-list", "7,3,3, 5"]).l_list == (3, 5, 7)
     assert parse(["ledger", "--l-list", "47,11"]).l_list == (11, 47)
-    monkeypatch.setattr(galois_image, "CERTIFICATE_L_CAP", 5)
+    monkeypatch.setattr(cli, "CERTIFICATE_L_CAP", 5)
     with pytest.raises(SystemExit):
         parse(["ledger", "--l-list", "3,7"])
 

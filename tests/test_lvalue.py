@@ -6,13 +6,13 @@ import pytest
 from mpmath import mp
 
 from ecledger.arith import DomainError, factorize, primes_up_to
+from ecledger.cli import TERMS_CAP
 from ecledger.counting import trace_ap
 from ecledger.curve import E1, E2, SingularCurveError, WeierstrassCurve
 from ecledger.local_data import ReductionKind, UnsupportedReductionError, conductor_semistable, tamagawa_product
 from ecledger.lvalue import (
     GUARD_BITS,
     PRECISION_BITS,
-    TERMS_CAP,
     Q,
     RealApprox,
     _exp_neg,
@@ -246,12 +246,13 @@ def test_fixed_point_sum_against_a_four_fold_precision_sum(C):
     # for small N and runs all M terms for large N; the oracle always sums all M
     local, B, M = local_data(C), PRECISION_BITS, 2000
     a, N, P = an_coefficients(C, M, local), conductor_semistable(local), B + GUARD_BITS
+    U = _exp_neg(_two_pi_over_sqrt(N)[1])[0] >> Q - P  # floor(u_lo 2^P), as l_value_at_1 builds it
     L = l_value_at_1(C, local, M)
     with mp.workprec(4 * B):
         u = mp.exp(-2 * mp.pi / mp.sqrt(N))
         partial = mp.fsum(mp.mpf(a[n]) / n * u**n for n in range(1, M + 1) if a[n])
         E = fixed_point_bound(a, u, P)
-        assert abs(mp.ldexp(_fixed_point_sum(a, N, P), -P) - partial) <= E
+        assert abs(mp.ldexp(_fixed_point_sum(a, U, P), -P) - partial) <= E
         # the interval holds twice the partial sum, and its radius covers 2E
         assert mpf(L.lo) <= 2 * partial <= mpf(L.hi)
         assert 2 * E <= mpf(L.hi - L.lo) / 2
