@@ -90,6 +90,10 @@ class WeierstrassCurve:
         for pt in (P, Q):
             if not self.is_on_curve(pt):
                 raise DomainError(f"point {pt} is not on {self.coefficients()}")
+        return self._add(P, Q)
+
+    def _add(self, P: Point | None, Q: Point | None) -> Point | None:
+        """P + Q for points already known to be on the curve."""
         if P is None:
             return Q
         if Q is None:

@@ -327,7 +327,7 @@ EXCEPTIONAL_S4 = "exceptional-s4"
 
 
 def maximal_subgroups(l: int) -> tuple[str, ...]:
-    """Maximal proper subgroups of GL2(F_l) with surjective det, up to conjugacy, l odd.
+    """Maximal proper subgroups of GL2(F_l) with surjective det, up to conjugacy.
 
     By Dickson's classification (Serre 1972, section 2; Zywina,
     arXiv:1508.07660) a proper subgroup with surjective determinant lies in
@@ -336,8 +336,11 @@ def maximal_subgroups(l: int) -> tuple[str, ...]:
     quotient of order 2, so they lie in PSL2(F_l) and their determinants are
     squares; S4 leaves PSL2(F_l) exactly when l = +-3 mod 8.  The split
     normaliser lies in the S4 class at l = 5 and in the non-split normaliser
-    at l = 3, where PGL2(F_3) is S4 itself.
+    at l = 3, where PGL2(F_3) is S4 itself.  A DomainError unless l is an
+    odd prime.
     """
+    if l == 2 or not is_prime(l):
+        raise DomainError(f"{l} is not an odd prime")
     if l == 3:
         return (BOREL, NONSPLIT_NORMALISER)
     split = () if l == 5 else (SPLIT_NORMALISER,)
@@ -426,10 +429,8 @@ def surjectivity_certificate(C: WeierstrassCurve, l: int, bound: int) -> Surject
     "inconclusive" only means the prime bound was too small or the image
     really is proper.
     """
-    if l == 2 or not is_prime(l):
-        raise DomainError(f"{l} is not an odd prime")
+    maximal = maximal_subgroups(l)  # refuses an l that is not an odd prime
     pairs, primes = frobenius_constraints(C, l, bound)
-    maximal = maximal_subgroups(l)
     return SurjectivityCertificate(
         l=l,
         prime_bound=bound,

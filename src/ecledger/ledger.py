@@ -14,7 +14,7 @@ PAPER_EXPECTATIONS, so each check is written once, for every curve.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
@@ -397,7 +397,7 @@ def emit_report(report: VerificationReport, fmt: str = "json-text") -> str:
             "curve": report.curve,
             "version": report.version,
             "overall": report.overall,
-            "records": [asdict(r) for r in report.records],
+            "records": [vars(r) for r in report.records],  # every field is a str: no deep copy
         }
         return json.dumps(payload, sort_keys=True, indent=2) + "\n"
     if fmt == "human-text":

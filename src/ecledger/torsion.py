@@ -50,13 +50,14 @@ class TorsionGroup:
 def point_order(C: WeierstrassCurve, P) -> int | None:
     """The order of the rational point P, or None when it is past Mazur's 12, so infinite.
 
-    A DomainError when P is not on C.
+    A DomainError when P is not on C.  P is checked once: its multiples are
+    on C too.
     """
-    Q = P
+    Q = C.add(P, None)
     for n in range(1, MAZUR_ORDER_CAP + 1):
         if Q is None:
             return n
-        Q = C.add(Q, P)
+        Q = C._add(Q, P)
     return None
 
 

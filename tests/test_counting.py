@@ -2,6 +2,7 @@ import hashlib
 import math
 import random
 
+import numpy as np
 import pytest
 
 from ecledger import counting
@@ -257,8 +258,8 @@ def test_batched_pass_doubles_where_it_must_and_leaves_few_primes_open(monkeypat
     real_add = counting._x_add
     seen = {"doubled": 0, "all doubled": 0, "zero": 0}
 
-    def add(P, Q, D, A, B, p):
-        X, Z = real_add(P, Q, D, A, B, p)
+    def add(P, Q, D, E):
+        X, Z = real_add(P, Q, D, E)
         at_inf = D[1] == 0
         seen["doubled"] += int(at_inf.sum())
         seen["all doubled"] += bool(at_inf.all())  # 2P is a doubling, not an addition
@@ -287,6 +288,50 @@ def largest_primes(residue: int, modulus: int, count: int = 3) -> list[int]:
             found.append(q)
         q -= 1
     return sorted(found)
+
+
+def pass_chunks():
+    """The prime lists the pass takes at once: the chunks of PASS_PRIMES, and the top of the range."""
+    return [PASS_PRIMES[i : i + counting.BSGS_CHUNK] for i in range(0, len(PASS_PRIMES), counting.BSGS_CHUNK)] + [
+        PASS_PRIMES[:3], largest_primes(1, 2)]
+
+
+def test_each_lane_s_windows_cover_its_hasse_interval_and_no_more():
+    for primes in pass_chunks():
+        m, c, K = counting._windows(primes)
+        assert m % 2 == 1 and c.dtype == K.dtype == np.int64
+        for lane, (start, count) in enumerate(zip(c.tolist(), K.tolist())):
+            p = primes[lane // 2]
+            r = math.isqrt(4 * p)
+            assert start >= 0 and count >= 1 and start == c[lane - lane % 2] + lane % 2
+            # windows (start + 2k)m -+ m for k < count meet end to end
+            assert (start - 1) * m <= p + 1 - r and (start + 2 * count - 1) * m >= p + 1 + r
+            assert (start + 2 * count - 3) * m < p + 1 + r  # one window fewer would not reach
+
+
+def divisibility_operands(p: int, below: int, box: random.Random) -> list[int]:
+    """0, kp -+ 1 and kp, the largest multiple of p below 2p^2, and seeded randoms, all below ``below``."""
+    top = (2 * p * p - 1) // p * p
+    xs = {0, top, top - 1, top + 1, 2 * p * p - 1}
+    for k in (1, 2, 3, p - 1, p, p + 1, box.randrange(2 * p)):
+        xs |= {k * p - 1, k * p, k * p + 1}
+    xs |= {box.randrange(2 * p * p) for _ in range(8)}
+    return sorted(x for x in xs if 0 <= x < below)
+
+
+@pytest.mark.parametrize("dtype", [np.int32, np.int64], ids=["w32", "w64"])
+def test_divisibility_by_multiplication_against_the_remainder(dtype):
+    # p | x iff x p^-1 mod 2^w <= floor((2^w - 1)/p), for odd p and 0 <= x < 2^w;
+    # the pass reads x = cross < 2p^2
+    w = np.iinfo(dtype).bits
+    box = random.Random(20_000 + w)
+    primes = PASS_PRIMES + (largest_primes(1, 2) if w == 64 else [])
+    inv, limit = counting._inverse_mod_word(np.array(primes, dtype=dtype))
+    assert inv.dtype == limit.dtype == np.dtype(f"uint{w}")
+    assert [(int(y) * p % 2**w, int(b)) for y, b, p in zip(inv, limit, primes)] == [(1, (2**w - 1) // p) for p in primes]
+    for p, y, b in zip(primes, inv, limit):
+        xs = divisibility_operands(p, 2**w, box)
+        assert (np.array(xs, dtype=inv.dtype) * y <= b).tolist() == [x % p == 0 for x in xs]
 
 
 @pytest.mark.parametrize("coeffs, residue, modulus", [((0, 0, 0, -1, 0), 3, 4), ((0, 0, 0, 0, 1), 2, 3)])

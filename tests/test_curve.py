@@ -164,6 +164,16 @@ def test_add_rejects_a_point_off_the_curve():
             point_order(C, off)
 
 
+def test_point_order_checks_its_point_once(monkeypatch):
+    checked, on_curve = [], WeierstrassCurve.is_on_curve
+    monkeypatch.setattr(WeierstrassCurve, "is_on_curve", lambda C, pt: checked.append(pt) or on_curve(C, pt))
+    # (8, 18) has order 4 on E1, and 37a1's (0, 0) runs all 12 additions
+    for C, P, order in ((E1, (8, 18), 4), (C37, (0, 0), None)):
+        checked.clear()
+        assert point_order(C, P) == order
+        assert [pt for pt in checked if pt is not None] == [P]
+
+
 def test_two_torsion_of_E1():
     pts = torsion_subgroup(E1).two_torsion
     assert [P[0] for P in pts] == [Fraction(-13, 4), -1, 3]

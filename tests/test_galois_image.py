@@ -211,6 +211,14 @@ def test_certificate_and_ledger_reject_l_2():
         run_ledger(E1, LedgerOptions(l_list=(2,)))
 
 
+@pytest.mark.parametrize("l", [2, 9, 15])
+def test_maximal_subgroups_reject_what_is_not_an_odd_prime(l):
+    # GL2(F_2)'s maximal subgroups are the Borel and the non-split Cartan A3,
+    # not the odd-l list; a composite l has no such list here at all
+    with pytest.raises(DomainError, match=f"^{l} is not an odd prime$"):
+        maximal_subgroups(l)
+
+
 def test_certificates_past_the_enumeration_cap():
     # E1, E2 and 37a1 have surjective mod-l images for every l >= 3
     primes = [l for l in primes_up_to(CERTIFICATE_L_CAP) if l > SUBGROUP_ENUM_CAP]
