@@ -31,9 +31,11 @@ p^-1 mod 2^w comes from Newton-Hensel steps on the whole prime array.
 Lanes ascend by p, and each lane runs only the giant-step windows that its
 own Hasse interval needs: a step runs on the suffix of lanes from the first
 that needs it, and so does each bit of the ladder that reaches the first
-window.  The baby steps run to m = isqrt(r) | 1 for the chunk's bound r on
-|a_p|, about (4p)^(1/4) (15 at 10^4): timed against isqrt(r/2), isqrt(2r)
-and isqrt(4r), it was as fast as any.
+window.  The baby steps run to m = isqrt(r/2) | 1 for the chunk's bound r
+on |a_p| (9 at 10^4).  Timed with the cheap matches, isqrt(r) | 1 (15) was
+as fast (E1's pass: 7.0 against 7.2 ms to 10^4, 141 against 140 ms to 10^5),
+isqrt(2r) | 1 no faster and isqrt(4r) | 1 slower, so m keeps the smaller
+tables: 10 rows, not 16, and a third less peak memory in the pass.
 """
 
 from __future__ import annotations
@@ -182,6 +184,19 @@ def _euler(f, p):
     return out
 
 
+def _lane_points(p, A, B):
+    """(x, chi) per lane of the ascending primes: the lane's point has the
+    first (even lanes) or the second (odd lanes) x >= 1 with
+    f(x) = x^3 + Ax + B != 0, on E where chi = 1 and on the twist where -1."""
+    import numpy as np
+
+    lane = np.arange(p.size)
+    x = np.arange(1, 6, dtype=p.dtype)[:, None]
+    f = ((x * x % p + A) % p * x + B) % p  # f has at most three roots, so 1..5 hold two others
+    x0 = (np.cumsum(f != 0, axis=0) <= lane % 2).sum(axis=0)  # row of the lane's non-root
+    return x0 + 1, np.where(_euler(f[x0, lane], p) == 1, 1, -1)
+
+
 def _inverse_mod_word(p):
     """(p^-1 mod 2^w, floor((2^w - 1) / p)) for odd p, in p's unsigned type of w bits.
 
@@ -198,6 +213,16 @@ def _inverse_mod_word(p):
     return y, np.iinfo(q.dtype).max // q
 
 
+def _matches(BX, BZ, gx, gz, limit):
+    """Flat (row, lane) indices of the table entries where p | cross, from
+    the tables' unsigned words p - X_j and Z_j and X_g p^-1, Z_g p^-1."""
+    import numpy as np
+
+    cross = BZ * gx
+    cross += BX * gz  # cross p^-1 mod 2^w
+    return np.flatnonzero(cross <= limit)
+
+
 def _windows(primes: list[int]):
     """(m, c, K) of one pass over the ascending primes > 3, per lane.
 
@@ -208,7 +233,7 @@ def _windows(primes: list[int]):
     """
     import numpy as np
 
-    m = math.isqrt(math.isqrt(4 * primes[-1])) | 1  # see the module docstring
+    m = math.isqrt(math.isqrt(4 * primes[-1]) // 2) | 1  # see the module docstring
     p = np.array(primes, dtype=np.int64).repeat(2)
     r = np.sqrt(4 * p).astype(np.int64)  # floor(2 sqrt p), corrected by one either way below
     r += (r + 1) ** 2 <= 4 * p
@@ -254,11 +279,6 @@ def _lane_candidates(c4: int, c6: int, primes: list[int], r: int):
     A = np.array([-27 * c4 % q for q in primes], dtype=dtype).repeat(2)
     B = np.array([-54 * c6 % q for q in primes], dtype=dtype).repeat(2)
     E = _lane_constants(p, A, B)
-    lane = np.arange(p.size)
-    x = np.arange(1, 6, dtype=dtype)[:, None]
-    f = ((x * x % p + A) % p * x + B) % p  # f has at most three roots, so 1..5 hold two others
-    x0 = (np.cumsum(f != 0, axis=0) <= lane % 2).sum(axis=0)  # row of the lane's non-root
-    chi = np.where(_euler(f[x0, lane], p) == 1, 1, -1)  # +1 on E, -1 on the twist
 
     # A match reads both g - j and g + j, and where only one of them is a
     # multiple of the order of P the other is its reflection about g: the
@@ -270,7 +290,8 @@ def _lane_candidates(c4: int, c6: int, primes: list[int], r: int):
     m, c, K = _windows(primes)
     BX = np.empty((m + 1, p.size), dtype=dtype)
     BZ = np.empty_like(BX)
-    BX[0], BZ[0], BX[1], BZ[1] = 1, 0, x0 + 1, 1
+    BX[0], BZ[0], BZ[1] = 1, 0, 1
+    BX[1], chi = _lane_points(p, A, B)
     for j in range(1, m):  # 2P by doubling: P - P is the point at infinity
         BX[j + 1], BZ[j + 1] = (_x_double(BX[1], BZ[1], E) if j == 1 else
                                 _x_add((BX[j], BZ[j]), (BX[1], BZ[1]), (BX[j - 1], BZ[j - 1]), E))
@@ -299,19 +320,22 @@ def _lane_candidates(c4: int, c6: int, primes: list[int], r: int):
     BZ = BZ.view(inv.dtype)
     starts = np.searchsorted(np.maximum.accumulate(K), np.arange(int(K.max()) + 2), side="right").tolist()
     G, G_next = R0, _tail(_x_add(R1, M, R0, E), starts[1])  # cM and (c + 2)M
-    found = []
+    found = []  # (window, its first lane, its hits in the flat table)
     for k, s in enumerate(starts[:-2]):
-        cross = BZ[:, s:] * (G[0].view(inv.dtype) * inv[s:])
-        cross += BX[:, s:] * (G[1].view(inv.dtype) * inv[s:])
-        j, i = np.divmod(np.flatnonzero(cross <= limit[s:]), p.size - s)
-        found.append((j, i + s, np.full(j.size, k)))
+        found.append((k, s, _matches(BX[:, s:], BZ[:, s:], G[0].view(inv.dtype) * inv[s:],
+                                     G[1].view(inv.dtype) * inv[s:], limit[s:])))
         t = starts[k + 2]
         if t < p.size:  # (c + 2k + 4)M = (c + 2k + 2)M + 2M, less (c + 2k)M, on the lanes of window k + 2
             G, G_next = G_next, _x_add(_tail(G_next, t - starts[k + 1]), _tail(S, t), _tail(G, t - s), _tail(E, t))
         else:
             G = G_next
-    j, i, k = (np.concatenate(v) for v in zip(*found))
-    base = p[i] + 1 - (c[i] + 2 * k) * m
+    del BX, BZ  # freed before the keys' temporaries are made
+    k, s, hits = zip(*found)
+    size = [h.size for h in hits]
+    s = np.repeat(s, size)
+    j, i = np.divmod(np.concatenate(hits), p.size - s)
+    i += s
+    base = p[i] + 1 - (c[i] + 2 * np.repeat(k, size)) * m
     keys = []
     for a in (chi[i] * (base - j), chi[i] * (base + j)):
         keys.append((i * (2 * r + 1) + a + r)[a * a <= 4 * p[i]])
