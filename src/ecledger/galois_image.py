@@ -154,13 +154,17 @@ class _GL2Tables:
         # every product and code below is under l^4, so int32 suffices
         A = np.array(mats, dtype=np.int32)
         a, b, c, d = A[:, 0], A[:, 1], A[:, 2], A[:, 3]
-        # mul[i, j] = index of mats[i] @ mats[j]
-        e = (np.outer(a, a) + np.outer(b, c)) % l
-        f = (np.outer(a, b) + np.outer(b, d)) % l
-        g = (np.outer(c, a) + np.outer(d, c)) % l
-        h = (np.outer(c, b) + np.outer(d, d)) % l
-        enc = ((e * l + f) * l + g) * l + h
-        del e, f, g, h
+        # mul[i, j] = index of mats[i] @ mats[j], whose code
+        # ((e l + f) l + g) l + h takes one entry of the product at a time,
+        # so that no more than three n x n arrays are alive at once
+        enc = np.zeros((n, n), dtype=np.int32)
+        for x1, y1, x2, y2 in ((a, a, b, c), (a, b, b, d), (c, a, d, c), (c, b, d, d)):
+            entry = np.outer(x1, y1)
+            entry += np.outer(x2, y2)
+            entry %= l
+            enc *= l
+            enc += entry
+        del entry
         code_to_idx = -np.ones(l**4, dtype=np.int32)
         codes = ((a * l + b) * l + c) * l + d
         code_to_idx[codes] = np.arange(n, dtype=np.int32)
