@@ -25,8 +25,9 @@ p and 0 <= x < 2^w, p | x iff x p^-1 mod 2^w <= floor((2^w - 1)/p).  Proof:
 x -> x p^-1 mod 2^w permutes 0 .. 2^w - 1, and it maps the multiples kp,
 0 <= k <= floor((2^w - 1)/p), which are all the multiples of p there, to k,
 so nothing else lands in 0 .. floor((2^w - 1)/p).  The tested sums stay
-below 2p^2, so w = 32 serves the int32 passes and w = 64 the int64 ones;
-p^-1 mod 2^w comes from Newton-Hensel steps on the whole prime array.
+below 2p^2, under 2^31 in the int32 passes and 2^63 in the int64 ones, so
+w = 32 and w = 64 serve them; p^-1 mod 2^w comes from Newton-Hensel steps
+on the whole prime array.
 
 Lanes ascend by p, and each lane runs only the giant-step windows that its
 own Hasse interval needs: a step runs on the suffix of lanes from the first
