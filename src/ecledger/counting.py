@@ -164,16 +164,6 @@ def _tail(values, start: int):
     return tuple(v[start:] for v in values)
 
 
-def _swap(P, Q, start: int, bits) -> None:
-    """Swap P and Q in place, from lane ``start`` on, where ``bits`` is odd:
-    an xor under the mask -1 in place of a branch."""
-    mask = -(bits & 1).astype(P[0].dtype)
-    for u, v in zip(P, Q):
-        flip = (u[start:] ^ v[start:]) & mask
-        u[start:] ^= flip
-        v[start:] ^= flip
-
-
 def _euler(f, p):
     """f^((p - 1) / 2) mod p, lane by lane."""
     import numpy as np
@@ -297,19 +287,17 @@ def _lane_candidates(c4: int, c6: int, primes: list[int], r: int):
         BX[j + 1], BZ[j + 1] = (_x_double(BX[1], BZ[1], E) if j == 1 else
                                 _x_add((BX[j], BZ[j]), (BX[1], BZ[1]), (BX[j - 1], BZ[j - 1]), E))
     M = BX[m].copy(), BZ[m].copy()
-    # One Montgomery ladder on M for all lanes, R0 = cM and R1 = (c + 1)M.
-    # Each bit swaps R0 and R1 where it is set, adds them, doubles R0 and
-    # swaps back; each swap back is merged into the next bit's swap.  The
-    # odd lanes have c >= 1, so the loop runs and ends at the suffix c >= 1.
+    # one Montgomery ladder on M for all lanes: R0 = cM, R1 = (c + 1)M
     R0, R1 = (np.ones_like(p), np.zeros_like(p)), (M[0].copy(), M[1].copy())
     top = np.maximum.accumulate(c)
     for bit in reversed(range(int(top[-1]).bit_length())):
         s = int(np.searchsorted(top, 1 << bit))
-        _swap(R0, R1, s, c[s:] >> bit ^ c[s:] >> bit + 1)
-        e = _tail(E, s)
-        R1[0][s:], R1[1][s:] = _x_add(_tail(R0, s), _tail(R1, s), _tail(M, s), e)
-        R0[0][s:], R0[1][s:] = _x_double(R0[0][s:], R0[1][s:], e)
-    _swap(R0, R1, s, c[s:])
+        b = (c[s:] >> bit & 1).astype(bool)
+        r0, r1, e = _tail(R0, s), _tail(R1, s), _tail(E, s)
+        add = _x_add(r0, r1, _tail(M, s), e)
+        dbl = _x_double(np.where(b, r1[0], r0[0]), np.where(b, r1[1], r0[1]), e)
+        for u, v, w0, w1 in zip(r0, r1, add, dbl):
+            u[:], v[:] = np.where(b, w0, w1), np.where(b, w1, w0)
     S = _x_double(*M, E)
 
     # x(gP) = x(jP) iff p | cross = X_g Z_j + (p - X_j) Z_g < 2p^2, tested by
