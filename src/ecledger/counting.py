@@ -7,9 +7,10 @@ numpy kernel squares only x <= (p-1)/2, mirrors the rest by (p-x)^2 = x^2,
 reduces f once and reads chi from one int8 table of the squares; it computes
 in int32 while that is exact and in int64 above.  p = 2 is brute force.
 
-Every trace the ledger reads comes from one sweep, ``frobenius_table``, which
-keeps the last curve's traces, extends them to a larger bound and asserts the
-Hasse bound on each.  It counts every good p > 3 together, in one numpy
+Every trace the ledger reads comes from ``frobenius_table``, a pure function
+of the curve and a range of primes that asserts the Hasse bound on each trace;
+the ledger keeps one table per run and extends it.  It counts every good p > 3
+together, in one numpy
 baby-step giant-step pass (Shanks-Mestre; Cohen, A Course in Computational
 Algebraic Number Theory, 7.4) with x-only arithmetic (Brier-Joye, PKC 2002),
 reducing by ``np.fmod`` (the remainder on its non-negative operands), and one
@@ -42,11 +43,10 @@ tables: 10 rows, not 16, and a third less peak memory in the pass.
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
+from collections.abc import Mapping
 from dataclasses import dataclass
-from itertools import islice
 
-from .arith import DomainError, primes_up_to
+from .arith import DomainError, is_prime, primes_up_to
 from .curve import BadReductionError, WeierstrassCurve
 
 COUNT_POINTS_MAX_P = 1_100_000_000  # 7 p^2 < 2^63 keeps count_points and the pass exact
@@ -79,6 +79,8 @@ def count_points_naive(C: WeierstrassCurve, p: int) -> int:
 
 def count_points(C: WeierstrassCurve, p: int) -> int:
     """#E(F_p) including the point at infinity; p must be a good prime."""
+    if not is_prime(p):
+        raise DomainError(f"{p} is not prime")
     if C.discriminant() % p == 0:
         raise BadReductionError(f"bad reduction at {p}")
     if p == 2:
@@ -349,41 +351,23 @@ def _single_shared_trace(primes: list[int], keys, r: int) -> dict[int, int]:
     return dict(zip([primes[i] for i in prime[one].tolist()], (shared[one] % span - r).tolist()))
 
 
-_sweep: dict = {}  # the last curve asked for -> [largest bound swept, [good p ascending], {p: a_p} ascending]
+def frobenius_table(C: WeierstrassCurve, bound: int, above: int = 1) -> dict[int, int]:
+    """{p: a_p} for the good primes above < p <= bound, ascending.
 
-
-def frobenius_table(C: WeierstrassCurve, bound: int) -> dict[int, int]:
-    """A fresh {p: a_p} for the good primes p <= bound, ascending.
-
-    The sweep of the last curve asked for is kept.  A bound above the
-    largest swept so far extends it by the primes in between; a smaller
-    bound reads its ascending prefix.  So the certificates, the ordinary
-    criterion and the a_n series of a ledger count each good prime once,
-    whatever their bounds.  Every good p > 3 enters through one baby-step
-    giant-step pass, p = 2, p = 3 and the pass's open primes through
-    ``trace_ap``.  Every trace is checked against the Hasse bound
-    a_p^2 <= 4p as it enters.
+    Every good p > 3 enters through one baby-step giant-step pass, p = 2,
+    p = 3 and the pass's open primes through ``trace_ap``.  Every trace is
+    checked against the Hasse bound a_p^2 <= 4p as it enters.
     """
-    if C not in _sweep:
-        _sweep.clear()
-        _sweep[C] = [1, [], {}]
-    swept, primes, traces = _sweep[C]
-    if bound > swept:
-        disc = C.discriminant()
-        new = [p for p in primes_up_to(bound) if p > swept and disc % p]
-        batched = _bsgs_traces(C, [p for p in new if p > 3])
-        for p in new:
-            ap = batched[p] if p in batched else trace_ap(C, p)
-            if ap * ap > 4 * p:
-                raise AssertionError(f"Hasse bound violated at {p}: a_p = {ap}")
-            traces[p] = ap
-        primes += new
-        _sweep[C][0] = bound
-    n = bisect_right(primes, bound)
-    return traces.copy() if n == len(primes) else dict(islice(traces.items(), n))
-
-
-frobenius_table.cache_clear = _sweep.clear
+    disc = C.discriminant()
+    primes = [p for p in primes_up_to(bound) if p > above and disc % p]
+    batched = _bsgs_traces(C, [p for p in primes if p > 3])
+    traces = {}
+    for p in primes:
+        ap = batched[p] if p in batched else trace_ap(C, p)
+        if ap * ap > 4 * p:
+            raise AssertionError(f"Hasse bound violated at {p}: a_p = {ap}")
+        traces[p] = ap
+    return traces
 
 
 def hasse_contradiction_symbolic(torsion_order: int) -> bool:
@@ -406,15 +390,15 @@ class OrdinaryCriterionRow:
 
 
 def verify_ordinary_criterion(
-    C: WeierstrassCurve, torsion_order: int, bound: int
+    traces: Mapping[int, int], torsion_order: int
 ) -> tuple[list[OrdinaryCriterionRow], bool]:
-    """For every good odd p <= bound: torsion injects and a_p != 1 mod p.
+    """For every good odd p of the Frobenius table {p: a_p}: torsion injects and a_p != 1 mod p.
 
     Returns (failing rows, symbolic Hasse inequality verdict).  An empty
     failure list plus a true verdict is the full criterion.
     """
     failures = []
-    for p, trace in frobenius_table(C, bound).items():
+    for p, trace in traces.items():
         count = p + 1 - trace
         divides, not_one = count % torsion_order == 0, trace % p != 1
         if p != 2 and not (divides and not_one):

@@ -18,11 +18,12 @@ Matrices are 4-tuples (a, b, c, d) read row-wise.
 from __future__ import annotations
 
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import lru_cache
 
 from .arith import DomainError, factorize, is_prime, kronecker_symbol, legendre_symbol
-from .counting import frobenius_table, trace_ap  # noqa: F401  (trace_ap stays importable here)
+from .counting import trace_ap  # noqa: F401  (trace_ap stays importable here)
 from .curve import WeierstrassCurve
 
 Mat = tuple[int, int, int, int]
@@ -355,8 +356,6 @@ def maximal_subgroups(l: int) -> tuple[str, ...]:
 @dataclass(frozen=True)
 class SurjectivityCertificate:
     l: int
-    prime_bound: int
-    witness_primes: tuple[int, ...]
     maximal_subgroups: tuple[str, ...]  # maximal_subgroups(l)
     surviving: tuple[str, ...]  # those the Frobenius data did not eliminate
 
@@ -380,34 +379,30 @@ def _quadratic_radicands(support: frozenset) -> list[int]:
     return sorted(d for d in out if d != 1 and (d % 4 == 1 or 2 in support))
 
 
-def _quadratic_character_refuted(C: WeierstrassCurve, l: int, bound: int) -> bool:
+def _quadratic_character_refuted(C: WeierstrassCurve, l: int, traces: Mapping[int, int]) -> bool:
     """Refute every quadratic character compatible with a trace-zero coset.
 
     If the image lay in a subgroup whose non-zero-trace elements all sit in
     an index-2 subgroup, the quotient would define a quadratic character e
     unramified outside l and the bad primes with a_p = 0 mod l whenever
     e(p) = -1.  Exhibiting, for every such character, a good prime with
-    e(p) = -1 and a_p != 0 mod l rules this out unconditionally.
+    e(p) = -1 and a_p != 0 mod l in the table rules this out unconditionally.
     """
     support = frozenset({l} | set(factorize(C.discriminant())))
-    table = frobenius_table(C, bound)
     for d in _quadratic_radicands(support):
         if not any(
-            p != l and kronecker_symbol(d, p) == -1 and ap % l != 0 for p, ap in table.items()
+            p != l and kronecker_symbol(d, p) == -1 and ap % l != 0 for p, ap in traces.items()
         ):
             return False
     return True
 
 
-def frobenius_constraints(C: WeierstrassCurve, l: int, bound: int) -> tuple[frozenset, tuple[int, ...]]:
-    """{(a_p mod l, p mod l)} and the primes p used: good primes p != l up to bound."""
-    table = frobenius_table(C, bound)
-    table.pop(l, None)  # a fresh dict
-    primes = tuple(table)
-    return frozenset(zip([ap % l for ap in table.values()], [p % l for p in primes])), primes
+def frobenius_constraints(traces: Mapping[int, int], l: int) -> frozenset:
+    """{(a_p mod l, p mod l)} over the good primes p != l of the Frobenius table {p: a_p}."""
+    return frozenset((ap % l, p % l) for p, ap in traces.items() if p != l)
 
 
-def surjectivity_certificate(C: WeierstrassCurve, l: int, bound: int) -> SurjectivityCertificate:
+def surjectivity_certificate(C: WeierstrassCurve, l: int, traces: Mapping[int, int]) -> SurjectivityCertificate:
     """Sound certificate that the mod-l Galois image is all of GL2(F_l).
 
     The image G has surjective determinant (the cyclotomic character) and
@@ -430,21 +425,19 @@ def surjectivity_certificate(C: WeierstrassCurve, l: int, bound: int) -> Surject
     l must be an odd prime: GL2(F_2) is S3, and its non-split Cartan A3
     realises both char polys x^2 + 1 and x^2 + x + 1, so no Frobenius data
     eliminates it.  A verdict of "surjective" is unconditional;
-    "inconclusive" only means the prime bound was too small or the image
-    really is proper.
+    "inconclusive" only means the table was too short or the image really
+    is proper.
     """
     maximal = maximal_subgroups(l)  # refuses an l that is not an odd prime
-    pairs, primes = frobenius_constraints(C, l, bound)
+    pairs = frobenius_constraints(traces, l)
     return SurjectivityCertificate(
         l=l,
-        prime_bound=bound,
-        witness_primes=primes,
         maximal_subgroups=maximal,
-        surviving=tuple(M for M in maximal if not _eliminated(M, C, l, bound, pairs)),
+        surviving=tuple(M for M in maximal if not _eliminated(M, C, l, traces, pairs)),
     )
 
 
-def _eliminated(M: str, C: WeierstrassCurve, l: int, bound: int, pairs: frozenset) -> bool:
+def _eliminated(M: str, C: WeierstrassCurve, l: int, traces: Mapping[int, int], pairs: frozenset) -> bool:
     """Do the Frobenius pairs (t, d) rule out an image inside M?"""
     if M == EXCEPTIONAL_S4:
         return any(t * t * pow(d, -1, l) % l not in (0, 1, 2, 4) for t, d in pairs)
@@ -454,4 +447,4 @@ def _eliminated(M: str, C: WeierstrassCurve, l: int, bound: int, pairs: frozense
     missing = [t for t, d in pairs if legendre_symbol(t * t - 4 * d, l) == kind]
     if M == BOREL:
         return bool(missing)
-    return any(missing) or bool(missing) and _quadratic_character_refuted(C, l, bound)
+    return any(missing) or bool(missing) and _quadratic_character_refuted(C, l, traces)

@@ -14,12 +14,14 @@ PAPER_EXPECTATIONS, so each check is written once, for every curve.
 from __future__ import annotations
 
 import json
+from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from types import MappingProxyType
 
 from . import __version__
-from .counting import verify_ordinary_criterion
+from .counting import frobenius_table, verify_ordinary_criterion
 from .curve import E1, E2, WeierstrassCurve, two_isogeny_onto
 from .galois_image import (
     RZB_15A1_MOD8,
@@ -147,12 +149,27 @@ def _unsupported(C, record_id, claim, inputs, note) -> CheckRecord:
 class _Run:
     """One curve at fixed options, with the facts several checks share.
 
-    Each fact is computed at most once per ledger, on first use, so a check
-    run alone computes only what it needs.
+    Each fact, and each a_p of the Frobenius table, is computed at most once
+    per ledger, on first use, so a check run alone computes only what it needs.
     """
 
     def __init__(self, C: WeierstrassCurve, opts: LedgerOptions):
         self.C, self.opts = C, opts
+        self._table: dict[int, int] = {}  # {p: a_p} for the good primes p <= self._swept, ascending
+        self._swept = 1
+
+    def traces(self, bound: int) -> Mapping[int, int]:
+        """{p: a_p} for the good primes p <= bound: the whole table, read-only, or a fresh prefix.
+
+        A bound above the largest read so far sweeps only the primes in between, so
+        the checks of a ledger count each good prime once, whatever their bounds.
+        """
+        if bound > self._swept:
+            self._table.update(frobenius_table(self.C, bound, self._swept))
+            self._swept = bound
+        if bound == self._swept:
+            return MappingProxyType(self._table)
+        return {p: ap for p, ap in self._table.items() if p <= bound}
 
     @cached_property
     def local(self) -> dict:
@@ -274,9 +291,10 @@ def _mod8_records(run: _Run) -> list[CheckRecord]:
 
 def _surjectivity_records(run: _Run) -> list[CheckRecord]:
     out, bound = [], run.opts.prime_bound
+    traces = run.traces(bound)
     for l in sorted(run.opts.l_list):
         claim = f"surjective for all primes l >= 3 (certified at l = {l})"
-        cert = surjectivity_certificate(run.C, l, bound)
+        cert = surjectivity_certificate(run.C, l, traces)
         n = len(cert.maximal_subgroups)
         result = (
             f"verdict={cert.verdict} eliminated {n - len(cert.surviving)}/{n} "
@@ -302,7 +320,7 @@ def _surjectivity_records(run: _Run) -> list[CheckRecord]:
 def _ordinary_records(run: _Run) -> list[CheckRecord]:
     claim = "a_p != 1 mod p at every good ordinary prime; else contradicts the Hasse bound"
     bound, torsion_order = run.opts.prime_bound, run.torsion.order
-    failures, symbolic = verify_ordinary_criterion(run.C, torsion_order, bound)
+    failures, symbolic = verify_ordinary_criterion(run.traces(bound), torsion_order)
     result = (
         f"good odd p <= {bound}: {len(failures)} failures; "
         f"symbolic Hasse inequality {'holds' if symbolic else 'fails'} for torsion order {torsion_order}"
@@ -316,13 +334,14 @@ def _lvalue_records(run: _Run) -> list[CheckRecord]:
     inputs = f"terms={opts.terms} precision_bits={PRECISION_BITS} convention=all-real-components"
     if run.local_error:
         return [_unsupported(run.C, "lvalue-ratio", claim, inputs, run.local_error)]
-    L, omega, ratio = lvalue_ratio(run.C, run.local, opts.terms)
+    w = root_number(run.local)  # at -1, L(E,1) = 0 and no trace is read
+    L, omega, ratio = lvalue_ratio(run.C, run.local, run.traces(opts.terms) if w == 1 else {}, opts.terms)
     if L is None:  # the partial sum bounds nothing
         return [_unsupported(run.C, "lvalue-ratio", claim, inputs,
                              f"terms too few for N={conductor_semistable(run.local)}: at {opts.terms} "
                              "terms the tail of the series has no finite bound, so no L(E,1) is reported")]
     result = f"L(E,1)={L} Omega={omega} ratio={ratio}"
-    if root_number(run.local) == -1:
+    if w == -1:
         result += " root_number=-1"
     return [_computed(run.C, "lvalue-ratio", claim, inputs, result, ratio is not None, ratio)]
 

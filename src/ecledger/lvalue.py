@@ -17,11 +17,11 @@ from __future__ import annotations
 import decimal
 import functools
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .arith import DomainError
-from .counting import frobenius_table
 from .curve import WeierstrassCurve
 from .local_data import LocalData, ReductionKind, conductor_semistable
 
@@ -101,11 +101,11 @@ def _bad_ap(ld: LocalData) -> int:
     return 1 if ld.kind is ReductionKind.MULT_SPLIT else -1
 
 
-def an_coefficients(C: WeierstrassCurve, M: int, local: dict[int, LocalData]) -> tuple[int, ...]:
-    """Hecke eigenvalue coefficients of the curve's L-series: a_n at index n, 1 <= n <= M."""
+def an_coefficients(traces: Mapping[int, int], M: int, local: dict[int, LocalData]) -> tuple[int, ...]:
+    """Hecke eigenvalue coefficients of the curve's L-series, a_n at index n for 1 <= n <= M,
+    from its Frobenius table {p: a_p} over the good primes p <= M (or more)."""
     if M < 1:
         raise DomainError(f"need at least one coefficient, got M = {M}")
-    traces = frobenius_table(C, M)
     # spf[n] = smallest prime factor of n
     spf = list(range(M + 1))
     for p in range(2, math.isqrt(M) + 1):
@@ -170,11 +170,11 @@ def _fixed_point_sum(a: tuple[int, ...], U: int, P: int) -> int:
     return acc
 
 
-def l_value_at_1(C: WeierstrassCurve, local: dict[int, LocalData], terms: int = DEFAULT_TERMS) -> RealApprox | None:
+def l_value_at_1(local: dict[int, LocalData], traces: Mapping[int, int], terms: int) -> RealApprox | None:
     """L(E, 1) = 2 sum a_n/n u^n with u = exp(-2 pi / sqrt N), or None with no tail bound.
 
     The series is valid when the root number is +1; when it is -1 the
-    functional equation forces L(E, 1) = 0 exactly, and no series is summed.
+    functional equation forces L(E, 1) = 0 exactly, and ``traces`` is not read.
 
     The interval is 2 S 2^-P -+ (2E + T) for S = ``_fixed_point_sum`` at
     P = Q - GUARD_BITS, T = ``_tail_bound`` and E = M 2^-P + beta sum_(n<=M) |a_n|,
@@ -187,7 +187,7 @@ def l_value_at_1(C: WeierstrassCurve, local: dict[int, LocalData], terms: int = 
     """
     if root_number(local) == -1:
         return RealApprox(Fraction(0), Fraction(0))
-    a = an_coefficients(C, terms, local)
+    a = an_coefficients(traces, terms, local)
     N, P = conductor_semistable(local), PRECISION_BITS + GUARD_BITS
     c_lo, c_hi = _two_pi_over_sqrt(N)
     if (tail := _tail_bound(c_lo, terms)) is None:
@@ -279,10 +279,10 @@ def rational_reconstruct(x: RealApprox) -> Fraction | None:
 
 
 def lvalue_ratio(
-    C: WeierstrassCurve, local: dict[int, LocalData], terms: int = DEFAULT_TERMS
+    C: WeierstrassCurve, local: dict[int, LocalData], traces: Mapping[int, int], terms: int
 ) -> tuple[RealApprox | None, RealApprox, Fraction | None]:
-    """(L(E,1) or None, period, reconstructed rational ratio or None)."""
-    L, omega = l_value_at_1(C, local, terms), real_period(C)
+    """(L(E,1) or None, period, reconstructed rational ratio or None), from the curve's Frobenius table."""
+    L, omega = l_value_at_1(local, traces, terms), real_period(C)
     if L is None:
         return L, omega, None
     ends = [x / y for x in (L.lo, L.hi) for y in (omega.lo, omega.hi)]  # omega.lo > 0

@@ -141,12 +141,9 @@ def test_hasse_bound_on_all_small_primes():
         assert lo <= p + 1 - ap <= hi
 
 
-def test_sweep_asserts_the_hasse_bound(monkeypatch, request):
-    frobenius_table.cache_clear()
-    request.addfinalizer(frobenius_table.cache_clear)  # drop the patched sweeps
+def test_sweep_asserts_the_hasse_bound(monkeypatch):
     monkeypatch.setattr(counting, "trace_ap", lambda C, p: 5 if p == 7 else 0)  # 5^2 <= 4 * 7
     assert frobenius_table(E1, 7)[7] == 5
-    frobenius_table.cache_clear()
     monkeypatch.setattr(counting, "trace_ap", lambda C, p: 6 if p == 7 else 0)  # 6^2 > 4 * 7
     with pytest.raises(AssertionError, match="Hasse bound violated at 7: a_p = 6"):
         frobenius_table(E1, 7)
@@ -161,7 +158,7 @@ def test_ordinary_flag(capsys):
 
 
 def test_ordinary_criterion_sweep():
-    failures, symbolic = verify_ordinary_criterion(E1, 8, 1000)
+    failures, symbolic = verify_ordinary_criterion(frobenius_table(E1, 1000), 8)
     assert failures == [] and symbolic is True
 
 
@@ -175,7 +172,7 @@ def test_ordinary_criterion_rows_are_the_failing_primes(coeffs, torsion_order):
             count = p + 1 - ap
             if count % torsion_order or ap % p == 1:
                 expected.append(OrdinaryCriterionRow(p, count, ap, count % torsion_order == 0, ap % p != 1))
-    failures, _ = verify_ordinary_criterion(C, torsion_order, 10_000)
+    failures, _ = verify_ordinary_criterion(frobenius_table(C, 10_000), torsion_order)
     assert failures == expected and len(expected) >= 1
 
 
@@ -221,7 +218,6 @@ def test_sweep_rejects_a_model_that_is_not_integral():
     from ecledger.arith import DomainError
 
     # the model is refused as it is built, so no sweep ever sees it
-    frobenius_table.cache_clear()
     with pytest.raises(DomainError, match="coefficients must be integers"):
         frobenius_table(WeierstrassCurve(0, 0, 0, Fraction(1, 2), 1), 1000)
 
@@ -231,9 +227,8 @@ def test_frobenius_table_lists_every_good_prime_once():
     table = frobenius_table(C, 300)
     assert list(table) == [p for p in primes_up_to(300) if p != 11]
     assert all(ap == trace_ap(C, p) for p, ap in table.items())
-    assert frobenius_table(C, 300) == table
-    table[2] = 0  # a caller's copy: the sweep keeps its own
-    assert frobenius_table(C, 300)[2] == trace_ap(C, 2) != 0
+    # the primes above 100 only, as a run extends its table
+    assert list(frobenius_table(C, 300, 100).items()) == [(p, ap) for p, ap in table.items() if p > 100]
 
 
 # The batched pass's oracle set: E1 (torsion Z/2 x Z/4), 11a1, 14a1, j = 1728,
@@ -373,33 +368,29 @@ def record_sweep_primes(monkeypatch) -> list[int]:
     return calls
 
 
-def test_frobenius_table_extends_one_sweep_per_curve(monkeypatch):
+def test_run_traces_extend_one_sweep_per_ledger(monkeypatch):
+    from ecledger.ledger import LedgerOptions, _Run
+
     C = WeierstrassCurve(0, -1, 1, -10, -20)  # 11a1
-    frobenius_table.cache_clear()
     calls, passed = record_sweep_primes(monkeypatch), []
     recording_pass = counting._bsgs_traces
     monkeypatch.setattr(counting, "_bsgs_traces", lambda C, primes: passed.extend(primes) or recording_pass(C, primes))
-    small = frobenius_table(C, 100)
-    large = frobenius_table(C, 300)
-    prefix = frobenius_table(C, 50)
-    assert sorted(calls) == [p for p in primes_up_to(300) if p != 11]
-    assert passed == [p for p in primes_up_to(300) if p > 3 and p != 11]  # the pass is offered every good p > 3
+    run = _Run(C, LedgerOptions())
+    small = dict(run.traces(100))
+    large = run.traces(300)
+    prefix = run.traces(50)
+    good = [p for p in primes_up_to(300) if p != 11]
+    assert sorted(calls) == good  # each good prime counted once
+    assert passed == [p for p in good if p > 3]  # the pass is offered every good p > 3, once
     assert list(small.items()) == [(p, ap) for p, ap in large.items() if p <= 100]
     assert list(prefix.items()) == [(p, ap) for p, ap in large.items() if p <= 50]
-    assert frobenius_table(C, 100) == small and frobenius_table(C, 50) == prefix
-    assert len(calls) == len(large)
-
-
-def test_frobenius_table_keeps_the_last_curve(monkeypatch):
-    C = WeierstrassCurve(0, -1, 1, -10, -20)  # 11a1
-    frobenius_table.cache_clear()
-    calls = record_sweep_primes(monkeypatch)
-    for curve, bad in ((C, 11), (E1, 15), (C, 11)):
-        calls.clear()
-        table = frobenius_table(curve, 300)
-        good = [p for p in primes_up_to(300) if bad % p]
-        assert sorted(calls) == good  # E1 took the one slot, so 11a1 is counted again
-        assert table == {p: trace_ap(curve, p) for p in good}
+    assert run.traces(100) == small and run.traces(50) == prefix and run.traces(300) == large
+    assert len(calls) == len(good)  # the repeated reads swept nothing
+    assert large == frobenius_table(C, 300)
+    with pytest.raises(TypeError):
+        large[2] = 0  # the whole table is handed out read-only
+    prefix[2] = 0  # a prefix is the caller's own
+    assert run.traces(300)[2] == trace_ap(C, 2) != 0
 
 
 def test_ledger_counts_each_prime_once_per_bound(monkeypatch):
@@ -408,8 +399,28 @@ def test_ledger_counts_each_prime_once_per_bound(monkeypatch):
     calls = record_sweep_primes(monkeypatch)
     # the series reads a prefix of the certificates' sweep, or extends it
     for prime_bound, terms in ((400, 200), (200, 400)):
-        frobenius_table.cache_clear()
         calls.clear()
         opts = LedgerOptions(prime_bound=prime_bound, l_list=(3, 5), terms=terms, padic_digits=12)
         run_ledger(E1, opts)
         assert sorted(calls) == [p for p in primes_up_to(max(prime_bound, terms)) if 15 % p]
+
+
+def test_lvalue_view_at_root_number_minus_one_sweeps_nothing(monkeypatch):
+    from ecledger.ledger import LedgerOptions, run_ledger
+
+    calls = record_sweep_primes(monkeypatch)
+    C37A1 = WeierstrassCurve(0, 0, 1, -1, 0)  # root number -1, so L(E,1) = 0 exactly
+    (record,) = run_ledger(C37A1, LedgerOptions(), ("lvalue-ratio",)).records
+    assert record.status == "pass" and "root_number=-1" in record.result
+    assert calls == []
+
+
+@pytest.mark.parametrize("p", [0, 1, 4, 9, 49, -7])
+@pytest.mark.parametrize("count", [count_points, trace_ap])
+def test_point_counts_refuse_a_p_that_is_not_prime(count, p):
+    # count_points(E1, 49) read 32 where the naive count over Z/49 gives 50;
+    # 0, 4, -7 and 9 raised ZeroDivisionError, numpy's ValueError or "bad reduction"
+    from ecledger.arith import DomainError
+
+    with pytest.raises(DomainError, match=f"^{p} is not prime$"):
+        count(E1, p)

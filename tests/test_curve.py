@@ -105,7 +105,6 @@ def test_a_curve_computes_its_invariants_once(monkeypatch):
     built = []
     real = curve._model_invariants
     monkeypatch.setattr(curve, "_model_invariants", lambda *a: built.append(a) or real(*a))
-    frobenius_table.cache_clear()
     frobenius_table(E1, 10_000)
     assert built == []
     C = WeierstrassCurve(*E1.coefficients())

@@ -198,7 +198,8 @@ def test_cli_subcommands_run(tmp_path, capsys):
 
 def test_cli_and_views_without_point_counts_leave_numpy_unimported():
     # numpy is imported by the point counts and the GL2(F_l) tables only, so
-    # the import and these views skip its cost in a fresh interpreter
+    # the import and these views skip its cost in a fresh interpreter; so does
+    # the L-value of 37a1, whose root number -1 makes L(E,1) = 0 with no sweep
     import os
     import subprocess
     import sys
@@ -210,6 +211,7 @@ def test_cli_and_views_without_point_counts_leave_numpy_unimported():
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         "    for view in ('invariants', 'local', 'torsion', 'linv', 'image-mod8'):\n"
         "        ecledger.cli.main([view])\n"
+        "    assert ecledger.cli.main(['lvalue', '--curve', '0,0,1,-1,0']) == 0\n"
         "assert 'numpy' not in sys.modules\n"
     )
     src = str(Path(__file__).resolve().parents[1] / "src")

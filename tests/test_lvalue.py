@@ -7,7 +7,7 @@ from mpmath import mp
 
 from ecledger.arith import DomainError, factorize, primes_up_to
 from ecledger.cli import TERMS_CAP
-from ecledger.counting import trace_ap
+from ecledger.counting import frobenius_table, trace_ap
 from ecledger.curve import E1, E2, SingularCurveError, WeierstrassCurve
 from ecledger.local_data import ReductionKind, UnsupportedReductionError, conductor_semistable, tamagawa_product
 from ecledger.lvalue import (
@@ -48,7 +48,7 @@ def bad_ap(C):
 
 @pytest.fixture(scope="module")
 def series():
-    return an_coefficients(E1, M, local_data(E1))
+    return an_coefficients(frobenius_table(E1, M), M, local_data(E1))
 
 
 def test_an_initial_segment(series):
@@ -96,7 +96,7 @@ def mpf(x: Fraction):
 
 
 def test_l_value_and_period():
-    L = l_value_at_1(E1, local_data(E1), terms=2000)
+    L = l_value_at_1(local_data(E1), frobenius_table(E1, 2000), 2000)
     omega = real_period(E1)
     assert abs(float(L.lo) - 0.3501507605831505) < 1e-12
     assert abs(float(omega.lo) - 2.8012060846652040) < 1e-12
@@ -105,13 +105,13 @@ def test_l_value_and_period():
 
 
 def test_ratio_reconstructs_to_one_eighth():
-    L, omega, ratio = lvalue_ratio(E1, local_data(E1), terms=2000)
+    L, omega, ratio = lvalue_ratio(E1, local_data(E1), frobenius_table(E1, 2000), 2000)
     assert ratio == Fraction(1, 8)
     assert L.lo / omega.hi <= Fraction(1, 8) <= L.hi / omega.lo
 
 
 def test_E2_ratio_finite_positive():
-    _, _, ratio = lvalue_ratio(E2, local_data(E2), terms=2000)
+    _, _, ratio = lvalue_ratio(E2, local_data(E2), frobenius_table(E2, 2000), 2000)
     assert ratio is not None and ratio > 0
 
 
@@ -123,9 +123,11 @@ def test_rational_reconstruct_rejects_wide_intervals():
 
 
 def test_convergence_in_terms():
-    # the intervals at 1000 and 2000 terms overlap
-    a = l_value_at_1(E1, local_data(E1), terms=1000)
-    b = l_value_at_1(E1, local_data(E1), terms=2000)
+    # the intervals at 1000 and 2000 terms overlap; the series at 1000 terms
+    # reads the first part of the longer table
+    traces = frobenius_table(E1, 2000)
+    a = l_value_at_1(local_data(E1), traces, 1000)
+    b = l_value_at_1(local_data(E1), traces, 2000)
     assert a.lo <= b.hi and b.lo <= a.hi
 
 
@@ -146,7 +148,7 @@ def naive_an(C, bad, n):
 @pytest.mark.parametrize("C, N", [(E1, 15), (C11A1, 11)])
 def test_an_matches_naive_factorisation(C, N):
     local, bad = local_data(C), bad_ap(C)
-    series = an_coefficients(C, M, local)
+    series = an_coefficients(frobenius_table(C, M), M, local)
     assert conductor_semistable(local) == N  # the N that l_value_at_1 reads
     assert [series[n] for n in range(1, M + 1)] == [naive_an(C, bad, n) for n in range(1, M + 1)]
 
@@ -154,7 +156,7 @@ def test_an_matches_naive_factorisation(C, N):
 @pytest.mark.parametrize("M", [0, -5])
 def test_an_coefficients_needs_a_positive_length(M):
     with pytest.raises(DomainError):
-        an_coefficients(E1, M, local_data(E1))
+        an_coefficients({}, M, local_data(E1))
 
 
 @pytest.mark.parametrize("C", [C11A1, C14A1, C19A1, C43A1, E1, E2, C37A1])
@@ -188,7 +190,7 @@ def test_root_number(C, w):
 
 
 def test_l_value_is_exactly_zero_when_the_root_number_is_minus_one():
-    L = l_value_at_1(C37A1, local_data(C37A1))
+    L = l_value_at_1(local_data(C37A1), {}, M)  # no trace is read
     assert L.lo == L.hi == 0 and str(L) == "0.0"
 
 
@@ -196,7 +198,7 @@ def test_l_value_is_exactly_zero_when_the_root_number_is_minus_one():
     (E1, Fraction(1, 8)), (E2, Fraction(1, 16)), (C11A1, Fraction(1, 5)), (C14A1, Fraction(1, 6)), (C37A1, 0),
 ])
 def test_ratios_reconstruct(C, ratio):
-    assert lvalue_ratio(C, local_data(C), terms=2000)[2] == ratio
+    assert lvalue_ratio(C, local_data(C), frobenius_table(C, 2000), 2000)[2] == ratio
 
 
 def test_rational_reconstruct_reads_the_full_precision():
@@ -211,7 +213,7 @@ def test_rational_reconstruct_reads_the_full_precision():
 def test_lvalue_ratio_has_no_l_value_without_a_tail_bound():
     # N = 3046 and 4 pi (M + 1) < sqrt N at M = 2 terms: the tail bounds nothing
     C = WeierstrassCurve(1, 0, 1, -6, -4)
-    L, omega, ratio = lvalue_ratio(C, local_data(C), terms=2)
+    L, omega, ratio = lvalue_ratio(C, local_data(C), frobenius_table(C, 2), 2)
     assert L is None and ratio is None and omega.lo > 0
 
 
@@ -245,9 +247,10 @@ def test_fixed_point_sum_against_a_four_fold_precision_sum(C):
     # conductors from 11 to about 10^7: the series stops after some 70 terms
     # for small N and runs all M terms for large N; the oracle always sums all M
     local, B, M = local_data(C), PRECISION_BITS, 2000
-    a, N, P = an_coefficients(C, M, local), conductor_semistable(local), B + GUARD_BITS
+    traces = frobenius_table(C, M)
+    a, N, P = an_coefficients(traces, M, local), conductor_semistable(local), B + GUARD_BITS
     U = _exp_neg(_two_pi_over_sqrt(N)[1])[0] >> Q - P  # floor(u_lo 2^P), as l_value_at_1 builds it
-    L = l_value_at_1(C, local, M)
+    L = l_value_at_1(local, traces, M)
     with mp.workprec(4 * B):
         u = mp.exp(-2 * mp.pi / mp.sqrt(N))
         partial = mp.fsum(mp.mpf(a[n]) / n * u**n for n in range(1, M + 1) if a[n])
@@ -344,7 +347,7 @@ def test_bsd_analytic_sha_is_a_square_integer():
     shas = []
     for C in semistable_box_curves(1, 60):
         local = local_data(C)
-        ratio = lvalue_ratio(C, local)[2]
+        ratio = lvalue_ratio(C, local, frobenius_table(C, M), M)[2]
         if ratio:
             sha = ratio * torsion_subgroup(C).order ** 2 / tamagawa_product(local)
             assert sha.denominator == 1 and math.isqrt(sha.numerator) ** 2 == sha.numerator, C
