@@ -8,17 +8,17 @@ reduces f once and reads chi from one int8 table of the squares; it computes
 in int32 while that is exact and in int64 above.  p = 2 is brute force.
 
 Every trace the ledger reads comes from ``frobenius_table``, a pure function
-of the curve and a range of primes that asserts the Hasse bound on each trace;
-the ledger keeps one table per run and extends it.  It counts every good p > 3
-together, in one numpy
-baby-step giant-step pass (Shanks-Mestre; Cohen, A Course in Computational
-Algebraic Number Theory, 7.4) with x-only arithmetic (Brier-Joye, PKC 2002),
-reducing by ``np.fmod`` (the remainder on its non-negative operands), and one
-lane per (prime, point): a lane lists every trace its point allows, and a
-prime whose two lanes share exactly one is done.  Mestre's theorem (from
-p > 229 on, E or its twist has a point whose order has one multiple in the
-Hasse interval) only explains why few primes stay open.  ``count_points``
-takes p = 2, p = 3 and the open primes, and is the pass's oracle in the tests.
+of the curve and a range of primes that asserts the Hasse bound on each
+trace; the ledger keeps one table per run and extends it.  It counts every
+good p > 3 together, in one numpy baby-step giant-step pass (Shanks-Mestre;
+Cohen, A Course in Computational Algebraic Number Theory, 7.4) with x-only
+arithmetic (Brier-Joye, PKC 2002), reducing by ``np.fmod`` (the remainder on
+its non-negative operands), and one lane per (prime, point): a lane lists
+every trace its point allows, and a prime whose two lanes share exactly one
+is done.  Mestre's theorem (from p > 229 on, E or its twist has a point whose
+order has one multiple in the Hasse interval) only explains why few primes
+stay open.  ``count_points`` takes p = 2, p = 3 and the open primes, and is
+the pass's oracle in the tests.
 
 The pass's giant steps match its baby steps by a divisibility test with no
 division (Granlund-Montgomery, PLDI 1994; Lemire-Kaser-Kurz, 2019): for odd
