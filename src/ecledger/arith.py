@@ -81,17 +81,6 @@ def rational_valuation(x: Fraction, p: int) -> int:
     return valuation(x.numerator, p) - valuation(x.denominator, p)
 
 
-def legendre_symbol(a: int, p: int) -> int:
-    """Legendre symbol (a/p) for an odd prime p: 0, 1 or -1."""
-    if p == 2 or not is_prime(p):
-        raise DomainError(f"{p} is not an odd prime")
-    a %= p
-    if a == 0:
-        return 0
-    r = pow(a, (p - 1) // 2, p)
-    return 1 if r == 1 else -1
-
-
 def kronecker_symbol(a: int, n: int) -> int:
     """Kronecker symbol (a|n) for n >= 1: the Jacobi symbol extended to even n."""
     if n < 1:

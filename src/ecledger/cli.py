@@ -52,14 +52,13 @@ def _out_path(text: str) -> str:
     return text
 
 
-def _positive_int(text: str, cap: int | None = None) -> int:
+def _positive_int(text: str, cap: int) -> int:
     try:
         n = int(text)
     except ValueError:
         n = 0
-    if n < 1 or (cap is not None and n > cap):
-        up_to = "" if cap is None else f" up to {cap}"
-        raise argparse.ArgumentTypeError(f"expected a positive integer{up_to}, got {text!r}")
+    if not 1 <= n <= cap:
+        raise argparse.ArgumentTypeError(f"expected a positive integer up to {cap}, got {text!r}")
     return n
 
 

@@ -44,7 +44,6 @@ from __future__ import annotations
 
 import math
 from collections.abc import Mapping
-from dataclasses import dataclass
 
 from .arith import DomainError, is_prime, primes_up_to
 from .curve import BadReductionError, WeierstrassCurve
@@ -380,27 +379,12 @@ def hasse_contradiction_symbolic(torsion_order: int) -> bool:
     return torsion_order >= 3
 
 
-@dataclass(frozen=True)
-class OrdinaryCriterionRow:
-    p: int
-    count: int
-    trace: int
-    torsion_divides: bool
-    trace_not_one_mod_p: bool
-
-
-def verify_ordinary_criterion(
-    traces: Mapping[int, int], torsion_order: int
-) -> tuple[list[OrdinaryCriterionRow], bool]:
+def verify_ordinary_criterion(traces: Mapping[int, int], torsion_order: int) -> tuple[list[int], bool]:
     """For every good odd p of the Frobenius table {p: a_p}: torsion injects and a_p != 1 mod p.
 
-    Returns (failing rows, symbolic Hasse inequality verdict).  An empty
+    Torsion injects when torsion_order divides #E(F_p) = p + 1 - a_p.
+    Returns (failing primes, symbolic Hasse inequality verdict).  An empty
     failure list plus a true verdict is the full criterion.
     """
-    failures = []
-    for p, trace in traces.items():
-        count = p + 1 - trace
-        divides, not_one = count % torsion_order == 0, trace % p != 1
-        if p != 2 and not (divides and not_one):
-            failures.append(OrdinaryCriterionRow(p, count, trace, divides, not_one))
+    failures = [p for p, ap in traces.items() if p != 2 and ((p + 1 - ap) % torsion_order or ap % p == 1)]
     return failures, hasse_contradiction_symbolic(torsion_order)

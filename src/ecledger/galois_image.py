@@ -18,13 +18,12 @@ Matrices are 4-tuples (a, b, c, d) read row-wise.
 from __future__ import annotations
 
 import math
-from collections.abc import Mapping
+from collections.abc import Collection, Mapping
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .arith import DomainError, factorize, is_prime, kronecker_symbol, legendre_symbol
+from .arith import DomainError, is_prime, kronecker_symbol
 from .counting import trace_ap  # noqa: F401  (trace_ap stays importable here)
-from .curve import WeierstrassCurve
 
 Mat = tuple[int, int, int, int]
 
@@ -355,7 +354,6 @@ def maximal_subgroups(l: int) -> tuple[str, ...]:
 
 @dataclass(frozen=True)
 class SurjectivityCertificate:
-    l: int
     maximal_subgroups: tuple[str, ...]  # maximal_subgroups(l)
     surviving: tuple[str, ...]  # those the Frobenius data did not eliminate
 
@@ -379,7 +377,7 @@ def _quadratic_radicands(support: frozenset) -> list[int]:
     return sorted(d for d in out if d != 1 and (d % 4 == 1 or 2 in support))
 
 
-def _quadratic_character_refuted(C: WeierstrassCurve, l: int, traces: Mapping[int, int]) -> bool:
+def _quadratic_character_refuted(l: int, traces: Mapping[int, int], bad_primes: Collection[int]) -> bool:
     """Refute every quadratic character compatible with a trace-zero coset.
 
     If the image lay in a subgroup whose non-zero-trace elements all sit in
@@ -388,8 +386,7 @@ def _quadratic_character_refuted(C: WeierstrassCurve, l: int, traces: Mapping[in
     e(p) = -1.  Exhibiting, for every such character, a good prime with
     e(p) = -1 and a_p != 0 mod l in the table rules this out unconditionally.
     """
-    support = frozenset({l} | set(factorize(C.discriminant())))
-    for d in _quadratic_radicands(support):
+    for d in _quadratic_radicands(frozenset({l, *bad_primes})):
         if not any(
             p != l and kronecker_symbol(d, p) == -1 and ap % l != 0 for p, ap in traces.items()
         ):
@@ -402,8 +399,12 @@ def frobenius_constraints(traces: Mapping[int, int], l: int) -> frozenset:
     return frozenset((ap % l, p % l) for p, ap in traces.items() if p != l)
 
 
-def surjectivity_certificate(C: WeierstrassCurve, l: int, traces: Mapping[int, int]) -> SurjectivityCertificate:
+def surjectivity_certificate(l: int, traces: Mapping[int, int], bad_primes: Collection[int]) -> SurjectivityCertificate:
     """Sound certificate that the mod-l Galois image is all of GL2(F_l).
+
+    traces is the Frobenius table {p: a_p} of good primes, and bad_primes
+    must hold every prime of bad reduction; a larger set stays sound, as it
+    only adds quadratic characters to refute.
 
     The image G has surjective determinant (the cyclotomic character) and
     holds, for each good p != l, an element with char poly
@@ -431,20 +432,19 @@ def surjectivity_certificate(C: WeierstrassCurve, l: int, traces: Mapping[int, i
     maximal = maximal_subgroups(l)  # refuses an l that is not an odd prime
     pairs = frobenius_constraints(traces, l)
     return SurjectivityCertificate(
-        l=l,
         maximal_subgroups=maximal,
-        surviving=tuple(M for M in maximal if not _eliminated(M, C, l, traces, pairs)),
+        surviving=tuple(M for M in maximal if not _eliminated(M, l, traces, pairs, bad_primes)),
     )
 
 
-def _eliminated(M: str, C: WeierstrassCurve, l: int, traces: Mapping[int, int], pairs: frozenset) -> bool:
+def _eliminated(M: str, l: int, traces: Mapping[int, int], pairs: frozenset, bad_primes: Collection[int]) -> bool:
     """Do the Frobenius pairs (t, d) rule out an image inside M?"""
     if M == EXCEPTIONAL_S4:
         return any(t * t * pow(d, -1, l) % l not in (0, 1, 2, 4) for t, d in pairs)
     # traces of the pairs the Cartan side of M cannot realise: irreducible
     # ones for the Borel and the split Cartan, split ones for the non-split
     kind = 1 if M == NONSPLIT_NORMALISER else -1
-    missing = [t for t, d in pairs if legendre_symbol(t * t - 4 * d, l) == kind]
+    missing = [t for t, d in pairs if kronecker_symbol(t * t - 4 * d, l) == kind]
     if M == BOREL:
         return bool(missing)
-    return any(missing) or bool(missing) and _quadratic_character_refuted(C, l, traces)
+    return any(missing) or bool(missing) and _quadratic_character_refuted(l, traces, bad_primes)

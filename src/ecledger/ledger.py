@@ -291,10 +291,10 @@ def _mod8_records(run: _Run) -> list[CheckRecord]:
 
 def _surjectivity_records(run: _Run) -> list[CheckRecord]:
     out, bound = [], run.opts.prime_bound
-    traces = run.traces(bound)
+    traces, bad = run.traces(bound), tuple(run.local)
     for l in sorted(run.opts.l_list):
         claim = f"surjective for all primes l >= 3 (certified at l = {l})"
-        cert = surjectivity_certificate(run.C, l, traces)
+        cert = surjectivity_certificate(l, traces, bad)
         n = len(cert.maximal_subgroups)
         result = (
             f"verdict={cert.verdict} eliminated {n - len(cert.surviving)}/{n} "

@@ -189,7 +189,6 @@ def iwasawa_log(x: PadicNumber) -> PadicNumber:
 
 @dataclass(frozen=True)
 class LInvariantResult:
-    p: int
     tate_q: PadicNumber
     value: PadicNumber  # log_p(q) / ord_p(q)
 
@@ -204,4 +203,4 @@ def l_invariant(C: WeierstrassCurve, p: int, prec: int = DEFAULT_DIGITS) -> LInv
     e = valuation(m, p)
     mod = p**log_q.prec
     value = PadicNumber(p, log_q.val - e, log_q.unit * pow(m // p**e, -1, mod), log_q.prec)
-    return LInvariantResult(p, q, value)
+    return LInvariantResult(q, value)

@@ -27,7 +27,7 @@ from ecledger.galois_image import (
     surjectivity_certificate,
 )
 from ecledger.ledger import CITED_DEPENDENCIES, LedgerOptions, emit_report, run_ledger
-from ecledger.local_data import ReductionKind, kodaira_and_tamagawa, reduction_type, tamagawa_product
+from ecledger.local_data import ReductionKind, bad_primes, kodaira_and_tamagawa, reduction_type, tamagawa_product
 from ecledger.lvalue import an_coefficients, lvalue_ratio
 from ecledger.padic import iwasawa_log, l_invariant
 from ecledger.arith import primes_up_to, rational_valuation
@@ -106,8 +106,8 @@ def test_criterion_05_mod8_group(announce):
 
 def test_criterion_06_surjectivity_certificates(announce):
     traces, control_curve = frobenius_table(E1, 1000), WeierstrassCurve(0, -1, 1, -10, -20)
-    verdicts = {l: surjectivity_certificate(E1, l, traces).verdict for l in (3, 5, 7)}
-    control = surjectivity_certificate(control_curve, 5, frobenius_table(control_curve, 1000)).verdict
+    verdicts = {l: surjectivity_certificate(l, traces, bad_primes(E1)).verdict for l in (3, 5, 7)}
+    control = surjectivity_certificate(5, frobenius_table(control_curve, 1000), bad_primes(control_curve)).verdict
     ok = all(v == "surjective" for v in verdicts.values()) and control == "inconclusive"
     announce(6, ok, f"E1 mod-l images {verdicts} at bound 1000; conductor-11 control at l=5: {control}")
 

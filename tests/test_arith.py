@@ -10,7 +10,6 @@ from ecledger.arith import (
     iroot_exact,
     is_prime,
     kronecker_symbol,
-    legendre_symbol,
     primes_up_to,
     rational_valuation,
     square_divisors,
@@ -74,29 +73,18 @@ def test_rational_valuation():
     assert rational_valuation(Fraction(111284641, 50625), 5) == -4
 
 
-def test_legendre_against_exhaustive_squares():
+def test_kronecker_against_exhaustive_squares():
+    # at an odd prime p the Kronecker symbol is the Legendre symbol, negative a included
     for p in (3, 5, 7, 11, 13):
         squares = {x * x % p for x in range(1, p)}
-        for a in range(2 * p):
+        for a in range(-2 * p, 2 * p):
             expected = 0 if a % p == 0 else (1 if a % p in squares else -1)
-            assert legendre_symbol(a, p) == expected
-
-
-def test_legendre_rejects_non_odd_prime():
-    for bad in (2, 4, 9, 15):
-        with pytest.raises(DomainError):
-            legendre_symbol(3, bad)
+            assert kronecker_symbol(a, p) == expected
 
 
 @given(st.integers(min_value=-500, max_value=500), st.integers(min_value=-500, max_value=500))
-def test_legendre_multiplicative_mod_11(a, b):
-    assert legendre_symbol(a * b, 11) == legendre_symbol(a, 11) * legendre_symbol(b, 11)
-
-
-def test_kronecker_matches_legendre_at_odd_primes():
-    for p in (3, 5, 7, 13):
-        for a in range(-20, 21):
-            assert kronecker_symbol(a, p) == legendre_symbol(a, p)
+def test_kronecker_multiplicative_mod_11(a, b):
+    assert kronecker_symbol(a * b, 11) == kronecker_symbol(a, 11) * kronecker_symbol(b, 11)
 
 
 def test_kronecker_at_two():

@@ -33,6 +33,7 @@ from ecledger.galois_image import (
     surjectivity_certificate,
 )
 from ecledger.ledger import LedgerOptions, run_ledger
+from ecledger.local_data import bad_primes
 
 CONTROL_11A1 = WeierstrassCurve(0, -1, 1, -10, -20)  # conductor 11, 5-isogeny
 CM_121B1 = WeierstrassCurve(0, -1, 1, -7, 10)  # CM by Q(sqrt(-11))
@@ -172,7 +173,7 @@ def test_full_group_never_eliminated():
     # survivor is one of them
     traces = frobenius_table(E1, 200)
     for l in (3, 5, 7):
-        cert = surjectivity_certificate(E1, l, traces)
+        cert = surjectivity_certificate(l, traces, bad_primes(E1))
         assert cert.maximal_subgroups == maximal_subgroups(l)
         assert set(cert.surviving) <= set(cert.maximal_subgroups)
         assert all(SUBGROUP_ORDER[M](l) < gl2_order(l) for M in cert.maximal_subgroups)
@@ -181,26 +182,26 @@ def test_full_group_never_eliminated():
 def test_certificates_for_E1():
     traces = frobenius_table(E1, 1000)
     for l in (3, 5, 7):
-        cert = surjectivity_certificate(E1, l, traces)
+        cert = surjectivity_certificate(l, traces, bad_primes(E1))
         assert cert.verdict == "surjective"
 
 
 def test_control_curve_inconclusive_at_5():
     # 11a1 admits a rational 5-isogeny, so its mod-5 image is genuinely proper
-    cert = surjectivity_certificate(CONTROL_11A1, 5, frobenius_table(CONTROL_11A1, 1000))
+    cert = surjectivity_certificate(5, frobenius_table(CONTROL_11A1, 1000), bad_primes(CONTROL_11A1))
     assert cert.verdict == "inconclusive"
     assert BOREL in cert.surviving
 
 
 def test_certificate_monotone_in_bound():
-    small = surjectivity_certificate(E1, 3, frobenius_table(E1, 100))
-    large = surjectivity_certificate(E1, 3, frobenius_table(E1, 1000))
+    small = surjectivity_certificate(3, frobenius_table(E1, 100), bad_primes(E1))
+    large = surjectivity_certificate(3, frobenius_table(E1, 1000), bad_primes(E1))
     assert set(large.surviving) <= set(small.surviving)
 
 
 def test_certificate_rejects_composite_l():
     with pytest.raises(DomainError):
-        surjectivity_certificate(E1, 9, frobenius_table(E1, 100))
+        surjectivity_certificate(9, frobenius_table(E1, 100), bad_primes(E1))
 
 
 def test_certificate_and_ledger_reject_l_2():
@@ -208,7 +209,7 @@ def test_certificate_and_ledger_reject_l_2():
     # verdict could be "surjective", even for 11a1, whose mod-2 image is all of S3
     for C in (E1, CONTROL_11A1):
         with pytest.raises(DomainError, match="2 is not an odd prime"):
-            surjectivity_certificate(C, 2, frobenius_table(C, 200))
+            surjectivity_certificate(2, frobenius_table(C, 200), bad_primes(C))
     with pytest.raises(DomainError, match="2 is not an odd prime"):
         run_ledger(E1, LedgerOptions(l_list=(2,)))
 
@@ -226,14 +227,14 @@ def test_certificates_past_the_enumeration_cap():
     primes = [l for l in primes_up_to(CERTIFICATE_L_CAP) if l > SUBGROUP_ENUM_CAP]
     for C in (E1, E2, WeierstrassCurve(0, 0, 1, -1, 0)):
         traces = frobenius_table(C, 1000)
-        assert all(surjectivity_certificate(C, l, traces).verdict == "surjective" for l in primes)
+        assert all(surjectivity_certificate(l, traces, bad_primes(C)).verdict == "surjective" for l in primes)
     # 121b1 has CM by Q(sqrt(-11)): its image lies in the normaliser of the
     # Cartan subgroup that is split at l exactly when l splits in that field
     traces = frobenius_table(CM_121B1, 1000)
     for l in primes:
         if l == 11:  # ramified in Q(sqrt(-11)): nothing is eliminated
             continue
-        cert = surjectivity_certificate(CM_121B1, l, traces)
+        cert = surjectivity_certificate(l, traces, bad_primes(CM_121B1))
         assert cert.surviving == ((SPLIT_NORMALISER,) if kronecker_symbol(-11, l) == 1 else (NONSPLIT_NORMALISER,))
 
 
@@ -331,7 +332,7 @@ def enumeration_verdict(C, l, traces) -> str:
     for H in enumerate_subgroups_gl2(l)[:-1]:  # the last class is GL2(F_l)
         if not subgroup_det_surjective(H) or not subgroup_realizes_pairs(H, pairs):
             continue
-        if _trace_zero_coset_possible(H) and _quadratic_character_refuted(C, l, traces):
+        if _trace_zero_coset_possible(H) and _quadratic_character_refuted(l, traces, bad_primes(C)):
             continue
         return "inconclusive"
     return "surjective"
@@ -356,7 +357,7 @@ def test_verdicts_match_the_class_enumeration(bound):
     for C in ORACLE_CURVES:
         traces = frobenius_table(C, bound)
         for l in (3, 5, 7):
-            verdict = surjectivity_certificate(C, l, traces).verdict
+            verdict = surjectivity_certificate(l, traces, bad_primes(C)).verdict
             reference = enumeration_verdict(C, l, traces)
             # soundness first: "surjective" must hold for the reference too
             assert verdict != "surjective" or reference == "surjective", (C.coefficients(), l)

@@ -415,6 +415,17 @@ def test_view_prints_the_ledgers_records(command, curve, fast_ledgers, tmp_path)
     assert code == (1 if (curve, command) == (E2, "image-mod8") else 0)
 
 
+@pytest.mark.parametrize("coeffs", ["0,0,0,-16,0", "0,0,0,0,1"], ids=["not-minimal-at-2", "additive-at-2-and-3"])
+def test_image_modl_view_reads_unsupported_local_data(coeffs, capsys):
+    # the certificates take their bad primes from the run's local data, which
+    # holds every bad prime even where the reduction type is unsupported
+    code = main(["image-modl", "--curve", coeffs, *_view_flags("image-modl"), "--format", "json"])
+    full = run_ledger(curve_from_string(coeffs), FAST)
+    selected = tuple(r for r in full.records if r.id.startswith("surjectivity-"))
+    assert code == 1
+    assert capsys.readouterr().out == emit_report(VerificationReport(full.curve, full.version, selected), "json-text")
+
+
 def test_view_options_cover_every_view():
     assert set(VIEW_OPTIONS) == set(cli.VIEWS)
 
