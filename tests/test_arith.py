@@ -73,13 +73,21 @@ def test_rational_valuation():
     assert rational_valuation(Fraction(111284641, 50625), 5) == -4
 
 
-def test_kronecker_against_exhaustive_squares():
+def test_legendre_against_exhaustive_squares():
     # at an odd prime p the Kronecker symbol is the Legendre symbol, negative a included
     for p in (3, 5, 7, 11, 13):
         squares = {x * x % p for x in range(1, p)}
         for a in range(-2 * p, 2 * p):
             expected = 0 if a % p == 0 else (1 if a % p in squares else -1)
             assert kronecker_symbol(a, p) == expected
+
+
+def test_kronecker_matches_legendre_at_odd_primes():
+    # the Legendre symbol by Euler's criterion: a^((p-1)/2) mod p
+    for p in (3, 5, 7, 13, 101):
+        for a in range(-20, 21):
+            euler = pow(a, (p - 1) // 2, p)
+            assert kronecker_symbol(a, p) == (-1 if euler == p - 1 else euler)
 
 
 @given(st.integers(min_value=-500, max_value=500), st.integers(min_value=-500, max_value=500))
