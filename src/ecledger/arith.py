@@ -31,14 +31,14 @@ MILLER_RABIN_BOUND = 3_317_044_064_679_887_385_961_981
 def is_prime(n: int) -> bool:
     """Deterministic primality, cached: every valuation and every PadicNumber
     checks its p, so a ledger proves each p once.  Miller-Rabin to the bases
-    MILLER_RABIN_BASES below MILLER_RABIN_BOUND, trial division above."""
+    MILLER_RABIN_BASES; from MILLER_RABIN_BOUND on, a DomainError unless a base divides n."""
     if n < 2:
         return False
     for q in MILLER_RABIN_BASES:
         if n % q == 0:
             return n == q
     if n >= MILLER_RABIN_BOUND:
-        return all(n % d for d in range(43, math.isqrt(n) + 1, 2))
+        raise DomainError(f"primality of {n} is not decided at or above {MILLER_RABIN_BOUND}")
     s = ((n - 1) & -(n - 1)).bit_length() - 1  # n - 1 = d 2^s with d odd
     d = (n - 1) >> s
     for a in MILLER_RABIN_BASES:  # strong probable prime: a^d = 1 or a^(d 2^i) = -1 for an i < s

@@ -3,9 +3,9 @@
 ``count_points`` is O(p) per prime: for odd p the affine count is
 p + sum_x chi(f(x)) where f is the completed square
 f(x) = 4x^3 + b2 x^2 + 2 b4 x + b6 and chi the quadratic character.  The
-numpy kernel squares only x <= (p-1)/2, mirrors the rest by (p-x)^2 = x^2,
-reduces f once and reads chi from one int8 table of the squares; it computes
-in int32 while that is exact and in int64 above.  p = 2 is brute force.
+numpy kernel takes that sum over one arange(p), reducing x^2 and f once
+each and reading chi from an int8 table set at the squares, in int32 while
+that is exact and in int64 above.  p = 2 is brute force.
 
 Every trace the ledger reads comes from ``frobenius_table``, a pure function
 of the curve and a range of primes that asserts the Hasse bound on each
@@ -90,21 +90,13 @@ def count_points(C: WeierstrassCurve, p: int) -> int:
     b2, b4, b6, _ = (v % p for v in C.b_invariants())
     # a - a // p * p is a % p on a >= 0, and numpy's floor division by a
     # scalar is much faster than its remainder.
-    h = (p - 1) // 2
-    half = np.arange(h + 1, dtype=dtype)
-    half *= half
-    half -= half // p * p  # x^2 mod p for 0 <= x <= h: every square once
-    sq = np.concatenate((half, half[h:0:-1]))  # (p - x)^2 = x^2
-    # f = (4x + b2) x^2 + (2 b4 x + b6), reduced once; Horner's x^3 would
-    # pass 7p^2.  The linear part steps by 2 b4 mod p, or by p where that is
-    # 0, since np.arange needs a non-zero step.
-    f = np.arange(b2, b2 + 4 * p, 4, dtype=dtype)
-    f *= sq
-    step = 2 * b4 % p or p
-    f += np.arange(b6, b6 + step * p, step, dtype=dtype)
+    x = np.arange(p, dtype=dtype)
+    sq = x * x
+    sq -= sq // p * p
+    f = (4 * x + b2) * sq + (2 * b4 * x + b6)  # below 7p^2, where Horner's x^3 is not
     f -= f // p * p
     chi = np.full(p, -1, dtype=np.int8)  # numpy gathers by intp indices fastest
-    chi[half.astype(np.intp, copy=False)] = 1
+    chi[sq.astype(np.intp, copy=False)] = 1
     chi[0] = 0
     return int(p + 1 + chi[f.astype(np.intp, copy=False)].sum(dtype=np.int64))
 
@@ -357,6 +349,8 @@ def frobenius_table(C: WeierstrassCurve, bound: int, above: int = 1) -> dict[int
     p = 3 and the pass's open primes through ``trace_ap``.  Every trace is
     checked against the Hasse bound a_p^2 <= 4p as it enters.
     """
+    if bound > COUNT_POINTS_MAX_P:  # refused before a sieve of bound bytes is built
+        raise DomainError(f"bound {bound} exceeds the exact int64 range of the point count")
     disc = C.discriminant()
     primes = [p for p in primes_up_to(bound) if p > above and disc % p]
     batched = _bsgs_traces(C, [p for p in primes if p > 3])

@@ -199,9 +199,7 @@ class TwoIsogeny:
     domain: WeierstrassCurve
     kernel: tuple
     codomain: tuple  # its five coefficients, rational and in general not integral
-    # Velu data for the map itself: x' = x + t/(x - x0), y' = y - ...
-    t: Fraction
-    w: Fraction
+    t: Fraction  # Velu's t for the map itself: x' = x + t/(x - x0)
 
 
 def velu_2_isogeny(C: WeierstrassCurve, K: tuple) -> TwoIsogeny:
@@ -216,7 +214,7 @@ def velu_2_isogeny(C: WeierstrassCurve, K: tuple) -> TwoIsogeny:
     t = 3 * x0 * x0 + 2 * a2 * x0 + a4 - a1 * y0
     w = t * x0  # u_Q + t_Q * x0 with u_Q = 0
     b2 = a1 * a1 + 4 * a2
-    return TwoIsogeny(C, (K[0], K[1]), (a1, a2, a3, a4 - 5 * t, a6 - b2 * t - 7 * w), t, w)
+    return TwoIsogeny(C, (K[0], K[1]), (a1, a2, a3, a4 - 5 * t, a6 - b2 * t - 7 * w), t)
 
 
 def two_isogeny_onto(C: WeierstrassCurve, target: WeierstrassCurve, kernels):

@@ -25,7 +25,7 @@ def hasse_interval(p: int) -> tuple[int, int]:
     return (p + 1 - m, p + 1 + m)
 
 
-ORACLE_PRIMES = primes_up_to(200)[1:]  # every odd p < 200; 3, 5 and 7 mirror the shortest tables
+ORACLE_PRIMES = primes_up_to(200)[1:]  # every odd p < 200; 3, 5 and 7 give the shortest tables
 NAMED_CURVES = {
     "15a1": E1.coefficients(),
     "15a3": E2.coefficients(),
@@ -422,3 +422,40 @@ def test_point_counts_refuse_a_p_that_is_not_prime(count, p):
 
     with pytest.raises(DomainError, match=f"^{p} is not prime$"):
         count(E1, p)
+
+
+REFUSALS_PAST_THE_PRIMALITY_BOUND = """
+import pytest
+from ecledger.arith import MILLER_RABIN_BOUND, DomainError, is_prime, valuation
+from ecledger.counting import count_points, frobenius_table, trace_ap
+from ecledger.curve import E1
+from ecledger.galois_image import enumerate_subgroups_gl2, maximal_subgroups
+from ecledger.padic import PadicNumber
+
+p = 2**89 - 1  # a Mersenne prime past MILLER_RABIN_BOUND
+for call in (lambda: is_prime(p), lambda: valuation(10, p), lambda: PadicNumber(p, 0, 1, 1),
+             lambda: count_points(E1, p), lambda: trace_ap(E1, p),
+             lambda: maximal_subgroups(p), lambda: enumerate_subgroups_gl2(p),
+             lambda: frobenius_table(E1, 2 * 10**9)):
+    with pytest.raises(DomainError):
+        call()
+assert is_prime(2**89) is False  # a base divides it, so it is decided past the bound
+q = MILLER_RABIN_BOUND - 1
+while not is_prime(q):
+    q -= 1
+assert is_prime(q) and MILLER_RABIN_BOUND - q < 1000  # the largest prime below the bound
+"""
+
+
+def test_primality_and_the_sweep_refuse_what_they_cannot_decide_at_once():
+    # trial division past MILLER_RABIN_BOUND never returned on a prime such as
+    # 2^89 - 1, and frobenius_table sieved to its bound before the pass refused
+    # a chunk past COUNT_POINTS_MAX_P; in a subprocess, so a hang fails the test
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    subprocess.run([sys.executable, "-c", REFUSALS_PAST_THE_PRIMALITY_BOUND], env=env, check=True, timeout=60)
