@@ -8,6 +8,7 @@ functions for modular arithmetic.  No floating point anywhere.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from fractions import Fraction
 from functools import lru_cache
 from itertools import compress
@@ -132,9 +133,9 @@ def square_divisors(fac: dict[int, int]) -> list[int]:
 
 @lru_cache(maxsize=CACHE_SIZE)
 def factorize(n: int) -> dict[int, int]:
-    """Prime factorization of |n| by trial division, cached: the local data,
-    torsion and the certificates each read the discriminant's, so it is
-    trial-divided once.  Callers share the dict and must not mutate it."""
+    """Prime factorization of |n| by trial division, cached: the local data
+    and torsion each read the discriminant's, so it is trial-divided once.
+    Callers share the dict and must not mutate it."""
     n = abs(n)
     if n == 0:
         raise DomainError("factorization of 0")
@@ -153,6 +154,18 @@ def factorize(n: int) -> dict[int, int]:
     if n > 1:
         out[n] = out.get(n, 0) + 1
     return out
+
+
+def bisect_least(pred: Callable[[int], bool], lo: int, hi: int) -> int:
+    """The least X in [lo, hi] where pred holds, by exact bisection; pred must
+    be false, then true, on [lo, hi].  hi when pred holds nowhere below it."""
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if pred(mid):
+            hi = mid
+        else:
+            lo = mid + 1
+    return lo
 
 
 def integer_cubic_roots(A: int, C: int) -> list[int]:
@@ -177,14 +190,5 @@ def integer_cubic_roots(A: int, C: int) -> list[int]:
         pieces = ((-bound, -c - 1, 1), (-c, c, -1), (c + 1, bound, 1))
     else:
         pieces = ((-bound, bound, 1),)
-    roots = []
-    for a, b, sign in pieces:
-        while a < b:  # least X in [a, b] with sign * f(X) >= 0
-            mid = (a + b) // 2
-            if sign * f(mid) >= 0:
-                b = mid
-            else:
-                a = mid + 1
-        if f(a) == 0:
-            roots.append(a)
-    return roots
+    least = (bisect_least(lambda X: sign * f(X) >= 0, a, b) for a, b, sign in pieces)
+    return [X for X in least if f(X) == 0]

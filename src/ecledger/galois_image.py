@@ -180,41 +180,18 @@ class _GL2Tables:
         # conj[x, i] = x^-1 * mats[i] * x
         left = self.mul[self.inv]  # left[x, i] = x^-1 * i
         self.conj = self.mul[left, np.arange(n, dtype=np.int32)[:, None]]
-        # element orders and, for prime-power elements, the least generator
-        # of the cyclic subgroup they generate
-        order = np.zeros(n, dtype=np.int32)
-        for i in range(n):
-            x, k = i, 1
-            while x != self.identity:
-                x = self.mul[x, i]
-                k += 1
-            order[i] = k
-        self.order = order
-        self.cyc_rep = np.full(n, -1, dtype=np.int32)
-        for i in range(n):
-            if self.cyc_rep[i] >= 0:
-                continue
-            o = int(order[i])
-            if not _is_prime_power(o):
-                continue
-            gens = []
-            x, k = i, 1
-            while True:
-                if math.gcd(k, o) == 1:
-                    gens.append(x)
-                if x == self.identity:
-                    break
-                x = int(self.mul[x, i])
-                k += 1
-            rep = min(gens)
-            for g in gens:
-                self.cyc_rep[g] = rep
-
-    def conj_all(self, idxs: np.ndarray) -> np.ndarray:
-        """Row x = sorted element indices of x^-1 S x; shape (n, |S|)."""
-        out = self.conj[:, idxs].copy()
-        out.sort(axis=1)
-        return out
+        # powers[k - 1, i] = i^k for k up to l^2 - 1, the largest element order
+        powers = np.empty((l * l - 1, n), dtype=np.int32)
+        powers[0] = np.arange(n, dtype=np.int32)
+        for k in range(1, l * l - 1):
+            powers[k] = self.mul[powers[k - 1], powers[0]]
+        self.order = (powers == self.identity).argmax(axis=0).astype(np.int32) + 1
+        # for prime-power elements, the least generator i^k, gcd(k, order) = 1,
+        # of the cyclic subgroup they generate; -1 for the rest
+        exponents = np.arange(1, l * l, dtype=np.int32)[:, None]
+        least = np.where(np.gcd(exponents, self.order) == 1, powers, n).min(axis=0)
+        prime_power = np.array([_is_prime_power(o) for o in range(l * l)])
+        self.cyc_rep = np.where(prime_power[self.order], least, -1).astype(np.int32)
 
     def closure(self, gens) -> np.ndarray:
         """Sorted element indices of the subgroup generated by gens.
@@ -280,22 +257,17 @@ def enumerate_subgroups_gl2(l: int) -> tuple[ModMMatrixGroup, ...]:
     classes: list[np.ndarray] = []
     seen_exact: set[bytes] = set()
 
-    def register(K: np.ndarray) -> tuple[bool, np.ndarray]:
-        """Record K's conjugacy class; returns (is_new, normalizer indices)."""
-        conjs = t.conj_all(K)
-        if K.tobytes() in seen_exact:
-            is_new = False
-        else:
-            is_new = True
-            seen_exact.update(row.tobytes() for row in conjs)
-            classes.append(K)
-        normalizer = np.where((conjs == K[None, :]).all(axis=1))[0].astype(np.int32)
-        return is_new, normalizer
+    def register(K: np.ndarray) -> np.ndarray:
+        """Record K's conjugacy class; returns its normalizer's indices."""
+        conjs = t.conj[:, K].copy()  # C order, as conj[:, K] comes out in F order
+        conjs.sort(axis=1)  # row x = sorted x^-1 K x
+        seen_exact.update(row.tobytes() for row in conjs)
+        classes.append(K)
+        return np.where((conjs == K[None, :]).all(axis=1))[0].astype(np.int32)
 
     # frontier entries: (subgroup, its generators, its normalizer)
     trivial = np.array([t.identity], dtype=np.int32)
-    _, norm = register(trivial)
-    frontier = [(trivial, [], norm)]
+    frontier = [(trivial, [], register(trivial))]
     while frontier:
         nxt = []
         for H, gens, normalizer in frontier:
@@ -304,17 +276,12 @@ def enumerate_subgroups_gl2(l: int) -> tuple[ModMMatrixGroup, ...]:
             in_H = np.zeros(t.n, dtype=bool)
             in_H[H] = True
             outside = candidates[~in_H[candidates]]
-            if len(outside) == 0:
-                continue
             # one candidate per N(H)-orbit: min of cyc_rep over the orbit
             orbit_min = t.cyc_rep[t.conj[np.ix_(normalizer, outside)]].min(axis=0)
             for g in sorted(set(map(int, orbit_min))):
                 K = t.closure(gens + [g])
-                if K.tobytes() in seen_exact:
-                    continue
-                is_new, normK = register(K)
-                if is_new:
-                    nxt.append((K, gens + [g], normK))
+                if K.tobytes() not in seen_exact:
+                    nxt.append((K, gens + [g], register(K)))
         frontier = nxt
     classes.sort(key=lambda s: (len(s), tuple(map(int, s))))
     return tuple(ModMMatrixGroup(l, t.decode(s)) for s in classes)

@@ -51,12 +51,12 @@ def reduction_type(C: WeierstrassCurve, p: int) -> ReductionKind:
     on all 11,119 models multiplicative at 2 with a1, a3 in {0, 1},
     a2 in {-1, 0, 1} and |a4|, |a6| <= 30.
     """
-    if not C.is_minimal_at(p):
-        raise UnsupportedReductionError(f"minimality certificate fails at {p}; reduce the model first")
     if C.discriminant() % p:
         return ReductionKind.GOOD
     c4, c6 = C.c_invariants()
-    if c4 % p == 0:
+    if c4 % p == 0:  # elsewhere v_p(c4) = 0 certifies minimality
+        if not C.is_minimal_at(p):
+            raise UnsupportedReductionError(f"minimality certificate fails at {p}; reduce the model first")
         raise UnsupportedReductionError(f"additive reduction at {p}")
     split = kronecker_symbol(-c6, p) == 1
     return ReductionKind.MULT_SPLIT if split else ReductionKind.MULT_NONSPLIT

@@ -21,7 +21,7 @@ from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .arith import DomainError
+from .arith import DomainError, bisect_least
 from .curve import WeierstrassCurve
 from .local_data import LocalData, ReductionKind, conductor_semistable
 
@@ -204,15 +204,16 @@ def e1_bracket(C: WeierstrassCurve) -> int:
 
     e1 is the real root of g = 4x^3 + b2 x^2 + 2 b4 x + b6 if Delta < 0, the
     largest if Delta > 0.  Bisection on the integer cubic G(X) = 2^(3k) g(X/2^k)
-    keeps G(lo) <= 0 < G(hi), and the final signs are checked exactly.  Every
+    finds the least X in (lo, hi] with G(X) > 0, and the signs
+    G(X - 1) <= 0 < G(X) are checked exactly; X - 1 is returned.  Every
     root has |x| < 1 + max(|b2|, 2|b4|, |b6|) / 4 (Cauchy), where hi starts.
     Delta < 0: lo starts at -hi; the one real root lies in [lo, hi).
     Delta > 0: g > 0 exactly on (e3, e2) and (e1, oo).  The critical points
     c -+ sqrt(c4)/12, c = -b2/12, lie in (e3, e2) and (e2, e1), 1/6 apart at
     least (c4 >= 1 is an integer); lo starts within 2^(1-k) below the larger,
-    so above e3.  Then g(lo) <= 0 puts lo in [e2, e1] and g(hi) > 0 puts
-    hi above e1.  The check fails only if the larger critical point is within
-    2^(1-k) of e2, where g(lo) > 0 from the start.
+    so above e3.  Then G(X - 1) <= 0 puts (X - 1) 2^-k in [e2, e1] and
+    G(X) > 0 puts X 2^-k above e1.  The check fails only if the larger
+    critical point is within 2^(1-k) of e2, where g(lo) > 0 from the start.
     """
     b2, b4, b6, _ = C.b_invariants()
     k = PRECISION_BITS + GUARD_BITS
@@ -223,13 +224,8 @@ def e1_bracket(C: WeierstrassCurve) -> int:
 
     hi = 1 + max(abs(b2), 2 * abs(b4), abs(b6)) << k
     lo = (math.isqrt(C.c_invariants()[0] << 2 * k) - c2) // 12 if C.discriminant() > 0 else -hi
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if G(mid) > 0:
-            hi = mid
-        else:
-            lo = mid
-    if not G(lo) <= 0 < G(hi):
+    lo = bisect_least(lambda X: G(X) > 0, lo + 1, hi) - 1
+    if not G(lo) <= 0 < G(lo + 1):
         raise ArithmeticError(f"no sign change of g brackets e1 at {lo} / 2^{k}")
     return lo
 

@@ -259,6 +259,22 @@ def test_gl2_tables_agree_with_matrix_arithmetic(l):
             assert mats[t.conj[i, j]] == mat_mul(mat_mul(x_inv, y, l), x, l)
 
 
+@pytest.mark.parametrize("l", [2, 3, 5, 7])
+def test_gl2_tables_orders_and_cyclic_representatives_against_matrix_powers(l):
+    """order[i] is the least k with x^k = I, for x = mats[i]; cyc_rep[i] is
+    the least index among the generators x^k, gcd(k, order) = 1, of <x> when
+    the order is a prime power, and -1 otherwise."""
+    t = _GL2Tables(l)
+    for i, x in enumerate(t.mats):
+        powers = [x]
+        while powers[-1] != (1, 0, 0, 1):
+            powers.append(mat_mul(powers[-1], x, l))
+        o = len(powers)
+        assert t.order[i] == o
+        generators = [t.index[y] for k, y in enumerate(powers, 1) if math.gcd(k, o) == 1]
+        assert t.cyc_rep[i] == (min(generators) if len(factorize(o)) == 1 else -1)
+
+
 def test_closure_is_the_generated_subgroup():
     t = _GL2Tables(5)
     gens = [t.index[(1, 1, 0, 1)], t.index[(2, 0, 0, 1)], t.index[(1, 0, 0, 2)]]  # upper triangular
