@@ -135,7 +135,10 @@ def square_divisors(fac: dict[int, int]) -> list[int]:
 def factorize(n: int) -> dict[int, int]:
     """Prime factorization of |n| by trial division, cached: the local data
     and torsion each read the discriminant's, so it is trial-divided once.
-    Callers share the dict and must not mutate it."""
+    After 2 and 3, and after each later prime divided out, a cofactor below
+    MILLER_RABIN_BOUND that trial division would go on with is tested, and
+    division stops once it is prime: a large prime cofactor is never
+    trial-divided.  Callers share the dict and must not mutate it."""
     n = abs(n)
     if n == 0:
         raise DomainError("factorization of 0")
@@ -145,14 +148,17 @@ def factorize(n: int) -> dict[int, int]:
             out[p] = out.get(p, 0) + 1
             n //= p
     d = 5
-    while d * d <= n:
+    prime = d * d <= n < MILLER_RABIN_BOUND and is_prime(n)
+    while not prime and d * d <= n:
         for q in (d, d + 2):
-            while n % q == 0:
-                out[q] = out.get(q, 0) + 1
-                n //= q
+            if n % q == 0:
+                while n % q == 0:
+                    out[q] = out.get(q, 0) + 1
+                    n //= q
+                prime = d * d <= n < MILLER_RABIN_BOUND and is_prime(n)
         d += 6
     if n > 1:
-        out[n] = out.get(n, 0) + 1
+        out[n] = 1
     return out
 
 

@@ -125,11 +125,18 @@ def _options(args) -> LedgerOptions:
 
 
 def _emit(args, text: str) -> None:
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    """Write the output; a write that fails (a full device, say) exits 2, not 1,
+    which would read "not verified"."""
+    try:
+        if args.out:
+            with open(args.out, "w") as fh:
+                fh.write(text)
+        else:
+            sys.stdout.write(text)
+            sys.stdout.flush()
+    except OSError as err:
+        print(f"ecledger: error: cannot write {args.out or 'stdout'!r}: {err.strerror}", file=sys.stderr)
+        sys.exit(2)
 
 
 def _count(args) -> int:

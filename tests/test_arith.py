@@ -17,6 +17,8 @@ from ecledger.arith import (
 )
 from fractions import Fraction
 
+from test_cli_contracts import python
+
 
 def brute_primes(bound):
     return [n for n in range(2, bound + 1) if all(n % d for d in range(2, n))]
@@ -110,6 +112,13 @@ def test_factorize_reconstructs(n):
         assert is_prime(p)
         prod *= p**e
     assert prod == n
+
+
+def test_factorize_stops_at_a_prime_cofactor():
+    # the discriminant of 1,0,1,860258,402266 was trial-divided up to the square
+    # root of its 19-digit prime factor, for minutes; in a subprocess, so a hang fails
+    done = python(["-c", "from ecledger.arith import factorize; print(factorize(6 * 6790724518595444563))"], 10)
+    assert done.stdout == b"{2: 1, 3: 1, 6790724518595444563: 1}\n"
 
 
 def test_integer_cubic_roots_against_brute_force():

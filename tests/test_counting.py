@@ -17,6 +17,7 @@ from ecledger.counting import (
     verify_ordinary_criterion,
 )
 from ecledger.curve import E1, E2, SingularCurveError, WeierstrassCurve
+from test_cli_contracts import python
 
 
 def hasse_interval(p: int) -> tuple[int, int]:
@@ -451,11 +452,5 @@ def test_primality_and_the_sweep_refuse_what_they_cannot_decide_at_once():
     # trial division past MILLER_RABIN_BOUND never returned on a prime such as
     # 2^89 - 1, and frobenius_table sieved to its bound before the pass refused
     # a chunk past COUNT_POINTS_MAX_P; in a subprocess, so a hang fails the test
-    import os
-    import subprocess
-    import sys
-    from pathlib import Path
-
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    subprocess.run([sys.executable, "-c", REFUSALS_PAST_THE_PRIMALITY_BOUND], env=env, check=True, timeout=60)
+    done = python(["-c", REFUSALS_PAST_THE_PRIMALITY_BOUND], timeout=60)
+    assert done.returncode == 0, done.stderr.decode()

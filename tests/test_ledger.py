@@ -1,5 +1,8 @@
+import errno
 import json
+import os
 import re
+import sys
 from dataclasses import replace
 from pathlib import Path
 
@@ -18,41 +21,9 @@ from ecledger.ledger import (
     report_from_json,
     run_ledger,
 )
+from test_cli_contracts import CONTRACTS, broken, python, run_in_process
 
 FAST = LedgerOptions(prime_bound=500, l_list=(3,), terms=500, padic_digits=12)
-
-# Reports saved before the checks moved into one table; every later change
-# must reproduce them byte for byte.  Regenerate deliberately with
-# `PYTHONPATH=src python tests/test_ledger.py` and say why in CHANGES.md.
-GOLDEN_DIR = Path(__file__).parent / "golden"
-GOLDEN = {
-    "15a1-default.json": ("1,1,1,-10,-10", LedgerOptions(), "json-text"),
-    "15a1-fast.json": ("1,1,1,-10,-10", FAST, "json-text"),
-    "15a1-fast.txt": ("1,1,1,-10,-10", FAST, "human-text"),
-    "15a3-default.json": ("1,1,1,-5,2", LedgerOptions(), "json-text"),
-    "15a3-fast.json": ("1,1,1,-5,2", FAST, "json-text"),
-    "11a1-fast.json": ("0,-1,1,-10,-20", FAST, "json-text"),
-    "14a1-fast.json": ("1,0,1,4,-6", FAST, "json-text"),
-    "37a1-fast.json": ("0,0,1,-1,0", FAST, "json-text"),
-    "additive-fast.json": ("0,0,0,0,1", FAST, "json-text"),
-}
-# `ecledger count --prime-bound 200` output, pinned the same way.
-COUNT_GOLDEN = {"15a1-count.txt": "1,1,1,-10,-10", "11a1-count.txt": "0,-1,1,-10,-20"}
-# `ecledger lvalue --format json` at default options on two large conductors
-# (N = 526022 and 3265006): the series runs all 2000 terms and their tails
-# bound nothing useful, but each printed digit of the partial sum lies far
-# above the rounding of the sum, so every byte is pinned.
-LVALUE_GOLDEN = {"526022-lvalue.json": "1,1,0,39,7", "3265006-lvalue.json": "1,-1,0,-47,33"}
-# `ecledger linv --format json` at the digit cap on a curve split at 71 with
-# v(j) = -1, which needs the longest Tate-parameter run the CLI admits, and at
-# 60 digits on a curve split at the 15-digit prime 432143651940139.
-LINV_GOLDEN = {"3265006-linv250.json": ("1,-1,0,-47,33", 250),
-               "1000166-linv60.json": ("0,0,1,1,1000166", 60)}
-
-
-def _golden_report(name: str) -> str:
-    coeffs, opts, fmt = GOLDEN[name]
-    return emit_report(run_ledger(curve_from_string(coeffs), opts), fmt)
 
 EXPECTED_E1_IDS = [
     "invariants",
@@ -200,10 +171,6 @@ def test_cli_and_views_without_point_counts_leave_numpy_unimported():
     # numpy is imported by the point counts and the GL2(F_l) tables only, so
     # the import and these views skip its cost in a fresh interpreter; so does
     # the L-value of 37a1, whose root number -1 makes L(E,1) = 0 with no sweep
-    import os
-    import subprocess
-    import sys
-
     code = (
         "import contextlib, io, sys\n"
         "import ecledger.cli\n"
@@ -214,9 +181,8 @@ def test_cli_and_views_without_point_counts_leave_numpy_unimported():
         "    assert ecledger.cli.main(['lvalue', '--curve', '0,0,1,-1,0']) == 0\n"
         "assert 'numpy' not in sys.modules\n"
     )
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=120)
+    done = python(["-c", code], timeout=120)
+    assert done.returncode == 0, done.stderr.decode()
 
 
 def test_cli_image_mod8_skips_other_curves(capsys):
@@ -344,6 +310,18 @@ def test_cli_rejects_an_empty_out_path(command, monkeypatch, capsys):
     assert exc.value.code == 2
     out, err = capsys.readouterr()
     assert out == "" and err.startswith("usage:") and "argument --out: cannot write a file at ''" in err
+
+
+def test_cli_output_that_cannot_be_written_exits_2(monkeypatch, capsys):
+    # a full device ended in an OSError traceback and exit 1, the code for "not verified"
+    def full(text):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    monkeypatch.setattr(sys.stdout, "write", full)
+    with pytest.raises(SystemExit) as exc:
+        main(["torsion"])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err == "ecledger: error: cannot write 'stdout': No space left on device\n"
 
 
 LARGE_L = "11,13,17,19,23,29,31,37,41,43,47"
@@ -546,57 +524,28 @@ def test_no_curve_equality_branches():
         source = Path(module.__file__).read_text()
         assert not re.search(r"[!=]=\s*E[12]\b|\bE[12]\s*[!=]=", source), module.__name__
 
-@pytest.mark.parametrize("name", sorted(GOLDEN))
-def test_report_matches_golden(name):
-    assert _golden_report(name).encode() == (GOLDEN_DIR / name).read_bytes()
 
 
-def _golden_count(name: str, path: Path) -> None:
-    assert main(["count", "--curve", COUNT_GOLDEN[name], "--prime-bound", "200", "--out", str(path)]) == 0
+# The golden rows of the CLI contract table, under the names their tests had
+# before the table held them.
+def _golden_rows(command, at_digit_cap=None):
+    return [row for row in CONTRACTS if row.golden and row.blocks is None and row.argv.split()[0] == command
+            and at_digit_cap in (None, f"--padic-digits {cli.DIGITS_CAP} " in row.argv)]
 
 
-@pytest.mark.parametrize("name", sorted(COUNT_GOLDEN))
-def test_count_matches_golden(name, tmp_path):
-    _golden_count(name, tmp_path / name)
-    assert (tmp_path / name).read_bytes() == (GOLDEN_DIR / name).read_bytes()
+def _golden_test(rows):
+    @pytest.mark.parametrize("row", rows, ids=[row.golden for row in rows])
+    def test(row):
+        assert broken(row, *run_in_process(row)) == []
+    return test
 
 
-def _golden_lvalue(name: str, path: Path) -> None:
-    # no tail bound small enough to reconstruct a ratio at 2000 terms: exit 1
-    assert main(["lvalue", "--curve", LVALUE_GOLDEN[name], "--format", "json", "--out", str(path)]) == 1
+test_report_matches_golden = _golden_test(_golden_rows("ledger"))
+test_count_matches_golden = _golden_test(_golden_rows("count"))
+test_lvalue_matches_golden = _golden_test(_golden_rows("lvalue"))
+test_linv_at_the_digit_cap_matches_golden = _golden_test(_golden_rows("linv", at_digit_cap=True))
 
 
-@pytest.mark.parametrize("name", sorted(LVALUE_GOLDEN))
-def test_lvalue_matches_golden(name, tmp_path):
-    _golden_lvalue(name, tmp_path / name)
-    assert (tmp_path / name).read_bytes() == (GOLDEN_DIR / name).read_bytes()
-
-
-def _golden_linv(name: str, path: Path) -> None:
-    coeffs, digits = LINV_GOLDEN[name]
-    argv = ["linv", "--curve", coeffs, "--padic-digits", str(digits), "--format", "json"]
-    assert main([*argv, "--out", str(path)]) == 0
-
-
-@pytest.mark.parametrize("name", ["3265006-linv250.json"])
-def test_linv_at_the_digit_cap_matches_golden(name, tmp_path):
-    _golden_linv(name, tmp_path / name)
-    assert (tmp_path / name).read_bytes() == (GOLDEN_DIR / name).read_bytes()
-
-
-def test_linv_at_a_15_digit_prime_matches_golden(tmp_path):
-    name = "1000166-linv60.json"
-    _golden_linv(name, tmp_path / name)
-    assert (tmp_path / name).read_bytes() == (GOLDEN_DIR / name).read_bytes()
-
-
-if __name__ == "__main__":
-    GOLDEN_DIR.mkdir(exist_ok=True)
-    for name in sorted(GOLDEN):
-        (GOLDEN_DIR / name).write_bytes(_golden_report(name).encode())
-    for name in sorted(COUNT_GOLDEN):
-        _golden_count(name, GOLDEN_DIR / name)
-    for name in sorted(LVALUE_GOLDEN):
-        _golden_lvalue(name, GOLDEN_DIR / name)
-    for name in sorted(LINV_GOLDEN):
-        _golden_linv(name, GOLDEN_DIR / name)
+def test_linv_at_a_15_digit_prime_matches_golden():
+    for row in _golden_rows("linv", at_digit_cap=False):
+        assert broken(row, *run_in_process(row)) == []
