@@ -116,7 +116,7 @@ def test_factorize_reconstructs(n):
 
 def test_factorize_stops_at_a_prime_cofactor():
     # the discriminant of 1,0,1,860258,402266 was trial-divided up to the square
-    # root of its 19-digit prime factor, for minutes; in a subprocess, so a hang fails
+    # root of its 19-digit prime factor, past a 10 s timeout; in a subprocess, so a hang fails
     done = python(["-c", "from ecledger.arith import factorize; print(factorize(6 * 6790724518595444563))"], 10)
     assert done.stdout == b"{2: 1, 3: 1, 6790724518595444563: 1}\n"
 

@@ -42,6 +42,7 @@ class Contract(NamedTuple):
 FAST = "--prime-bound 500 --l-list 3 --terms 500 --padic-digits 12"
 CAP = "expected a positive integer up to"
 # the same bytes without mpmath; at 2000 terms no ratio reconstructs for the two large conductors
+# (exit 1), but every printed digit of their partial sums lies far above the sums' rounding
 _NO_MPMATH = [
     Contract("ledger --format json", 0, "golden/15a1-default.json"),
     Contract("lvalue --curve 1,1,0,39,7 --format json", 1, "golden/526022-lvalue.json"),
