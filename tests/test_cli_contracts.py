@@ -1,19 +1,25 @@
 """Every promise of the CLI, one row per command: golden listings byte for byte,
 pinned digests, exit codes (0 verified, 1 not verified, 2 refused or not
-written), caps that refuse at once, and models that fail soft.
+written), refusals before any work, and models that fail soft.  This table is
+the one place a CLI contract is written; other tests check only what no row
+can say, such as parse-level defaults and guards that need a monkeypatch.
 
-Tier-1 runs the rows that block no module in process, through `cli.main`.
+Tier-1 runs every row from a temporary directory under the row's timeout: a
+row that blocks no module in process, through `cli.main`; a row that makes
+`mpmath` or `numpy` unimportable in a fresh interpreter.
 `PYTHONPATH=src python tests/test_cli_contracts.py` runs each row in a fresh
-`python -m ecledger.cli` under its timeout, from a temporary directory, and
-names each row that fails; `--regenerate` rewrites tests/golden/ from the
-golden rows instead (only deliberately, saying why in CHANGES.md).
+`python -m ecledger.cli` and names each row that fails; `--regenerate`
+rewrites tests/golden/ from the golden rows instead (only deliberately, saying
+why in CHANGES.md).  To add a contract, add a row: its argv is its test id.
 """
 
 import contextlib
+import gc
 import hashlib
 import io
 import os
 import shlex
+import signal
 import subprocess
 import sys
 import tempfile
@@ -38,9 +44,28 @@ class Contract(NamedTuple):
     def golden(self) -> str | None:
         return self.stdout.removeprefix("golden/") if self.stdout.startswith("golden/") else None
 
+    @property
+    def label(self) -> str:
+        return f"{self.argv} [no {self.blocks}]" if self.blocks else self.argv
 
+
+def refused(argv: str, stderr: str) -> Contract:
+    """A call the CLI refuses before any work: exit 2, no output, within 10 s."""
+    return Contract(argv, 2, "", stderr, timeout=10)
+
+
+# the largest value each numeric option admits
+CAPS = {"--prime-bound": 10**6, "--terms": 10**6, "--padic-digits": 250}
+
+
+def out_of_range(command: str, flag: str, value) -> Contract:
+    cap = CAPS[flag]
+    return refused(f"{command} {flag} {value}", f"error: argument {flag}: expected a positive integer up to {cap}, got")
+
+
+NOT_SMALL_PRIMES = "error: argument --l-list: expected a comma list of primes from 3 to 47, got"
 FAST = "--prime-bound 500 --l-list 3 --terms 500 --padic-digits 12"
-CAP = "expected a positive integer up to"
+LARGE_L = "--l-list 11,13,17,19,23,29,31,37,41,43,47"
 # the same bytes without mpmath; at 2000 terms no ratio reconstructs for the two large conductors
 # (exit 1), but every printed digit of their partial sums lies far above the sums' rounding
 _NO_MPMATH = [
@@ -48,7 +73,20 @@ _NO_MPMATH = [
     Contract("lvalue --curve 1,1,0,39,7 --format json", 1, "golden/526022-lvalue.json"),
     Contract("lvalue --curve 1,-1,0,-47,33 --format json", 1, "golden/3265006-lvalue.json"),
 ]
-CONTRACTS = _NO_MPMATH + [row._replace(blocks="mpmath") for row in _NO_MPMATH] + [
+# each single-check view of E1 in text, at the FAST flags it takes
+_VIEWS = [
+    Contract("invariants", 0, "minimal=True"),
+    Contract("local", 0, "product=8"),
+    Contract("torsion", 0, "structure=Z/2 x Z/4"),
+    Contract("image-mod8", 0, "fixed(G)==fixed(H): True"),
+    Contract("image-modl --prime-bound 500 --l-list 3", 0, "verdict=surjective"),
+    Contract("lvalue --terms 500", 0, "ratio=1/8"),
+    Contract("linv --padic-digits 12", 0, "valuation=1"),
+]
+CONTRACTS = _NO_MPMATH + [row._replace(blocks="mpmath") for row in _NO_MPMATH] + _VIEWS + [
+    # only the point counts and the GL2(F_l) tables import numpy
+    *[row._replace(blocks="numpy") for row in _VIEWS
+      if row.argv.split()[0] in ("invariants", "local", "torsion", "image-mod8", "linv")],
     Contract(f"ledger --curve 1,1,1,-10,-10 {FAST} --format json", 0, "golden/15a1-fast.json"),
     Contract(f"ledger --curve 1,1,1,-10,-10 {FAST}", 0, "golden/15a1-fast.txt"),
     Contract("ledger --curve 1,1,1,-5,2 --format json", 0, "golden/15a3-default.json"),
@@ -67,32 +105,52 @@ CONTRACTS = _NO_MPMATH + [row._replace(blocks="mpmath") for row in _NO_MPMATH] +
              "sha256:fd5b19e9da7603a401137b78c80910ab91fc7ea9f8d698d6d080a5efe522f01b"),
     # root number -1 gives L(E,1) = 0 with no point count
     Contract("lvalue --curve 0,0,1,-1,0 --format json", 0, '"status": "pass"', blocks="numpy"),
-    Contract("image-modl --l-list 11,13,17,19,23,29,31,37,41,43,47 --format json", 0, "certified at l = 47"),
+    # past the subgroup enumeration: 15a1 and 15a3 are surjective at all 11 l; 121b1 has CM, so no l is
+    Contract(f"image-modl {LARGE_L} --format json", 0,
+             "sha256:8f810a6cb901edae5c8f5a77d1e66a065dac458b50bdb87a91987d135e89c61e"),
+    Contract(f"image-modl --curve 1,1,1,-5,2 {LARGE_L}", 0,
+             "sha256:f3b97fc70f51ddb21fdba24affdbb3b99f4508e4b6414cfab26b431be1d17034"),
+    Contract(f"image-modl --curve 0,-1,1,-7,10 {LARGE_L}", 1,
+             "sha256:ec3bddf27185601292acfde03ceeb908ec86196df26f40558d3ef339bb2032a0"),
+    Contract("image-mod8 --curve 1,1,1,-5,2", 1, "skipped: external image data unavailable"),
     Contract("torsion --curve 0,0,0,-22528399544939174411840147874772641,0 --format json", 0, "structure=Z/2 x Z/2"),
-    # unsupported local data fails soft: not minimal at 2, additive at 2 and 3 (both CM)
-    Contract("ledger --curve 0,0,0,-16,0 --format json", 1, "minimality certificate fails at 2"),
+    # unsupported local data fails soft: not minimal at 2 (five records unsupported, invariants
+    # failing with minimal=False), additive at 2 and 3 (both CM)
+    Contract("ledger --curve 0,0,0,-16,0 --format json", 1, "golden/non-minimal-default.json"),
     Contract("image-modl --curve 0,0,0,-16,0 --format json", 1, "verdict=inconclusive"),
     Contract("image-modl --curve 0,0,0,0,1 --format json", 1, "verdict=inconclusive"),
     # a discriminant of small primes times one large prime
     Contract("ledger --curve 0,0,1,1,1000166 --format json", 1, "reduction-432143651940139", timeout=10),
     Contract("local --curve 1,0,1,860258,402266", 0, "N=40744347111572667378", timeout=10),
     # refused before any work, with no output
-    Contract("torsion --terms 5", 2, "", "unrecognized arguments: --terms 5"),
-    Contract("torsion --out /nonexistent/dir/x.json", 2, "", "error: argument --out: cannot write a file at"),
-    Contract("torsion --out ''", 2, "", "usage: ecledger"),
-    Contract("ledger --curve 0,0,0,1/2,1", 2, "", "usage: ecledger"),
-    Contract("lvalue --terms 100000000", 2, "", f"error: argument --terms: {CAP}", timeout=10),
-    Contract("linv --padic-digits 100000", 2, "", f"error: argument --padic-digits: {CAP}", timeout=10),
-    Contract("count --prime-bound 1000000000", 2, "", f"error: argument --prime-bound: {CAP}", timeout=10),
-    Contract("image-modl --prime-bound 100000000", 2, "", f"error: argument --prime-bound: {CAP}", timeout=10),
-    # the certificate raises at l = 2, so the parser refuses it first
-    Contract("image-modl --l-list 2", 2, "", "usage: ecledger", timeout=10),
-    Contract("ledger --l-list 2,3", 2, "", "usage: ecledger", timeout=10),
-    # L(E,1) and the period run at a constant 128 bits
-    Contract("lvalue --precision-bits 128", 2, "", "error: unrecognized arguments: --precision-bits 128"),
+    *[out_of_range("ledger", flag, value) for flag in CAPS for value in ("0", "-5", "x")],
+    *[out_of_range("ledger", flag, value) for flag in ("--terms", "--padic-digits")
+      for value in (CAPS[flag] + 1, 100 * CAPS[flag], 10**100)],
+    *[out_of_range(view, "--prime-bound", value) for view in ("ledger", "image-modl", "count")
+      for value in (CAPS["--prime-bound"] + 1, 10**9)],
+    out_of_range("lvalue", "--terms", 10**8),
+    out_of_range("linv", "--padic-digits", 100000),
+    out_of_range("image-modl", "--prime-bound", 10**8),
+    # the 19-digit prime must be refused before any primality test; at l = 2 the certificate raises
+    *[refused(f"image-modl --l-list {shlex.quote(value)}", NOT_SMALL_PRIMES)
+      for value in ("0", "x", "4", "53", "1000000000000000003", ",", "", "2")],
+    refused("ledger --l-list 2,3", NOT_SMALL_PRIMES),
+    # a malformed model is refused (2), not read as "not verified" (1)
+    *[refused(f"{command} --curve {curve}", "error: argument --curve: ") for command in ("ledger", "count")
+      for curve in ("a,b,c,d,e", "1,2,3", "0,0,0,0,0", "0,0,0,1/2,1")],
+    # each view takes only the options its checks read; L(E,1) and the period run at a constant 128 bits
+    refused("torsion --terms 5", "error: unrecognized arguments: --terms 5"),
+    *[refused(f"count --prime-bound 10 {option}", f"error: unrecognized arguments: {option}")
+      for option in ("--format json", "--l-list 3", "--terms 500", "--precision-bits 96", "--padic-digits 12")],
+    *[refused(f"{command} --precision-bits 128", "error: unrecognized arguments: --precision-bits 128")
+      for command in ("lvalue", "ledger")],
+    refused("torsion --out /nonexistent/dir/x.json", "error: argument --out: cannot write a file at"),
+    *[refused(f"{command} --out ''", "error: argument --out: cannot write a file at ''")
+      for command in ("torsion", "count")],
     # a failed write (the parser refuses it where /dev is not writable)
-    Contract("torsion --out /dev/full", 2, "", "cannot write"),
+    refused("torsion --out /dev/full", "cannot write"),
 ]
+PARSER_ERRORS = ("error: argument", "unrecognized arguments")
 
 
 def broken(row: Contract, code: int, out: bytes, err: str) -> list[str]:
@@ -108,18 +166,34 @@ def broken(row: Contract, code: int, out: bytes, err: str) -> list[str]:
         problems.append(f"stdout does not match {row.stdout or 'empty'}")
     if "Traceback" in err or (row.stderr not in err if row.stderr else err):
         problems.append(f"stderr: {err[-400:]!r}")
+    elif any(words in row.stderr for words in PARSER_ERRORS) and not err.startswith("usage: ecledger"):
+        problems.append("a parser error that does not begin with the usage line")
     return problems
 
 
 def run_in_process(row: Contract) -> tuple[int, bytes, str]:
+    """`cli.main` on the row's argv; past the row's timeout it raises TimeoutExpired, as a fresh run does."""
     from ecledger.cli import main
 
+    def overrun(signum, frame):
+        raise subprocess.TimeoutExpired(row.argv, row.timeout)
+
     out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        try:
-            code = main(shlex.split(row.argv))
-        except SystemExit as stop:
-            code = stop.code
+    previous = signal.signal(signal.SIGALRM, overrun)
+    collecting = gc.isenabled()
+    gc.disable()  # an alarm that lands in a collection's callbacks would raise there, and be swallowed
+    signal.setitimer(signal.ITIMER_REAL, row.timeout)
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main(shlex.split(row.argv))
+            except SystemExit as stop:
+                code = stop.code
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+        if collecting:
+            gc.enable()
     return code, out.getvalue().encode(), err.getvalue()
 
 
@@ -130,17 +204,30 @@ def python(args: list[str], timeout: float, cwd: str | None = None) -> subproces
                           timeout=timeout, env=dict(os.environ, PYTHONPATH=path, PYTHONDONTWRITEBYTECODE="1"))
 
 
-def run_fresh(row: Contract, cwd: str) -> tuple[int, bytes, str]:
+def run_fresh(row: Contract, cwd: str | None = None) -> tuple[int, bytes, str]:
     blocked = f"import sys; sys.modules[{row.blocks!r}] = None; from ecledger.cli import main; sys.exit(main())"
     done = python([*(["-c", blocked] if row.blocks else ["-m", "ecledger.cli"]), *shlex.split(row.argv)],
                   row.timeout, cwd)
     return done.returncode, done.stdout, done.stderr.decode()
 
 
-# the golden rows run in test_ledger.py, under the names their tests had before this table
-@pytest.mark.parametrize("row", [row for row in CONTRACTS if not row.blocks and not row.golden], ids=lambda row: row.argv)
-def test_contract(row):
-    assert broken(row, *run_in_process(row)) == []
+def problems(row: Contract, run) -> list[str]:
+    """What a run of the row broke, a run past its timeout included."""
+    try:
+        return broken(row, *run(row))
+    except subprocess.TimeoutExpired:
+        return [f"no exit within its timeout of {row.timeout} s"]
+
+
+@pytest.mark.parametrize("row", CONTRACTS, ids=lambda row: row.label)
+def test_contract(row, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert problems(row, run_fresh if row.blocks else run_in_process) == []
+
+
+def test_an_in_process_row_fails_at_its_timeout():
+    row = next(row for row in CONTRACTS if row.argv == "count --curve 0,-1,1,-10,-20 --prime-bound 1000000")
+    assert problems(row._replace(timeout=0.05), run_in_process) == ["no exit within its timeout of 0.05 s"]
 
 
 def main(argv: list[str]) -> int:
@@ -153,13 +240,9 @@ def main(argv: list[str]) -> int:
     with tempfile.TemporaryDirectory() as cwd:
         for row in CONTRACTS:
             start = time.perf_counter()
-            try:
-                problems = broken(row, *run_fresh(row, cwd))
-            except subprocess.TimeoutExpired:
-                problems = [f"no exit within its timeout of {row.timeout} s"]
-            failed += bool(problems)
-            label = f"{row.argv}  [no {row.blocks}]" if row.blocks else row.argv
-            print(f"{'FAIL' if problems else 'ok':4} {time.perf_counter() - start:5.2f} s  {label}", *problems,
+            found = problems(row, lambda row: run_fresh(row, cwd))
+            failed += bool(found)
+            print(f"{'FAIL' if found else 'ok':4} {time.perf_counter() - start:5.2f} s  {row.label}", *found,
                   sep="\n      ")
     print(f"{len(CONTRACTS) - failed} of {len(CONTRACTS)} rows kept their contract")
     return 1 if failed else 0

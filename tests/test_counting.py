@@ -1,6 +1,8 @@
 import hashlib
+import itertools
 import math
 import random
+from collections.abc import Iterator
 
 import numpy as np
 import pytest
@@ -48,16 +50,20 @@ def test_count_matches_oracle_at_every_small_prime(name):
     assert_counts_match_oracle(WeierstrassCurve(*NAMED_CURVES[name]))
 
 
-def seeded_models(seed: int, count: int = 20) -> list[WeierstrassCurve]:
+def box_models(seed: int) -> Iterator[WeierstrassCurve]:
+    """Non-singular models y^2 + a1 xy + a3 y = x^3 + a2 x^2 + a4 x + a6 from a small box, in seeded order."""
     box = random.Random(seed)
-    models = []
-    while len(models) < count:
+    while True:
         try:
-            models.append(WeierstrassCurve(box.randint(0, 1), box.randint(-1, 1), box.randint(0, 1),
-                                           box.randint(-50, 50), box.randint(-50, 50)))
+            C = WeierstrassCurve(box.randint(0, 1), box.randint(-1, 1), box.randint(0, 1),
+                                 box.randint(-50, 50), box.randint(-50, 50))
         except SingularCurveError:
             continue
-    return models
+        yield C
+
+
+def seeded_models(seed: int, count: int = 20) -> list[WeierstrassCurve]:
+    return list(itertools.islice(box_models(seed), count))
 
 
 def test_count_matches_naive_oracle():
@@ -451,6 +457,6 @@ assert is_prime(q) and MILLER_RABIN_BOUND - q < 1000  # the largest prime below 
 def test_primality_and_the_sweep_refuse_what_they_cannot_decide_at_once():
     # trial division past MILLER_RABIN_BOUND never returned on a prime such as
     # 2^89 - 1, and frobenius_table sieved to its bound before the pass refused
-    # a chunk past COUNT_POINTS_MAX_P; in a subprocess, so a hang fails the test
-    done = python(["-c", REFUSALS_PAST_THE_PRIMALITY_BOUND], timeout=60)
+    # a chunk past COUNT_POINTS_MAX_P; in a subprocess under 10 s, so a hang fails the test
+    done = python(["-c", REFUSALS_PAST_THE_PRIMALITY_BOUND], timeout=10)
     assert done.returncode == 0, done.stderr.decode()

@@ -1,7 +1,6 @@
 import hashlib
 import itertools
 import math
-import random
 
 import numpy as np
 import pytest
@@ -34,6 +33,7 @@ from ecledger.galois_image import (
 )
 from ecledger.ledger import LedgerOptions, run_ledger
 from ecledger.local_data import bad_primes
+from test_counting import seeded_models
 
 CONTROL_11A1 = WeierstrassCurve(0, -1, 1, -10, -20)  # conductor 11, 5-isogeny
 CM_121B1 = WeierstrassCurve(0, -1, 1, -7, 10)  # CM by Q(sqrt(-11))
@@ -354,18 +354,7 @@ def enumeration_verdict(C, l, traces) -> str:
     return "surjective"
 
 
-def box_curves(seed, count):
-    """Curves y^2 + a1 xy + a3 y = x^3 + a2 x^2 + a4 x + a6 from a small box."""
-    rng, out = random.Random(seed), []
-    while len(out) < count:
-        C = WeierstrassCurve(rng.randint(0, 1), rng.randint(-1, 1), rng.randint(0, 1),
-                             rng.randint(-50, 50), rng.randint(-50, 50))
-        if C.discriminant():
-            out.append(C)
-    return out
-
-
-ORACLE_CURVES = [WeierstrassCurve(*a) for a in NAMED_CURVES.values()] + box_curves(1, 40)
+ORACLE_CURVES = [WeierstrassCurve(*a) for a in NAMED_CURVES.values()] + seeded_models(1, 40)
 
 
 @pytest.mark.parametrize("bound", [30, 1000])

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -8,7 +9,7 @@ from mpmath import mp
 from ecledger.arith import DomainError, factorize, primes_up_to
 from ecledger.cli import TERMS_CAP
 from ecledger.counting import frobenius_table, trace_ap
-from ecledger.curve import E1, E2, SingularCurveError, WeierstrassCurve
+from ecledger.curve import E1, E2, WeierstrassCurve
 from ecledger.local_data import ReductionKind, UnsupportedReductionError, conductor_semistable, tamagawa_product
 from ecledger.lvalue import (
     GUARD_BITS,
@@ -29,7 +30,7 @@ from ecledger.lvalue import (
     root_number,
 )
 from ecledger.torsion import torsion_subgroup
-from test_counting import seeded_models
+from test_counting import box_models, seeded_models
 from test_local_data import local_data
 
 M = 2000
@@ -219,19 +220,13 @@ def test_lvalue_ratio_has_no_l_value_without_a_tail_bound():
 
 def semistable_box_curves(seed, count):
     """The first `count` box curves of root number +1 with multiplicative reduction at every bad prime."""
-    import random
-
-    box, out = random.Random(seed), []
-    while len(out) < count:
+    def semistable_of_root_number_one(C):
         try:
-            C = WeierstrassCurve(box.randint(0, 1), box.randint(-1, 1), box.randint(0, 1),
-                                 box.randint(-50, 50), box.randint(-50, 50))
-            local = local_data(C)
-        except (SingularCurveError, UnsupportedReductionError):
-            continue
-        if root_number(local) == 1:
-            out.append(C)
-    return out
+            return root_number(local_data(C)) == 1
+        except UnsupportedReductionError:
+            return False
+
+    return list(itertools.islice(filter(semistable_of_root_number_one, box_models(seed)), count))
 
 
 def fixed_point_bound(a, u, P):
