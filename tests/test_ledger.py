@@ -11,21 +11,104 @@ import pytest
 from ecledger import arith, cli, galois_image, ledger, local_data, lvalue, padic, torsion
 from ecledger.cli import main
 from ecledger.curve import E1, E2, WeierstrassCurve, curve_from_string
-from ecledger.ledger import CheckRecord, LedgerOptions, VerificationReport, emit_report, report_from_json, run_ledger
+from ecledger.ledger import (CITED_DEPENDENCIES, VERIFIED, CheckRecord, LedgerOptions, VerificationReport,
+                             emit_report, report_from_json, run_ledger)
 from test_counting import seeded_models
 
 # The CLI's contracts (goldens, exit codes, refusals) are rows of tests/test_cli_contracts.py;
-# these tests check what no row can: parse-level values, monkeypatched guards, oracles over the ledger.
+# these tests check what no row can: the report objects run_ledger builds, parse-level values,
+# monkeypatched guards, oracles over the ledger.
 FAST = LedgerOptions(prime_bound=500, l_list=(3,), terms=500, padic_digits=12)
 
+EXPECTED_E1_IDS = ["invariants", "reduction-3", "reduction-5", "conductor", "tamagawa-product", "torsion",
+                   "isogeny-degree-2", "mod8-order", "mod8-det-subgroup", "mod8-fixed-points", "surjectivity-l3",
+                   "surjectivity-l5", "surjectivity-l7", "surjectivity-residual", "ordinary-criterion",
+                   "lvalue-ratio", "linv-5"] + [rid for rid, _ in CITED_DEPENDENCIES]
 
-def test_json_roundtrip():
-    report = run_ledger(E1, LedgerOptions(prime_bound=1000))
-    text = emit_report(report, "json-text")
+
+@pytest.fixture(scope="module")
+def e1_report():
+    return run_ledger(E1, LedgerOptions(prime_bound=1000))
+
+
+def test_e1_overall_verified(e1_report):
+    assert e1_report.overall == VERIFIED
+
+
+def test_e1_record_ids_complete(e1_report):
+    assert [r.id for r in e1_report.records] == EXPECTED_E1_IDS
+
+
+def test_cited_records_exactly_once(e1_report):
+    cited = [r for r in e1_report.records if r.method == "cited"]
+    ids = [r.id for r in cited]
+    assert len(ids) == len(set(ids))
+    assert {rid for rid, _ in CITED_DEPENDENCIES} <= set(ids)
+    for r in cited:
+        assert r.status == "cited"
+
+
+def test_status_method_invariant(e1_report):
+    for r in e1_report.records:
+        assert (r.status == "cited") == (r.method == "cited")
+        if r.method == "computed":
+            assert r.status in ("pass", "fail", "unsupported")
+
+
+def test_key_results_recorded(e1_report):
+    assert "product=8" in e1_report.record("tamagawa-product").result
+    assert "structure=Z/2 x Z/4" in e1_report.record("torsion").result
+    assert "ratio=1/8" in e1_report.record("lvalue-ratio").result
+    assert "|G|=16" in e1_report.record("mod8-order").result
+    assert "fixed(G)==fixed(H): True" in e1_report.record("mod8-fixed-points").result
+    assert "valuation=1" in e1_report.record("linv-5").result
+    assert "kernel=(-13/4,9/8)" in e1_report.record("isogeny-degree-2").result
+
+
+def test_json_emission_deterministic():
+    a = emit_report(run_ledger(E1, FAST), "json-text")
+    b = emit_report(run_ledger(E1, FAST), "json-text")
+    assert a == b
+    assert a.encode() == b.encode()
+
+
+def test_json_roundtrip(e1_report):
+    text = emit_report(e1_report, "json-text")
     back = report_from_json(text)
-    assert back == report
-    assert back.overall == report.overall
+    assert back == e1_report
+    assert back.overall == e1_report.overall
     json.loads(text)  # valid JSON
+
+
+def test_human_text_one_line_per_record(e1_report):
+    text = emit_report(e1_report, "human-text")
+    for r in e1_report.records:
+        assert any(r.claim in line for line in text.splitlines())
+    assert f"overall: {VERIFIED}" in text
+
+
+def test_e2_ledger_verifies(fast_ledgers):
+    report = fast_ledgers[E2]
+    assert report.overall == VERIFIED
+    assert "structure=Z/2 x Z/4" in report.record("torsion").result
+    assert report.record("mod8-order").status == "unsupported"
+    assert "skipped: external image data unavailable" in report.record("mod8-order").result
+
+
+def test_non_minimal_model_marked_unsupported():
+    # y^2 = x^3 - 16x is not minimal at 2; the ledger ended in a DomainError traceback
+    report = run_ledger(WeierstrassCurve(0, 0, 0, -16, 0), FAST)
+    for rid in ("reduction-2", "conductor", "tamagawa-product", "lvalue-ratio", "linv"):
+        assert report.record(rid).status == "unsupported"
+        assert "minimality certificate fails at 2" in report.record(rid).result
+    assert report.record("invariants").status == "fail"
+    assert "minimal=False" in report.record("invariants").result
+
+
+def test_additive_curve_marked_unsupported():
+    report = run_ledger(WeierstrassCurve(0, 0, 0, 0, 1), FAST)
+    unsupported = {r.id for r in report.records if r.status == "unsupported"}
+    assert {"reduction-2", "reduction-3", "conductor", "tamagawa-product", "lvalue-ratio"} <= unsupported
 
 
 def test_checkrecord_invariant_enforced():
@@ -97,6 +180,18 @@ def test_cli_output_that_cannot_be_written_exits_2(monkeypatch, capsys):
         main(["torsion"])
     assert exc.value.code == 2
     assert capsys.readouterr().err == "ecledger: error: cannot write 'stdout': No space left on device\n"
+
+
+def test_cli_ledger_exit_codes(tmp_path):
+    out = tmp_path / "report.json"
+    code = main(["ledger", "--curve", "1,1,1,-10,-10", "--prime-bound", "500", "--l-list", "3", "--terms", "500",
+                 "--format", "json", "--out", str(out)])
+    assert code == 0
+    assert json.loads(out.read_text())["overall"] == VERIFIED
+    # a curve whose mod-3 image is genuinely proper fails certification
+    code = main(["ledger", "--curve", "0,-1,1,-10,-20", "--prime-bound", "500", "--l-list", "5", "--terms", "500",
+                 "--format", "json", "--out", str(out)])
+    assert code == 1
 
 
 def test_cli_defaults_are_the_ledger_defaults():
