@@ -21,18 +21,32 @@ class DomainError(ValueError):
 # Entries kept by the is_prime and factorize caches: a ledger reads a handful
 # of each, and a process that runs ledger after ledger keeps only the latest.
 CACHE_SIZE = 128
+# Sieves kept by primes_up_to: a ledger reads at most two bounds, the
+# certificates' prime bound and the series' number of terms.
+SIEVE_CACHE_SIZE = 4
 
-# Strong probable-prime tests to the prime bases 2..41 decide primality of
-# every n below this bound (Sorenson and Webster, Math. Comp. 86 (2017)).
+# Strong probable-prime tests to the first k prime bases decide primality of
+# every n below the least strong pseudoprime to those bases (Jaeschke, Math.
+# Comp. 61 (1993); Sorenson and Webster, Math. Comp. 86 (2017)).  is_prime
+# takes the fewest bases whose bound lies above n: (bound, k) for k = 4, 7,
+# 9, 12 and 13, the last bound being MILLER_RABIN_BOUND.
 MILLER_RABIN_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 MILLER_RABIN_BOUND = 3_317_044_064_679_887_385_961_981
+MILLER_RABIN_TIERS = (
+    (3_215_031_751, 4),
+    (341_550_071_728_321, 7),
+    (3_825_123_056_546_413_051, 9),
+    (318_665_857_834_031_151_167_461, 12),
+    (MILLER_RABIN_BOUND, 13),
+)
 
 
 @lru_cache(maxsize=CACHE_SIZE)
 def is_prime(n: int) -> bool:
     """Deterministic primality, cached: every valuation and every PadicNumber
-    checks its p, so a ledger proves each p once.  Miller-Rabin to the bases
-    MILLER_RABIN_BASES; from MILLER_RABIN_BOUND on, a DomainError unless a base divides n."""
+    checks its p, so a ledger proves each p once.  Miller-Rabin to the first
+    bases of MILLER_RABIN_BASES that MILLER_RABIN_TIERS names for n; from
+    MILLER_RABIN_BOUND on, a DomainError unless a base divides n."""
     if n < 2:
         return False
     for q in MILLER_RABIN_BASES:
@@ -42,23 +56,27 @@ def is_prime(n: int) -> bool:
         raise DomainError(f"primality of {n} is not decided at or above {MILLER_RABIN_BOUND}")
     s = ((n - 1) & -(n - 1)).bit_length() - 1  # n - 1 = d 2^s with d odd
     d = (n - 1) >> s
-    for a in MILLER_RABIN_BASES:  # strong probable prime: a^d = 1 or a^(d 2^i) = -1 for an i < s
+    count = next(k for bound, k in MILLER_RABIN_TIERS if n < bound)
+    for a in MILLER_RABIN_BASES[:count]:  # strong probable prime: a^d = 1 or a^(d 2^i) = -1 for an i < s
         x = pow(a, d, n)
         if x != 1 and all(pow(x, 1 << i, n) != n - 1 for i in range(s)):
             return False
     return True
 
 
-def primes_up_to(bound: int) -> list[int]:
-    """All primes <= bound, ascending (Eratosthenes)."""
+@lru_cache(maxsize=SIEVE_CACHE_SIZE)
+def primes_up_to(bound: int) -> tuple[int, ...]:
+    """All primes <= bound, ascending (Eratosthenes), cached: every Frobenius
+    sweep of a process reads the same few sieves.  A tuple, so no caller can
+    change what the next one reads."""
     if bound < 2:
-        return []
+        return ()
     sieve = bytearray([1]) * (bound + 1)
     sieve[0] = sieve[1] = 0
     for p in range(2, math.isqrt(bound) + 1):
         if sieve[p]:
             sieve[p * p :: p] = bytearray(len(sieve[p * p :: p]))
-    return list(compress(range(bound + 1), sieve))
+    return tuple(compress(range(bound + 1), sieve))
 
 
 def valuation(n: int, p: int) -> int:

@@ -2,10 +2,13 @@
 
 ``count_points`` is O(p) per prime: for odd p the affine count is
 p + sum_x chi(f(x)) where f is the completed square
-f(x) = 4x^3 + b2 x^2 + 2 b4 x + b6 and chi the quadratic character.  The
-numpy kernel takes that sum over one arange(p), reducing x^2 and f once
-each and reading chi from an int8 table set at the squares, in int32 while
-that is exact and in int64 above.  p = 2 is brute force.
+f(x) = 4x^3 + b2 x^2 + 2 b4 x + b6 and chi the quadratic character, read
+from an int8 table set at the squares; x^2 and f are reduced once each, in
+int32 while that is exact and in int64 above.  ``_character_sums`` takes the
+sums for a list of primes: those below CHARACTER_SMALL at once, their tables
+end to end, and each larger one over x in steps of CHARACTER_BLOCK, so a count
+holds its table and O(block), 1.4 bytes per residue at p = 999,983
+(tracemalloc).  p = 2 is brute force.
 
 Every trace the ledger reads comes from ``frobenius_table``, a pure function
 of the curve and a range of primes that asserts the Hasse bound on each
@@ -17,8 +20,20 @@ its non-negative operands), and one lane per (prime, point): a lane lists
 every trace its point allows, and a prime whose two lanes share exactly one
 is done.  Mestre's theorem (from p > 229 on, E or its twist has a point whose
 order has one multiple in the Hasse interval) only explains why few primes
-stay open.  ``count_points`` takes p = 2, p = 3 and the open primes, and is
-the pass's oracle in the tests.
+stay open.  p = 2, p = 3 and the open primes (about 13 more per box curve
+at 10^4) are counted by one call of ``_counted_traces``.
+
+The table is built on arrays: the cached sieve (``arith.primes_up_to``), the
+good primes and each lane's A and B by limb-wise residues of the
+discriminant, c4 and c6, the Hasse check on the whole array, and one dict at
+the end.  The lanes' points take their quadratic characters by one Euler
+exponentiation in which bit b runs on the lanes whose exponent reaches 2^b,
+and an addition whose difference is the point at infinity reads the doubling
+from a row the pass already holds (2P, M, 2M or 4M).  Over 40 box curves
+(seed 1) at 10^4, ``frobenius_table`` takes about 5.9 ms a curve, of which
+this set-up (the sieve, the residues, the lanes' points and characters, the
+open primes and the dict) is about 0.75 ms; the x-only steps and the matches
+are the rest (BENCH_33).
 
 The pass's giant steps match its baby steps by a divisibility test with no
 division (Granlund-Montgomery, PLDI 1994; Lemire-Kaser-Kurz, 2019): for odd
@@ -43,13 +58,16 @@ tables: 10 rows, not 16, and a third less peak memory in the pass.
 from __future__ import annotations
 
 import math
-from collections.abc import Mapping
+from bisect import bisect_left, bisect_right
+from collections.abc import Mapping, Sequence
 
 from .arith import DomainError, is_prime, primes_up_to
 from .curve import BadReductionError, WeierstrassCurve
 
 COUNT_POINTS_MAX_P = 1_100_000_000  # 7 p^2 < 2^63 keeps count_points and the pass exact
 BSGS_CHUNK = 2048  # primes per pass, which bounds its (m + 1) x lanes tables
+CHARACTER_BLOCK = 1 << 13  # residues per step of one prime's character sum, which bounds its temporaries
+CHARACTER_SMALL = 1 << 10  # odd primes below it share one table of characters
 
 
 def _exact_dtype(p: int):
@@ -82,23 +100,80 @@ def count_points(C: WeierstrassCurve, p: int) -> int:
         raise DomainError(f"{p} is not prime")
     if C.discriminant() % p == 0:
         raise BadReductionError(f"bad reduction at {p}")
-    if p == 2:
-        return count_points_naive(C, 2)
-    dtype = _exact_dtype(p)
-    import numpy as np
+    return p + 1 - _counted_traces(C, [p])[0]
 
-    b2, b4, b6, _ = (v % p for v in C.b_invariants())
-    # a - a // p * p is a % p on a >= 0, and numpy's floor division by a
-    # scalar is much faster than its remainder.
-    x = np.arange(p, dtype=dtype)
+
+def _counted_traces(C: WeierstrassCurve, primes: Sequence[int]) -> list[int]:
+    """[a_p for p in primes], ascending good primes, by counting points: p = 2
+    by brute force, every odd p by one call of ``_character_sums``."""
+    odd = primes[1:] if primes and primes[0] == 2 else primes
+    traces = [-s for s in _character_sums(C, odd)]  # #E(F_p) = p + 1 + the sum
+    return [3 - count_points_naive(C, 2), *traces] if len(odd) < len(primes) else traces
+
+
+def _character_sums(C: WeierstrassCurve, primes: Sequence[int]) -> list[int]:
+    """[sum over x mod p of chi(f(x)) for p in primes], at ascending odd good primes.
+
+    The primes below CHARACTER_SMALL, whose sums cost mostly numpy's call
+    overhead, share one table; each larger prime is summed alone.
+    """
+    b = C.b_invariants()[:3]
+    small = bisect_left(primes, CHARACTER_SMALL)
+    return (_shared_character_sums(b, primes[:small]) if small else []) + [_character_sum(b, p) for p in primes[small:]]
+
+
+def _reduced_square(x, p):
     sq = x * x
-    sq -= sq // p * p
+    sq -= sq // p * p  # a - a // p * p is a % p on a >= 0, and numpy's floor division is faster
+    return sq
+
+
+def _reduced_f(x, sq, p, b2, b4, b6):
     f = (4 * x + b2) * sq + (2 * b4 * x + b6)  # below 7p^2, where Horner's x^3 is not
     f -= f // p * p
+    return f
+
+
+def _character_sum(b, p: int) -> int:
+    """The sum at one odd prime p, from (b2, b4, b6), over x in steps of
+    CHARACTER_BLOCK: an int8 table of chi (1 byte per residue), set at the
+    squares of x <= p/2, and O(block) besides."""
+    import numpy as np
+
+    dtype = _exact_dtype(p)
+    b2, b4, b6 = (v % p for v in b)
     chi = np.full(p, -1, dtype=np.int8)  # numpy gathers by intp indices fastest
-    chi[sq.astype(np.intp, copy=False)] = 1
+    for lo in range(0, p // 2 + 1, CHARACTER_BLOCK):  # x and p - x have one square
+        x = np.arange(lo, min(lo + CHARACTER_BLOCK, p // 2 + 1), dtype=dtype)
+        chi[_reduced_square(x, p).astype(np.intp, copy=False)] = 1
     chi[0] = 0
-    return int(p + 1 + chi[f.astype(np.intp, copy=False)].sum(dtype=np.int64))
+    total = 0
+    for lo in range(0, p, CHARACTER_BLOCK):
+        x = np.arange(lo, min(lo + CHARACTER_BLOCK, p), dtype=dtype)
+        f = _reduced_f(x, _reduced_square(x, p), p, b2, b4, b6)
+        total += int(chi[f.astype(np.intp, copy=False)].sum(dtype=np.int64))
+    return total
+
+
+def _shared_character_sums(b, primes: Sequence[int]) -> list[int]:
+    """The sums at odd primes below CHARACTER_SMALL at once: their residues lie
+    end to end in one table of chi, with each residue's prime, offset and
+    coefficients gathered into arrays (at most about 80,000 residues)."""
+    import numpy as np
+
+    dtype = _exact_dtype(primes[-1])
+    q = np.array(primes, dtype=dtype)
+    starts = np.cumsum(q) - q
+    owner = np.repeat(np.arange(len(primes)), primes)
+    p, base = q[owner], starts[owner]
+    b2, b4, b6 = (np.array([v % r for r in primes], dtype=dtype)[owner] for v in b)
+    x = np.arange(owner.size, dtype=dtype) - base
+    sq = _reduced_square(x, p)
+    f = _reduced_f(x, sq, p, b2, b4, b6)
+    chi = np.full(owner.size, -1, dtype=np.int8)
+    chi[(base + sq).astype(np.intp, copy=False)] = 1
+    chi[starts] = 0
+    return np.add.reduceat(chi[(base + f).astype(np.intp, copy=False)], starts, dtype=np.int64).tolist()
 
 
 def trace_ap(C: WeierstrassCurve, p: int) -> int:
@@ -130,14 +205,15 @@ def _x_double(X, Z, E):
     return fmod(u * u + B8 * fmod(XZ * ZZ, p), p), fmod(XZ * v + B4 * fmod(ZZ * ZZ, p), p)
 
 
-def _x_add(P, Q, D, E):
+def _x_add(P, Q, D, E, twice):
     """x(P + Q) from x(P), x(Q) and x(P - Q), by the sum form
     x(P + Q) + x(P - Q) = 2((x1 + x2)(x1 x2 + A) + 2B) / (x1 - x2)^2.
 
-    In a lane where P - Q is the point at infinity, P = Q and the sum is x(2Q).
-    Elsewhere the numerator and denominator vanish together only if P = -Q
-    is a 2-torsion point or P = Q is the point at infinity, that is when
-    P - Q is the point at infinity; so no lane ever reaches (0:0).
+    In a lane where P - Q is the point at infinity, P = Q and the sum is x(2Q),
+    which the caller already holds and passes as ``twice``.  Elsewhere the
+    numerator and denominator vanish together only if P = -Q is a 2-torsion
+    point or P = Q is the point at infinity, that is when P - Q is the point
+    at infinity; so no lane ever reaches (0:0).
     """
     from numpy import fmod
     (X1, Z1), (X2, Z2), (Xd, Zd) = P, Q, D
@@ -148,7 +224,7 @@ def _x_add(P, Q, D, E):
     X, Z = fmod(2 * w * Zd + (p - Xd) * e, p), fmod(Zd * e, p)
     at_inf = (Zd == 0).nonzero()[0]
     if at_inf.size:
-        X[at_inf], Z[at_inf] = _x_double(X2[at_inf], Z2[at_inf], tuple(v[at_inf] for v in E))
+        X[at_inf], Z[at_inf] = twice[0][at_inf], twice[1][at_inf]
     return X, Z
 
 
@@ -158,13 +234,21 @@ def _tail(values, start: int):
 
 
 def _euler(f, p):
-    """f^((p - 1) / 2) mod p, lane by lane."""
+    """f^((p - 1) / 2) mod p, lane by lane, for lanes ascending by p.
+
+    Exponent bit b runs on the suffix of lanes from the first whose exponent
+    reaches 2^b; it multiplies by f^(2^b) or by 1, so no lane branches.
+    """
     import numpy as np
 
     e, out = (p - 1) // 2, np.ones_like(p)
-    while e.any():
-        out = np.where(e & 1, np.fmod(out * f, p), out)
-        f, e = np.fmod(f * f, p), e >> 1
+    top = int(e[-1]).bit_length()
+    for bit in range(top):
+        s = int(np.searchsorted(e, 1 << bit))
+        fs, ps, outs = f[s:], p[s:], out[s:]
+        np.fmod(outs * ((e[s:] >> bit & 1) * (fs - 1) + 1), ps, out=outs)
+        if bit + 1 < top:
+            np.fmod(fs * fs, ps, out=fs)
     return out
 
 
@@ -176,8 +260,13 @@ def _lane_points(p, A, B):
 
     lane = np.arange(p.size)
     x = np.arange(1, 6, dtype=p.dtype)[:, None]
-    f = ((x * x % p + A) % p * x + B) % p  # f has at most three roots, so 1..5 hold two others
-    x0 = (np.cumsum(f != 0, axis=0) <= lane % 2).sum(axis=0)  # row of the lane's non-root
+    f = np.fmod(x * x * x + x * A + B, p)  # below 6p + 125; f has at most three roots, so 1..5 hold two others
+    # the lane's row: the rows before it whose count of non-roots so far is at
+    # most the lane's parity; the fifth row never is, as the first four hold two
+    x0, nonroots = np.zeros((2, p.size), dtype=np.int8)
+    for row in f[:4] != 0:
+        nonroots += row
+        x0 += nonroots <= lane % 2
     return x0 + 1, np.where(_euler(f[x0, lane], p) == 1, 1, -1)
 
 
@@ -207,7 +296,7 @@ def _matches(BX, BZ, gx, gz, limit):
     return np.flatnonzero(cross <= limit)
 
 
-def _windows(primes: list[int]):
+def _windows(primes):
     """(m, c, K) of one pass over the ascending primes > 3, per lane.
 
     Baby steps run from 0 to m.  Lane l of prime p = primes[l // 2] has the
@@ -217,8 +306,8 @@ def _windows(primes: list[int]):
     """
     import numpy as np
 
-    m = math.isqrt(math.isqrt(4 * primes[-1]) // 2) | 1  # see the module docstring
-    p = np.array(primes, dtype=np.int64).repeat(2)
+    m = math.isqrt(math.isqrt(4 * int(primes[-1])) // 2) | 1  # see the module docstring
+    p = np.asarray(primes, dtype=np.int64).repeat(2)
     r = np.sqrt(4 * p).astype(np.int64)  # floor(2 sqrt p), corrected by one either way below
     r += (r + 1) ** 2 <= 4 * p
     r -= r * r > 4 * p
@@ -226,19 +315,34 @@ def _windows(primes: list[int]):
     return m, c, (p + 1 + r - (c - 1) * m + 2 * m - 1) // (2 * m)
 
 
-def _bsgs_traces(C: WeierstrassCurve, primes: list[int]) -> dict[int, int]:
-    """{p: a_p} for those of the ascending good primes p > 3 whose two lanes
-    leave one candidate trace; ``count_points`` counts the rest."""
+def _residues(n: int, p):
+    """n mod p lane by lane, for an integer n of any size and an int64 array p
+    of moduli below 2^31: Horner's rule on the 31-bit limbs of |n|, top limb
+    first, where r 2^31 + limb < 2^62 for r < p."""
+    import numpy as np
+
+    m, r = abs(n), np.zeros_like(p)
+    for shift in range(m.bit_length() // 31 * 31, -1, -31):
+        r = np.fmod((r << 31) + (m >> shift & 0x7FFFFFFF), p)
+    return r if n >= 0 else np.fmod(p - r, p)
+
+
+def _bsgs_traces(C: WeierstrassCurve, primes):
+    """(solved, a) over the ascending good primes p > 3, an int64 array: solved
+    where a prime's two lanes leave one candidate trace, which a holds there."""
+    import numpy as np
+
     c4, c6 = C.c_invariants()
-    traces: dict[int, int] = {}
-    for i in range(0, len(primes), BSGS_CHUNK):
+    solved, a = np.zeros(primes.size, dtype=bool), np.zeros_like(primes)
+    for i in range(0, primes.size, BSGS_CHUNK):
         chunk = primes[i : i + BSGS_CHUNK]
-        r = math.isqrt(4 * chunk[-1])  # |a_p| <= r at every prime of the chunk
-        traces.update(_single_shared_trace(chunk, _lane_candidates(c4, c6, chunk, r), r))
-    return traces
+        r = math.isqrt(4 * int(chunk[-1]))  # |a_p| <= r at every prime of the chunk
+        j, aj = _single_shared_trace(_lane_candidates(c4, c6, chunk, r), r)
+        solved[i + j], a[i + j] = True, aj
+    return solved, a
 
 
-def _lane_candidates(c4: int, c6: int, primes: list[int], r: int):
+def _lane_candidates(c4: int, c6: int, primes, r: int):
     """Every trace each lane allows, as lane * (2r + 1) + a + r.
 
     Prime i has lanes 2i and 2i + 1.  A lane's point P has x = x0, the first
@@ -258,10 +362,10 @@ def _lane_candidates(c4: int, c6: int, primes: list[int], r: int):
     """
     import numpy as np
 
-    dtype = _exact_dtype(primes[-1])
-    p = np.array(primes, dtype=dtype).repeat(2)
-    A = np.array([-27 * c4 % q for q in primes], dtype=dtype).repeat(2)
-    B = np.array([-54 * c6 % q for q in primes], dtype=dtype).repeat(2)
+    dtype = _exact_dtype(int(primes[-1]))
+    p = primes.astype(dtype).repeat(2)
+    A = _residues(-27 * c4, primes).astype(dtype).repeat(2)
+    B = _residues(-54 * c6, primes).astype(dtype).repeat(2)
     E = _lane_constants(p, A, B)
 
     # A match reads both g - j and g + j, and where only one of them is a
@@ -278,7 +382,7 @@ def _lane_candidates(c4: int, c6: int, primes: list[int], r: int):
     BX[1], chi = _lane_points(p, A, B)
     for j in range(1, m):  # 2P by doubling: P - P is the point at infinity
         BX[j + 1], BZ[j + 1] = (_x_double(BX[1], BZ[1], E) if j == 1 else
-                                _x_add((BX[j], BZ[j]), (BX[1], BZ[1]), (BX[j - 1], BZ[j - 1]), E))
+                                _x_add((BX[j], BZ[j]), (BX[1], BZ[1]), (BX[j - 1], BZ[j - 1]), E, (BX[2], BZ[2])))
     M = BX[m].copy(), BZ[m].copy()
     # one Montgomery ladder on M for all lanes: R0 = cM, R1 = (c + 1)M
     R0, R1 = (np.ones_like(p), np.zeros_like(p)), (M[0].copy(), M[1].copy())
@@ -286,8 +390,8 @@ def _lane_candidates(c4: int, c6: int, primes: list[int], r: int):
     for bit in reversed(range(int(top[-1]).bit_length())):
         s = int(np.searchsorted(top, 1 << bit))
         b = (c[s:] >> bit & 1).astype(bool)
-        r0, r1, e = _tail(R0, s), _tail(R1, s), _tail(E, s)
-        add = _x_add(r0, r1, _tail(M, s), e)
+        r0, r1, e, d = _tail(R0, s), _tail(R1, s), _tail(E, s), _tail(M, s)
+        add = _x_add(r0, r1, d, e, d)  # where M is the point at infinity so is every multiple
         dbl = _x_double(np.where(b, r1[0], r0[0]), np.where(b, r1[1], r0[1]), e)
         for u, v, w0, w1 in zip(r0, r1, add, dbl):
             u[:], v[:] = np.where(b, w0, w1), np.where(b, w1, w0)
@@ -301,14 +405,16 @@ def _lane_candidates(c4: int, c6: int, primes: list[int], r: int):
     BX = np.subtract(p, BX, out=BX).view(inv.dtype)
     BZ = BZ.view(inv.dtype)
     starts = np.searchsorted(np.maximum.accumulate(K), np.arange(int(K.max()) + 2), side="right").tolist()
-    G, G_next = R0, _tail(_x_add(R1, M, R0, E), starts[1])  # cM and (c + 2)M
+    G, G_next = R0, _tail(_x_add(R1, M, R0, E, S), starts[1])  # cM and (c + 2)M
+    S2 = _x_double(*_tail(S, starts[2]), _tail(E, starts[2]))  # 4M, on the lanes of window 2 on
     found = []  # (window, its first lane, its hits in the flat table)
     for k, s in enumerate(starts[:-2]):
         found.append((k, s, _matches(BX[:, s:], BZ[:, s:], G[0].view(inv.dtype) * inv[s:],
                                      G[1].view(inv.dtype) * inv[s:], limit[s:])))
         t = starts[k + 2]
         if t < p.size:  # (c + 2k + 4)M = (c + 2k + 2)M + 2M, less (c + 2k)M, on the lanes of window k + 2
-            G, G_next = G_next, _x_add(_tail(G_next, t - starts[k + 1]), _tail(S, t), _tail(G, t - s), _tail(E, t))
+            G, G_next = G_next, _x_add(_tail(G_next, t - starts[k + 1]), _tail(S, t), _tail(G, t - s), _tail(E, t),
+                                       _tail(S2, t - starts[2]))
         else:
             G = G_next
     del BX, BZ  # freed before the keys' temporaries are made
@@ -324,8 +430,8 @@ def _lane_candidates(c4: int, c6: int, primes: list[int], r: int):
     return np.concatenate(keys)
 
 
-def _single_shared_trace(primes: list[int], keys, r: int) -> dict[int, int]:
-    """{p: a} for the primes whose two lanes share exactly one trace a."""
+def _single_shared_trace(keys, r: int):
+    """(i, a): the indices i of the primes whose two lanes share exactly one trace, and that trace a."""
     import numpy as np
 
     # Sorting and neighbour tests in place of np.unique, whose first call
@@ -339,28 +445,33 @@ def _single_shared_trace(primes: list[int], keys, r: int) -> dict[int, int]:
     prime = shared // span
     alone = np.concatenate(([True], prime[1:] != prime[:-1], [True]))
     one = alone[:-1] & alone[1:]
-    return dict(zip([primes[i] for i in prime[one].tolist()], (shared[one] % span - r).tolist()))
+    return prime[one], shared[one] % span - r
 
 
 def frobenius_table(C: WeierstrassCurve, bound: int, above: int = 1) -> dict[int, int]:
     """{p: a_p} for the good primes above < p <= bound, ascending.
 
     Every good p > 3 enters through one baby-step giant-step pass, p = 2,
-    p = 3 and the pass's open primes through ``trace_ap``.  Every trace is
-    checked against the Hasse bound a_p^2 <= 4p as it enters.
+    p = 3 and the pass's open primes through ``_counted_traces``.  Every
+    trace is checked against the Hasse bound a_p^2 <= 4p before the table is
+    built.
     """
     if bound > COUNT_POINTS_MAX_P:  # refused before a sieve of bound bytes is built
         raise DomainError(f"bound {bound} exceeds the exact int64 range of the point count")
-    disc = C.discriminant()
-    primes = [p for p in primes_up_to(bound) if p > above and disc % p]
-    batched = _bsgs_traces(C, [p for p in primes if p > 3])
-    traces = {}
-    for p in primes:
-        ap = batched[p] if p in batched else trace_ap(C, p)
-        if ap * ap > 4 * p:
-            raise AssertionError(f"Hasse bound violated at {p}: a_p = {ap}")
-        traces[p] = ap
-    return traces
+    import numpy as np
+
+    primes = primes_up_to(bound)
+    p = np.array(primes[bisect_right(primes, above) :], dtype=np.int64)
+    p = p[_residues(C.discriminant(), p) != 0]
+    s = int(np.searchsorted(p, 4))  # the pass takes p > 3
+    solved, ap = _bsgs_traces(C, p[s:])
+    ap = np.concatenate((np.zeros(s, dtype=np.int64), ap))
+    counted = np.concatenate((np.arange(s), s + np.flatnonzero(~solved)))
+    ap[counted] = _counted_traces(C, p[counted].tolist())
+    bad = np.flatnonzero(ap * ap > 4 * p)
+    if bad.size:
+        raise AssertionError(f"Hasse bound violated at {p[bad[0]]}: a_p = {ap[bad[0]]}")
+    return dict(zip(p.tolist(), ap.tolist()))
 
 
 def hasse_contradiction_symbolic(torsion_order: int) -> bool:

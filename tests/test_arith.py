@@ -4,6 +4,9 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from ecledger.arith import (
+    MILLER_RABIN_BASES,
+    MILLER_RABIN_BOUND,
+    MILLER_RABIN_TIERS,
     DomainError,
     factorize,
     integer_cubic_roots,
@@ -25,9 +28,20 @@ def brute_primes(bound):
 
 
 def test_primes_up_to_matches_trial_division():
-    assert primes_up_to(200) == brute_primes(200)
-    assert primes_up_to(1) == []
-    assert primes_up_to(2) == [2]
+    assert primes_up_to(200) == tuple(brute_primes(200))
+    assert primes_up_to(1) == ()
+    assert primes_up_to(2) == (2,)
+
+
+@pytest.mark.parametrize("bound", [0, 1, 2, 3, 300, 10**4])
+def test_cached_sieve_equals_a_fresh_one_and_cannot_be_changed(bound):
+    cached = primes_up_to(bound)
+    assert primes_up_to(bound) is cached  # the second call reads the cache
+    assert cached == primes_up_to.__wrapped__(bound) == tuple(n for n in range(bound + 1) if is_prime(n))
+    with pytest.raises((TypeError, AttributeError)):
+        cached[0] = 4
+    with pytest.raises(AttributeError):
+        cached.append(bound + 1)
 
 
 def test_primes_up_to_at_prime_squares():
@@ -36,7 +50,7 @@ def test_primes_up_to_at_prime_squares():
     primes = [m for m in range(97**2 + 2) if is_prime(m)]
     for q in primes_up_to(100):
         for n in (q * q - 1, q * q, q * q + 1):
-            assert primes_up_to(n) == [m for m in primes if m <= n]
+            assert primes_up_to(n) == tuple(m for m in primes if m <= n)
 
 
 def test_is_prime_small_range():
@@ -45,14 +59,52 @@ def test_is_prime_small_range():
         assert is_prime(n) == (n in expected)
 
 
-def test_is_prime_agrees_with_the_sieve_below_1e5():
-    assert [n for n in range(10**5) if is_prime(n)] == primes_up_to(10**5)
+def test_is_prime_agrees_with_the_sieve_below_1e6():
+    # below 3215031751 is_prime runs the bases 2, 3, 5 and 7 only
+    assert tuple(n for n in range(10**6) if is_prime.__wrapped__(n)) == primes_up_to.__wrapped__(10**6)
 
 
-@pytest.mark.parametrize("n", [3215031751, 3825123056546413051, 318665857834031151167461])
+def strong_probable_prime(n: int, bases) -> bool:
+    """n passes the strong test to every base: a^d = 1 or a^(d 2^i) = -1 mod n for some i < s, n - 1 = d 2^s."""
+    s = 0
+    while (n - 1) >> s & 1 == 0:
+        s += 1
+    d = (n - 1) >> s
+    return all(pow(a, d, n) == 1 or any(pow(a, d << i, n) == n - 1 for i in range(s)) for a in bases)
+
+
+# each tier's bound, composite, with its prime factors
+TIER_BOUND_FACTORS = {
+    3215031751: (151, 751, 28351),
+    341550071728321: (10670053, 32010157),
+    3825123056546413051: (149491, 747451, 34233211),
+    318665857834031151167461: (399165290221, 798330580441),
+    MILLER_RABIN_BOUND: (1287836182261, 2575672364521),
+}
+
+
+@pytest.mark.parametrize("n", [3215031751, 341550071728321, 3825123056546413051, 318665857834031151167461])
 def test_is_prime_rejects_strong_pseudoprimes(n):
-    # strong pseudoprimes to every prime base up to 7, 31 and 37 respectively
+    # a tier's bound is a strong pseudoprime to the bases is_prime runs below
+    # it, so those bases could not reach further; is_prime rejects it with the
+    # next tier's bases
+    tiers = [bound for bound, _ in MILLER_RABIN_TIERS]
+    below, above = (count for _, count in MILLER_RABIN_TIERS[tiers.index(n) : tiers.index(n) + 2])
+    assert math.prod(TIER_BOUND_FACTORS[n]) == n and all(is_prime(q) for q in TIER_BOUND_FACTORS[n])
     assert not is_prime(n)
+    assert strong_probable_prime(n, MILLER_RABIN_BASES[:below])
+    assert not strong_probable_prime(n, MILLER_RABIN_BASES[:above])
+
+
+def test_all_thirteen_bases_stop_at_the_primality_bound():
+    # the last bound is a strong pseudoprime to all 13 bases (Sorenson and
+    # Webster), where is_prime stops deciding
+    assert [bound for bound, _ in MILLER_RABIN_TIERS] == list(TIER_BOUND_FACTORS)
+    assert [count for _, count in MILLER_RABIN_TIERS] == [4, 7, 9, 12, len(MILLER_RABIN_BASES)]
+    assert math.prod(TIER_BOUND_FACTORS[MILLER_RABIN_BOUND]) == MILLER_RABIN_BOUND
+    assert strong_probable_prime(MILLER_RABIN_BOUND, MILLER_RABIN_BASES)
+    with pytest.raises(DomainError):
+        is_prime(MILLER_RABIN_BOUND)
 
 
 def test_is_prime_proves_a_15_digit_prime():

@@ -9,8 +9,8 @@ row that blocks no module in process, through `cli.main`; a row that makes
 `mpmath` or `numpy` unimportable in a fresh interpreter.
 `PYTHONPATH=src python tests/test_cli_contracts.py` runs each row in a fresh
 `python -m ecledger.cli` and names each row that fails; `--regenerate`
-rewrites tests/golden/ from the golden rows instead (only deliberately, saying
-why in CHANGES.md).  To add a contract, add a row: its argv is its test id.
+rewrites tests/golden/ from the golden rows and the status table of
+test_report_digest.py instead (only deliberately, saying why in CHANGES.md).  To add a contract, add a row: its argv is its test id.
 """
 
 import contextlib
@@ -235,9 +235,12 @@ def test_an_in_process_row_fails_at_its_timeout():
 
 def main(argv: list[str]) -> int:
     if argv == ["--regenerate"]:
+        from test_report_digest import STATUSES, status_table
+
         for row in CONTRACTS:
             if row.golden and row.blocks is None:
                 (TESTS / row.stdout).write_bytes(run_in_process(row)[1])
+        STATUSES.write_text(status_table())
         return 0
     failed = 0
     with tempfile.TemporaryDirectory() as cwd:

@@ -76,6 +76,39 @@ def test_count_matches_oracle_with_coefficients_beyond_int64():
     assert_counts_match_oracle(BIG_MODEL)
 
 
+@pytest.mark.parametrize("name", sorted(NAMED_CURVES))
+def test_counted_traces_match_the_naive_oracle_in_one_call(name):
+    # the path of p = 2, p = 3 and the pass's open primes: every good p < 200
+    # at once, so the odd ones share one table of characters
+    C = WeierstrassCurve(*NAMED_CURVES[name])
+    good = [p for p in primes_up_to(200) if C.discriminant() % p]
+    assert counting._counted_traces(C, good) == [p + 1 - count_points_naive(C, p) for p in good]
+
+
+def test_counted_traces_of_shared_and_lone_primes_match_one_prime_at_a_time():
+    # good primes to 5000 in one call: those below CHARACTER_SMALL share one
+    # table, each larger one is summed alone, 10 007 in steps of x
+    good = [p for p in primes_up_to(5000) if E1.discriminant() % p] + [10_007]
+    assert good[0] == 2 and good[1] < counting.CHARACTER_SMALL < good[-2] and good[-1] > counting.CHARACTER_BLOCK
+    assert counting._counted_traces(E1, good) == [p + 1 - count_points(E1, p) for p in good]
+
+
+def test_count_points_holds_about_two_bytes_per_residue():
+    # a table of 1 byte per residue, and x in steps of CHARACTER_BLOCK
+    import tracemalloc
+
+    p = 999_983
+    count_points(E1, 10_007)  # numpy's own first-use allocations stay out of the measure
+    tracemalloc.start()
+    try:
+        count = count_points(E1, p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert count == 998_968  # p + 1 - a_p, with a_p = 1016 from the pass
+    assert peak < 2 * p
+
+
 # sha256 of "p a_p\n" over frobenius_table(C, 10_000): the whole default range,
 # pinned before the counting kernel was rewritten.  E1 and E2 are isogenous,
 # so their traces agree.
@@ -148,10 +181,11 @@ def test_hasse_bound_on_all_small_primes():
 
 
 def test_sweep_asserts_the_hasse_bound(monkeypatch):
-    monkeypatch.setattr(counting, "trace_ap", lambda C, p: 5 if p == 7 else 0)  # 5^2 <= 4 * 7
-    assert frobenius_table(E1, 7)[7] == 5
-    monkeypatch.setattr(counting, "trace_ap", lambda C, p: 6 if p == 7 else 0)  # 6^2 > 4 * 7
-    with pytest.raises(AssertionError, match="Hasse bound violated at 7: a_p = 6"):
+    # p = 7 is open in E1's pass, so its trace comes from the point counts
+    monkeypatch.setattr(counting, "_counted_traces", lambda C, primes: [5 if p == 7 else 0 for p in primes])
+    assert frobenius_table(E1, 7)[7] == 5  # 5^2 <= 4 * 7
+    monkeypatch.setattr(counting, "_counted_traces", lambda C, primes: [6 if p == 7 else 0 for p in primes])
+    with pytest.raises(AssertionError, match="Hasse bound violated at 7: a_p = 6"):  # 6^2 > 4 * 7
         frobenius_table(E1, 7)
 
 
@@ -213,7 +247,7 @@ def test_count_points_rejects_primes_beyond_exact_range():
     with pytest.raises(DomainError):
         count_points(E1, 1_100_000_009)
     with pytest.raises(DomainError):
-        counting._bsgs_traces(E1, [1_100_000_009])
+        counting._bsgs_traces(E1, np.array([1_100_000_009]))
     assert 7 * COUNT_POINTS_MAX_P**2 < 2**63
 
 
@@ -241,16 +275,23 @@ def test_frobenius_table_lists_every_good_prime_once():
 # good p from 5 to 20 000: the pass takes every good p > 3.
 PASS_CURVES = [E1, WeierstrassCurve(0, -1, 1, -10, -20), WeierstrassCurve(1, 0, 1, 4, -6),
                WeierstrassCurve(0, 0, 0, -1, 0), WeierstrassCurve(0, 0, 1, 0, 0), BIG_MODEL, *seeded_models(31415)]
-PASS_PRIMES = primes_up_to(20_000)[2:]
+PASS_PRIMES = list(primes_up_to(20_000)[2:])
 
 
 def good_pass_primes(C):
     return [p for p in PASS_PRIMES if C.discriminant() % p]
 
 
+def pass_traces(C, primes: list[int]) -> dict[int, int]:
+    """{p: a_p} at those of the primes that the batched pass solves."""
+    p = np.array(primes, dtype=np.int64)
+    solved, a = counting._bsgs_traces(C, p)
+    return dict(zip(p[solved].tolist(), a[solved].tolist()))
+
+
 @pytest.mark.parametrize("C", PASS_CURVES, ids=lambda C: ",".join(map(str, C.coefficients())))
 def test_batched_pass_matches_count_points(C):
-    traces = counting._bsgs_traces(C, good_pass_primes(C))
+    traces = pass_traces(C, good_pass_primes(C))
     assert traces == {p: p + 1 - count_points(C, p) for p in traces}
 
 
@@ -258,8 +299,8 @@ def test_batched_pass_doubles_where_it_must_and_leaves_few_primes_open(monkeypat
     real_add = counting._x_add
     seen = {"doubled": 0, "all doubled": 0, "zero": 0}
 
-    def add(P, Q, D, E):
-        X, Z = real_add(P, Q, D, E)
+    def add(P, Q, D, E, twice):
+        X, Z = real_add(P, Q, D, E, twice)
         at_inf = D[1] == 0
         seen["doubled"] += int(at_inf.sum())
         seen["all doubled"] += bool(at_inf.all())  # 2P is a doubling, not an addition
@@ -271,9 +312,10 @@ def test_batched_pass_doubles_where_it_must_and_leaves_few_primes_open(monkeypat
     for C in PASS_CURVES:
         good = good_pass_primes(C)
         asked += len(good)
-        resolved += len(counting._bsgs_traces(C, good))
+        resolved += len(pass_traces(C, good))
     # a lane whose point has a small order, or whose giant step lands on the
-    # point at infinity, takes the doubling branch; no lane ever reads (0:0)
+    # point at infinity, reads the doubling from the caller's row; no lane
+    # ever reads (0:0)
     assert seen["doubled"] > 0 and seen["all doubled"] == 0 and seen["zero"] == 0
     # the two lanes of a prime leave more than one trace at a few primes only
     assert 0 < asked - resolved <= asked // 20
@@ -338,7 +380,7 @@ def test_divisibility_by_multiplication_against_the_remainder(dtype):
 def test_batched_pass_exact_at_the_largest_accepted_supersingular_primes(coeffs, residue, modulus):
     # y^2 = x^3 - x at p = 3 (mod 4) and y^2 = x^3 + 1 at p = 2 (mod 3) have a_p = 0
     primes = largest_primes(residue, modulus)
-    assert counting._bsgs_traces(WeierstrassCurve(*coeffs), primes) == {p: 0 for p in primes}
+    assert pass_traces(WeierstrassCurve(*coeffs), primes) == {p: 0 for p in primes}
 
 
 def test_batched_pass_exact_at_the_largest_accepted_ordinary_primes():
@@ -355,20 +397,20 @@ def test_batched_pass_exact_at_the_largest_accepted_ordinary_primes():
     small = [p for p in primes_up_to(2000) if p % 4 == 1]
     assert all(closed_form(p) == trace_ap(C, p) for p in small)
     primes = largest_primes(1, 4)
-    assert counting._bsgs_traces(C, primes) == {p: closed_form(p) for p in primes}
+    assert pass_traces(C, primes) == {p: closed_form(p) for p in primes}
 
 
 def record_sweep_primes(monkeypatch) -> list[int]:
-    """Every prime that enters a sweep: through trace_ap, or resolved by the batched pass."""
+    """Every prime that enters a sweep: counted by character sums, or solved by the batched pass."""
     calls = []
-    real_trace, real_pass = counting.trace_ap, counting._bsgs_traces
+    real_count, real_pass = counting._counted_traces, counting._bsgs_traces
 
     def batched(C, primes):
-        traces = real_pass(C, primes)
-        calls.extend(traces)
-        return traces
+        solved, a = real_pass(C, primes)
+        calls.extend(primes[solved].tolist())
+        return solved, a
 
-    monkeypatch.setattr(counting, "trace_ap", lambda C, p: calls.append(p) or real_trace(C, p))
+    monkeypatch.setattr(counting, "_counted_traces", lambda C, primes: calls.extend(primes) or real_count(C, primes))
     monkeypatch.setattr(counting, "_bsgs_traces", batched)
     return calls
 
@@ -379,7 +421,8 @@ def test_run_traces_extend_one_sweep_per_ledger(monkeypatch):
     C = WeierstrassCurve(0, -1, 1, -10, -20)  # 11a1
     calls, passed = record_sweep_primes(monkeypatch), []
     recording_pass = counting._bsgs_traces
-    monkeypatch.setattr(counting, "_bsgs_traces", lambda C, primes: passed.extend(primes) or recording_pass(C, primes))
+    monkeypatch.setattr(counting, "_bsgs_traces",
+                        lambda C, primes: passed.extend(primes.tolist()) or recording_pass(C, primes))
     run = _Run(C, LedgerOptions())
     small = dict(run.traces(100))
     large = run.traces(300)
