@@ -126,19 +126,15 @@ def kronecker_symbol(a: int, n: int) -> int:
 
 
 def iroot_exact(n: int, k: int) -> int | None:
-    """Integer k-th root of n >= 0 if exact, else None."""
+    """Integer k-th root of n >= 0 if exact, else None.
+
+    The least r with r^k >= n, by ``bisect_least`` below 2^ceil(bits/k),
+    whose k-th power is at least 2^bits > n; it is the root iff r^k = n.
+    """
     if n < 0:
         return None
-    if n in (0, 1):
-        return n
-    # Integer Newton iteration from 2^ceil(bits/k) >= n^(1/k); it decreases
-    # monotonically to floor(n^(1/k)).  Floats overflow for large n.
-    r = 1 << -(-n.bit_length() // k)
-    while True:
-        s = ((k - 1) * r + n // r ** (k - 1)) // k
-        if s >= r:
-            return r if r**k == n else None
-        r = s
+    r = bisect_least(lambda x: x**k >= n, 0, 1 << -(-n.bit_length() // k))
+    return r if r**k == n else None
 
 
 def square_divisors(fac: dict[int, int]) -> list[int]:

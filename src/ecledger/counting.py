@@ -4,7 +4,7 @@
 p + sum_x chi(f(x)) where f is the completed square
 f(x) = 4x^3 + b2 x^2 + 2 b4 x + b6 and chi the quadratic character, read
 from an int8 table set at the squares; x^2 and f are reduced once each, in
-int32 while that is exact and in int64 above.  ``_character_sums`` takes the
+int32 while that is exact and in int64 above.  ``_counted_traces`` takes the
 sums for a list of primes: those below CHARACTER_SMALL at once, their tables
 end to end, and each larger one over x in steps of CHARACTER_BLOCK, so a count
 holds its table and O(block), 1.4 bytes per residue at p = 999,983
@@ -27,13 +27,9 @@ The table is built on arrays: the cached sieve (``arith.primes_up_to``), the
 good primes and each lane's A and B by limb-wise residues of the
 discriminant, c4 and c6, the Hasse check on the whole array, and one dict at
 the end.  The lanes' points take their quadratic characters by one Euler
-exponentiation in which bit b runs on the lanes whose exponent reaches 2^b,
-and an addition whose difference is the point at infinity reads the doubling
-from a row the pass already holds (2P, M, 2M or 4M).  Over 40 box curves
-(seed 1) at 10^4, ``frobenius_table`` takes about 5.9 ms a curve, of which
-this set-up (the sieve, the residues, the lanes' points and characters, the
-open primes and the dict) is about 0.75 ms; the x-only steps and the matches
-are the rest (BENCH_33).
+exponentiation, square-and-multiply over every lane, and an addition whose
+difference is the point at infinity reads the doubling from a row the pass
+already holds (2P, M, 2M or 4M).
 
 The pass's giant steps match its baby steps by a divisibility test with no
 division (Granlund-Montgomery, PLDI 1994; Lemire-Kaser-Kurz, 2019): for odd
@@ -105,21 +101,17 @@ def count_points(C: WeierstrassCurve, p: int) -> int:
 
 def _counted_traces(C: WeierstrassCurve, primes: Sequence[int]) -> list[int]:
     """[a_p for p in primes], ascending good primes, by counting points: p = 2
-    by brute force, every odd p by one call of ``_character_sums``."""
-    odd = primes[1:] if primes and primes[0] == 2 else primes
-    traces = [-s for s in _character_sums(C, odd)]  # #E(F_p) = p + 1 + the sum
-    return [3 - count_points_naive(C, 2), *traces] if len(odd) < len(primes) else traces
+    by brute force, every odd p as minus its sum over x mod p of chi(f(x)).
 
-
-def _character_sums(C: WeierstrassCurve, primes: Sequence[int]) -> list[int]:
-    """[sum over x mod p of chi(f(x)) for p in primes], at ascending odd good primes.
-
-    The primes below CHARACTER_SMALL, whose sums cost mostly numpy's call
+    The odd primes below CHARACTER_SMALL, whose sums cost mostly numpy's call
     overhead, share one table; each larger prime is summed alone.
     """
     b = C.b_invariants()[:3]
-    small = bisect_left(primes, CHARACTER_SMALL)
-    return (_shared_character_sums(b, primes[:small]) if small else []) + [_character_sum(b, p) for p in primes[small:]]
+    odd = primes[1:] if primes and primes[0] == 2 else primes
+    small = bisect_left(odd, CHARACTER_SMALL)
+    sums = (_shared_character_sums(b, odd[:small]) if small else []) + [_character_sum(b, p) for p in odd[small:]]
+    traces = [-s for s in sums]  # #E(F_p) = p + 1 + the sum
+    return [3 - count_points_naive(C, 2), *traces] if len(odd) < len(primes) else traces
 
 
 def _reduced_square(x, p):
@@ -185,14 +177,8 @@ def trace_ap(C: WeierstrassCurve, p: int) -> int:
 # point at infinity.  Every intermediate is a sum of at most three products
 # of residues in [0, p], or of 4p and a product, so below 3p^2 and exact in
 # ``_exact_dtype``.  The helpers read the curve from the lane constants
-# E = (p, A, 2B, p - A, 4A, 4B, p - 8B), each a residue in [0, p] built once
-# per pass.
-
-
-def _lane_constants(p, A, B):
-    """The lane constants E of the x-only helpers, from p, A mod p and B mod p."""
-    from numpy import fmod
-    return p, A, fmod(2 * B, p), p - A, fmod(4 * A, p), fmod(4 * B, p), p - fmod(8 * B, p)
+# E = (p, A, 2B, p - A, 4A, 4B, p - 8B), each a residue in [0, p] that
+# ``_lane_candidates`` builds once per pass.
 
 
 def _x_double(X, Z, E):
@@ -234,21 +220,15 @@ def _tail(values, start: int):
 
 
 def _euler(f, p):
-    """f^((p - 1) / 2) mod p, lane by lane, for lanes ascending by p.
-
-    Exponent bit b runs on the suffix of lanes from the first whose exponent
-    reaches 2^b; it multiplies by f^(2^b) or by 1, so no lane branches.
-    """
+    """f^((p - 1) / 2) mod p, lane by lane, by square-and-multiply: bit b of
+    the exponent multiplies by f^(2^b) or by 1, so no lane branches."""
     import numpy as np
 
     e, out = (p - 1) // 2, np.ones_like(p)
-    top = int(e[-1]).bit_length()
-    for bit in range(top):
-        s = int(np.searchsorted(e, 1 << bit))
-        fs, ps, outs = f[s:], p[s:], out[s:]
-        np.fmod(outs * ((e[s:] >> bit & 1) * (fs - 1) + 1), ps, out=outs)
-        if bit + 1 < top:
-            np.fmod(fs * fs, ps, out=fs)
+    for bit in range(int(e.max()).bit_length()):
+        if bit:
+            f = np.fmod(f * f, p)
+        out = np.fmod(out * ((e >> bit & 1) * (f - 1) + 1), p)
     return out
 
 
@@ -366,7 +346,7 @@ def _lane_candidates(c4: int, c6: int, primes, r: int):
     p = primes.astype(dtype).repeat(2)
     A = _residues(-27 * c4, primes).astype(dtype).repeat(2)
     B = _residues(-54 * c6, primes).astype(dtype).repeat(2)
-    E = _lane_constants(p, A, B)
+    E = p, A, np.fmod(2 * B, p), p - A, np.fmod(4 * A, p), np.fmod(4 * B, p), p - np.fmod(8 * B, p)
 
     # A match reads both g - j and g + j, and where only one of them is a
     # multiple of the order of P the other is its reflection about g: the

@@ -18,6 +18,7 @@ from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import takewhile
 from types import MappingProxyType
 
 from . import __version__
@@ -169,7 +170,7 @@ class _Run:
             self._swept = bound
         if bound == self._swept:
             return MappingProxyType(self._table)
-        return {p: ap for p, ap in self._table.items() if p <= bound}
+        return dict(takewhile(lambda item: item[0] <= bound, self._table.items()))
 
     @cached_property
     def local(self) -> dict:

@@ -4,12 +4,12 @@ The substitution X = 36x + 3b2, Y = 108(2y + a1x + a3) maps an integral model
 isomorphically over Q onto the integral short model Y^2 = X^3 + AX + B with
 A = -27c4 and B = -54c6.  By Nagell-Lutz (Silverman, AEC VIII.7.2) every
 torsion point of the short model has integer X and Y, with Y = 0 or
-Y^2 | disc.  That discriminant -16(4A^3 + 27B^2) is 2^12 3^12 Delta, so its
-square divisors come from the factorisation of Delta.  For each such Y the X
-are the integer roots of X^3 + AX + (B - Y^2), which
-``arith.integer_cubic_roots`` finds exactly, so the candidates contain the
-whole torsion subgroup.  A candidate is torsion iff its order is finite, and
-by Mazur it is then at most 12.  A finite subgroup of E(Q) lies in some
+Y^2 | 4A^3 + 27B^2.  The short model's discriminant -16(4A^3 + 27B^2) is
+2^12 3^12 Delta, so 4A^3 + 27B^2 = -2^8 3^12 Delta and its square divisors
+come from the factorisation of Delta.  For each such Y the X are the integer
+roots of X^3 + AX + (B - Y^2), which ``arith.integer_cubic_roots`` finds
+exactly, so the candidates contain the whole torsion subgroup.  A candidate
+is torsion iff its order is finite, and by Mazur it is then at most 12.  A finite subgroup of E(Q) lies in some
 E[n] = (Z/n)^2, so it is Z/d1 x Z/d2 with d1 | d2: d2 is its exponent, the
 largest order, and d1 = order / d2.  Its points of order 2 are the kernels
 of the rational 2-isogenies, so the group lists them too.
@@ -78,7 +78,7 @@ def torsion_subgroup(C: WeierstrassCurve) -> TorsionGroup:
     A, B = -27 * c4, -54 * c6
     b2 = C.b_invariants()[0]
     fac = dict(factorize(C.discriminant()))  # a copy: factorize's dict is shared
-    fac[2], fac[3] = fac.get(2, 0) + 12, fac.get(3, 0) + 12  # disc = 2^12 3^12 Delta
+    fac[2], fac[3] = fac.get(2, 0) + 8, fac.get(3, 0) + 12  # 4A^3 + 27B^2 = -2^8 3^12 Delta
     orders = {None: 1}
     for Y in [0] + square_divisors(fac):
         for X in integer_cubic_roots(A, B - Y * Y):

@@ -121,6 +121,13 @@ def test_valuation_exact():
         valuation(0, 3)
 
 
+def test_valuation_and_factorize_refuse_what_they_cannot_take():
+    with pytest.raises(DomainError, match="4 is not prime"):
+        valuation(8, 4)
+    with pytest.raises(DomainError, match="factorization of 0"):
+        factorize(0)
+
+
 def test_rational_valuation():
     assert rational_valuation(Fraction(9, 25), 5) == -2
     assert rational_valuation(Fraction(9, 25), 3) == 2
@@ -231,3 +238,7 @@ def test_iroot_exact_beyond_float_range():
         for k in (1, 2, 3, 12):
             r = round(n ** (1 / k))
             assert iroot_exact(n, k) == next((c for c in (r - 1, r, r + 1) if c >= 0 and c**k == n), None)
+
+
+def test_iroot_exact_of_a_negative_number_is_none():
+    assert iroot_exact(-8, 3) is None

@@ -233,6 +233,12 @@ def test_an_in_process_row_fails_at_its_timeout():
     assert problems(row._replace(timeout=0.05), run_in_process) == ["no exit within its timeout of 0.05 s"]
 
 
+def test_importing_the_cli_loads_neither_numpy_nor_mpmath():
+    # every CLI call pays its import: numpy's alone costs about 0.1 s
+    done = python(["-c", "import sys, ecledger.cli; print(sorted({'numpy', 'mpmath'} & set(sys.modules)))"], 30)
+    assert (done.returncode, done.stdout) == (0, b"[]\n"), done.stderr.decode()
+
+
 def main(argv: list[str]) -> int:
     if argv == ["--regenerate"]:
         from test_report_digest import STATUSES, status_table

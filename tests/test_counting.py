@@ -18,7 +18,7 @@ from ecledger.counting import (
     trace_ap,
     verify_ordinary_criterion,
 )
-from ecledger.curve import E1, E2, SingularCurveError, WeierstrassCurve
+from ecledger.curve import E1, E2, BadReductionError, SingularCurveError, WeierstrassCurve
 from test_cli_contracts import python
 
 
@@ -376,6 +376,21 @@ def test_divisibility_by_multiplication_against_the_remainder(dtype):
         assert (np.array(xs, dtype=inv.dtype) * y <= b).tolist() == [x % p == 0 for x in xs]
 
 
+@pytest.mark.parametrize("order", ["descending", "shuffled"])
+@pytest.mark.parametrize("dtype", [np.int32, np.int64], ids=["w32", "w64"])
+def test_euler_step_against_pow_lane_by_lane(dtype, order):
+    # f^((p - 1) / 2) mod p at every lane, whatever the order of the lanes; f = 0 included
+    box = random.Random(35 + np.iinfo(dtype).bits)
+    primes = PASS_PRIMES + (largest_primes(1, 2) if dtype is np.int64 else [])
+    lanes = [(p, f) for p in primes for f in (0, 1, p - 1, box.randrange(p))]
+    if order == "descending":
+        lanes.sort(reverse=True)
+    else:
+        box.shuffle(lanes)
+    p, f = np.array(lanes, dtype=dtype).T
+    assert counting._euler(f, p).tolist() == [pow(f, (p - 1) // 2, p) for p, f in lanes]
+
+
 @pytest.mark.parametrize("coeffs, residue, modulus", [((0, 0, 0, -1, 0), 3, 4), ((0, 0, 0, 0, 1), 2, 3)])
 def test_batched_pass_exact_at_the_largest_accepted_supersingular_primes(coeffs, residue, modulus):
     # y^2 = x^3 - x at p = 3 (mod 4) and y^2 = x^3 + 1 at p = 2 (mod 3) have a_p = 0
@@ -472,6 +487,11 @@ def test_point_counts_refuse_a_p_that_is_not_prime(count, p):
 
     with pytest.raises(DomainError, match=f"^{p} is not prime$"):
         count(E1, p)
+
+
+def test_count_points_refuses_a_bad_prime():
+    with pytest.raises(BadReductionError, match="bad reduction at 3"):
+        count_points(E1, 3)
 
 
 REFUSALS_PAST_THE_PRIMALITY_BOUND = """

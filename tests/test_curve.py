@@ -223,10 +223,27 @@ def test_isomorphism_roundtrip():
     assert iso.apply(codomain) == E2.coefficients()
 
 
+@pytest.mark.parametrize("model, target", [
+    ((0, 0, 0, 1, 0), (0, 0, 0, -1, 0)),  # j = 1728 on both, and the discriminant ratio is -1
+    ((0, 0, 0, 1, 0), (0, 0, 0, 4, 0)),  # the ratio 1/64 is not a 12th power
+    ((0, 0, 0, -1, 1), (0, 0, 0, -1, -1)),  # the -1 twist: the ratio is 1, and neither u = 1 nor u = -1 maps a6
+])
+def test_isomorphism_over_Q_finds_none_between_curves_that_are_not_isomorphic(model, target):
+    assert isomorphism_over_Q(model, target) is None
+
+
+def test_two_isogeny_onto_a_curve_no_kernel_reaches_is_none():
+    assert two_isogeny_onto(E1, E1, torsion_subgroup(E1).two_torsion) is None
+
+
 def test_minimality():
     for p in (3, 5):
         assert E1.is_minimal_at(p)
         assert E2.is_minimal_at(p)
+
+
+def test_a_model_is_minimal_at_a_good_prime():
+    assert E1.is_minimal_at(7)
 
 
 def test_curve_from_string():

@@ -204,6 +204,13 @@ def test_certificate_rejects_composite_l():
         surjectivity_certificate(9, frobenius_table(E1, 100), bad_primes(E1))
 
 
+def test_closure_and_enumeration_refuse_what_they_cannot_take():
+    with pytest.raises(DomainError, match="not invertible mod 8"):
+        group_closure([(2, 0, 0, 1)], 8)
+    with pytest.raises(DomainError, match="9 is not prime"):
+        enumerate_subgroups_gl2(9)
+
+
 def test_certificate_and_ledger_reject_l_2():
     # GL2(F_2) = S3: its Cartan A3 realises every char poly, so at l = 2 no
     # verdict could be "surjective", even for 11a1, whose mod-2 image is all of S3

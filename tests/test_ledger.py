@@ -116,6 +116,22 @@ def test_checkrecord_invariant_enforced():
         CheckRecord("x", "claim", "cited", "none", "oops", "pass")
 
 
+def test_isogeny_record_fails_where_no_kernel_reaches_the_target(monkeypatch):
+    monkeypatch.setitem(ledger.PAPER_EXPECTATIONS[E1.coefficients()], "isogeny-degree-2", (None, E1))
+    record = run_ledger(E1, FAST, checks=("isogeny-degree-2",)).record("isogeny-degree-2")
+    assert (record.status, record.result) == ("fail", "no kernel reaches (1, 1, 1, -10, -10)")
+
+
+def test_ledger_and_report_refuse_unknown_names():
+    with pytest.raises(ValueError, match="unknown checks"):
+        run_ledger(E1, checks=("nope",))
+    report = run_ledger(E1, FAST, checks=("isogeny-degree-2",))
+    with pytest.raises(ValueError, match="unknown format"):
+        emit_report(report, "xml")
+    with pytest.raises(KeyError):
+        report.record("nope")
+
+
 @pytest.mark.parametrize("flag, cap", [("--terms", cli.TERMS_CAP), ("--padic-digits", cli.DIGITS_CAP)])
 def test_cli_series_options_stop_at_their_caps(flag, cap):
     # each cap bounds the run time of the views that read the option; the

@@ -5,6 +5,7 @@ import pytest
 from ecledger.arith import primes_up_to
 from ecledger.curve import E1, E2, SingularCurveError, WeierstrassCurve
 from ecledger.local_data import (
+    LocalData,
     ReductionKind,
     UnsupportedReductionError,
     bad_primes,
@@ -59,6 +60,11 @@ def test_kodaira_and_tamagawa_E1():
     assert (d3.kodaira, d3.tamagawa) == ("I4", 2)  # nonsplit, 4 even -> 2
     assert (d5.kodaira, d5.tamagawa) == ("I4", 4)  # split -> n
     assert tamagawa_product(local_data(E1)) == 8
+
+
+def test_kodaira_and_tamagawa_at_a_good_prime():
+    assert kodaira_and_tamagawa(E1, 7) == LocalData(7, ReductionKind.GOOD, 0, 1)
+    assert kodaira_and_tamagawa(E1, 7).kodaira == "I0"
 
 
 def test_tamagawa_product_E2_power_of_two():

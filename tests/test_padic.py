@@ -98,6 +98,21 @@ def test_from_residue_keeps_a_zeros_absolute_precision():
     assert str(PadicNumber.from_residue(25 - (25 + 5**8), 5, 9)) == "4*5^8 + O(5^9)"
 
 
+def test_padic_numbers_refuse_what_they_cannot_be():
+    for args, why in (((4, 0, 1, 3), "4 is not prime"), ((5, 0, 1, 0), "precision must be at least one digit")):
+        with pytest.raises(DomainError, match=why):
+            PadicNumber(*args)
+    with pytest.raises(AssertionError, match="unit part must be a unit"):
+        PadicNumber(5, 0, 10, 3)
+    zero = PadicNumber(5, 0, 0, 3)
+    with pytest.raises(DomainError, match="valuation of \\(p-adic\\) zero"):
+        zero.valuation()
+    with pytest.raises(DomainError, match="log of p-adic zero"):
+        iwasawa_log(zero)
+    with pytest.raises(DomainError, match="need at least one positive power"):
+        j_q_expansion(0)
+
+
 def test_j_expansion_initial_coefficients():
     # q j(q): index n + 1 holds the coefficient of q^n in j(q)
     assert j_q_expansion(4) == (1, 744, 196884, 21493760, 864299970, 20245856256)
