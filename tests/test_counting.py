@@ -388,7 +388,7 @@ def test_euler_step_against_pow_lane_by_lane(dtype, order):
     else:
         box.shuffle(lanes)
     p, f = np.array(lanes, dtype=dtype).T
-    assert counting._euler(f, p).tolist() == [pow(f, (p - 1) // 2, p) for p, f in lanes]
+    assert counting._euler(f, p).tolist() == [pow(g, (q - 1) // 2, q) for q, g in lanes]
 
 
 @pytest.mark.parametrize("coeffs, residue, modulus", [((0, 0, 0, -1, 0), 3, 4), ((0, 0, 0, 0, 1), 2, 3)])
