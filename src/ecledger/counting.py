@@ -2,28 +2,34 @@
 
 ``count_points`` is O(p) per prime: for odd p the affine count is
 p + sum_x chi(f(x)) where f is the completed square
-f(x) = 4x^3 + b2 x^2 + 2 b4 x + b6 and chi the quadratic character, read
-from an int8 table set at the squares; x^2 and f are reduced once each, in
-int32 while that is exact and in int64 above.  ``_counted_traces`` takes the
-sums for a list of primes: those below CHARACTER_SMALL at once, their tables
-end to end, and each larger one over x in steps of CHARACTER_BLOCK, so a count
-holds its table and O(block), 1.4 bytes per residue at p = 999,983
-(tracemalloc).  p = 2 is brute force.
+f(x) = 4x^3 + b2 x^2 + 2 b4 x + b6 and chi the quadratic character.
+``_counted_traces`` takes the sums for a list of primes.  p = 2 is brute
+force.  Every odd p <= SMALL is summed in pure Python, chi read from a list
+set at the squares mod p and f stepped by its finite differences, so a table
+or a count that stays below SMALL never imports numpy.  Above SMALL chi is an
+int8 table set at the squares, with x^2
+and f reduced once each, in int32 while that is exact and in int64 above:
+the primes below CHARACTER_SMALL at once, their tables end to end, and each
+larger one over x in steps of CHARACTER_BLOCK, so a count holds its table
+and O(block), 1.4 bytes per residue at p = 999,983 (tracemalloc).
 
 Every trace the ledger reads comes from ``frobenius_table``, a pure function
 of the curve and a range of primes that asserts the Hasse bound on each
-trace; the ledger keeps one table per run and extends it.  It counts every
-good p > 3 together, in one numpy baby-step giant-step pass (Shanks-Mestre;
+trace; the ledger keeps one table per run and extends it.  The good primes
+up to SMALL go through ``_counted_traces``, whose pure-Python sums over the
+31 primes to 128 take about 0.25 ms (E1, warm); a ledger whose checks all
+conclude there (E1's and E2's do) reads nothing more.  The good primes above
+SMALL go together through one numpy baby-step giant-step pass (Shanks-Mestre;
 Cohen, A Course in Computational Algebraic Number Theory, 7.4) with x-only
 arithmetic (Brier-Joye, PKC 2002), reducing by ``np.fmod`` (the remainder on
 its non-negative operands), and one lane per (prime, point): a lane lists
 every trace its point allows, and a prime whose two lanes share exactly one
 is done.  Mestre's theorem (from p > 229 on, E or its twist has a point whose
 order has one multiple in the Hasse interval) only explains why few primes
-stay open.  p = 2, p = 3 and the open primes (about 13 more per box curve
-at 10^4) are counted by one call of ``_counted_traces``.
+stay open.  The open primes (about 13 per box curve at 10^4) are counted by
+one call of ``_counted_traces``.
 
-The table is built on arrays: the cached sieve (``arith.primes_up_to``), the
+The pass is built on arrays: the cached sieve (``arith.primes_up_to``), the
 good primes and each lane's A and B by limb-wise residues of the
 discriminant, c4 and c6, the Hasse check on the whole array, and one dict at
 the end.  The lanes' points take their quadratic characters by one Euler
@@ -53,6 +59,7 @@ tables: 10 rows, not 16, and a third less peak memory in the pass.
 
 from __future__ import annotations
 
+import functools
 import math
 from bisect import bisect_left, bisect_right
 from collections.abc import Mapping, Sequence
@@ -63,7 +70,8 @@ from .curve import BadReductionError, WeierstrassCurve
 COUNT_POINTS_MAX_P = 1_100_000_000  # 7 p^2 < 2^63 keeps count_points and the pass exact
 BSGS_CHUNK = 2048  # primes per pass, which bounds its (m + 1) x lanes tables
 CHARACTER_BLOCK = 1 << 13  # residues per step of one prime's character sum, which bounds its temporaries
-CHARACTER_SMALL = 1 << 10  # odd primes below it share one table of characters
+CHARACTER_SMALL = 1 << 10  # odd primes above SMALL and below it share one table of characters
+SMALL = 128  # good primes up to it are counted in pure Python; numpy counts only above it
 
 
 def _exact_dtype(p: int):
@@ -103,15 +111,45 @@ def _counted_traces(C: WeierstrassCurve, primes: Sequence[int]) -> list[int]:
     """[a_p for p in primes], ascending good primes, by counting points: p = 2
     by brute force, every odd p as minus its sum over x mod p of chi(f(x)).
 
-    The odd primes below CHARACTER_SMALL, whose sums cost mostly numpy's call
-    overhead, share one table; each larger prime is summed alone.
+    The odd primes up to SMALL are summed in pure Python.  Above SMALL, those
+    below CHARACTER_SMALL, whose sums cost mostly numpy's call overhead, share
+    one table, and each larger prime is summed alone.
     """
     b = C.b_invariants()[:3]
     odd = primes[1:] if primes and primes[0] == 2 else primes
-    small = bisect_left(odd, CHARACTER_SMALL)
-    sums = (_shared_character_sums(b, odd[:small]) if small else []) + [_character_sum(b, p) for p in odd[small:]]
+    small, shared = bisect_right(odd, SMALL), bisect_left(odd, CHARACTER_SMALL)
+    sums = [_small_character_sum(b, p) for p in odd[:small]]
+    if small < shared:
+        sums += _shared_character_sums(b, odd[small:shared])
+    sums += [_character_sum(b, p) for p in odd[shared:]]
     traces = [-s for s in sums]  # #E(F_p) = p + 1 + the sum
     return [3 - count_points_naive(C, 2), *traces] if len(odd) < len(primes) else traces
+
+
+@functools.cache  # called at the primes up to SMALL only, so at most 31 tuples
+def _square_characters(p: int) -> tuple[int, ...]:
+    """chi mod p from the list of the squares: 1 at each non-zero square, 0 at 0, -1 elsewhere."""
+    chi = [-1] * p
+    for x in range(1, p // 2 + 1):  # x and p - x have one square
+        chi[x * x % p] = 1
+    chi[0] = 0
+    return tuple(chi)
+
+
+def _small_character_sum(b, p: int) -> int:
+    """The sum at one odd prime p, from (b2, b4, b6), in pure Python.
+
+    f(x) steps by its differences: f(x + 1) - f(x) = 12x^2 + (12 + 2 b2)x
+    + 4 + b2 + 2 b4, whose own difference 24x + 24 + 2 b2 steps by 24, so
+    each x costs three additions and a remainder.
+    """
+    b2, b4, b6 = (v % p for v in b)
+    chi = _square_characters(p)
+    f, d1, d2, total = b6, 4 + b2 + 2 * b4, 24 + 2 * b2, 0
+    for _ in range(p):
+        total += chi[f % p]
+        f, d1, d2 = f + d1, d1 + d2, d2 + 24
+    return total
 
 
 def _reduced_square(x, p):
@@ -431,22 +469,36 @@ def _single_shared_trace(keys, r: int):
 def frobenius_table(C: WeierstrassCurve, bound: int, above: int = 1) -> dict[int, int]:
     """{p: a_p} for the good primes above < p <= bound, ascending.
 
-    Every good p > 3 enters through one baby-step giant-step pass, p = 2,
-    p = 3 and the pass's open primes through ``_counted_traces``.  Every
-    trace is checked against the Hasse bound a_p^2 <= 4p before the table is
-    built.
+    The good primes up to SMALL are counted by ``_counted_traces`` in pure
+    Python, and those above it by ``_swept_traces``, the one path that
+    imports numpy.  Every trace is checked against the Hasse bound
+    a_p^2 <= 4p before the table is built.
     """
     if bound > COUNT_POINTS_MAX_P:  # refused before a sieve of bound bytes is built
         raise DomainError(f"bound {bound} exceeds the exact int64 range of the point count")
+    primes, disc = primes_up_to(bound), C.discriminant()
+    lo = bisect_right(primes, above)
+    cut = max(lo, bisect_right(primes, SMALL))
+    small = [p for p in primes[lo:cut] if disc % p]
+    table = dict(zip(small, _counted_traces(C, small)))
+    for p, ap in table.items():
+        if ap * ap > 4 * p:
+            raise AssertionError(f"Hasse bound violated at {p}: a_p = {ap}")
+    if cut < len(primes):
+        table.update(_swept_traces(C, primes[cut:]))
+    return table
+
+
+def _swept_traces(C: WeierstrassCurve, primes: Sequence[int]) -> dict[int, int]:
+    """{p: a_p} for the good primes among the ascending primes above SMALL:
+    one baby-step giant-step pass, its open primes through ``_counted_traces``,
+    and the Hasse bound checked on the whole array."""
     import numpy as np
 
-    primes = primes_up_to(bound)
-    p = np.array(primes[bisect_right(primes, above) :], dtype=np.int64)
+    p = np.array(primes, dtype=np.int64)
     p = p[_residues(C.discriminant(), p) != 0]
-    s = int(np.searchsorted(p, 4))  # the pass takes p > 3
-    solved, ap = _bsgs_traces(C, p[s:])
-    ap = np.concatenate((np.zeros(s, dtype=np.int64), ap))
-    counted = np.concatenate((np.arange(s), s + np.flatnonzero(~solved)))
+    solved, ap = _bsgs_traces(C, p)
+    counted = np.flatnonzero(~solved)
     ap[counted] = _counted_traces(C, p[counted].tolist())
     bad = np.flatnonzero(ap * ap > 4 * p)
     if bad.size:
@@ -464,12 +516,30 @@ def hasse_contradiction_symbolic(torsion_order: int) -> bool:
     return torsion_order >= 3
 
 
+def ordinary_criterion_reach(torsion_order: int) -> int | None:
+    """The primes the ordinary criterion must read: None for every good odd p,
+    else up to the odd part of the torsion order t, which every odd p | t divides.
+
+    When the symbolic Hasse inequality holds (t >= 3) no good odd p with
+    p not dividing t can fail.  Torsion injects into E(F_p) at every good
+    p >= 3 (see ``torsion``), so t | #E(F_p).  If also a_p = 1 mod p, then
+    p | p + 1 - a_p = #E(F_p), so pt | #E(F_p) <= p + 1 + 2 sqrt(p) < tp,
+    which is false.  So only the good odd p | t can fail, and a table read
+    to the odd part of t gives the failures of the whole table.
+    """
+    if not hasse_contradiction_symbolic(torsion_order):
+        return None
+    return torsion_order // (torsion_order & -torsion_order)
+
+
 def verify_ordinary_criterion(traces: Mapping[int, int], torsion_order: int) -> tuple[list[int], bool]:
     """For every good odd p of the Frobenius table {p: a_p}: torsion injects and a_p != 1 mod p.
 
     Torsion injects when torsion_order divides #E(F_p) = p + 1 - a_p.
     Returns (failing primes, symbolic Hasse inequality verdict).  An empty
-    failure list plus a true verdict is the full criterion.
+    failure list plus a true verdict is the full criterion.  A table that
+    holds the primes ``ordinary_criterion_reach`` names has the failures of
+    any longer table.
     """
     failures = [p for p, ap in traces.items() if p != 2 and ((p + 1 - ap) % torsion_order or ap % p == 1)]
     return failures, hasse_contradiction_symbolic(torsion_order)

@@ -362,18 +362,8 @@ def _quadratic_character_refuted(l: int, traces: Mapping[int, int], bad_primes: 
 
 
 def frobenius_constraints(traces: Mapping[int, int], l: int) -> frozenset:
-    """{(a_p mod l, p mod l)} over the good primes p != l of the Frobenius table {p: a_p}.
-
-    Each pair is counted at its code (a_p mod l) l + (p mod l); p = l is the
-    only prime with p = 0 mod l, so dropping those codes drops it.
-    """
-    import numpy as np
-
-    p = np.fromiter(traces.keys(), dtype=np.int64, count=len(traces))
-    ap = np.fromiter(traces.values(), dtype=np.int64, count=len(traces))
-    seen = np.bincount(ap % l * l + p % l, minlength=l * l)
-    seen[::l] = 0
-    return frozenset(divmod(code, l) for code in np.flatnonzero(seen).tolist())
+    """{(a_p mod l, p mod l)} over the good primes p != l of the Frobenius table {p: a_p}."""
+    return frozenset({(ap % l, p % l) for p, ap in traces.items() if p != l})
 
 
 def surjectivity_certificate(l: int, traces: Mapping[int, int], bad_primes: Collection[int]) -> SurjectivityCertificate:

@@ -9,20 +9,29 @@ failed.
 The checks form one ordered table, CHECKS; the CLI's single-check subcommands
 run named parts of it.  What the paper states about particular curves lives in
 PAPER_EXPECTATIONS, so each check is written once, for every curve.
+
+The checks share one Frobenius table per run, and each reads only the primes
+it needs.  A surjectivity certificate reads in two stages: the primes up to
+counting.SMALL, then the rest of prime_bound only if a maximal subgroup
+survives them.  The ordinary criterion reads only the odd primes dividing the
+torsion order when that order is at least 3, and the primes already read.
+The L-series reads as many primes as it sums terms.  No stage changes a
+record: each reads the verdict of the whole table.
 """
 
 from __future__ import annotations
 
 import json
+from bisect import bisect_right
 from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import takewhile
+from itertools import islice
 from types import MappingProxyType
 
 from . import __version__
-from .counting import frobenius_table, verify_ordinary_criterion
+from .counting import SMALL, frobenius_table, ordinary_criterion_reach, verify_ordinary_criterion
 from .curve import E1, E2, WeierstrassCurve, two_isogeny_onto
 from .galois_image import (
     RZB_15A1_MOD8,
@@ -40,7 +49,7 @@ from .local_data import (
     kodaira_and_tamagawa,
     tamagawa_product,
 )
-from .lvalue import DEFAULT_TERMS, PRECISION_BITS, lvalue_ratio, root_number
+from .lvalue import DEFAULT_TERMS, PRECISION_BITS, lvalue_ratio, root_number, summed_terms
 from .padic import DEFAULT_DIGITS, l_invariant
 from .torsion import torsion_subgroup
 
@@ -156,8 +165,9 @@ class _Run:
 
     def __init__(self, C: WeierstrassCurve, opts: LedgerOptions):
         self.C, self.opts = C, opts
-        self._table: dict[int, int] = {}  # {p: a_p} for the good primes p <= self._swept, ascending
-        self._swept = 1
+        self._table: dict[int, int] = {}  # {p: a_p} for the good primes p <= self.swept, ascending
+        self._primes: list[int] = []  # the table's keys
+        self.swept = 1
 
     def traces(self, bound: int) -> Mapping[int, int]:
         """{p: a_p} for the good primes p <= bound: the whole table, read-only, or a fresh prefix.
@@ -165,12 +175,14 @@ class _Run:
         A bound above the largest read so far sweeps only the primes in between, so
         the checks of a ledger count each good prime once, whatever their bounds.
         """
-        if bound > self._swept:
-            self._table.update(frobenius_table(self.C, bound, self._swept))
-            self._swept = bound
-        if bound == self._swept:
+        if bound > self.swept:
+            more = frobenius_table(self.C, bound, self.swept)
+            self._table.update(more)
+            self._primes += more
+            self.swept = bound
+        if bound == self.swept:
             return MappingProxyType(self._table)
-        return dict(takewhile(lambda item: item[0] <= bound, self._table.items()))
+        return dict(islice(self._table.items(), bisect_right(self._primes, bound)))
 
     @cached_property
     def local(self) -> dict:
@@ -291,11 +303,17 @@ def _mod8_records(run: _Run) -> list[CheckRecord]:
 
 
 def _surjectivity_records(run: _Run) -> list[CheckRecord]:
+    """Each certificate reads the primes to SMALL first and the rest only if a
+    subgroup survives them.  A surjective verdict is unconditional and more
+    primes only eliminate more subgroups, so a verdict on the prefix is the
+    verdict on the whole table, and the record is the same."""
     out, bound = [], run.opts.prime_bound
-    traces, bad = run.traces(bound), tuple(run.local)
+    first, bad = min(SMALL, bound), tuple(run.local)
     for l in sorted(run.opts.l_list):
         claim = f"surjective for all primes l >= 3 (certified at l = {l})"
-        cert = surjectivity_certificate(l, traces, bad)
+        cert = surjectivity_certificate(l, run.traces(first), bad)
+        if cert.surviving and first < bound:
+            cert = surjectivity_certificate(l, run.traces(bound), bad)
         n = len(cert.maximal_subgroups)
         result = (
             f"verdict={cert.verdict} eliminated {n - len(cert.surviving)}/{n} "
@@ -321,7 +339,9 @@ def _surjectivity_records(run: _Run) -> list[CheckRecord]:
 def _ordinary_records(run: _Run) -> list[CheckRecord]:
     claim = "a_p != 1 mod p at every good ordinary prime; else contradicts the Hasse bound"
     bound, torsion_order = run.opts.prime_bound, run.torsion.order
-    failures, symbolic = verify_ordinary_criterion(run.traces(bound), torsion_order)
+    reach = ordinary_criterion_reach(torsion_order)  # past it, only the primes already read
+    read = bound if reach is None else min(bound, max(reach, run.swept))
+    failures, symbolic = verify_ordinary_criterion(run.traces(read), torsion_order)
     result = (
         f"good odd p <= {bound}: {len(failures)} failures; "
         f"symbolic Hasse inequality {'holds' if symbolic else 'fails'} for torsion order {torsion_order}"
@@ -336,7 +356,8 @@ def _lvalue_records(run: _Run) -> list[CheckRecord]:
     if run.local_error:
         return [_unsupported(run.C, "lvalue-ratio", claim, inputs, run.local_error)]
     w = root_number(run.local)  # at -1, L(E,1) = 0 and no trace is read
-    L, omega, ratio = lvalue_ratio(run.C, run.local, run.traces(opts.terms) if w == 1 else {}, opts.terms)
+    read = summed_terms(conductor_semistable(run.local), opts.terms) if w == 1 else 0
+    L, omega, ratio = lvalue_ratio(run.C, run.local, run.traces(read), opts.terms)
     if L is None:  # the partial sum bounds nothing
         return [_unsupported(run.C, "lvalue-ratio", claim, inputs,
                              f"terms too few for N={conductor_semistable(run.local)}: at {opts.terms} "

@@ -170,6 +170,21 @@ def _fixed_point_sum(a: tuple[int, ...], U: int, P: int) -> int:
     return acc
 
 
+@functools.lru_cache(maxsize=128)
+def summed_terms(N: int, terms: int) -> int:
+    """The number of terms ``l_value_at_1`` sums at conductor N: the last n <= terms
+    with floor(u^n 2^P) > 0 in ``_fixed_point_sum``'s chain, past which every term is 0.
+
+    For N = 15 it is 68; from N of about 12,800 on, the default 2000 terms.
+    The series reads a_n, so the Frobenius table, up to it.
+    """
+    P = PRECISION_BITS + GUARD_BITS
+    U, un, n = _exp_neg(_two_pi_over_sqrt(N)[1])[0] >> Q - P, 1 << P, 0
+    while n < terms and (un := un * U >> P):
+        n += 1
+    return n
+
+
 def l_value_at_1(local: dict[int, LocalData], traces: Mapping[int, int], terms: int) -> RealApprox | None:
     """L(E, 1) = 2 sum a_n/n u^n with u = exp(-2 pi / sqrt N), or None with no tail bound.
 
@@ -177,24 +192,28 @@ def l_value_at_1(local: dict[int, LocalData], traces: Mapping[int, int], terms: 
     functional equation forces L(E, 1) = 0 exactly, and ``traces`` is not read.
 
     The interval is 2 S 2^-P -+ (2E + T) for S = ``_fixed_point_sum`` at
-    P = Q - GUARD_BITS, T = ``_tail_bound`` and E = M 2^-P + beta sum_(n<=M) |a_n|,
-    M = terms.  U' = U 2^-P = floor(u_lo 2^P) 2^-P has 0 <= u - U' <= u_hi - U',
+    P = Q - GUARD_BITS over M = ``summed_terms(N, terms)`` terms, T =
+    ``_tail_bound`` past M and E = M 2^-P + beta sum_(n<=M) |a_n|.
+    U' = U 2^-P = floor(u_lo 2^P) 2^-P has 0 <= u - U' <= u_hi - U',
     and beta = u_hi - U' + 2^-P.  Step n sets v_n = un 2^-P = v_(n-1) U' - eps_n,
     0 <= eps_n < 2^-P, so e_n = u^n - v_n = u e_(n-1) + v_(n-1) (u - U') + eps_n
     lies in [0, n beta].  Each term floor(a_n un / n) is within 2^-P of
-    a_n v_n / n, and |a_n| e_n / n <= |a_n| beta.  Once un is 0 every later un
-    and term is 0, so S 2^-P is within E of sum_(n<=M) a_n u^n / n.
+    a_n v_n / n, and |a_n| e_n / n <= |a_n| beta.  So S 2^-P is within E of
+    sum_(n<=M) a_n u^n / n.  Past M, un is 0, so summing to ``terms`` would
+    give the same S; only E and T, which hold for any M, depend on where the
+    sum stops.
     """
     if root_number(local) == -1:
         return RealApprox(Fraction(0), Fraction(0))
-    a = an_coefficients(traces, terms, local)
     N, P = conductor_semistable(local), PRECISION_BITS + GUARD_BITS
+    M = summed_terms(N, terms)
+    a = an_coefficients(traces, M, local)
     c_lo, c_hi = _two_pi_over_sqrt(N)
-    if (tail := _tail_bound(c_lo, terms)) is None:
+    if (tail := _tail_bound(c_lo, M)) is None:
         return None
     U = _exp_neg(c_hi)[0] >> Q - P  # floor(u_lo 2^P)
     beta = _exp_neg(c_lo)[1] - (U << Q - P) + (1 << Q - P)  # in units of 2^-Q
-    E = (terms << Q - P) + beta * sum(map(abs, a))
+    E = (M << Q - P) + beta * sum(map(abs, a))
     mid, rad = _fixed_point_sum(a, U, P) << Q - P + 1, 2 * E + tail
     return RealApprox(Fraction(mid - rad, 1 << Q), Fraction(mid + rad, 1 << Q))
 

@@ -18,6 +18,7 @@ Point counts can prove the group trivial first.  At a good prime p >= 3,
 reduction injects E(Q)_tors into E(F_p): its kernel, the formal group
 E_1(Q_p), has no torsion since v(p) = 1 < p - 1 (Silverman, AEC VII.3.1 with
 IV.6.1).  So #E(Q)_tors divides every such #E(F_p), and a gcd of 1 proves it 1.
+The counts at GCD_PRIMES are ``counting.count_points``, in pure Python there.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .arith import factorize, integer_cubic_roots, square_divisors
-from .counting import count_points, count_points_naive  # noqa: F401  (count_points stays importable here)
+from .counting import count_points
 from .curve import WeierstrassCurve
 
 MAZUR_ORDER_CAP = 12  # Mazur: a rational torsion point has order at most 12
@@ -71,7 +72,7 @@ def torsion_subgroup(C: WeierstrassCurve) -> TorsionGroup:
     n, disc = 0, C.discriminant()
     good = [p for p in GCD_PRIMES if disc % p]
     for i, p in enumerate(good):
-        n = math.gcd(n, count_points_naive(C, p))
+        n = math.gcd(n, count_points(C, p))
         if n == 1:
             return TorsionGroup(1, (1, 1), (None,), (), tuple(good[: i + 1]))
     c4, c6 = C.c_invariants()

@@ -84,9 +84,11 @@ _VIEWS = [
     Contract("linv --padic-digits 12", 0, "valuation=1"),
 ]
 CONTRACTS = _NO_MPMATH + [row._replace(blocks="mpmath") for row in _NO_MPMATH] + _VIEWS + [
-    # only the point counts and the GL2(F_l) tables import numpy
-    *[row._replace(blocks="numpy") for row in _VIEWS
-      if row.argv.split()[0] in ("invariants", "local", "torsion", "image-mod8", "linv")],
+    # numpy counts only the primes above counting.SMALL, and the GL2(F_l) tables
+    # use it; E1's and E2's ledgers, and every view of E1, conclude below SMALL
+    *[row._replace(blocks="numpy") for row in _VIEWS],
+    Contract("ledger --format json", 0, "golden/15a1-default.json", blocks="numpy"),
+    Contract("ledger --curve 1,1,1,-5,2 --format json", 0, "golden/15a3-default.json", blocks="numpy"),
     Contract(f"ledger --curve 1,1,1,-10,-10 {FAST} --format json", 0, "golden/15a1-fast.json"),
     # --format text, the default, is spelled out early, so a report that cuts long ids still tells these two apart
     Contract(f"ledger --curve 1,1,1,-10,-10 --format text {FAST}", 0, "golden/15a1-fast.txt"),
@@ -237,6 +239,13 @@ def test_importing_the_cli_loads_neither_numpy_nor_mpmath():
     # every CLI call pays its import: numpy's alone costs about 0.1 s
     done = python(["-c", "import sys, ecledger.cli; print(sorted({'numpy', 'mpmath'} & set(sys.modules)))"], 30)
     assert (done.returncode, done.stdout) == (0, b"[]\n"), done.stderr.decode()
+
+
+def test_a_default_e1_ledger_never_imports_numpy():
+    # its checks conclude on the primes to counting.SMALL, which pure Python counts
+    done = python(["-c", "import sys; from ecledger import E1, run_ledger; run_ledger(E1); "
+                         "print('numpy' in sys.modules)"], 30)
+    assert (done.returncode, done.stdout) == (0, b"False\n"), done.stderr.decode()
 
 
 def main(argv: list[str]) -> int:

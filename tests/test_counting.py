@@ -19,6 +19,7 @@ from ecledger.counting import (
     verify_ordinary_criterion,
 )
 from ecledger.curve import E1, E2, BadReductionError, SingularCurveError, WeierstrassCurve
+from ecledger.torsion import GCD_PRIMES
 from test_cli_contracts import python
 
 
@@ -78,8 +79,8 @@ def test_count_matches_oracle_with_coefficients_beyond_int64():
 
 @pytest.mark.parametrize("name", sorted(NAMED_CURVES))
 def test_counted_traces_match_the_naive_oracle_in_one_call(name):
-    # the path of p = 2, p = 3 and the pass's open primes: every good p < 200
-    # at once, so the odd ones share one table of characters
+    # every good p < 200 at once: p = 2 by brute force, the odd p up to SMALL
+    # in pure Python, and the rest, as the pass's open primes, in one table
     C = WeierstrassCurve(*NAMED_CURVES[name])
     good = [p for p in primes_up_to(200) if C.discriminant() % p]
     assert counting._counted_traces(C, good) == [p + 1 - count_points_naive(C, p) for p in good]
@@ -181,12 +182,51 @@ def test_hasse_bound_on_all_small_primes():
 
 
 def test_sweep_asserts_the_hasse_bound(monkeypatch):
-    # p = 7 is open in E1's pass, so its trace comes from the point counts
+    # p = 7 is below SMALL, so its trace comes from the point counts
     monkeypatch.setattr(counting, "_counted_traces", lambda C, primes: [5 if p == 7 else 0 for p in primes])
     assert frobenius_table(E1, 7)[7] == 5  # 5^2 <= 4 * 7
     monkeypatch.setattr(counting, "_counted_traces", lambda C, primes: [6 if p == 7 else 0 for p in primes])
     with pytest.raises(AssertionError, match="Hasse bound violated at 7: a_p = 6"):  # 6^2 > 4 * 7
         frobenius_table(E1, 7)
+
+
+def test_the_pass_above_small_asserts_the_hasse_bound(monkeypatch):
+    # 131 is the first prime above SMALL, so the pass solves it: 22^2 <= 4 * 131 < 23^2
+    assert counting.SMALL < 131 < 137
+    real_pass = counting._bsgs_traces
+    for a, ok in ((22, True), (23, False)):
+        def wrong_at_131(C, primes, a=a):
+            solved, ap = real_pass(C, primes)
+            solved[primes == 131], ap[primes == 131] = True, a
+            return solved, ap
+
+        monkeypatch.setattr(counting, "_bsgs_traces", wrong_at_131)
+        if ok:
+            assert frobenius_table(E1, 137)[131] == a
+        else:
+            with pytest.raises(AssertionError, match="Hasse bound violated at 131: a_p = 23"):
+                frobenius_table(E1, 137)
+
+
+# E1, 11a1, 14a1, 37a1 and a model bad at 2 (discriminant -2^4 * 31)
+SMALL_ORACLE_CURVES = [E1, *(WeierstrassCurve(*NAMED_CURVES[name]) for name in ("11a1", "14a1", "37a1")),
+                       WeierstrassCurve(0, 0, 0, 1, 1)]
+
+
+@pytest.mark.parametrize("C", SMALL_ORACLE_CURVES, ids=lambda C: ",".join(map(str, C.coefficients())))
+def test_small_prime_kernel_against_the_naive_count(C):
+    good = [p for p in primes_up_to(counting.SMALL)[1:] if C.discriminant() % p]
+    b = C.b_invariants()[:3]
+    assert [p + 1 + counting._small_character_sum(b, p) for p in good] == [count_points_naive(C, p) for p in good]
+
+
+def test_a_table_is_the_union_of_its_pieces_across_the_cut():
+    for C in SMALL_ORACLE_CURVES:
+        table = frobenius_table(C, 300)
+        for cut in (counting.SMALL - 1, counting.SMALL, counting.SMALL + 3, 131):
+            upper = frobenius_table(C, 300, cut)
+            assert list(upper) == [p for p in table if p > cut]
+            assert frobenius_table(C, cut) | upper == table
 
 
 def test_ordinary_flag(capsys):
@@ -444,7 +484,7 @@ def test_run_traces_extend_one_sweep_per_ledger(monkeypatch):
     prefix = run.traces(50)
     good = [p for p in primes_up_to(300) if p != 11]
     assert sorted(calls) == good  # each good prime counted once
-    assert passed == [p for p in good if p > 3]  # the pass is offered every good p > 3, once
+    assert passed == [p for p in good if p > counting.SMALL]  # the pass is offered every good p > SMALL, once
     assert list(small.items()) == [(p, ap) for p, ap in large.items() if p <= 100]
     assert list(prefix.items()) == [(p, ap) for p, ap in large.items() if p <= 50]
     assert run.traces(100) == small and run.traces(50) == prefix and run.traces(300) == large
@@ -460,12 +500,20 @@ def test_ledger_counts_each_prime_once_per_bound(monkeypatch):
     from ecledger.ledger import LedgerOptions, run_ledger
 
     calls = record_sweep_primes(monkeypatch)
-    # the series reads a prefix of the certificates' sweep, or extends it
-    for prime_bound, terms in ((400, 200), (200, 400)):
+    # E1's checks conclude on the primes to SMALL: its certificates by p = 23,
+    # its ordinary criterion by the symbolic argument (t = 8), its series after
+    # 68 terms.  The curve of conductor 161 (t = 2) reads its criterion to
+    # prime_bound and sums 222 terms, so its series reads a prefix of that
+    # sweep or extends it.  Neither torsion group is trivial, so the torsion
+    # search counts every good gcd prime too, once, outside the sweep.
+    C161 = WeierstrassCurve(1, -1, 1, -4, -2)
+    for C, prime_bound, terms, read in ((E1, 400, 200, counting.SMALL), (E1, 200, 400, counting.SMALL),
+                                        (C161, 400, 200, 400), (C161, 200, 400, 222)):
         calls.clear()
         opts = LedgerOptions(prime_bound=prime_bound, l_list=(3, 5), terms=terms, padic_digits=12)
-        run_ledger(E1, opts)
-        assert sorted(calls) == [p for p in primes_up_to(max(prime_bound, terms)) if 15 % p]
+        run_ledger(C, opts)
+        swept = [p for p in primes_up_to(read) if C.discriminant() % p]
+        assert sorted(calls) == sorted(swept + [p for p in GCD_PRIMES if C.discriminant() % p])
 
 
 def test_lvalue_view_at_root_number_minus_one_sweeps_nothing(monkeypatch):

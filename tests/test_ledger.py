@@ -387,3 +387,38 @@ def test_no_curve_equality_branches():
         source = Path(module.__file__).read_text()
         assert not re.search(r"[!=]=\s*E[12]\b|\bE[12]\s*[!=]=", source), module.__name__
 
+
+
+@pytest.mark.parametrize("C", [E1, E2], ids=["15a1", "15a3"])
+def test_the_paper_curves_full_sweep_agrees_with_their_staged_records(C):
+    # the staged ledger reads E1 and E2 to counting.SMALL only; their whole
+    # table to 10^4 has no anomalous prime and certifies every l
+    from ecledger.counting import frobenius_table, verify_ordinary_criterion
+    from ecledger.galois_image import surjectivity_certificate
+    from ecledger.local_data import bad_primes
+
+    table = frobenius_table(C, 10_000)
+    assert [p for p, ap in table.items() if p != 2 and ap % p == 1] == []
+    assert verify_ordinary_criterion(table, 8) == ([], True)
+    for l in (3, 5, 7):
+        assert surjectivity_certificate(l, table, bad_primes(C)).verdict == "surjective"
+
+
+def test_staged_reads_give_the_records_of_the_full_table(monkeypatch):
+    # over the digest's 40 curves at l = 3, 5, 7: a certificate that reads
+    # SMALL first, and a criterion that reads only the odd primes dividing
+    # t >= 3, build the same records as reading the whole table, which
+    # SMALL = prime_bound and no reach give.  The last curve's l = 5
+    # certificate is inconclusive on the primes to SMALL and surjective to 10^4.
+    from test_report_digest import CURVES
+
+    opts, checks = LedgerOptions(l_list=(3, 5, 7)), ("surjectivity", "ordinary-criterion")
+
+    def records():
+        return [run_ledger(WeierstrassCurve(*coeffs), opts, checks).records
+                for coeffs in [*CURVES, (1, -1, 1, 10, -7)]]
+
+    staged = records()
+    monkeypatch.setattr(ledger, "SMALL", opts.prime_bound)
+    monkeypatch.setattr(ledger, "ordinary_criterion_reach", lambda torsion_order: None)
+    assert staged == records()

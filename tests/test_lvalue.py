@@ -28,6 +28,7 @@ from ecledger.lvalue import (
     rational_reconstruct,
     real_period,
     root_number,
+    summed_terms,
 )
 from ecledger.torsion import torsion_subgroup
 from test_counting import box_models, seeded_models
@@ -244,16 +245,20 @@ def test_fixed_point_sum_against_a_four_fold_precision_sum(C):
     local, B, M = local_data(C), PRECISION_BITS, 2000
     traces = frobenius_table(C, M)
     a, N, P = an_coefficients(traces, M, local), conductor_semistable(local), B + GUARD_BITS
-    U = _exp_neg(_two_pi_over_sqrt(N)[1])[0] >> Q - P  # floor(u_lo 2^P), as l_value_at_1 builds it
+    n0, (c_lo, c_hi) = summed_terms(N, M), _two_pi_over_sqrt(N)
+    U = _exp_neg(c_hi)[0] >> Q - P  # floor(u_lo 2^P), as l_value_at_1 builds it
     L = l_value_at_1(local, traces, M)
+    short = _fixed_point_sum(a[: n0 + 1], U, P)
+    assert short == _fixed_point_sum(a, U, P)  # every term past n0 is 0
     with mp.workprec(4 * B):
         u = mp.exp(-2 * mp.pi / mp.sqrt(N))
         partial = mp.fsum(mp.mpf(a[n]) / n * u**n for n in range(1, M + 1) if a[n])
-        E = fixed_point_bound(a, u, P)
-        assert abs(mp.ldexp(_fixed_point_sum(a, U, P), -P) - partial) <= E
-        # the interval holds twice the partial sum, and its radius covers 2E
+        E, T = fixed_point_bound(a[: n0 + 1], u, P), mp.ldexp(_tail_bound(c_lo, n0), -Q)
+        # the shortened sum -+ (2E + T) holds twice the sum of all M terms
+        assert abs(2 * mp.ldexp(short, -P) - 2 * partial) <= 2 * E + T
+        # the interval holds twice the partial sum, and its radius covers 2E + T
         assert mpf(L.lo) <= 2 * partial <= mpf(L.hi)
-        assert 2 * E <= mpf(L.hi - L.lo) / 2
+        assert 2 * E + T <= mpf(L.hi - L.lo) / 2
 
 
 # y^2 = x^3 - 3^72 x has e1 = 3^36 exactly, so its bracket's left end is a root of g
