@@ -7,17 +7,17 @@ f(x) = 4x^3 + b2 x^2 + 2 b4 x + b6 and chi the quadratic character.
 force.  Every odd p <= SMALL is summed in pure Python, chi read from a list
 set at the squares mod p and f stepped by its finite differences, so a table
 or a count that stays below SMALL never imports numpy.  Above SMALL chi is an
-int8 table set at the squares, with x^2
-and f reduced once each, in int32 while that is exact and in int64 above:
-the primes below CHARACTER_SMALL at once, their tables end to end, and each
-larger one over x in steps of CHARACTER_BLOCK, so a count holds its table
-and O(block), 1.4 bytes per residue at p = 999,983 (tracemalloc).
+int8 table set at the squares, with x^2 and f reduced once each, in int32
+while that is exact and in int64 above: the primes below CHARACTER_SMALL at
+once, their tables end to end, and each larger one over x in steps of
+CHARACTER_BLOCK, so a count holds its table and O(block), 1.4 bytes per
+residue at p = 999,983 (tracemalloc).
 
 Every trace the ledger reads comes from ``frobenius_table``, a pure function
 of the curve and a range of primes that asserts the Hasse bound on each
 trace; the ledger keeps one table per run and extends it.  The good primes
-up to SMALL go through ``_counted_traces``, whose pure-Python sums over the
-31 primes to 128 take about 0.25 ms (E1, warm); a ledger whose checks all
+up to SMALL go through ``_counted_traces``, whose pure-Python sums over E1's
+29 good primes to 128 take about 0.25 ms; a ledger whose checks all
 conclude there (E1's and E2's do) reads nothing more.  The good primes above
 SMALL go together through one numpy baby-step giant-step pass (Shanks-Mestre;
 Cohen, A Course in Computational Algebraic Number Theory, 7.4) with x-only
@@ -126,7 +126,7 @@ def _counted_traces(C: WeierstrassCurve, primes: Sequence[int]) -> list[int]:
     return [3 - count_points_naive(C, 2), *traces] if len(odd) < len(primes) else traces
 
 
-@functools.cache  # called at the primes up to SMALL only, so at most 31 tuples
+@functools.cache  # called at the odd primes up to SMALL only, so at most 30 tuples
 def _square_characters(p: int) -> tuple[int, ...]:
     """chi mod p from the list of the squares: 1 at each non-zero square, 0 at 0, -1 elsewhere."""
     chi = [-1] * p
@@ -470,8 +470,8 @@ def frobenius_table(C: WeierstrassCurve, bound: int, above: int = 1) -> dict[int
     """{p: a_p} for the good primes above < p <= bound, ascending.
 
     The good primes up to SMALL are counted by ``_counted_traces`` in pure
-    Python, and those above it by ``_swept_traces``, the one path that
-    imports numpy.  Every trace is checked against the Hasse bound
+    Python, and those above it by ``_swept_traces``, the table's one path
+    that imports numpy.  Every trace is checked against the Hasse bound
     a_p^2 <= 4p before the table is built.
     """
     if bound > COUNT_POINTS_MAX_P:  # refused before a sieve of bound bytes is built
@@ -523,9 +523,10 @@ def ordinary_criterion_reach(torsion_order: int) -> int | None:
     When the symbolic Hasse inequality holds (t >= 3) no good odd p with
     p not dividing t can fail.  Torsion injects into E(F_p) at every good
     p >= 3 (see ``torsion``), so t | #E(F_p).  If also a_p = 1 mod p, then
-    p | p + 1 - a_p = #E(F_p), so pt | #E(F_p) <= p + 1 + 2 sqrt(p) < tp,
-    which is false.  So only the good odd p | t can fail, and a table read
-    to the odd part of t gives the failures of the whole table.
+    p | p + 1 - a_p = #E(F_p), so pt | #E(F_p), and pt <= #E(F_p) <=
+    p + 1 + 2 sqrt(p) < tp, which is false.  So only the good odd p | t can
+    fail, and a table read to the odd part of t has the failures of the
+    whole table.
     """
     if not hasse_contradiction_symbolic(torsion_order):
         return None

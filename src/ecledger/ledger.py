@@ -339,7 +339,7 @@ def _surjectivity_records(run: _Run) -> list[CheckRecord]:
 def _ordinary_records(run: _Run) -> list[CheckRecord]:
     claim = "a_p != 1 mod p at every good ordinary prime; else contradicts the Hasse bound"
     bound, torsion_order = run.opts.prime_bound, run.torsion.order
-    reach = ordinary_criterion_reach(torsion_order)  # past it, only the primes already read
+    reach = ordinary_criterion_reach(torsion_order)  # None: every prime; else past it only those already read
     read = bound if reach is None else min(bound, max(reach, run.swept))
     failures, symbolic = verify_ordinary_criterion(run.traces(read), torsion_order)
     result = (
