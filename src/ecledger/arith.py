@@ -21,8 +21,9 @@ class DomainError(ValueError):
 # Entries kept by the is_prime and factorize caches: a ledger reads a handful
 # of each, and a process that runs ledger after ledger keeps only the latest.
 CACHE_SIZE = 128
-# Sieves kept by primes_up_to: a ledger reads at most two bounds, the
-# certificates' prime bound and the series' number of terms.
+# Sieves kept by primes_up_to: a ledger's table extends at most four times,
+# to the torsion gcd's 29, to counting.SMALL, to the certificates' prime
+# bound, and to the series' number of terms where that is larger.
 SIEVE_CACHE_SIZE = 4
 
 # Strong probable-prime tests to the first k prime bases decide primality of

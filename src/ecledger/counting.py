@@ -6,12 +6,11 @@ f(x) = 4x^3 + b2 x^2 + 2 b4 x + b6 and chi the quadratic character.
 ``_counted_traces`` takes the sums for a list of primes.  p = 2 is brute
 force.  Every odd p <= SMALL is summed in pure Python, chi read from a list
 set at the squares mod p and f stepped by its finite differences, so a table
-or a count that stays below SMALL never imports numpy.  Above SMALL chi is an
-int8 table set at the squares, with x^2 and f reduced once each, in int32
-while that is exact and in int64 above: the primes below CHARACTER_SMALL at
-once, their tables end to end, and each larger one over x in steps of
-CHARACTER_BLOCK, so a count holds its table and O(block), 1.4 bytes per
-residue at p = 999,983 (tracemalloc).
+or a count that stays below SMALL never imports numpy.  Each odd p above
+SMALL is summed alone in numpy: chi is an int8 table set at the squares, and
+x^2 and f are reduced once each, in int32 while that is exact and in int64
+above, over x in steps of CHARACTER_BLOCK, so a count holds its table and
+O(block), 1.4 bytes per residue at p = 999,983 (tracemalloc).
 
 Every trace the ledger reads comes from ``frobenius_table``, a pure function
 of the curve and a range of primes that asserts the Hasse bound on each
@@ -61,7 +60,7 @@ from __future__ import annotations
 
 import functools
 import math
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from collections.abc import Mapping, Sequence
 
 from .arith import DomainError, is_prime, primes_up_to
@@ -70,7 +69,6 @@ from .curve import BadReductionError, WeierstrassCurve
 COUNT_POINTS_MAX_P = 1_100_000_000  # 7 p^2 < 2^63 keeps count_points and the pass exact
 BSGS_CHUNK = 2048  # primes per pass, which bounds its (m + 1) x lanes tables
 CHARACTER_BLOCK = 1 << 13  # residues per step of one prime's character sum, which bounds its temporaries
-CHARACTER_SMALL = 1 << 10  # odd primes above SMALL and below it share one table of characters
 SMALL = 128  # good primes up to it are counted in pure Python; numpy counts only above it
 
 
@@ -109,19 +107,12 @@ def count_points(C: WeierstrassCurve, p: int) -> int:
 
 def _counted_traces(C: WeierstrassCurve, primes: Sequence[int]) -> list[int]:
     """[a_p for p in primes], ascending good primes, by counting points: p = 2
-    by brute force, every odd p as minus its sum over x mod p of chi(f(x)).
-
-    The odd primes up to SMALL are summed in pure Python.  Above SMALL, those
-    below CHARACTER_SMALL, whose sums cost mostly numpy's call overhead, share
-    one table, and each larger prime is summed alone.
-    """
+    by brute force, every odd p as minus its sum over x mod p of chi(f(x)),
+    in pure Python up to SMALL and in numpy above it."""
     b = C.b_invariants()[:3]
     odd = primes[1:] if primes and primes[0] == 2 else primes
-    small, shared = bisect_right(odd, SMALL), bisect_left(odd, CHARACTER_SMALL)
-    sums = [_small_character_sum(b, p) for p in odd[:small]]
-    if small < shared:
-        sums += _shared_character_sums(b, odd[small:shared])
-    sums += [_character_sum(b, p) for p in odd[shared:]]
+    small = bisect_right(odd, SMALL)
+    sums = [_small_character_sum(b, p) for p in odd[:small]] + [_character_sum(b, p) for p in odd[small:]]
     traces = [-s for s in sums]  # #E(F_p) = p + 1 + the sum
     return [3 - count_points_naive(C, 2), *traces] if len(odd) < len(primes) else traces
 
@@ -152,18 +143,6 @@ def _small_character_sum(b, p: int) -> int:
     return total
 
 
-def _reduced_square(x, p):
-    sq = x * x
-    sq -= sq // p * p  # a - a // p * p is a % p on a >= 0, and numpy's floor division is faster
-    return sq
-
-
-def _reduced_f(x, sq, p, b2, b4, b6):
-    f = (4 * x + b2) * sq + (2 * b4 * x + b6)  # below 7p^2, where Horner's x^3 is not
-    f -= f // p * p
-    return f
-
-
 def _character_sum(b, p: int) -> int:
     """The sum at one odd prime p, from (b2, b4, b6), over x in steps of
     CHARACTER_BLOCK: an int8 table of chi (1 byte per residue), set at the
@@ -175,35 +154,19 @@ def _character_sum(b, p: int) -> int:
     chi = np.full(p, -1, dtype=np.int8)  # numpy gathers by intp indices fastest
     for lo in range(0, p // 2 + 1, CHARACTER_BLOCK):  # x and p - x have one square
         x = np.arange(lo, min(lo + CHARACTER_BLOCK, p // 2 + 1), dtype=dtype)
-        chi[_reduced_square(x, p).astype(np.intp, copy=False)] = 1
+        sq = x * x
+        sq -= sq // p * p  # a - a // p * p is a % p on a >= 0, and numpy's floor division is faster
+        chi[sq.astype(np.intp, copy=False)] = 1
     chi[0] = 0
     total = 0
     for lo in range(0, p, CHARACTER_BLOCK):
         x = np.arange(lo, min(lo + CHARACTER_BLOCK, p), dtype=dtype)
-        f = _reduced_f(x, _reduced_square(x, p), p, b2, b4, b6)
+        sq = x * x
+        sq -= sq // p * p
+        f = (4 * x + b2) * sq + (2 * b4 * x + b6)  # below 7p^2, where Horner's x^3 is not
+        f -= f // p * p
         total += int(chi[f.astype(np.intp, copy=False)].sum(dtype=np.int64))
     return total
-
-
-def _shared_character_sums(b, primes: Sequence[int]) -> list[int]:
-    """The sums at odd primes below CHARACTER_SMALL at once: their residues lie
-    end to end in one table of chi, with each residue's prime, offset and
-    coefficients gathered into arrays (at most about 80,000 residues)."""
-    import numpy as np
-
-    dtype = _exact_dtype(primes[-1])
-    q = np.array(primes, dtype=dtype)
-    starts = np.cumsum(q) - q
-    owner = np.repeat(np.arange(len(primes)), primes)
-    p, base = q[owner], starts[owner]
-    b2, b4, b6 = (np.array([v % r for r in primes], dtype=dtype)[owner] for v in b)
-    x = np.arange(owner.size, dtype=dtype) - base
-    sq = _reduced_square(x, p)
-    f = _reduced_f(x, sq, p, b2, b4, b6)
-    chi = np.full(owner.size, -1, dtype=np.int8)
-    chi[(base + sq).astype(np.intp, copy=False)] = 1
-    chi[starts] = 0
-    return np.add.reduceat(chi[(base + f).astype(np.intp, copy=False)], starts, dtype=np.int64).tolist()
 
 
 def trace_ap(C: WeierstrassCurve, p: int) -> int:

@@ -15,6 +15,7 @@ it needs.  A surjectivity certificate reads in two stages: the primes up to
 counting.SMALL, then the rest of prime_bound only if a maximal subgroup
 survives them.  The ordinary criterion reads only the odd primes dividing the
 torsion order when that order is at least 3, and the primes already read.
+The torsion search reads the primes up to 29 for its gcd of point counts.
 The L-series reads as many primes as it sums terms.  No stage changes a
 record: each reads the verdict of the whole table.
 """
@@ -51,7 +52,7 @@ from .local_data import (
 )
 from .lvalue import DEFAULT_TERMS, PRECISION_BITS, lvalue_ratio, root_number, summed_terms
 from .padic import DEFAULT_DIGITS, l_invariant
-from .torsion import torsion_subgroup
+from .torsion import GCD_PRIMES, torsion_subgroup
 
 VERIFIED = "verified-at-desk-scale"
 FAILED = "failed"
@@ -201,7 +202,7 @@ class _Run:
 
     @cached_property
     def torsion(self):
-        return torsion_subgroup(self.C)
+        return torsion_subgroup(self.C, self.traces(GCD_PRIMES[-1]))
 
 
 def _invariants_records(run: _Run) -> list[CheckRecord]:

@@ -18,17 +18,19 @@ Point counts can prove the group trivial first.  At a good prime p >= 3,
 reduction injects E(Q)_tors into E(F_p): its kernel, the formal group
 E_1(Q_p), has no torsion since v(p) = 1 < p - 1 (Silverman, AEC VII.3.1 with
 IV.6.1).  So #E(Q)_tors divides every such #E(F_p), and a gcd of 1 proves it 1.
-The counts at GCD_PRIMES are ``counting.count_points``, in pure Python there.
+The counts at GCD_PRIMES are p + 1 - a_p from the caller's Frobenius table,
+which a ledger reads once per run (``counting.frobenius_table``).
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .arith import factorize, integer_cubic_roots, square_divisors
-from .counting import count_points
+from .counting import count_points  # noqa: F401  (count_points stays importable here, where tracers rebind it)
 from .curve import WeierstrassCurve
 
 MAZUR_ORDER_CAP = 12  # Mazur: a rational torsion point has order at most 12
@@ -67,12 +69,17 @@ def rational(v: Fraction) -> int | Fraction:
     return int(v) if v.denominator == 1 else v
 
 
-def torsion_subgroup(C: WeierstrassCurve) -> TorsionGroup:
-    """The full rational torsion subgroup: its points, order and structure."""
-    n, disc = 0, C.discriminant()
-    good = [p for p in GCD_PRIMES if disc % p]
+def torsion_subgroup(C: WeierstrassCurve, traces: Mapping[int, int]) -> TorsionGroup:
+    """The full rational torsion subgroup: its points, order and structure.
+
+    ``traces`` is a Frobenius table {p: a_p} of good primes; the counts
+    #E(F_p) = p + 1 - a_p at those of GCD_PRIMES it holds may prove the
+    group trivial before the search.
+    """
+    n = 0
+    good = [p for p in GCD_PRIMES if p in traces]
     for i, p in enumerate(good):
-        n = math.gcd(n, count_points(C, p))
+        n = math.gcd(n, p + 1 - traces[p])
         if n == 1:
             return TorsionGroup(1, (1, 1), (None,), (), tuple(good[: i + 1]))
     c4, c6 = C.c_invariants()

@@ -31,9 +31,9 @@ from ecledger.local_data import ReductionKind, bad_primes, kodaira_and_tamagawa,
 from ecledger.lvalue import an_coefficients, lvalue_ratio
 from ecledger.padic import iwasawa_log, l_invariant
 from ecledger.arith import primes_up_to, rational_valuation
-from ecledger.torsion import torsion_subgroup
 from test_local_data import local_data
 from test_padic import exact_value, from_fraction
+from test_torsion import torsion_of
 
 
 @pytest.fixture
@@ -58,7 +58,7 @@ def test_criterion_01_discriminants(announce):
 
 
 def test_criterion_02_torsion(announce):
-    t1, t2 = torsion_subgroup(E1), torsion_subgroup(E2)
+    t1, t2 = torsion_of(E1), torsion_of(E2)
     ok = (t1.order, t1.structure) == (8, (2, 4)) and (t2.order, t2.structure) == (8, (2, 4))
     announce(2, ok, f"torsion E1={t1.describe()} (order {t1.order}), E2={t2.describe()} (order {t2.order})")
 
@@ -79,7 +79,7 @@ def test_criterion_03_reduction_data(announce):
 
 
 def test_criterion_04_velu_isogeny(announce):
-    hit = two_isogeny_onto(E1, E2, torsion_subgroup(E1).two_torsion)
+    hit = two_isogeny_onto(E1, E2, torsion_of(E1).two_torsion)
     traces_match = all(
         trace_ap(E1, p) == trace_ap(E2, p) for p in primes_up_to(100) if p not in (3, 5)
     )
@@ -98,7 +98,7 @@ def test_criterion_05_mod8_group(announce):
         and H.order == 8
         and D.elements == H.elements
         and fg == fh
-        and len(fg) == 8 == torsion_subgroup(E1).order
+        and len(fg) == 8 == torsion_of(E1).order
         and abelian_group_structure(fg, 8) == (2, 4)
     )
     announce(5, ok, f"|G|={G.order}, |H|={H.order}=det(+-1) subgroup, fixed(G)=fixed(H), 8 vectors, structure (2,4)")

@@ -19,7 +19,6 @@ from ecledger.counting import (
     verify_ordinary_criterion,
 )
 from ecledger.curve import E1, E2, BadReductionError, SingularCurveError, WeierstrassCurve
-from ecledger.torsion import GCD_PRIMES
 from test_cli_contracts import python
 
 
@@ -80,17 +79,17 @@ def test_count_matches_oracle_with_coefficients_beyond_int64():
 @pytest.mark.parametrize("name", sorted(NAMED_CURVES))
 def test_counted_traces_match_the_naive_oracle_in_one_call(name):
     # every good p < 200 at once: p = 2 by brute force, the odd p up to SMALL
-    # in pure Python, and the rest, as the pass's open primes, in one table
+    # in pure Python, and the rest, as the pass's open primes, one by one in numpy
     C = WeierstrassCurve(*NAMED_CURVES[name])
     good = [p for p in primes_up_to(200) if C.discriminant() % p]
     assert counting._counted_traces(C, good) == [p + 1 - count_points_naive(C, p) for p in good]
 
 
-def test_counted_traces_of_shared_and_lone_primes_match_one_prime_at_a_time():
-    # good primes to 5000 in one call: those below CHARACTER_SMALL share one
-    # table, each larger one is summed alone, 10 007 in steps of x
+def test_counted_traces_across_the_cut_match_one_prime_at_a_time():
+    # good primes to 5000 in one call, across SMALL, and 10 007, whose sum
+    # takes more than one step of CHARACTER_BLOCK
     good = [p for p in primes_up_to(5000) if E1.discriminant() % p] + [10_007]
-    assert good[0] == 2 and good[1] < counting.CHARACTER_SMALL < good[-2] and good[-1] > counting.CHARACTER_BLOCK
+    assert good[0] == 2 and good[1] < counting.SMALL < good[-2] and good[-1] > counting.CHARACTER_BLOCK
     assert counting._counted_traces(E1, good) == [p + 1 - count_points(E1, p) for p in good]
 
 
@@ -504,8 +503,8 @@ def test_ledger_counts_each_prime_once_per_bound(monkeypatch):
     # its ordinary criterion by the symbolic argument (t = 8), its series after
     # 68 terms.  The curve of conductor 161 (t = 2) reads its criterion to
     # prime_bound and sums 222 terms, so its series reads a prefix of that
-    # sweep or extends it.  Neither torsion group is trivial, so the torsion
-    # search counts every good gcd prime too, once, outside the sweep.
+    # sweep or extends it.  Neither torsion group is trivial, and the torsion
+    # search reads its gcd primes from the same sweep.
     C161 = WeierstrassCurve(1, -1, 1, -4, -2)
     for C, prime_bound, terms, read in ((E1, 400, 200, counting.SMALL), (E1, 200, 400, counting.SMALL),
                                         (C161, 400, 200, 400), (C161, 200, 400, 222)):
@@ -513,7 +512,7 @@ def test_ledger_counts_each_prime_once_per_bound(monkeypatch):
         opts = LedgerOptions(prime_bound=prime_bound, l_list=(3, 5), terms=terms, padic_digits=12)
         run_ledger(C, opts)
         swept = [p for p in primes_up_to(read) if C.discriminant() % p]
-        assert sorted(calls) == sorted(swept + [p for p in GCD_PRIMES if C.discriminant() % p])
+        assert sorted(calls) == swept
 
 
 def test_lvalue_view_at_root_number_minus_one_sweeps_nothing(monkeypatch):

@@ -16,7 +16,8 @@ from ecledger.curve import (
     two_isogeny_onto,
     velu_2_isogeny,
 )
-from ecledger.torsion import point_order, torsion_subgroup
+from ecledger.torsion import point_order
+from test_torsion import torsion_of
 
 # 37a1, y^2 + y = x^3 - x, has rank 1 and trivial torsion: its points n(0, 0)
 # are pairwise distinct, so the group law on them is checked by the index n.
@@ -174,7 +175,7 @@ def test_point_order_checks_its_point_once(monkeypatch):
 
 
 def test_two_torsion_of_E1():
-    pts = torsion_subgroup(E1).two_torsion
+    pts = torsion_of(E1).two_torsion
     assert [P[0] for P in pts] == [Fraction(-13, 4), -1, 3]
     for P in pts:
         assert E1.is_on_curve(P)
@@ -201,7 +202,7 @@ def test_velu_isogeny_codomain_on_curve():
 
 
 def test_two_isogeny_onto_E2():
-    hit = two_isogeny_onto(E1, E2, torsion_subgroup(E1).two_torsion)
+    hit = two_isogeny_onto(E1, E2, torsion_of(E1).two_torsion)
     assert hit is not None
     phi, iso = hit
     assert phi.kernel[0] == Fraction(-13, 4)
@@ -233,7 +234,7 @@ def test_isomorphism_over_Q_finds_none_between_curves_that_are_not_isomorphic(mo
 
 
 def test_two_isogeny_onto_a_curve_no_kernel_reaches_is_none():
-    assert two_isogeny_onto(E1, E1, torsion_subgroup(E1).two_torsion) is None
+    assert two_isogeny_onto(E1, E1, torsion_of(E1).two_torsion) is None
 
 
 def test_minimality():

@@ -3,6 +3,7 @@ import json
 import os
 import re
 import sys
+from collections.abc import Mapping
 from dataclasses import replace
 from pathlib import Path
 
@@ -10,6 +11,7 @@ import pytest
 
 from ecledger import arith, cli, galois_image, ledger, local_data, lvalue, padic, torsion
 from ecledger.cli import main
+from ecledger.counting import frobenius_table
 from ecledger.curve import E1, E2, WeierstrassCurve, curve_from_string
 from ecledger.ledger import (CITED_DEPENDENCIES, VERIFIED, CheckRecord, LedgerOptions, VerificationReport,
                              emit_report, report_from_json, run_ledger)
@@ -326,7 +328,7 @@ def test_shared_facts_computed_once_per_ledger(monkeypatch):
 
     def count(fn):
         def wrapper(C, *args):
-            calls.append((fn.__name__, *args))
+            calls.append((fn.__name__, *(dict(a) if isinstance(a, Mapping) else a for a in args)))
             return fn(C, *args)
 
         # every module binding, so a call through any import is seen
@@ -342,11 +344,13 @@ def test_shared_facts_computed_once_per_ledger(monkeypatch):
     # one trial division of the discriminant, however many checks read its
     # factorisation; a reduction type per bad prime, plus the Tate parameter's
     # own guard at the split prime 5; the L-value layer reads the ledger's
-    # local data and derives none of it
+    # local data and derives none of it; torsion reads the run's Frobenius
+    # table to 29, a copy of it here since the run's table grows
     assert arith.factorize.cache_info().misses == 1
     assert sorted(calls) == [
         ("bad_primes",), ("kodaira_and_tamagawa", 3), ("kodaira_and_tamagawa", 5),
-        ("reduction_type", 3), ("reduction_type", 5), ("reduction_type", 5), ("torsion_subgroup",),
+        ("reduction_type", 3), ("reduction_type", 5), ("reduction_type", 5),
+        ("torsion_subgroup", frobenius_table(E1, 29)),
     ]
 
 
@@ -393,7 +397,7 @@ def test_no_curve_equality_branches():
 def test_the_paper_curves_full_sweep_agrees_with_their_staged_records(C):
     # the staged ledger reads E1 and E2 to counting.SMALL only; their whole
     # table to 10^4 has no anomalous prime and certifies every l
-    from ecledger.counting import frobenius_table, verify_ordinary_criterion
+    from ecledger.counting import verify_ordinary_criterion
     from ecledger.galois_image import surjectivity_certificate
     from ecledger.local_data import bad_primes
 

@@ -30,9 +30,9 @@ from ecledger.lvalue import (
     root_number,
     summed_terms,
 )
-from ecledger.torsion import torsion_subgroup
 from test_counting import box_models, seeded_models
 from test_local_data import local_data
+from test_torsion import torsion_of
 
 M = 2000
 
@@ -349,7 +349,7 @@ def test_bsd_analytic_sha_is_a_square_integer():
         local = local_data(C)
         ratio = lvalue_ratio(C, local, frobenius_table(C, M), M)[2]
         if ratio:
-            sha = ratio * torsion_subgroup(C).order ** 2 / tamagawa_product(local)
+            sha = ratio * torsion_of(C).order ** 2 / tamagawa_product(local)
             assert sha.denominator == 1 and math.isqrt(sha.numerator) ** 2 == sha.numerator, C
             shas.append(sha)
     assert sorted(shas) == [1] * 14 + [4]

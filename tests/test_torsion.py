@@ -4,12 +4,16 @@ from fractions import Fraction
 
 import pytest
 
-from ecledger import torsion
 from ecledger.arith import factorize, primes_up_to
-from ecledger.counting import count_points
+from ecledger.counting import count_points, frobenius_table
 from ecledger.curve import E1, E2, SingularCurveError, WeierstrassCurve
 from ecledger.torsion import point_order, torsion_subgroup
 from test_counting import seeded_models
+
+
+def torsion_of(C):
+    """The torsion subgroup, with the gcd counts a ledger reads from its table."""
+    return torsion_subgroup(C, frobenius_table(C, 29))
 
 
 def group_closure_oracle(C, points):
@@ -29,13 +33,13 @@ def group_closure_oracle(C, points):
 
 def test_torsion_of_the_pair():
     for C in (E1, E2):
-        T = torsion_subgroup(C)
+        T = torsion_of(C)
         assert (T.order, T.structure) == (8, (2, 4))
         assert T.describe() == "Z/2 x Z/4"
 
 
 def test_E1_torsion_points_verified_pointwise():
-    T = torsion_subgroup(E1)
+    T = torsion_of(E1)
     assert len(T.points) == 8 and T.points[0] is None
     for P in T.points[1:]:
         assert E1.is_on_curve(P)
@@ -46,7 +50,7 @@ def test_E1_torsion_points_verified_pointwise():
 
 
 def test_E1_two_torsion_includes_non_integral_x():
-    T = torsion_subgroup(E1)
+    T = torsion_of(E1)
     xs = {P[0] for P in T.points if P is not None and point_order(E1, P) == 2}
     assert xs == {-1, 3, Fraction(-13, 4)}
     assert T.two_torsion == tuple(P for P in T.points[1:] if point_order(E1, P) == 2)
@@ -54,16 +58,16 @@ def test_E1_two_torsion_includes_non_integral_x():
 
 def test_known_small_curves():
     # independent fixtures: cubic y^2 = x^3 + 1 has the 6 obvious points
-    T = torsion_subgroup(WeierstrassCurve(0, 0, 0, 0, 1))
+    T = torsion_of(WeierstrassCurve(0, 0, 0, 0, 1))
     assert (T.order, T.describe()) == (6, "Z/6")
     # y^2 = x^3 - x: full 2-torsion and nothing else
-    T = torsion_subgroup(WeierstrassCurve(0, 0, 0, -1, 0))
+    T = torsion_of(WeierstrassCurve(0, 0, 0, -1, 0))
     assert (T.order, T.structure) == (4, (2, 2))
     # y^2 + y = x^3 - x: rank-1 curve with trivial torsion
-    T = torsion_subgroup(WeierstrassCurve(0, 0, 1, -1, 0))
+    T = torsion_of(WeierstrassCurve(0, 0, 1, -1, 0))
     assert T.order == 1
     # y^2 + xy + y = x^3 - x^2 - 3x + 3: cyclic of order 7
-    T = torsion_subgroup(WeierstrassCurve(1, -1, 1, -3, 3))
+    T = torsion_of(WeierstrassCurve(1, -1, 1, -3, 3))
     assert (T.order, T.describe()) == (7, "Z/7")
 
 
@@ -97,7 +101,7 @@ MAZUR_CURVES = [
 def test_mazur_groups(coeffs, structure):
     C = WeierstrassCurve(*coeffs)
     delta_factors = dict(factorize(C.discriminant()))
-    T = torsion_subgroup(C)
+    T = torsion_of(C)
     # the search reads Delta's cached factorisation and leaves it as it was
     assert factorize(C.discriminant()) == delta_factors
     assert T.structure == structure and T.order == structure[0] * structure[1]
@@ -119,7 +123,7 @@ def test_full_two_torsion_of_congruent_number_curves(n):
     # y^2 = x^3 - n^2 x = x(x - n)(x + n) has torsion Z/2 x Z/2 for every n;
     # at these n the short-model roots 36n are beyond float precision.
     C = WeierstrassCurve(0, 0, 0, -n * n, 0)
-    T = torsion_subgroup(C)
+    T = torsion_of(C)
     assert (T.order, T.structure) == (4, (2, 2))
     assert T.two_torsion == ((-n, 0), (0, 0), (n, 0))
     assert T.points == (None, (-n, 0), (0, 0), (n, 0))
@@ -136,7 +140,7 @@ def _small_models():
 def test_small_model_grid_pinned():
     rows = []
     for C in _small_models():
-        T = torsion_subgroup(C)
+        T = torsion_of(C)
         rows.append((C.coefficients(), T.order, T.structure, T.points, T.two_torsion))
     assert len(rows) == 290
     # sha256 of the same rows from the count-bound and closure search
@@ -144,16 +148,15 @@ def test_small_model_grid_pinned():
     assert digest == "cd67d2e7bb793eaaf52882b7c1640929145477e030d0328a2318cac1bd68a9f4"
 
 
-def test_point_count_gcd_returns_what_the_full_search_finds(monkeypatch):
+def test_point_count_gcd_returns_what_the_full_search_finds():
     curves = seeded_models(22, 400)  # a fixed slice of the benchmark's coefficient box
-    fast = [torsion_subgroup(C) for C in curves]
-    monkeypatch.setattr(torsion, "GCD_PRIMES", ())  # no gcd: every curve takes the search
-    assert [torsion_subgroup(C) for C in curves] == fast
+    fast = [torsion_of(C) for C in curves]
+    assert [torsion_subgroup(C, {}) for C in curves] == fast  # no counts: every curve takes the search
     orders = [T.order for T in fast]
     assert orders.count(1) > 300 and len(set(orders)) > 2
 
 
 def test_gcd_primes_name_the_point_counts_that_proved_the_group_trivial():
     # 37a1: #E(F_3) = 7 and #E(F_5) = 8; E1's Z/2 x Z/4 comes from the search
-    assert torsion_subgroup(WeierstrassCurve(0, 0, 1, -1, 0)).gcd_primes == (3, 5)
-    assert torsion_subgroup(E1).gcd_primes == ()
+    assert torsion_of(WeierstrassCurve(0, 0, 1, -1, 0)).gcd_primes == (3, 5)
+    assert torsion_of(E1).gcd_primes == ()
