@@ -9,7 +9,7 @@ rational coefficients.  Finite-field data enters only as Frobenius traces
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from .arith import DomainError, iroot_exact, valuation
@@ -25,42 +25,34 @@ class BadReductionError(DomainError):
     """A point count was requested at a prime dividing the discriminant."""
 
 
-@dataclass(frozen=True)
-class Invariants:
-    b2: int
-    b4: int
-    b6: int
-    b8: int
-    c4: int
-    c6: int
-    disc: int
-    j: Fraction
+class Invariants(namedtuple("Invariants", "b2 b4 b6 b8 c4 c6 disc j")):
+    """The b- and c-invariants and discriminant of a model, integers, and its j-invariant, a Fraction."""
+
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class WeierstrassCurve:
+class WeierstrassCurve(namedtuple("WeierstrassCurve", "a1 a2 a3 a4 a6")):
     """y^2 + a1*x*y + a3*y = x^3 + a2*x^2 + a4*x + a6 with integer coefficients.
 
     Any coefficient that is not an int (a bool, a Fraction, a float) raises a
     DomainError.
     """
 
-    a1: int
-    a2: int
-    a3: int
-    a4: int
-    a6: int
+    def __new__(cls, a1, a2, a3, a4, a6):
+        coefficients = (a1, a2, a3, a4, a6)
+        if not all(type(a) is int for a in coefficients):  # a bool would print as True
+            raise DomainError(f"coefficients must be integers, got {coefficients}")
+        self = tuple.__new__(cls, coefficients)
+        # Not a field, so the class has no __slots__: equality and hashing stay on the five coefficients.
+        self._invariants = _model_invariants(*coefficients)
+        return self
 
-    def __post_init__(self):
-        if not all(type(a) is int for a in self.coefficients()):  # a bool would print as True
-            raise DomainError(f"coefficients must be integers, got {self.coefficients()}")
-        # Not a dataclass field: equality and hashing stay on the five coefficients.
-        object.__setattr__(self, "_invariants", _model_invariants(*self.coefficients()))
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace checks as __new__ does
 
     # -- invariants ---------------------------------------------------------
 
     def coefficients(self) -> tuple[int, int, int, int, int]:
-        return (self.a1, self.a2, self.a3, self.a4, self.a6)
+        return tuple(self)
 
     def b_invariants(self) -> tuple[int, int, int, int]:
         return (self._invariants.b2, self._invariants.b4, self._invariants.b6, self._invariants.b8)
@@ -143,14 +135,10 @@ def _model_invariants(a1, a2, a3, a4, a6) -> Invariants:
     return Invariants(b2, b4, b6, b8, c4, c6, disc, Fraction(c4**3, disc))
 
 
-@dataclass(frozen=True)
-class CurveIsomorphism:
-    """Change of variables x = u^2 x' + r, y = u^3 y' + s u^2 x' + t."""
+class CurveIsomorphism(namedtuple("CurveIsomorphism", "u r s t")):
+    """Change of variables x = u^2 x' + r, y = u^3 y' + s u^2 x' + t, with Fractions u, r, s, t."""
 
-    u: Fraction
-    r: Fraction
-    s: Fraction
-    t: Fraction
+    __slots__ = ()
 
     def apply(self, model: tuple) -> tuple[Fraction, ...]:
         """The five coefficients of the transformed model, as Fractions."""
@@ -192,14 +180,14 @@ def isomorphism_over_Q(model: tuple, target: tuple) -> CurveIsomorphism | None:
     return None
 
 
-@dataclass(frozen=True)
-class TwoIsogeny:
-    """A degree-2 isogeny given by its kernel point and Velu codomain."""
+class TwoIsogeny(namedtuple("TwoIsogeny", "domain kernel codomain t")):
+    """A degree-2 isogeny given by its kernel point and Velu codomain.
 
-    domain: WeierstrassCurve
-    kernel: tuple
-    codomain: tuple  # its five coefficients, rational and in general not integral
-    t: Fraction  # Velu's t for the map itself: x' = x + t/(x - x0)
+    The codomain is its five coefficients, rational and in general not
+    integral; t is Velu's t for the map itself: x' = x + t/(x - x0).
+    """
+
+    __slots__ = ()
 
 
 def velu_2_isogeny(C: WeierstrassCurve, K: tuple) -> TwoIsogeny:

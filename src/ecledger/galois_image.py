@@ -18,8 +18,8 @@ Matrices are 4-tuples (a, b, c, d) read row-wise.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from collections.abc import Collection, Mapping
-from dataclasses import dataclass
 from functools import lru_cache
 
 from .arith import DomainError, is_prime, kronecker_symbol
@@ -38,12 +38,10 @@ def mat_det(x: Mat, m: int) -> int:
     return (x[0] * x[3] - x[1] * x[2]) % m
 
 
-@dataclass(frozen=True)
-class ModMMatrixGroup:
-    """A finite subgroup of GL2(Z/m) given by its full element set."""
+class ModMMatrixGroup(namedtuple("ModMMatrixGroup", "modulus elements")):
+    """A finite subgroup of GL2(Z/m) given by its full element set, a frozenset."""
 
-    modulus: int
-    elements: frozenset
+    __slots__ = ()
 
     @property
     def order(self) -> int:
@@ -319,10 +317,10 @@ def maximal_subgroups(l: int) -> tuple[str, ...]:
     return (BOREL, *split, NONSPLIT_NORMALISER, *s4)
 
 
-@dataclass(frozen=True)
-class SurjectivityCertificate:
-    maximal_subgroups: tuple[str, ...]  # maximal_subgroups(l)
-    surviving: tuple[str, ...]  # those the Frobenius data did not eliminate
+class SurjectivityCertificate(namedtuple("SurjectivityCertificate", "maximal_subgroups surviving")):
+    """The names of maximal_subgroups(l), and of those the Frobenius data did not eliminate."""
+
+    __slots__ = ()
 
     @property
     def verdict(self) -> str:

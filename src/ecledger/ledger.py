@@ -24,8 +24,8 @@ from __future__ import annotations
 
 import json
 from bisect import bisect_right
+from collections import namedtuple
 from collections.abc import Mapping
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import islice
@@ -58,32 +58,34 @@ VERIFIED = "verified-at-desk-scale"
 FAILED = "failed"
 
 
-@dataclass(frozen=True)
-class CheckRecord:
-    id: str
-    claim: str
-    method: str  # "computed" | "cited"
-    inputs: str
-    result: str
-    status: str  # "pass" | "fail" | "cited" | "unsupported"
+class CheckRecord(namedtuple("CheckRecord", "id claim method inputs result status")):
+    """One record of a report, every field a str.
 
-    def __post_init__(self):
-        assert (self.status == "cited") == (self.method == "cited")
+    method is "computed" or "cited"; status is "pass", "fail", "cited" or
+    "unsupported", and it is "cited" exactly when the method is.
+    """
 
+    __slots__ = ()
 
-@dataclass(frozen=True)
-class LedgerOptions:
-    prime_bound: int = 10_000
-    l_list: tuple[int, ...] = (3, 5, 7)
-    terms: int = DEFAULT_TERMS
-    padic_digits: int = DEFAULT_DIGITS
+    def __new__(cls, id, claim, method, inputs, result, status):
+        if (status == "cited") != (method == "cited"):  # raised, not asserted: report_from_json reads outside input
+            raise AssertionError(f"status {status!r} does not go with method {method!r}")
+        return tuple.__new__(cls, (id, claim, method, inputs, result, status))
+
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace checks as __new__ does
 
 
-@dataclass(frozen=True)
-class VerificationReport:
-    curve: str
-    version: str
-    records: tuple[CheckRecord, ...]
+class LedgerOptions(namedtuple("LedgerOptions", "prime_bound l_list terms padic_digits",
+                               defaults=(10_000, (3, 5, 7), DEFAULT_TERMS, DEFAULT_DIGITS))):
+    """The ints prime_bound, terms and padic_digits, and l_list, a tuple of primes."""
+
+    __slots__ = ()
+
+
+class VerificationReport(namedtuple("VerificationReport", "curve version records")):
+    """The curve's coefficients as a str, the toolkit version and a tuple of CheckRecords."""
+
+    __slots__ = ()
 
     @property
     def overall(self) -> str:
@@ -439,7 +441,7 @@ def emit_report(report: VerificationReport, fmt: str = "json-text") -> str:
             "curve": report.curve,
             "version": report.version,
             "overall": report.overall,
-            "records": [vars(r) for r in report.records],  # every field is a str: no deep copy
+            "records": [r._asdict() for r in report.records],  # every field is a str: no deep copy
         }
         return json.dumps(payload, sort_keys=True, indent=2) + "\n"
     if fmt == "human-text":

@@ -8,7 +8,7 @@ needs.  The split test is (-c6 | p) = 1 at every prime, 2 included.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from enum import Enum
 from math import gcd, prod
 
@@ -26,12 +26,10 @@ class ReductionKind(str, Enum):
     MULT_NONSPLIT = "multiplicative-nonsplit"
 
 
-@dataclass(frozen=True)
-class LocalData:
-    p: int
-    kind: ReductionKind
-    kodaira_n: int  # Kodaira type I_n; n = 0 means good reduction
-    tamagawa: int
+class LocalData(namedtuple("LocalData", "p kind kodaira_n tamagawa")):
+    """The reduction kind at p, the n of Kodaira type I_n (0 for good reduction) and the Tamagawa number."""
+
+    __slots__ = ()
 
     @property
     def kodaira(self) -> str:

@@ -17,8 +17,8 @@ from __future__ import annotations
 import decimal
 import functools
 import math
+from collections import namedtuple
 from collections.abc import Mapping
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .arith import DomainError, bisect_least
@@ -33,12 +33,10 @@ MAX_DENOMINATOR = 100  # of the reconstructed L(E,1)/Omega
 _DECIMAL = decimal.Context(prec=15, rounding=decimal.ROUND_HALF_UP)  # of the printed reals
 
 
-@dataclass(frozen=True)
-class RealApprox:
-    """The closed interval [lo, hi] around a real."""
+class RealApprox(namedtuple("RealApprox", "lo hi")):
+    """The closed interval [lo, hi] around a real, with Fraction ends."""
 
-    lo: Fraction
-    hi: Fraction
+    __slots__ = ()
 
     def __str__(self) -> str:
         """The midpoint to 15 significant digits rounded half up, fixed for decimal exponents -4 to 14."""

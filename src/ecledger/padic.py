@@ -13,7 +13,7 @@ p**(val + prec): ceil(prec / val) steps from x = 0, each proving val digits.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .arith import DomainError, is_prime, rational_valuation, valuation
 from .curve import WeierstrassCurve
@@ -22,24 +22,26 @@ from .local_data import ReductionKind, reduction_type
 DEFAULT_DIGITS = 20
 
 
-@dataclass(frozen=True)
-class PadicNumber:
-    """p^valuation * unit, unit a p-adic unit known mod p^prec (prec digits)."""
+class PadicNumber(namedtuple("PadicNumber", "p val unit prec")):
+    """p^val * unit, unit a p-adic unit known mod p^prec (prec digits), stored reduced.
 
-    p: int
-    val: int  # for a zero, val + prec is all that is known: it is O(p^(val + prec))
-    unit: int  # 0 means the number is zero to working precision
-    prec: int
+    A unit of 0 means the number is zero to working precision: then val + prec
+    is all that is known, and it is O(p^(val + prec)).
+    """
 
-    def __post_init__(self):
-        if not is_prime(self.p):
-            raise DomainError(f"{self.p} is not prime")
-        if self.prec < 1:
+    __slots__ = ()
+
+    def __new__(cls, p, val, unit, prec):
+        if not is_prime(p):
+            raise DomainError(f"{p} is not prime")
+        if prec < 1:
             raise DomainError("precision must be at least one digit")
-        u = self.unit % self.p**self.prec
-        object.__setattr__(self, "unit", u)
-        if u and u % self.p == 0:
+        unit %= p**prec
+        if unit and unit % p == 0:
             raise AssertionError("unit part must be a unit (normalize on construction)")
+        return tuple.__new__(cls, (p, val, unit, prec))
+
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace checks as __new__ does
 
     @classmethod
     def from_residue(cls, a: int, p: int, n: int) -> "PadicNumber":
@@ -187,10 +189,10 @@ def iwasawa_log(x: PadicNumber) -> PadicNumber:
     return PadicNumber.from_residue(total * pow(p - 1, -1, mod), p, n)
 
 
-@dataclass(frozen=True)
-class LInvariantResult:
-    tate_q: PadicNumber
-    value: PadicNumber  # log_p(q) / ord_p(q)
+class LInvariantResult(namedtuple("LInvariantResult", "tate_q value")):
+    """The Tate parameter q and the value log_p(q) / ord_p(q), both PadicNumbers."""
+
+    __slots__ = ()
 
 
 def l_invariant(C: WeierstrassCurve, p: int, prec: int = DEFAULT_DIGITS) -> LInvariantResult:

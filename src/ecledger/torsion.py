@@ -25,8 +25,8 @@ which a ledger reads once per run (``counting.frobenius_table``).
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from collections.abc import Mapping
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .arith import factorize, integer_cubic_roots, square_divisors
@@ -37,13 +37,25 @@ MAZUR_ORDER_CAP = 12  # Mazur: a rational torsion point has order at most 12
 GCD_PRIMES = (3, 5, 7, 11, 13, 17, 19, 23, 29)  # whose point counts may prove the group trivial
 
 
-@dataclass(frozen=True)
-class TorsionGroup:
-    order: int
-    structure: tuple[int, int]  # (d1, d2), d1 | d2, group = Z/d1 x Z/d2
-    points: tuple  # the point at infinity, then the affine points sorted by (x, y)
-    two_torsion: tuple  # the points of order 2, sorted by x: the kernels of the rational 2-isogenies
-    gcd_primes: tuple[int, ...] = field(default=(), compare=False)  # the p whose #E(F_p) have gcd 1, if any
+class TorsionGroup(namedtuple("TorsionGroup", "order structure points two_torsion gcd_primes", defaults=((),))):
+    """The group Z/d1 x Z/d2 with structure (d1, d2), d1 | d2, and its order.
+
+    points: the point at infinity, then the affine points sorted by (x, y).
+    two_torsion: the points of order 2, sorted by x, the kernels of the rational 2-isogenies.
+    gcd_primes: the p whose #E(F_p) have gcd 1, if any.  They record how the
+    group was found, not the group, so equality and hashing read the first four fields.
+    """
+
+    __slots__ = ()
+
+    def __eq__(self, other):
+        return isinstance(other, TorsionGroup) and self[:4] == other[:4]
+
+    def __ne__(self, other):
+        return not self == other
+
+    def __hash__(self):
+        return hash(self[:4])
 
     def describe(self) -> str:
         d1, d2 = self.structure

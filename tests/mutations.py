@@ -36,6 +36,8 @@ class Mutation(NamedTuple):
 
 SMALL_KERNEL = "tests/test_counting.py::test_small_prime_kernel_against_the_naive_count"
 ONE_CALL = "tests/test_counting.py::test_counted_traces_match_the_naive_oracle_in_one_call"
+VALUES = "tests/test_value_classes.py::test_value_classes_are_frozen_and_equal_values_hash_alike"
+CITED_CHECK = 'if (status == "cited") != (method == "cited"):'
 
 MUTATIONS = (
     Mutation("small-chi-of-zero", "counting", "    chi[0] = 0\n    return tuple(chi)", "    return tuple(chi)",
@@ -74,6 +76,36 @@ MUTATIONS = (
     Mutation("torsion-without-counts", "ledger", "torsion_subgroup(self.C, self.traces(GCD_PRIMES[-1]))",
              "torsion_subgroup(self.C, {})", ("tests/test_report_digest.py::test_reports_match_pinned_digest",),
              "the search finds the same group, but a trivial group's record names the gcd primes that proved it"),
+    Mutation("curve-bool-coefficient", "curve", "type(a) is int for a in coefficients",
+             "isinstance(a, int) for a in coefficients",
+             ("tests/test_curve.py::test_non_integer_coefficients_are_rejected",),
+             "a bool is an int to isinstance, and a curve with a coefficient True would print it as True"),
+    Mutation("curve-replace-skips-new", "curve",
+             "    _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace checks as __new__ does\n", "",
+             ("tests/test_value_classes.py::test_replace_checks_as_the_constructor_does",),
+             "namedtuple's own _make builds the tuple without __new__, so _replace would skip the check "
+             "and the invariants"),
+    Mutation("padic-unit-unreduced", "padic", "        unit %= p**prec\n", "", (VALUES,),
+             "the unit is known mod p^prec only: kept unreduced, two equal numbers compare unequal"),
+    Mutation("padic-prime-check", "padic", "        if not is_prime(p):", "        if p < 2:",
+             ("tests/test_padic.py::test_padic_numbers_refuse_what_they_cannot_be",),
+             "a p-adic number needs a prime p; 4 must be refused"),
+    Mutation("record-cited-one-way", "ledger", CITED_CHECK, 'if status == "cited" != method:',
+             ("tests/test_ledger.py::test_checkrecord_invariant_enforced",),
+             "a cited method with a status other than cited must be refused too, not only the converse"),
+    Mutation("record-check-asserted", "ledger", CITED_CHECK, f"if __debug__ and {CITED_CHECK.removeprefix('if ')}",
+             ("tests/test_ledger.py::test_checkrecord_invariant_survives_python_O",),
+             "a check that python -O strips, as it strips an assert, lets report_from_json build a record "
+             "that contradicts itself"),
+    Mutation("torsion-equality-reads-gcd-primes", "torsion", "and self[:4] == other[:4]",
+             "and tuple(self) == tuple(other)",
+             ("tests/test_torsion.py::test_point_count_gcd_returns_what_the_full_search_finds", VALUES),
+             "gcd_primes records how the group was found: groups found by the gcd and by the search are equal"),
+    Mutation("torsion-hash-reads-gcd-primes", "torsion", "return hash(self[:4])", "return hash(tuple(self))",
+             (VALUES,), "equal groups must hash alike, so the hash skips gcd_primes as equality does"),
+    Mutation("torsion-inequality-reads-gcd-primes", "torsion", "return not self == other",
+             "return tuple(self) != tuple(other)", (VALUES,),
+             "tuple's own != reads every field, so != must be the negation of the four-field =="),
 )
 
 

@@ -6,7 +6,7 @@ can say, such as parse-level defaults and guards that need a monkeypatch.
 
 Tier-1 runs every row from a temporary directory under the row's timeout: a
 row that blocks no module in process, through `cli.main`; a row that makes
-`mpmath` or `numpy` unimportable in a fresh interpreter.
+a module (`mpmath`, `numpy` or `dataclasses`) unimportable in a fresh interpreter.
 `PYTHONPATH=src python tests/test_cli_contracts.py` runs each row in a fresh
 `python -m ecledger.cli` and names each row that fails; `--regenerate`
 rewrites tests/golden/ from the golden rows and the status table of
@@ -38,7 +38,7 @@ class Contract(NamedTuple):
     stdout: str  # "golden/NAME" (a file under tests/), "sha256:HEX", a substring, or "" for none
     stderr: str = ""  # a substring, or "" for none; a traceback always fails
     timeout: float = 60  # seconds, a fresh interpreter included
-    blocks: str | None = None  # the module made unimportable: "mpmath" or "numpy"
+    blocks: str | None = None  # the module made unimportable: "mpmath", "numpy" or "dataclasses"
 
     @property
     def golden(self) -> str | None:
@@ -88,6 +88,8 @@ CONTRACTS = _NO_MPMATH + [row._replace(blocks="mpmath") for row in _NO_MPMATH] +
     # use it; E1's and E2's ledgers, and every view of E1, conclude below SMALL
     *[row._replace(blocks="numpy") for row in _VIEWS],
     Contract("ledger --format json", 0, "golden/15a1-default.json", blocks="numpy"),
+    # no value class is a dataclass: importing dataclasses and making the classes cost a cold call about 20 ms
+    Contract("ledger --format json", 0, "golden/15a1-default.json", blocks="dataclasses"),
     Contract("ledger --curve 1,1,1,-5,2 --format json", 0, "golden/15a3-default.json", blocks="numpy"),
     Contract(f"ledger --curve 1,1,1,-10,-10 {FAST} --format json", 0, "golden/15a1-fast.json"),
     # --format text, the default, is spelled out early, so a report that cuts long ids still tells these two apart
@@ -236,8 +238,10 @@ def test_an_in_process_row_fails_at_its_timeout():
 
 
 def test_importing_the_cli_loads_neither_numpy_nor_mpmath():
-    # every CLI call pays its import: numpy's alone costs about 0.1 s
-    done = python(["-c", "import sys, ecledger.cli; print(sorted({'numpy', 'mpmath'} & set(sys.modules)))"], 30)
+    # every CLI call pays its import: numpy's alone costs about 0.1 s, and dataclasses
+    # with the inspect it loads about 8 ms, which no value class of the package needs
+    done = python(["-c", "import sys, ecledger.cli; "
+                         "print(sorted({'numpy', 'mpmath', 'dataclasses', 'inspect'} & set(sys.modules)))"], 30)
     assert (done.returncode, done.stdout) == (0, b"[]\n"), done.stderr.decode()
 
 

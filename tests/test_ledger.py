@@ -4,7 +4,6 @@ import os
 import re
 import sys
 from collections.abc import Mapping
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -15,6 +14,7 @@ from ecledger.counting import frobenius_table
 from ecledger.curve import E1, E2, WeierstrassCurve, curve_from_string
 from ecledger.ledger import (CITED_DEPENDENCIES, VERIFIED, CheckRecord, LedgerOptions, VerificationReport,
                              emit_report, report_from_json, run_ledger)
+from test_cli_contracts import python
 from test_counting import seeded_models
 
 # The CLI's contracts (goldens, exit codes, refusals) are rows of tests/test_cli_contracts.py;
@@ -116,6 +116,15 @@ def test_additive_curve_marked_unsupported():
 def test_checkrecord_invariant_enforced():
     with pytest.raises(AssertionError):
         CheckRecord("x", "claim", "cited", "none", "oops", "pass")
+
+
+def test_checkrecord_invariant_survives_python_O():
+    # python -O strips assert statements, and report_from_json builds records from outside input
+    code = ("import sys\nfrom ecledger.ledger import CheckRecord\n"
+            "try:\n    CheckRecord('x', 'claim', 'cited', 'none', 'oops', 'pass')\n"
+            "except AssertionError:\n    print(sys.flags.optimize, 'refused')\n")
+    done = python(["-O", "-c", code], 30)
+    assert (done.returncode, done.stdout) == (0, b"1 refused\n"), done.stderr.decode()
 
 
 def test_isogeny_record_fails_where_no_kernel_reaches_the_target(monkeypatch):
@@ -308,7 +317,7 @@ def test_view_records_ignore_the_options_it_does_not_take(command, curve):
     # leaves its records as they are, so dropping those flags loses nothing
     checks = cli.VIEWS[command][1]
     unread = {f: getattr(UNREAD, f) for f in FAST_FLAGS if f not in VIEW_OPTIONS[command]}
-    assert run_ledger(curve, replace(FAST, **unread), checks) == run_ledger(curve, FAST, checks)
+    assert run_ledger(curve, FAST._replace(**unread), checks) == run_ledger(curve, FAST, checks)
 
 
 @pytest.mark.parametrize("argv", [["torsion"], ["lvalue", "--terms", "500"], ["ledger"], ["image-modl"]])
